@@ -7,7 +7,8 @@
 // the interval-union kernel — in tasks (or bytes) per second.
 //
 // Besides the console output, the binary writes a BENCH_io.json trajectory
-// artifact (path override: LUMOS_BENCH_IO_OUT) covering the I/O fast-path
+// artifact (path override: LUMOS_BENCH_IO_OUT) covering the graph
+// producers (BM_GraphBuild, BM_TraceParse, BM_Rebuild), the I/O fast-path
 // benches (BM_Write*, BM_ParseFile, BM_MergeIntervals*, BM_Parse, the
 // snapshot A/B: BM_Snapshot*, BM_IngestBaseline, plus the replay A/B:
 // BM_Replay*, BM_ReplayCompiled, BM_CompileProgram), so CI runs leave a
@@ -23,6 +24,7 @@
 
 #include "analysis/interval_merge.h"
 #include "cluster/ground_truth.h"
+#include "core/graph_manipulator.h"
 #include "core/replay_program.h"
 #include "core/simulator.h"
 #include "core/trace_parser.h"
@@ -106,6 +108,52 @@ void BM_TraceParse(benchmark::State& state) {
   state.counters["tasks"] = static_cast<double>(tasks);
 }
 BENCHMARK(BM_TraceParse)->Arg(2)->Arg(8)->Arg(32)->Unit(benchmark::kMillisecond);
+
+// ---------------------------------------------------------------------------
+// What-if rebuild: GraphManipulator::with_spec, the stage every rebuilt
+// what-if pays (Session::predict, each Sweep grid row) — template lookups,
+// column emission, meta classification and adjacency.
+// ---------------------------------------------------------------------------
+
+workload::ParallelConfig config_15b(std::int32_t pp, std::int32_t dp) {
+  workload::ParallelConfig c;
+  c.tp = 2;
+  c.pp = pp;
+  c.dp = dp;
+  return c;
+}
+
+/// The GPT-3 15B 2x2x4 profiled baseline (~36k tasks) the rebuilds start from.
+const core::ExecutionGraph& rebuild_baseline() {
+  static const core::ExecutionGraph graph = [] {
+    cluster::GroundTruthEngine engine(workload::ModelSpec::gpt3_15b(),
+                                      config_15b(2, 4));
+    return core::TraceParser().parse(engine.run_profiled(7).trace);
+  }();
+  return graph;
+}
+
+// Args = target (PP, DP): 2x4x8 (~73k tasks) and 2x16x32 (~311k tasks).
+void BM_Rebuild(benchmark::State& state) {
+  const workload::ModelSpec model = workload::ModelSpec::gpt3_15b();
+  const cost::KernelPerfModel kernel_model;
+  const core::GraphManipulator manipulator(rebuild_baseline(), model,
+                                           config_15b(2, 4), kernel_model);
+  const workload::ParallelConfig target =
+      config_15b(static_cast<std::int32_t>(state.range(0)),
+                 static_cast<std::int32_t>(state.range(1)));
+  std::size_t tasks = 0;
+  for (auto _ : state) {
+    workload::BuiltJob job = manipulator.with_spec(model, target);
+    tasks = job.graph.size();
+    benchmark::DoNotOptimize(job);
+  }
+  state.counters["tasks"] = static_cast<double>(tasks);
+  state.counters["tasks_per_s"] = benchmark::Counter(
+      static_cast<double>(tasks), benchmark::Counter::kIsIterationInvariantRate);
+}
+BENCHMARK(BM_Rebuild)->Args({4, 8})->Args({16, 32})
+    ->Unit(benchmark::kMillisecond);
 
 void BM_Replay(benchmark::State& state) {
   const auto& run = cached_run(static_cast<std::int32_t>(state.range(0)));
@@ -203,15 +251,17 @@ void BM_FaultedReplay(benchmark::State& state) {
 }
 BENCHMARK(BM_FaultedReplay)->Arg(8)->Arg(64)->Unit(benchmark::kMillisecond);
 
-// Cost of the build-time classification pass (TaskMetaTable::build): string
-// interning, lane assignment, rendezvous-group materialization. This is
-// what parse/build pays once so that every replay above touches only flat
-// columns.
+// Cost of the build-time classification pass (TaskMetaTable::build over a
+// graph's column payload): lane assignment, rendezvous-group
+// materialization, sync-target resolution. This is what parse/build pays
+// once so that every replay above touches only flat columns.
 void BM_MetaBuild(benchmark::State& state) {
   const auto& run = cached_run(static_cast<std::int32_t>(state.range(0)));
   core::ExecutionGraph graph = core::TraceParser().parse(run.trace);
+  const auto columns =
+      std::make_shared<const core::ColumnTaskSource>(graph.meta().columns());
   for (auto _ : state) {
-    core::TaskMetaTable meta = core::TaskMetaTable::build(graph.tasks());
+    core::TaskMetaTable meta = core::TaskMetaTable::build(columns);
     benchmark::DoNotOptimize(meta);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(graph.size()) *
@@ -369,9 +419,10 @@ void BM_ParseFile(benchmark::State& state) {
 }
 BENCHMARK(BM_ParseFile)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
-/// The ≥16-rank cluster fixture for the parallel-ingest bench: the bench
-/// model on a 2x2x4 deployment (16 ranks), written once as
-/// <prefix>_rank<k>.json files.
+/// The 16-rank cluster fixture for the parallel-ingest bench: the bench
+/// model on a 2x8x2 deployment. The builder materializes one data-parallel
+/// replica (tp*pp ranks), so tp*pp = 16 real rank files are written once as
+/// <prefix>_rank<k>.json.
 struct ClusterFixture {
   std::string prefix;
   std::size_t ranks = 0;
@@ -384,8 +435,8 @@ const ClusterFixture& cluster_fixture() {
     ClusterFixture f;
     workload::ParallelConfig config;
     config.tp = 2;
-    config.pp = 2;
-    config.dp = 4;
+    config.pp = 8;
+    config.dp = 2;
     config.num_microbatches = 4;
     cluster::GroundTruthEngine engine(bench_model(), config);
     const cluster::GroundTruthRun run = engine.run_profiled(123);
@@ -609,7 +660,10 @@ class TrajectoryReporter : public benchmark::ConsoleReporter {
     for (const Run& run : reports) {
       if (run.run_type != Run::RT_Iteration || run.error_occurred) continue;
       const std::string name = run.benchmark_name();
-      if (name.rfind("BM_Write", 0) != 0 &&
+      if (name.rfind("BM_GraphBuild", 0) != 0 &&
+          name.rfind("BM_TraceParse", 0) != 0 &&
+          name.rfind("BM_Rebuild", 0) != 0 &&
+          name.rfind("BM_Write", 0) != 0 &&
           name.rfind("BM_ParseFile", 0) != 0 &&
           name.rfind("BM_MergeIntervals", 0) != 0 &&
           name.rfind("BM_Parse", 0) != 0 &&

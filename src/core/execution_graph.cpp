@@ -19,18 +19,22 @@ std::string_view to_string(DepType type) {
   return "unknown";
 }
 
+ExecutionGraph::ExecutionGraph(std::shared_ptr<trace::TracePools> pools)
+    : tasks_valid_(false),
+      columns_(std::make_shared<ColumnTaskSource>(std::move(pools))) {}
+
 ExecutionGraph::ExecutionGraph(const ExecutionGraph& other)
     : edges_(other.edges_) {
   // Carry valid caches over (the copy is often simulated immediately);
   // take the source's locks so a concurrent lazy build on `other` cannot be
   // observed half-written. The meta table is immutable once built and
   // depends only on tasks, so the copy *shares* it instead of re-deriving.
-  // A lazily sourced task vector stays lazy: the copy shares the immutable
-  // TaskSource and materializes independently on first demand.
+  // Column-backed tasks stay lazy: the copy shares the columns and
+  // materializes independently on first demand.
   {
     MutexLock lock(other.tasks_mutex_);
     tasks_ = other.tasks_;
-    task_source_ = other.task_source_;
+    columns_ = other.columns_;
     tasks_valid_.store(other.tasks_valid_.load(std::memory_order_relaxed),
                        std::memory_order_relaxed);
   }
@@ -62,7 +66,7 @@ ExecutionGraph& ExecutionGraph::operator=(const ExecutionGraph& other) {
 
 ExecutionGraph::ExecutionGraph(ExecutionGraph&& other) noexcept
     : tasks_(std::move(other.tasks_)),
-      task_source_(std::move(other.task_source_)),
+      columns_(std::move(other.columns_)),
       edges_(std::move(other.edges_)),
       succ_offsets_(std::move(other.succ_offsets_)),
       pred_offsets_(std::move(other.pred_offsets_)),
@@ -86,7 +90,7 @@ ExecutionGraph::ExecutionGraph(ExecutionGraph&& other) noexcept
 ExecutionGraph& ExecutionGraph::operator=(ExecutionGraph&& other) noexcept {
   if (this == &other) return *this;
   tasks_ = std::move(other.tasks_);
-  task_source_ = std::move(other.task_source_);
+  columns_ = std::move(other.columns_);
   tasks_valid_.store(other.tasks_valid_.load(std::memory_order_relaxed),
                      std::memory_order_relaxed);
   other.tasks_valid_.store(true, std::memory_order_relaxed);
@@ -110,18 +114,44 @@ void ExecutionGraph::ensure_tasks() const {
   if (tasks_valid_.load(std::memory_order_acquire)) return;
   MutexLock lock(tasks_mutex_);
   if (tasks_valid_.load(std::memory_order_relaxed)) return;
-  tasks_ = task_source_->materialize();
+  tasks_ = columns_->materialize();
   tasks_valid_.store(true, std::memory_order_release);
 }
 
-TaskId ExecutionGraph::add_task(Task task) {
+void ExecutionGraph::author_tasks() {
   ensure_tasks();
+  columns_.reset();
+  invalidate_meta();
+}
+
+TaskId ExecutionGraph::add_task(Task task) {
+  author_tasks();
   std::vector<Task>& tasks = tasks_unsync();  // build phase: single-threaded
   task.id = static_cast<TaskId>(tasks.size());
   tasks.push_back(std::move(task));
   adjacency_valid_.store(false, std::memory_order_relaxed);
-  invalidate_meta();
   return tasks.back().id;
+}
+
+TaskId ExecutionGraph::add_task(const Processor& processor,
+                                const trace::EventTable::Row& row) {
+  if (!columns_) {
+    throw std::logic_error(
+        "ExecutionGraph: column rows need a graph constructed with pools");
+  }
+  // Build phase, single-threaded. Columns shared with a copy or with a
+  // published meta table are cloned before the append; a materialized Task
+  // vector is a stale cache from here on.
+  if (columns_.use_count() != 1) {
+    columns_ = std::make_shared<ColumnTaskSource>(*columns_);
+  }
+  const auto id = static_cast<TaskId>(columns_->count());
+  columns_->push(processor, row);
+  tasks_unsync().clear();
+  tasks_valid_.store(false, std::memory_order_relaxed);
+  adjacency_valid_.store(false, std::memory_order_relaxed);
+  invalidate_meta();
+  return id;
 }
 
 void ExecutionGraph::add_edge(TaskId src, TaskId dst, DepType type) {
@@ -135,6 +165,11 @@ void ExecutionGraph::add_edge(TaskId src, TaskId dst, DepType type) {
   }
   edges_.push_back({src, dst, type});
   adjacency_valid_.store(false, std::memory_order_relaxed);
+}
+
+void ExecutionGraph::reserve(std::size_t tasks, std::size_t edges) {
+  if (columns_) columns_->reserve(tasks);
+  edges_.reserve(edges);
 }
 
 void ExecutionGraph::build_adjacency() const {
@@ -178,9 +213,13 @@ void ExecutionGraph::ensure_meta() const {
   if (meta_valid_.load(std::memory_order_acquire)) return;
   MutexLock lock(meta_mutex_);
   if (meta_valid_.load(std::memory_order_relaxed)) return;
-  ensure_tasks();
-  meta_ = std::make_shared<const TaskMetaTable>(
-      TaskMetaTable::build(tasks_unsync()));
+  if (columns_) {
+    meta_ = std::make_shared<const TaskMetaTable>(
+        TaskMetaTable::build(columns_));
+  } else {
+    meta_ = std::make_shared<const TaskMetaTable>(
+        TaskMetaTable::build(tasks_unsync()));
+  }
   meta_valid_.store(true, std::memory_order_release);
 }
 
@@ -189,23 +228,8 @@ const TaskMetaTable& ExecutionGraph::meta() const {
   return *meta_;
 }
 
-void ExecutionGraph::finalize(std::shared_ptr<trace::TracePools> pools) {
-  if (pools) {
-    // Build eagerly with the producer's pools (the trace's, for parsed
-    // graphs) so names/ops/groups keep their trace ids and are stored once.
-    // finalize() runs in the single-threaded build phase, before the graph
-    // is published; if a table already exists (e.g. re-finalizing), the
-    // existing one wins — seeding is an ingest-time-only optimization.
-    ensure_tasks();
-    MutexLock lock(meta_mutex_);
-    if (!meta_valid_.load(std::memory_order_relaxed)) {
-      meta_ = std::make_shared<const TaskMetaTable>(
-          TaskMetaTable::build(tasks_unsync(), std::move(pools)));
-      meta_valid_.store(true, std::memory_order_release);
-    }
-  } else {
-    ensure_meta();
-  }
+void ExecutionGraph::finalize() {
+  ensure_meta();
   ensure_adjacency();
 }
 
@@ -283,15 +307,15 @@ bool ExecutionGraph::is_acyclic(TaskId* cycle_hint) const {
 
 ExecutionGraph ExecutionGraph::without_edges(DepType drop) const {
   ExecutionGraph out;
-  // Propagate laziness: a snapshot-loaded graph's ablation copy shares the
-  // immutable TaskSource instead of forcing materialization here.
+  // Propagate laziness: a column-backed graph's ablation copy shares the
+  // immutable columns instead of forcing materialization here.
   {
     // `out` is local, so its lock is uncontended — taken anyway so the
     // analysis can check the cross-object copy instead of being escaped.
     MutexLock out_lock(out.tasks_mutex_);
     MutexLock lock(tasks_mutex_);
     out.tasks_ = tasks_;
-    out.task_source_ = task_source_;
+    out.columns_ = columns_;
     out.tasks_valid_.store(tasks_valid_.load(std::memory_order_relaxed),
                            std::memory_order_relaxed);
   }

@@ -4,21 +4,26 @@
 // ground-truth engine and manipulated-graph prediction). Edges are stored
 // flat and indexed into CSR adjacency on demand.
 //
-// Data layer: alongside the authoring-representation tasks() vector, the
-// graph owns a columnar TaskMetaTable (core/task_meta.h) — interned string
-// handles, per-task CudaApi/category/flags, dense LaneIds and collective
-// rendezvous groups, all classified once. Producers call finalize() when a
-// graph is fully built; meta() also builds lazily for hand-assembled
-// graphs. The table depends only on the task payload, so copies and
-// edge-dropped derivations (without_edges) share it.
+// Data layer: producers (IterationGraphBuilder, TraceParser, the snapshot
+// loader) write a graph's tasks as columns — one row of interned ids plus
+// scalars per task, in a ColumnTaskSource (core/task_columns.h) over the
+// graph's TracePools. On top of that payload the graph owns a columnar
+// TaskMetaTable (core/task_meta.h) — per-task CudaApi/category/flags, dense
+// LaneIds and collective rendezvous groups, all classified once. Producers
+// call finalize() when a graph is fully built; meta() also builds lazily.
+// The authoring Task vector (tasks()) is materialized from the columns on
+// first demand, once per graph; hand-authored graphs (add_task(Task):
+// fusion, dPRO, tests) keep Tasks directly and classify from a conversion.
+// The table depends only on the task payload, so copies and edge-dropped
+// derivations (without_edges) share it.
 //
 // Thread safety: mutation (add_task / add_edge / non-const tasks()) is not
 // synchronized — build the graph on one thread. Once built, every const
 // member is safe to call from any number of threads concurrently: the lazily
-// built CSR adjacency cache and the TaskMetaTable are each guarded by
-// double-checked locking, so a frozen graph can back many Simulator
-// instances at once (api::Sweep fans scenario variants out over exactly
-// this shared-const-graph shape).
+// built CSR adjacency cache, the materialized tasks and the TaskMetaTable
+// are each guarded by double-checked locking, so a frozen graph can back
+// many Simulator instances at once (api::Sweep fans scenario variants out
+// over exactly this shared-const-graph shape).
 #pragma once
 
 #include <array>
@@ -30,26 +35,12 @@
 #include <vector>
 
 #include "core/task.h"
+#include "core/task_columns.h"
 #include "core/task_meta.h"
 #include "support/mutex.h"
 #include "support/thread_annotations.h"
 
 namespace lumos::core {
-
-/// Deferred producer of a graph's authoring-representation Task vector.
-/// The snapshot loader installs one over its zero-copy columns so that a
-/// loaded graph is ready without materializing ~100k Tasks (each with
-/// owning event strings) up front; the simulator's hot path reads only
-/// meta() and never triggers it. Consumers that do need Tasks (to_trace,
-/// hooks, fusion, graph manipulation) pay the materialization once, on
-/// first access. Implementations must be immutable and thread-safe.
-class TaskSource {
- public:
-  virtual ~TaskSource() = default;
-  virtual std::size_t count() const = 0;
-  /// Builds the full task vector (ids 0..count-1 in order).
-  virtual std::vector<Task> materialize() const = 0;
-};
 
 /// Count of edges per dependency type, indexable by DepType (a dense enum).
 /// Iteration yields (type, count) entries for the types present (count > 0),
@@ -105,7 +96,11 @@ class EdgeTypeHistogram {
 
 class ExecutionGraph {
  public:
+  /// An empty graph authored through add_task(Task).
   ExecutionGraph() = default;
+  /// An empty column-backed graph whose add_task(Processor, Row) rows carry
+  /// string ids interned into `pools` — the producer path.
+  explicit ExecutionGraph(std::shared_ptr<trace::TracePools> pools);
   // The caches hold mutexes/atomics, so copies and moves are spelled out:
   // payload (tasks, edges) transfers, cache state of the source is carried
   // over where cheap (copy shares the immutable meta table) or rebuilt
@@ -121,21 +116,35 @@ class ExecutionGraph {
       LUMOS_NO_THREAD_SAFETY_ANALYSIS;
 
   /// Appends a task, assigning the next id (= program order). Returns it.
+  /// A column-backed graph first materializes its tasks, which become the
+  /// authoritative payload from then on.
   TaskId add_task(Task task);
+
+  /// Appends a task as one column row (string ids of the pools passed at
+  /// construction), assigning the next id. Precondition: the graph was
+  /// constructed with pools and no Task was authored into it since;
+  /// std::logic_error otherwise.
+  TaskId add_task(const Processor& processor,
+                  const trace::EventTable::Row& row);
 
   /// Adds a fixed dependency edge. Self-edges and invalid ids are rejected
   /// with std::invalid_argument.
   void add_edge(TaskId src, TaskId dst, DepType type);
 
+  /// Capacity hint for a column-backed build: room for `tasks` rows and
+  /// `edges` edges in total.
+  void reserve(std::size_t tasks, std::size_t edges);
+
+  /// The authoring Task vector, materialized from the columns on first
+  /// call (once per graph, thread-safe).
   const std::vector<Task>& tasks() const {
     ensure_tasks();
     return tasks_unsync();
   }
-  /// Mutable task access invalidates the meta table — the columns mirror
-  /// task payloads, so any in-place edit forces a rebuild on next meta().
+  /// Mutable task access makes the Task vector the authoritative payload
+  /// and invalidates the meta table, which reclassifies on next meta().
   std::vector<Task>& tasks() {
-    ensure_tasks();
-    invalidate_meta();
+    author_tasks();
     return tasks_unsync();
   }
   const Task& task(TaskId id) const {
@@ -143,15 +152,14 @@ class ExecutionGraph {
     return tasks_unsync()[static_cast<std::size_t>(id)];
   }
   Task& task(TaskId id) {
-    ensure_tasks();
-    invalidate_meta();
+    author_tasks();
     return tasks_unsync()[static_cast<std::size_t>(id)];
   }
-  /// Task count — available without materializing a lazy task source.
+  /// Task count — available without materializing tasks.
   std::size_t size() const {
     return tasks_valid_.load(std::memory_order_acquire)
                ? tasks_unsync().size()
-               : task_source_->count();
+               : columns_->count();
   }
   bool empty() const { return size() == 0; }
 
@@ -170,14 +178,9 @@ class ExecutionGraph {
 
   /// Eagerly builds the derived indexes (meta table + adjacency). Producers
   /// call this once a graph is fully built, so all semantic classification
-  /// and string interning happens at build time, before the graph is
-  /// published to (possibly concurrent) consumers.
-  ///
-  /// `pools` optionally seeds the meta table's string pools — TraceParser
-  /// passes the trace's own TracePools so every string of a parsed trace is
-  /// interned exactly once end-to-end (trace ids == graph ids). Lazy
-  /// rebuilds after mutation always use fresh pools.
-  void finalize(std::shared_ptr<trace::TracePools> pools = nullptr);
+  /// happens at build time, before the graph is published to (possibly
+  /// concurrent) consumers.
+  void finalize();
 
   /// Successor task ids of `id` (fixed edges only). Valid until the next
   /// mutation; builds the adjacency index lazily.
@@ -216,7 +219,7 @@ class ExecutionGraph {
   std::int64_t total_duration_ns() const;
 
  private:
-  friend struct lumos::snapshot::Access;  // installs columns + task source
+  friend struct lumos::snapshot::Access;  // installs columns + meta
 
   void build_adjacency() const LUMOS_REQUIRES(adjacency_mutex_);
   /// Builds the adjacency index if missing. Safe to race from const
@@ -225,9 +228,12 @@ class ExecutionGraph {
   /// Builds the meta table if missing; same double-checked discipline on
   /// `meta_valid_` under `meta_mutex_`.
   void ensure_meta() const LUMOS_EXCLUDES(meta_mutex_);
-  /// Materializes tasks from a lazy task source if not yet present; same
+  /// Materializes tasks from the columns if not yet present; same
   /// double-checked discipline on `tasks_valid_` under `tasks_mutex_`.
   void ensure_tasks() const LUMOS_EXCLUDES(tasks_mutex_);
+  /// Build phase: makes the Task vector authoritative (drops the columns,
+  /// which would go stale under Task edits) and invalidates the meta table.
+  void author_tasks();
   void invalidate_meta() {
     meta_valid_.store(false, std::memory_order_relaxed);
   }
@@ -247,13 +253,15 @@ class ExecutionGraph {
     return tasks_;
   }
 
-  // Task storage. Eagerly built graphs keep tasks_ directly (tasks_valid_
-  // true from construction); snapshot-loaded graphs start with a TaskSource
-  // and materialize on first demand (mutable cache, double-checked).
+  // Task storage. Column-backed graphs (producers, snapshot loads) keep
+  // their rows in columns_ and materialize tasks_ on first demand (mutable
+  // cache, double-checked); hand-authored graphs keep tasks_ directly
+  // (tasks_valid_ true, columns_ null). Copies share the columns; a copy
+  // that appends rows clones them first.
   mutable Mutex tasks_mutex_;
   mutable std::vector<Task> tasks_ LUMOS_GUARDED_BY(tasks_mutex_);
   mutable std::atomic<bool> tasks_valid_{true};
-  std::shared_ptr<const TaskSource> task_source_;
+  std::shared_ptr<ColumnTaskSource> columns_;
 
   std::vector<Edge> edges_;
 

@@ -22,6 +22,10 @@
 // (cost-model ratio scaling only where shapes changed). Predictions run in
 // the coupled multi-rank simulator, which re-derives rendezvous waits under
 // the new schedule.
+//
+// Thread safety: every const member may run concurrently — one manipulator
+// can serve rebuilds on many threads (the template lookups are const and
+// the fallback counter is atomic).
 #pragma once
 
 #include <cstdint>
@@ -97,8 +101,9 @@ class GraphManipulator {
   workload::ParallelConfig base_config_;
   const cost::KernelPerfModel& kernel_model_;
   workload::BuildOptions build_options_;
-  // Mutable provider: DurationProvider's interface is non-const (counters).
-  mutable std::unique_ptr<TemplateProvider> provider_;
+  // Const lookups (atomic fallback counter): with_spec / rebuild may run on
+  // any number of threads against one manipulator.
+  std::unique_ptr<const TemplateProvider> provider_;
 };
 
 }  // namespace lumos::core

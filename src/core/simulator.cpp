@@ -4,6 +4,7 @@
 #include <cassert>
 #include <limits>
 #include <map>
+#include <optional>
 #include <queue>
 
 #include "core/task_meta.h"
@@ -22,28 +23,32 @@ std::int64_t SimResult::rank_end_ns(const ExecutionGraph& graph,
 }
 
 trace::ClusterTrace SimResult::to_trace(const ExecutionGraph& graph) const {
-  // Group tasks by rank first, then materialize each rank's columnar table
-  // directly — all ranks intern into one fresh TracePools (the
-  // one-pool-per-trace rule). The pools are fresh rather than shared with
-  // the graph's meta table: to_trace() may run concurrently over a shared
-  // frozen graph, and interning the phase/block annotations (which the meta
-  // table does not hold) into a shared pool would race.
-  std::map<std::int32_t, std::vector<const Task*>> by_rank;
-  for (const Task& t : graph.tasks()) {
-    by_rank[t.processor.rank].push_back(&t);
+  // Gather each rank's task rows (ascending rank, then id) and re-time them.
+  // All ranks intern into one fresh TracePools (the one-pool-per-trace
+  // rule). The pools are fresh rather than the graph's: to_trace() may run
+  // concurrently over a shared frozen graph, and interning into a shared
+  // pool would race. RowRemap interns in first-appearance order, so the
+  // trace's ids are those a push_back of every materialized event would
+  // assign.
+  const ColumnTaskSource& cols = graph.meta().columns();
+  const trace::EventTable& events = cols.events();
+  std::map<std::int32_t, std::vector<std::size_t>> by_rank;
+  for (std::size_t i = 0; i < cols.count(); ++i) {
+    by_rank[cols.rank(i)].push_back(i);
   }
   trace::ClusterTrace out;
   out.ranks.reserve(by_rank.size());
+  std::optional<trace::RowRemap> remap;
   for (const auto& [rank_id, rank_tasks] : by_rank) {
     trace::RankTrace& rank = out.add_rank(rank_id);
+    if (!remap) remap.emplace(*events.pools(), *out.shared_pools());
     rank.events.reserve(rank_tasks.size());
-    for (const Task* t : rank_tasks) {
-      const auto i = static_cast<std::size_t>(t->id);
-      trace::TraceEvent e = t->event;
-      e.ts_ns = start_ns[i];
-      e.dur_ns = end_ns[i] - start_ns[i];
-      e.pid = t->processor.rank;
-      rank.events.push_back(e);
+    for (const std::size_t i : rank_tasks) {
+      trace::EventTable::Row row = (*remap)(events.row(i));
+      row.ts_ns = start_ns[i];
+      row.dur_ns = end_ns[i] - start_ns[i];
+      row.pid = rank_id;
+      rank.events.push_row(row);
     }
     rank.sort_by_time();
   }
@@ -94,8 +99,7 @@ class Run {
       // API returns only when the device work completes).
       const RuntimeDep dep = runtime_blocker(id);
       if (dep.blocker != kInvalidTask) {
-        runtime_dependents_[static_cast<std::size_t>(dep.blocker)].push_back(
-            id);
+        add_runtime_dependent(dep.blocker, id);
         continue;  // re-queued when the blocker completes
       }
       if (dep.ready_ns > fs) {
@@ -153,7 +157,8 @@ class Run {
     ready_time_.assign(n, 0);
     done_.assign(n, false);
     parked_.assign(n, false);
-    runtime_dependents_.assign(n, {});
+    waiters_head_.assign(n, -1);
+    waiters_.clear();
     lane_free_.assign(lanes_.size(), 0);
     if (options_.couple_collectives) {
       arrivals_.assign(meta_.collective_groups().size(), {});
@@ -300,12 +305,16 @@ class Run {
       ready_time_[s] = std::max(ready_time_[s], end_[idx]);
       if (--dep_count_[s] == 0) push(succ, feasible_start(succ));
     }
-    for (TaskId waiter : runtime_dependents_[idx]) {
+    // Wake order is immaterial: the queue is totally ordered by (time, ts,
+    // id), so any push order pops identically.
+    for (std::int32_t w = waiters_head_[idx]; w >= 0;
+         w = waiters_[static_cast<std::size_t>(w)].next) {
+      const TaskId waiter = waiters_[static_cast<std::size_t>(w)].task;
       if (!done_[static_cast<std::size_t>(waiter)]) {
         push(waiter, std::max(feasible_start(waiter), end_[idx]));
       }
     }
-    runtime_dependents_[idx].clear();
+    waiters_head_[idx] = -1;
   }
 
   const ExecutionGraph& graph_;
@@ -319,7 +328,21 @@ class Run {
   std::vector<std::int32_t> dep_count_;
   std::vector<std::int64_t> start_, end_, ready_time_;
   std::vector<bool> done_, parked_;
-  std::vector<std::vector<TaskId>> runtime_dependents_;
+  /// Runtime dependents per blocker as intrusive lists: a head index per
+  /// task into one shared node pool. Only blocking CUDA calls ever wait, so
+  /// a 4-byte head beats a vector per task (allocated, cleared and freed on
+  /// every run).
+  struct Waiter {
+    TaskId task;
+    std::int32_t next;
+  };
+  void add_runtime_dependent(TaskId blocker, TaskId waiter) {
+    std::int32_t& head = waiters_head_[static_cast<std::size_t>(blocker)];
+    waiters_.push_back({waiter, head});
+    head = static_cast<std::int32_t>(waiters_.size() - 1);
+  }
+  std::vector<std::int32_t> waiters_head_;
+  std::vector<Waiter> waiters_;
   std::vector<std::int64_t> lane_free_;  ///< indexed by LaneId
   std::size_t executed_ = 0;
 

@@ -1,7 +1,9 @@
 #include "core/task_meta.h"
 
 #include <algorithm>
+#include <functional>
 #include <map>
+#include <unordered_map>
 #include <utility>
 
 namespace lumos::core {
@@ -30,79 +32,116 @@ TaskMeta TaskMetaTable::row(TaskId id) const {
   return m;
 }
 
-TaskMetaTable TaskMetaTable::build(const std::vector<Task>& tasks,
-                                   std::shared_ptr<trace::TracePools> pools) {
+namespace {
+
+struct ProcessorHash {
+  std::size_t operator()(const Processor& p) const {
+    return static_cast<std::size_t>(
+        (static_cast<std::uint64_t>(p.lane) * 0x9E3779B97F4A7C15ULL) ^
+        (static_cast<std::uint64_t>(static_cast<std::uint32_t>(p.rank))
+         << 1) ^
+        (p.gpu ? 1u : 0u));
+  }
+};
+
+/// Hash of an (int, int64) key pair: rendezvous (group, instance) and
+/// EventRecord (rank, cuda event) lookups.
+struct PairHash {
+  template <class A>
+  std::size_t operator()(const std::pair<A, std::int64_t>& k) const {
+    return static_cast<std::size_t>(
+        (static_cast<std::uint64_t>(k.second) * 0x9E3779B97F4A7C15ULL) ^
+        static_cast<std::uint64_t>(k.first));
+  }
+};
+
+}  // namespace
+
+TaskMetaTable TaskMetaTable::build(const std::vector<Task>& tasks) {
+  return build(std::make_shared<const ColumnTaskSource>(
+      ColumnTaskSource::from_tasks(tasks)));
+}
+
+TaskMetaTable TaskMetaTable::build(
+    std::shared_ptr<const ColumnTaskSource> columns) {
   TaskMetaTable t;
-  t.pools_ = pools ? std::move(pools)
-                   : std::make_shared<trace::TracePools>();
-  const std::size_t n = tasks.size();
-  t.cat_.resize(n);
-  t.api_.resize(n);
-  t.flags_.assign(n, 0);
-  t.lane_.resize(n);
-  t.dur_.resize(n);
-  t.ts_.resize(n);
-  t.name_.resize(n);
-  t.coll_op_.assign(n, trace::OpId::kInvalidIndex);
-  t.coll_group_.assign(n, trace::GroupId::kInvalidIndex);
-  t.coll_instance_.assign(n, -1);
-  t.group_idx_.assign(n, -1);
-  t.sync_lane_.assign(n, kInvalidLane);
-  t.sync_before_.assign(n, kInvalidTask);
+  t.columns_ = std::move(columns);
+  const ColumnTaskSource& cols = *t.columns_;
+  const trace::EventTable& ev = cols.events();
+  const std::size_t n = cols.count();
+  // Columns are filled as plain vectors, then moved into the table.
+  std::vector<std::uint8_t> cat(n), api(n), flags(n, 0);
+  std::vector<LaneId> task_lane(n);
+  std::vector<std::uint32_t> name(n);
+  std::vector<std::uint32_t> coll_op(n, trace::OpId::kInvalidIndex);
+  std::vector<std::uint32_t> coll_group(n, trace::GroupId::kInvalidIndex);
+  std::vector<std::int64_t> coll_instance(n, -1);
+  std::vector<std::int32_t> group_idx(n, -1);
+  std::vector<LaneId> sync_lane(n, kInvalidLane);
+  std::vector<TaskId> sync_before(n, kInvalidTask);
+
+  // Point-to-point ops by id: a collective is p2p iff its op id is one of
+  // these (find() never interns — the pools may be a shared trace's).
+  const std::uint32_t send = t.pools()->ops.find("send");
+  const std::uint32_t recv = t.pools()->ops.find("recv");
 
   // Pass 1: lanes in first-appearance order, plus per-task classification.
-  std::map<Processor, LaneId> lane_of;  // lumos-lint: allow(H002) build pass
-  std::map<std::pair<std::uint32_t, std::int64_t>, std::int32_t> group_of;
-  std::map<std::pair<std::int32_t, std::int64_t>, TaskId> record_task;
+  // Producers alternate a CPU lane and a GPU lane, so the last lane of
+  // each kind short-circuits most lane lookups.
+  std::unordered_map<Processor, LaneId, ProcessorHash> lane_of;
+  std::pair<Processor, LaneId> last_lane[2] = {{{}, kInvalidLane},
+                                               {{}, kInvalidLane}};
+  std::unordered_map<std::pair<std::uint32_t, std::int64_t>, std::int32_t,
+                     PairHash>
+      group_of;
+  std::unordered_map<std::pair<std::int32_t, std::int64_t>, TaskId, PairHash>
+      record_task;
   for (std::size_t i = 0; i < n; ++i) {
-    const Task& task = tasks[i];
-    const trace::TraceEvent& e = task.event;
+    const Processor processor = cols.processor(i);
     const auto id = static_cast<TaskId>(i);
 
-    auto [lane_it, lane_new] =
-        lane_of.emplace(task.processor, static_cast<LaneId>(lane_of.size()));
-    if (lane_new) t.lanes_.lanes_.push_back(task.processor);
-    t.lane_[i] = lane_it->second;
+    auto& [cached, cached_lane] = last_lane[processor.gpu ? 1 : 0];
+    if (cached_lane == kInvalidLane || !(cached == processor)) {
+      auto [it, inserted] =
+          lane_of.try_emplace(processor, static_cast<LaneId>(lane_of.size()));
+      if (inserted) t.lanes_.lanes_.push_back(processor);
+      cached = processor;
+      cached_lane = it->second;
+    }
+    task_lane[i] = cached_lane;
 
-    t.cat_[i] = static_cast<std::uint8_t>(e.cat);
-    const trace::CudaApi api = task.cuda_api();  // one string parse, ever
-    t.api_[i] = static_cast<std::uint8_t>(api);
-    t.dur_[i] = e.dur_ns;
-    t.ts_[i] = e.ts_ns;
-    t.name_[i] = t.pools_->names.intern(e.name);
+    cat[i] = static_cast<std::uint8_t>(ev.category(i));
+    api[i] = static_cast<std::uint8_t>(ev.cuda_api(i));  // classified at ingest
+    name[i] = ev.name_id(i).index;
 
-    std::uint8_t flags = 0;
-    if (task.is_gpu()) flags |= kGpu;
-    if (e.collective.valid()) {
-      t.coll_op_[i] = t.pools_->ops.intern(e.collective.op);
-      t.coll_group_[i] = t.pools_->groups.intern(e.collective.group);
-      t.coll_instance_[i] = e.collective.instance;
-      if (e.collective.op == "send" || e.collective.op == "recv") {
-        flags |= kP2p;
-      }
-      if (task.is_gpu()) {
-        flags |= kCollectiveKernel;
-        if (e.collective.instance >= 0) {
-          flags |= kCoupled;
-          auto [git, gnew] = group_of.emplace(
-              std::make_pair(t.coll_group_[i], e.collective.instance),
+    std::uint8_t f = processor.gpu ? kGpu : 0;
+    if (const trace::OpId op = ev.collective_op(i); op.valid()) {
+      const std::int64_t instance = ev.collective_instance(i);
+      coll_op[i] = op.index;
+      coll_group[i] = ev.collective_group(i).index;
+      coll_instance[i] = instance;
+      if (op.index == send || op.index == recv) f |= kP2p;
+      if (processor.gpu) {
+        f |= kCollectiveKernel;
+        if (instance >= 0) {
+          f |= kCoupled;
+          auto [git, gnew] = group_of.try_emplace(
+              std::make_pair(coll_group[i], instance),
               static_cast<std::int32_t>(t.groups_.size()));
-          if (gnew) {
-            t.groups_.push_back(
-                {{t.coll_group_[i]}, e.collective.instance, {}});
-          }
-          t.group_idx_[i] = git->second;
+          if (gnew) t.groups_.push_back({{coll_group[i]}, instance, {}});
+          group_idx[i] = git->second;
           t.groups_[static_cast<std::size_t>(git->second)]
               .members.push_back(id);
         }
       }
     }
-    t.flags_[i] = flags;
+    flags[i] = f;
 
-    if (api == trace::CudaApi::EventRecord && e.cuda_event >= 0) {
+    if (static_cast<trace::CudaApi>(api[i]) == trace::CudaApi::EventRecord &&
+        ev.cuda_event(i) >= 0) {
       // Later re-records of the same event id overwrite earlier ones, the
       // same way the CUDA runtime does.
-      record_task[{task.processor.rank, e.cuda_event}] = id;
+      record_task[{processor.rank, ev.cuda_event(i)}] = id;
     }
   }
 
@@ -154,23 +193,22 @@ TaskMetaTable TaskMetaTable::build(const std::vector<Task>& tasks,
     }
   }
 
-  t.gpu_task_offsets_.assign(lanes.size() + 1, 0);
+  std::vector<std::int32_t> gpu_offsets(lanes.size() + 1, 0);
   for (std::size_t i = 0; i < n; ++i) {
-    if (t.flags_[i] & kGpu) {
-      ++t.gpu_task_offsets_[static_cast<std::size_t>(t.lane_[i]) + 1];
+    if (flags[i] & kGpu) {
+      ++gpu_offsets[static_cast<std::size_t>(task_lane[i]) + 1];
     }
   }
-  for (std::size_t i = 1; i < t.gpu_task_offsets_.size(); ++i) {
-    t.gpu_task_offsets_[i] += t.gpu_task_offsets_[i - 1];
+  for (std::size_t i = 1; i < gpu_offsets.size(); ++i) {
+    gpu_offsets[i] += gpu_offsets[i - 1];
   }
-  t.gpu_task_ids_.resize(static_cast<std::size_t>(t.gpu_task_offsets_.back()));
+  std::vector<TaskId> gpu_ids(static_cast<std::size_t>(gpu_offsets.back()));
   {
-    std::vector<std::int32_t> fill(t.gpu_task_offsets_.begin(),
-                                   t.gpu_task_offsets_.end() - 1);
+    std::vector<std::int32_t> fill(gpu_offsets.begin(), gpu_offsets.end() - 1);
     for (std::size_t i = 0; i < n; ++i) {
-      if (t.flags_[i] & kGpu) {
-        t.gpu_task_ids_[static_cast<std::size_t>(
-            fill[static_cast<std::size_t>(t.lane_[i])]++)] =
+      if (flags[i] & kGpu) {
+        gpu_ids[static_cast<std::size_t>(
+            fill[static_cast<std::size_t>(task_lane[i])]++)] =
             static_cast<TaskId>(i);
       }
     }
@@ -183,27 +221,42 @@ TaskMetaTable TaskMetaTable::build(const std::vector<Task>& tasks,
   // stream its (rank-local) EventRecord targeted, bounded by the record's
   // id; unresolvable targets mean "no runtime blocker".
   for (std::size_t i = 0; i < n; ++i) {
-    const Task& task = tasks[i];
-    switch (static_cast<trace::CudaApi>(t.api_[i])) {
+    switch (static_cast<trace::CudaApi>(api[i])) {
       case trace::CudaApi::StreamSynchronize:
-        t.sync_lane_[i] = lanes.id_of(
-            {task.processor.rank, true, task.event.stream});
-        t.sync_before_[i] = static_cast<TaskId>(i);
+        sync_lane[i] = lanes.id_of({cols.rank(i), true, ev.stream(i)});
+        sync_before[i] = static_cast<TaskId>(i);
         break;
       case trace::CudaApi::EventSynchronize: {
-        auto it = record_task.find(
-            {task.processor.rank, task.event.cuda_event});
+        auto it = record_task.find({cols.rank(i), ev.cuda_event(i)});
         if (it == record_task.end()) break;
-        const Task& record = tasks[static_cast<std::size_t>(it->second)];
-        t.sync_lane_[i] = lanes.id_of(
-            {record.processor.rank, true, record.event.stream});
-        t.sync_before_[i] = it->second;
+        const auto record = static_cast<std::size_t>(it->second);
+        sync_lane[i] =
+            lanes.id_of({cols.rank(record), true, ev.stream(record)});
+        sync_before[i] = it->second;
         break;
       }
       default:
         break;
     }
   }
+
+  t.cat_ = std::move(cat);
+  t.api_ = std::move(api);
+  t.flags_ = std::move(flags);
+  t.lane_ = std::move(task_lane);
+  t.dur_ = std::vector<std::int64_t>(ev.dur_column().begin(),
+                                     ev.dur_column().end());
+  t.ts_ = std::vector<std::int64_t>(ev.ts_column().begin(),
+                                    ev.ts_column().end());
+  t.name_ = std::move(name);
+  t.coll_op_ = std::move(coll_op);
+  t.coll_group_ = std::move(coll_group);
+  t.coll_instance_ = std::move(coll_instance);
+  t.group_idx_ = std::move(group_idx);
+  t.sync_lane_ = std::move(sync_lane);
+  t.sync_before_ = std::move(sync_before);
+  t.gpu_task_offsets_ = std::move(gpu_offsets);
+  t.gpu_task_ids_ = std::move(gpu_ids);
 
   return t;
 }

@@ -2,20 +2,21 @@
 //
 // Every semantic fact the simulator and the graph-level analyses need about
 // a task — its category, its CUDA runtime API, which serial lane it runs
-// on, its collective rendezvous group, its duration — is derivable from the
-// Task's TraceEvent, but deriving it in the replay loop means string parses
-// (cuda_api_from_name on every pick), heap-string map keys
-// (std::map<Processor, ...>, GroupKey{std::string, ...}) and pointer-chasing
-// through 200-byte Tasks. TaskMetaTable performs that classification once,
-// when a graph is finalized, into flat structure-of-arrays columns of PODs:
+// on, its collective rendezvous group, its duration — lives in the graph's
+// column payload (core/task_columns.h), but deriving it in the replay loop
+// would mean heap-string map keys (std::map<Processor, ...>, GroupKey{
+// std::string, ...}) and a pass over ~20 event columns per pick.
+// TaskMetaTable performs that classification once, when a graph is
+// finalized, into flat structure-of-arrays columns of PODs:
 //
 //   - LaneTable maps each distinct Processor (one CPU thread or one CUDA
 //     stream of one rank) to a dense LaneId, so per-processor simulator
 //     state is a vector indexed by lane instead of an ordered map keyed by
 //     struct comparison;
-//   - event names / collective ops / communicator groups are interned into
-//     trace::StringPool handles (resolve them back to text only at report
-//     boundaries);
+//   - event names / collective ops / communicator groups are the interned
+//     trace::StringPool handles the producers already wrote (resolve them
+//     back to text only at report boundaries) — classification copies ids,
+//     it never re-interns;
 //   - runtime-dependency targets (which stream a cudaStreamSynchronize
 //     waits on, which EventRecord a cudaEventSynchronize resolves to) are
 //     pre-resolved to LaneId / TaskId;
@@ -26,10 +27,11 @@
 // double-checked locking discipline as the adjacency index (or eagerly via
 // ExecutionGraph::finalize(), which every producer calls), and shared
 // across graph copies — it depends only on the task payload, never on the
-// edge set. All build-order choices (lane ids, group ids, string ids) are
-// deterministic functions of the task sequence, so identical graphs yield
-// identical tables and api::Sweep's sequential-vs-parallel bit-identity is
-// preserved.
+// edge set. It keeps the column payload it was classified from (columns()),
+// so consumers that need the rest of a task's row read it there. All
+// build-order choices (lane ids, group ids) are deterministic functions of
+// the task sequence, so identical graphs yield identical tables and
+// api::Sweep's sequential-vs-parallel bit-identity is preserved.
 #pragma once
 
 #include <cstdint>
@@ -39,6 +41,7 @@
 #include <vector>
 
 #include "core/task.h"
+#include "core/task_columns.h"
 #include "io/column.h"
 #include "trace/string_pool.h"
 
@@ -125,19 +128,16 @@ struct TaskMeta {
 
 class TaskMetaTable {
  public:
-  /// Classifies every task once. Deterministic: identical task sequences
-  /// produce identical tables (ids, lanes, groups and pools included).
-  ///
-  /// `pools` optionally seeds the string pools: TraceParser passes the
-  /// trace's own TracePools here (via ExecutionGraph::finalize) so task
-  /// names/ops/groups resolve to the ids the trace already interned —
-  /// strings are stored exactly once per trace, and intern() below is a
-  /// pure lookup. Null means fresh pools (synthetic builders, lazy rebuilds
-  /// after mutation — which must never mutate a pool shared with a trace
-  /// other threads may be reading).
-  static TaskMetaTable build(
-      const std::vector<Task>& tasks,
-      std::shared_ptr<trace::TracePools> pools = nullptr);
+  /// Classifies every task of `columns` once, reading the producer's ids
+  /// straight from its event columns: no re-interning and no name parsing,
+  /// so for a parsed graph the table's pools are the trace's pools (trace
+  /// ids == graph ids). The table keeps `columns` (see columns()).
+  /// Deterministic: identical payloads produce identical tables.
+  static TaskMetaTable build(std::shared_ptr<const ColumnTaskSource> columns);
+  /// Authoring-path overload: converts `tasks` into columns over fresh
+  /// pools (never a pool another graph or trace may be reading) and
+  /// delegates to the column classifier.
+  static TaskMetaTable build(const std::vector<Task>& tasks);
 
   std::size_t size() const { return lane_.size(); }
 
@@ -209,27 +209,41 @@ class TaskMetaTable {
     return groups_;
   }
 
+  // -- the classified payload ----------------------------------------------
+  /// The column payload this table was classified from: the producer's
+  /// rows for built / parsed / loaded graphs, a conversion of the Task
+  /// vector for hand-authored ones. Report boundaries read task rows here.
+  const ColumnTaskSource& columns() const { return *columns_; }
+
   // -- string resolution (report boundaries only) ---------------------------
-  const trace::StringPool& names() const { return pools_->names; }
-  const trace::StringPool& ops() const { return pools_->ops; }
-  const trace::StringPool& groups() const { return pools_->groups; }
+  const trace::StringPool& names() const { return pools()->names; }
+  const trace::StringPool& ops() const { return pools()->ops; }
+  const trace::StringPool& groups() const { return pools()->groups; }
   /// The pools backing this table — the trace's own pools when the graph
   /// was parsed from a trace (see build()).
-  const std::shared_ptr<trace::TracePools>& pools() const { return pools_; }
+  const std::shared_ptr<trace::TracePools>& pools() const {
+    return columns_->pools();
+  }
+  /// Text of a handle; the invalid handle is the empty string.
   std::string_view name_view(TaskId id) const {
-    return pools_->names.view(name_[idx(id)]);
+    return view(pools()->names, name_[idx(id)]);
   }
   std::string_view op_view(trace::OpId id) const {
-    return pools_->ops.view(id.index);
+    return view(pools()->ops, id.index);
   }
   std::string_view group_view(trace::GroupId id) const {
-    return pools_->groups.view(id.index);
+    return view(pools()->groups, id.index);
   }
 
  private:
   friend struct lumos::snapshot::Access;
 
   static std::size_t idx(TaskId id) { return static_cast<std::size_t>(id); }
+  static std::string_view view(const trace::StringPool& pool,
+                               std::uint32_t id) {
+    return id == trace::NameId::kInvalidIndex ? std::string_view{}
+                                              : pool.view(id);
+  }
 
   enum Flag : std::uint8_t {
     kGpu = 1u << 0,
@@ -259,7 +273,7 @@ class TaskMetaTable {
   io::Column<TaskId> gpu_task_ids_;
   std::vector<CollectiveGroupMeta> groups_;
 
-  std::shared_ptr<trace::TracePools> pools_;
+  std::shared_ptr<const ColumnTaskSource> columns_;
 };
 
 }  // namespace lumos::core

@@ -1,25 +1,51 @@
 #include "core/template_provider.h"
 
 #include <algorithm>
+#include <functional>
 #include <limits>
-#include <tuple>
+#include <vector>
 
 namespace lumos::core {
 
 namespace {
 
 /// Per-(rank, block, layer, phase, microbatch) ordinal counters used to
-/// reconstruct the builder's within-block ordinals during extraction.
+/// reconstruct the builder's within-block ordinals during extraction; the
+/// strings are the profiled graph's pool ids.
 struct InstanceKey {
   std::int32_t rank;
-  std::string block;
+  std::uint32_t block;
   std::int32_t layer;
-  std::string phase;
+  std::uint32_t phase;
   std::int32_t microbatch;
-  auto operator<=>(const InstanceKey&) const = default;
+  bool operator==(const InstanceKey&) const = default;
+};
+
+std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
+  return (h ^ v) * 0x9E3779B97F4A7C15ULL;
+}
+
+struct InstanceKeyHash {
+  std::size_t operator()(const InstanceKey& k) const {
+    std::uint64_t h = static_cast<std::uint32_t>(k.rank);
+    h = mix(h, k.block);
+    h = mix(h, static_cast<std::uint32_t>(k.layer));
+    h = mix(h, k.phase);
+    h = mix(h, static_cast<std::uint32_t>(k.microbatch));
+    return static_cast<std::size_t>(h);
+  }
 };
 
 }  // namespace
+
+std::size_t TemplateProvider::KeyHash::operator()(const Key& k) const {
+  const std::hash<std::string_view> text;
+  std::uint64_t h = text(k.block);
+  h = mix(h, text(k.phase));
+  h = mix(h, text(k.name));
+  h = mix(h, static_cast<std::uint32_t>(k.ordinal));
+  return static_cast<std::size_t>(h);
+}
 
 TemplateProvider::TemplateProvider(const ExecutionGraph& profiled,
                                    workload::ModelSpec base_model,
@@ -53,23 +79,49 @@ void TemplateProvider::extract(const ExecutionGraph& profiled) {
     group_min[g] = lo;
   }
 
-  std::map<InstanceKey, std::pair<std::int32_t, std::int32_t>> counters;
-  for (const Task& t : profiled.tasks()) {
-    const trace::TraceEvent& e = t.event;
-    if (e.block.empty()) continue;
-    InstanceKey inst{t.processor.rank, e.block, e.layer, e.phase,
-                     e.microbatch};
-    auto& [cpu_ordinal, kernel_ordinal] = counters[inst];
-    const std::int32_t ordinal = t.is_gpu() ? kernel_ordinal++ : cpu_ordinal++;
-    Key key{e.block, e.phase, e.name, ordinal};
-    Stats& stats = t.is_gpu() ? kernel_stats_[key] : cpu_stats_[key];
-    std::int64_t dur = e.dur_ns;
-    if (const std::int32_t g = meta.group_index(t.id); g >= 0) {
+  // Profiled name ids -> the provider's own copy of the text, interned
+  // once per distinct string (the invalid id is the empty string).
+  const ColumnTaskSource& cols = meta.columns();
+  const trace::EventTable& ev = cols.events();
+  std::vector<std::string_view> text_of(ev.names().size());
+  auto text = [&](trace::NameId id) -> std::string_view {
+    if (!id.valid()) return {};
+    std::string_view& slot = text_of[id.index];
+    if (slot.empty()) {
+      slot = keys_.view(keys_.intern(ev.names().view(id.index)));
+    }
+    return slot;
+  };
+
+  std::unordered_map<InstanceKey, std::pair<std::int32_t, std::int32_t>,
+                     InstanceKeyHash>
+      counters;
+  for (std::size_t i = 0; i < cols.count(); ++i) {
+    const trace::NameId block = ev.block_id(i);
+    if (!block.valid()) continue;
+    const bool gpu = cols.gpu(i);
+    auto& [cpu_ordinal, kernel_ordinal] =
+        counters[{cols.rank(i), block.index, ev.layer(i), ev.phase_id(i).index,
+                  ev.microbatch(i)}];
+    const std::int32_t ordinal = gpu ? kernel_ordinal++ : cpu_ordinal++;
+    const Key key{text(block), text(ev.phase_id(i)), text(ev.name_id(i)),
+                  ordinal};
+    Stats& stats = gpu ? kernel_stats_[key] : cpu_stats_[key];
+    std::int64_t dur = ev.dur_ns(i);
+    if (const std::int32_t g = meta.group_index(static_cast<TaskId>(i));
+        g >= 0) {
       dur = group_min[static_cast<std::size_t>(g)];
     }
     if (stats.count == 0) {
-      stats.representative = e;
       stats.min_ns = dur;
+      stats.collective = ev.collective_op(i).valid();
+      if (stats.collective) {
+        stats.coll_bytes = ev.collective_bytes(i);
+        stats.coll_group_size = ev.collective_group_size(i);
+        stats.coll_placement = base_placement(ev.collective_group_view(i));
+      }
+      stats.gemm = ev.gemm(i);
+      stats.bytes_moved = ev.bytes_moved(i);
     }
     stats.total_ns += dur;
     stats.min_ns = std::min(stats.min_ns, dur);
@@ -77,14 +129,20 @@ void TemplateProvider::extract(const ExecutionGraph& profiled) {
   }
 }
 
+const TemplateProvider::Stats* TemplateProvider::find(const Table& table,
+                                                      const Key& key) {
+  auto it = table.find(key);
+  return it == table.end() ? nullptr : &it->second;
+}
+
 cost::CommPlacement TemplateProvider::base_placement(
-    const std::string& group) const {
+    std::string_view group) const {
   workload::Placement placement(base_config_);
   // Any member rank of the right kind of group yields the same placement;
   // rank 0 belongs to a tp/dp group and stage-0 pp links.
-  if (group.rfind("tp_", 0) == 0) return placement.tp_placement(0);
-  if (group.rfind("dp_", 0) == 0) return placement.dp_placement(0);
-  if (group.rfind("pp_", 0) == 0) return placement.pp_placement(0);
+  if (group.starts_with("tp_")) return placement.tp_placement(0);
+  if (group.starts_with("dp_")) return placement.dp_placement(0);
+  if (group.starts_with("pp_")) return placement.pp_placement(0);
   // Model-parallel (grad-norm) group: tp*pp ranks spread over the replica.
   cost::CommPlacement p;
   p.group_size = base_config_.tp * base_config_.pp;
@@ -93,25 +151,25 @@ cost::CommPlacement TemplateProvider::base_placement(
   return p;
 }
 
-std::int64_t TemplateProvider::cpu_ns(const workload::CpuOpDesc& desc) {
-  auto it = cpu_stats_.find(Key{desc.block, desc.phase, desc.name,
-                                desc.ordinal});
-  if (it == cpu_stats_.end()) {
-    ++fallbacks_;
+std::int64_t TemplateProvider::cpu_ns(const workload::CpuOpDesc& desc) const {
+  const Stats* stats =
+      find(cpu_stats_, {desc.block, desc.phase, desc.name, desc.ordinal});
+  if (stats == nullptr) {
+    fallbacks_.fetch_add(1, std::memory_order_relaxed);
     return fallback_.cpu_ns(desc);
   }
-  return it->second.mean_ns();
+  return stats->mean_ns();
 }
 
-std::int64_t TemplateProvider::kernel_ns(const workload::KernelDesc& desc) {
-  auto it = kernel_stats_.find(Key{desc.block, desc.phase, desc.name,
-                                   desc.ordinal});
-  if (it == kernel_stats_.end()) {
-    ++fallbacks_;
+std::int64_t TemplateProvider::kernel_ns(
+    const workload::KernelDesc& desc) const {
+  const Stats* found =
+      find(kernel_stats_, {desc.block, desc.phase, desc.name, desc.ordinal});
+  if (found == nullptr) {
+    fallbacks_.fetch_add(1, std::memory_order_relaxed);
     return fallback_.kernel_ns(desc);
   }
-  const Stats& stats = it->second;
-  const trace::TraceEvent& ref = stats.representative;
+  const Stats& stats = *found;
 
   if (desc.collective.valid()) {
     // Extraction already reduced collective durations to per-instance
@@ -119,16 +177,15 @@ std::int64_t TemplateProvider::kernel_ns(const workload::KernelDesc& desc) {
     // instances and scale by the collective-model ratio when the
     // communicator or payload changed.
     std::int64_t base = stats.mean_ns();
-    if (ref.collective.valid() &&
-        (ref.collective.bytes != desc.collective.bytes ||
-         ref.collective.group_size != desc.collective.group_size)) {
+    if (stats.collective &&
+        (stats.coll_bytes != desc.collective.bytes ||
+         stats.coll_group_size != desc.collective.group_size)) {
       const auto kind = cost::collective_kind_from_string(desc.collective.op);
       if (kind) {
         const double new_cost = static_cast<double>(kernel_model_.collective_ns(
             *kind, desc.collective.bytes, desc.placement));
         const double old_cost = static_cast<double>(kernel_model_.collective_ns(
-            *kind, ref.collective.bytes,
-            base_placement(ref.collective.group)));
+            *kind, stats.coll_bytes, stats.coll_placement));
         if (old_cost > 0) {
           base = static_cast<std::int64_t>(static_cast<double>(base) *
                                            new_cost / old_cost);
@@ -138,13 +195,13 @@ std::int64_t TemplateProvider::kernel_ns(const workload::KernelDesc& desc) {
     return base;
   }
 
-  if (desc.gemm.valid() && ref.gemm.valid()) {
+  if (desc.gemm.valid() && stats.gemm.valid()) {
     std::int64_t base = stats.mean_ns();
-    if (!(desc.gemm == ref.gemm)) {
+    if (!(desc.gemm == stats.gemm)) {
       const double new_cost =
           static_cast<double>(kernel_model_.gemm_ns(desc.gemm));
       const double old_cost =
-          static_cast<double>(kernel_model_.gemm_ns(ref.gemm));
+          static_cast<double>(kernel_model_.gemm_ns(stats.gemm));
       if (old_cost > 0) {
         base = static_cast<std::int64_t>(static_cast<double>(base) *
                                          new_cost / old_cost);
@@ -176,12 +233,12 @@ std::int64_t TemplateProvider::kernel_ns(const workload::KernelDesc& desc) {
 
   if (desc.elementwise_bytes > 0) {
     std::int64_t base = stats.mean_ns();
-    if (options_.recost_elementwise && ref.bytes_moved > 0 &&
-        ref.bytes_moved != desc.elementwise_bytes) {
+    if (options_.recost_elementwise && stats.bytes_moved > 0 &&
+        stats.bytes_moved != desc.elementwise_bytes) {
       const double new_cost = static_cast<double>(
           kernel_model_.memory_bound_ns(desc.elementwise_bytes));
       const double old_cost = static_cast<double>(
-          kernel_model_.memory_bound_ns(ref.bytes_moved));
+          kernel_model_.memory_bound_ns(stats.bytes_moved));
       if (old_cost > 0) {
         base = static_cast<std::int64_t>(static_cast<double>(base) *
                                          new_cost / old_cost);

@@ -21,11 +21,17 @@
 //     paper's "GEMM and communication only" policy.
 //   - Keys absent from the profile (e.g. pipeline send/recv when the base
 //     run had pp=1): analytical cost model fallback.
+//
+// Extraction reads the profiled graph's meta and event columns. Lookups
+// are const and allocation-free — one hashed probe keyed by views of the
+// caller's strings, compared against the provider's own interned copies —
+// so one provider can serve concurrent rebuilds.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
-#include <map>
-#include <string>
+#include <string_view>
+#include <unordered_map>
 
 #include "core/execution_graph.h"
 #include "costmodel/kernel_model.h"
@@ -51,37 +57,56 @@ class TemplateProvider : public workload::DurationProvider {
                    const cost::KernelPerfModel& kernel_model,
                    TemplateOptions options = {});
 
-  std::int64_t cpu_ns(const workload::CpuOpDesc& desc) override;
-  std::int64_t kernel_ns(const workload::KernelDesc& desc) override;
+  std::int64_t cpu_ns(const workload::CpuOpDesc& desc) const override;
+  std::int64_t kernel_ns(const workload::KernelDesc& desc) const override;
 
   /// Number of distinct template keys extracted (for tests/diagnostics).
   std::size_t num_cpu_keys() const { return cpu_stats_.size(); }
   std::size_t num_kernel_keys() const { return kernel_stats_.size(); }
-  /// Count of lookups that fell back to the analytical model.
-  std::size_t fallback_count() const { return fallbacks_; }
+  /// Count of lookups that fell back to the analytical model, summed over
+  /// every build this provider served (concurrent ones included).
+  std::size_t fallback_count() const {
+    return fallbacks_.load(std::memory_order_relaxed);
+  }
 
  private:
+  /// (block, phase, name, ordinal-within-block-instance). Stored keys view
+  /// strings interned in keys_; lookup keys view the caller's descriptor.
   struct Key {
-    std::string block;
-    std::string phase;
-    std::string name;
+    std::string_view block;
+    std::string_view phase;
+    std::string_view name;
     std::int32_t ordinal;
-    auto operator<=>(const Key&) const = default;
+    bool operator==(const Key&) const = default;
+  };
+  struct KeyHash {
+    std::size_t operator()(const Key& k) const;
   };
 
   struct Stats {
     std::int64_t total_ns = 0;
     std::int64_t min_ns = 0;
     std::int64_t count = 0;
-    trace::TraceEvent representative;  ///< first occurrence's event
+    // The first occurrence's cost-relevant shape: what a changed shape's
+    // ratio scaling divides by.
+    bool collective = false;
+    std::int64_t coll_bytes = 0;
+    std::int32_t coll_group_size = 0;
+    /// Old-topology placement, from the communicator's name prefix.
+    cost::CommPlacement coll_placement;
+    trace::GemmShape gemm;
+    std::int64_t bytes_moved = 0;
 
     std::int64_t mean_ns() const { return count > 0 ? total_ns / count : 0; }
   };
+  using Table = std::unordered_map<Key, Stats, KeyHash>;
 
   void extract(const ExecutionGraph& profiled);
+  /// The template of a key, or nullptr when the profile never saw it.
+  static const Stats* find(const Table& table, const Key& key);
   /// Old-topology placement for a collective, inferred from its group-name
   /// prefix ("tp_", "dp_", "pp_", "mp_").
-  cost::CommPlacement base_placement(const std::string& group) const;
+  cost::CommPlacement base_placement(std::string_view group) const;
 
   workload::ModelSpec base_model_;
   workload::ParallelConfig base_config_;
@@ -89,9 +114,10 @@ class TemplateProvider : public workload::DurationProvider {
   TemplateOptions options_;
   workload::AnalyticalProvider fallback_;  ///< for keys absent in the profile
 
-  std::map<Key, Stats> cpu_stats_;
-  std::map<Key, Stats> kernel_stats_;
-  std::size_t fallbacks_ = 0;
+  trace::StringPool keys_;  ///< owns the text every stored Key views
+  Table cpu_stats_;
+  Table kernel_stats_;
+  mutable std::atomic<std::size_t> fallbacks_{0};
 };
 
 }  // namespace lumos::core

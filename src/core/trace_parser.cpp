@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -16,19 +17,21 @@ struct EndIndexEntry {
   std::int32_t tid;
 };
 
-/// Seed pools for ExecutionGraph::finalize(): the trace's own pools when
-/// every rank shares one TracePools instance (the one-pool-per-trace rule
-/// all producers follow), so graph interning is a pure lookup and the ids
-/// coincide with the trace's. Hand-assembled traces with per-rank pools
-/// fall back to fresh pools — seeding must never intern new strings into a
-/// pool another rank's readers may be using.
-std::shared_ptr<trace::TracePools> shared_cluster_pools(
+/// The graph's pools: the trace's own pools when every rank shares one
+/// TracePools instance (the one-pool-per-trace rule all producers follow),
+/// so task rows copy the trace's ids verbatim and graph ids == trace ids.
+/// Hand-assembled traces with per-rank pools get fresh pools — the parser
+/// must never intern new strings into a pool another rank's readers may be
+/// using.
+std::shared_ptr<trace::TracePools> graph_pools(
     const trace::ClusterTrace& trace) {
-  if (trace.ranks.empty()) return nullptr;
+  if (trace.ranks.empty()) return std::make_shared<trace::TracePools>();
   const std::shared_ptr<trace::TracePools>& pools =
       trace.ranks.front().events.pools();
   for (const trace::RankTrace& rank : trace.ranks) {
-    if (rank.events.pools() != pools) return nullptr;
+    if (rank.events.pools() != pools) {
+      return std::make_shared<trace::TracePools>();
+    }
   }
   return pools;
 }
@@ -36,33 +39,34 @@ std::shared_ptr<trace::TracePools> shared_cluster_pools(
 }  // namespace
 
 ExecutionGraph TraceParser::parse(const trace::RankTrace& trace) const {
-  ExecutionGraph graph;
-  parse_rank_into(trace, graph);
-  // Intern names/ops/groups and materialize the columnar task metadata now,
-  // at parse time, so the graph is published classification-complete. The
-  // trace's pools seed the table: strings already interned at JSON ingest
-  // are not re-stored.
-  graph.finalize(trace.events.pools());
+  ExecutionGraph graph(trace.events.pools());
+  parse_rank_into(trace, *trace.events.pools(), graph);
+  // Classify the columnar task metadata now, at parse time, so the graph is
+  // published classification-complete.
+  graph.finalize();
   return graph;
 }
 
 ExecutionGraph TraceParser::parse(const trace::ClusterTrace& trace) const {
-  ExecutionGraph graph;
+  const std::shared_ptr<trace::TracePools> pools = graph_pools(trace);
+  ExecutionGraph graph(pools);
+  graph.reserve(trace.total_events(), 0);
   for (const trace::RankTrace& rank : trace.ranks) {
-    parse_rank_into(rank, graph);
+    parse_rank_into(rank, *pools, graph);
   }
-  graph.finalize(shared_cluster_pools(trace));
+  graph.finalize();
   return graph;
 }
 
 void TraceParser::parse_rank_into(const trace::RankTrace& trace,
+                                  trace::TracePools& pools,
                                   ExecutionGraph& graph) const {
   const trace::EventTable& t = trace.events;
 
-  // 1. Materialize tasks in timestamp order; ids then encode launch order,
-  //    the invariant the simulator's runtime-dependency rules need. The
-  //    ordering/classification work below reads only table columns — event
-  //    structs (with their owning strings) materialize once, into the Task.
+  // 1. Append task rows in timestamp order; ids then encode launch order,
+  //    the invariant the simulator's runtime-dependency rules need. Rows
+  //    carry the trace's interned ids (re-homed only when this rank's pools
+  //    are not the graph's), so no event string is copied.
   std::vector<std::uint32_t> ordered;
   ordered.reserve(t.size());
   for (std::size_t i = 0; i < t.size(); ++i) {
@@ -80,21 +84,21 @@ void TraceParser::parse_rank_into(const trace::RankTrace& trace,
   const std::size_t n = ordered.size();
   std::vector<TaskId> ids;
   ids.reserve(n);
-  // Clamped durations (blocking CUDA APIs): the value the Task carries and
-  // every pass below uses for end times.
+  // Clamped durations (blocking CUDA APIs): the value the task row carries
+  // and every pass below uses for end times.
   std::vector<std::int64_t> dur;
   dur.reserve(n);
+  std::optional<trace::RowRemap> remap;
+  if (t.pools().get() != &pools) remap.emplace(*t.pools(), pools);
   for (const std::uint32_t i : ordered) {
-    Task task;
-    task.processor = {t.pid(i), t.is_gpu(i),
-                      static_cast<std::int64_t>(t.tid(i))};
-    task.event = t.materialize(i);
+    trace::EventTable::Row row = t.row(i);
     if (trace::blocks_cpu(t.cuda_api(i))) {
-      task.event.dur_ns =
-          std::min(task.event.dur_ns, options_.sync_duration_clamp_ns);
+      row.dur_ns = std::min(row.dur_ns, options_.sync_duration_clamp_ns);
     }
-    dur.push_back(task.event.dur_ns);
-    ids.push_back(graph.add_task(std::move(task)));
+    if (remap) row = (*remap)(row);
+    dur.push_back(row.dur_ns);
+    ids.push_back(graph.add_task(
+        {t.pid(i), t.is_gpu(i), static_cast<std::int64_t>(t.tid(i))}, row));
   }
   auto end_of = [&t, &ordered, &dur](std::size_t j) {
     return t.ts_ns(ordered[j]) + dur[j];

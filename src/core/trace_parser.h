@@ -55,7 +55,8 @@ class TraceParser {
   ExecutionGraph parse(const trace::ClusterTrace& trace) const;
 
  private:
-  void parse_rank_into(const trace::RankTrace& trace,
+  /// Appends one rank's tasks and edges; `pools` are the graph's pools.
+  void parse_rank_into(const trace::RankTrace& trace, trace::TracePools& pools,
                        ExecutionGraph& graph) const;
 
   ParserOptions options_;

@@ -306,6 +306,14 @@ struct Access {
     f(t.gpu_task_ids_, Domain::kNone);
   }
 
+  /// Rejects an event table whose per-event columns disagree with `rows`
+  /// or whose side-table columns disagree with each other.
+  static void check_event_lengths(const trace::EventTable& t,
+                                  std::size_t rows, const char* section);
+  /// Same for the meta table's per-task columns.
+  static void check_meta_lengths(const core::TaskMetaTable& t,
+                                 std::size_t rows);
+
   // -- raw member access for the small rebuild-at-load structures -----------
   static std::shared_ptr<trace::TracePools>& cluster_pools(
       trace::ClusterTrace& t) {
@@ -327,9 +335,9 @@ struct Access {
   static auto& meta_lane_table(MT& t) { return t.lanes_; }
   template <class MT>
   static auto& meta_groups(MT& t) { return t.groups_; }
-  static std::shared_ptr<trace::TracePools>& meta_pools(
+  static std::shared_ptr<const core::ColumnTaskSource>& meta_columns(
       core::TaskMetaTable& t) {
-    return t.pools_;
+    return t.columns_;
   }
   static std::vector<core::Edge>& graph_edges(core::ExecutionGraph& g) {
     return g.edges_;
@@ -341,15 +349,15 @@ struct Access {
   /// Analysis escape: the loader owns `g` exclusively — it is a fresh
   /// graph still being assembled, unpublished to any other thread — so the
   /// cache members are written without their mutexes.
-  static void install_task_source(core::ExecutionGraph& g,
-                                  std::shared_ptr<const core::TaskSource> s)
+  static void install_columns(core::ExecutionGraph& g,
+                              std::shared_ptr<core::ColumnTaskSource> c)
       LUMOS_NO_THREAD_SAFETY_ANALYSIS {
     g.tasks_.clear();
-    g.task_source_ = std::move(s);
+    g.columns_ = std::move(c);
     g.tasks_valid_.store(false, std::memory_order_relaxed);
   }
   /// Analysis escape: same loader-private pre-publication window as
-  /// install_task_source.
+  /// install_columns.
   static void install_meta(core::ExecutionGraph& g,
                            std::shared_ptr<const core::TaskMetaTable> meta)
       LUMOS_NO_THREAD_SAFETY_ANALYSIS {
@@ -357,6 +365,41 @@ struct Access {
     g.meta_valid_.store(true, std::memory_order_relaxed);
   }
 };
+
+namespace {
+
+/// Fails unless every column holds exactly `rows` entries — a short column
+/// would otherwise be read out of bounds by its first consumer.
+template <class... Columns>
+void expect_rows(std::size_t rows, const std::string& what,
+                 const Columns&... columns) {
+  if (((columns.size() != rows) || ...)) {
+    fail_corrupt(what + " column length mismatch");
+  }
+}
+
+}  // namespace
+
+void Access::check_event_lengths(const trace::EventTable& t, std::size_t rows,
+                                 const char* section) {
+  const std::string where = std::string(section) + " section: ";
+  expect_rows(rows, where + "event", t.cat_, t.api_, t.ts_, t.dur_, t.pid_,
+              t.tid_, t.correlation_, t.stream_, t.cuda_event_, t.layer_,
+              t.microbatch_, t.bytes_moved_, t.name_, t.phase_, t.block_,
+              t.coll_idx_, t.gemm_idx_);
+  expect_rows(t.coll_.op.size(), where + "collective side-table",
+              t.coll_.group, t.coll_.bytes, t.coll_.group_size,
+              t.coll_.instance);
+  expect_rows(t.gemm_.m.size(), where + "gemm side-table", t.gemm_.n,
+              t.gemm_.k);
+}
+
+void Access::check_meta_lengths(const core::TaskMetaTable& t,
+                                std::size_t rows) {
+  expect_rows(rows, "graph section: meta", t.cat_, t.api_, t.flags_, t.lane_,
+              t.dur_, t.ts_, t.name_, t.coll_op_, t.coll_group_,
+              t.coll_instance_, t.group_idx_, t.sync_lane_, t.sync_before_);
+}
 
 namespace {
 
@@ -428,45 +471,14 @@ void write_event_table(Buffer& buf, const trace::EventTable& t,
 }
 
 trace::EventTable read_event_table(Cursor& cur,
-                                   std::shared_ptr<trace::TracePools> pools) {
+                                   std::shared_ptr<trace::TracePools> pools,
+                                   const char* section) {
   const auto size = cur.get<std::uint64_t>();
   trace::EventTable t(std::move(pools));
   Access::visit_event_columns(t, ColumnReader{cur});
-  if (t.size() != size) fail_corrupt("event column length mismatch");
+  Access::check_event_lengths(t, static_cast<std::size_t>(size), section);
   return t;
 }
-
-/// Lazy task materialization over the snapshot's zero-copy columns: the
-/// authoring Task vector (owning strings and all) is rebuilt only if some
-/// consumer actually asks for it — replay reads meta() and never does.
-class ColumnTaskSource final : public core::TaskSource {
- public:
-  ColumnTaskSource(trace::EventTable events, io::Column<std::int32_t> rank,
-                   io::Column<std::uint8_t> gpu, io::Column<std::int64_t> lane)
-      : events_(std::move(events)),
-        rank_(std::move(rank)),
-        gpu_(std::move(gpu)),
-        lane_(std::move(lane)) {}
-
-  std::size_t count() const override { return events_.size(); }
-
-  std::vector<core::Task> materialize() const override {
-    std::vector<core::Task> tasks(events_.size());
-    for (std::size_t i = 0; i < events_.size(); ++i) {
-      core::Task& t = tasks[i];
-      t.id = static_cast<core::TaskId>(i);
-      t.processor = {rank_[i], gpu_[i] != 0, lane_[i]};
-      t.event = events_.materialize(i);
-    }
-    return tasks;
-  }
-
- private:
-  trace::EventTable events_;
-  io::Column<std::int32_t> rank_;
-  io::Column<std::uint8_t> gpu_;
-  io::Column<std::int64_t> lane_;
-};
 
 void write_graph(Buffer& buf, const core::ExecutionGraph& graph,
                  WriterPools& pools) {
@@ -484,28 +496,17 @@ void write_graph(Buffer& buf, const core::ExecutionGraph& graph,
   buf.put_array(dst);
   buf.put_array(type);
 
-  // Task payloads: processors as scalar columns + the events as a regular
-  // event table interned into the canonical pools.
-  const std::vector<core::Task>& tasks = graph.tasks();
-  std::vector<std::int32_t> rank(tasks.size());
-  std::vector<std::uint8_t> gpu(tasks.size());
-  std::vector<std::int64_t> lane(tasks.size());
-  trace::EventTable events(pools.out);
-  events.reserve(tasks.size());
-  for (std::size_t i = 0; i < tasks.size(); ++i) {
-    rank[i] = tasks[i].processor.rank;
-    gpu[i] = tasks[i].processor.gpu ? 1 : 0;
-    lane[i] = tasks[i].processor.lane;
-    events.push_back(tasks[i].event);
-  }
-  buf.put_array(rank);
-  buf.put_array(gpu);
-  buf.put_array(lane);
-  write_event_table(buf, events, pools);
+  // Task payloads: the graph's column payload — processors as scalar
+  // columns + the event rows, translated into the canonical pools.
+  const core::TaskMetaTable& meta = graph.meta();
+  const core::ColumnTaskSource& cols = meta.columns();
+  buf.put_array(cols.rank_column().data(), cols.count());
+  buf.put_array(cols.gpu_column().data(), cols.count());
+  buf.put_array(cols.lane_column().data(), cols.count());
+  write_event_table(buf, cols.events(), pools);
 
   // The finalized meta table: per-task columns, the lane table, and the
   // collective rendezvous groups.
-  const core::TaskMetaTable& meta = graph.meta();
   buf.put(static_cast<std::uint64_t>(meta.size()));
   Access::visit_meta_columns(meta,
                              ColumnWriter{buf, pools.remap_for(*meta.pools())});
@@ -557,32 +558,43 @@ std::shared_ptr<const core::ExecutionGraph> read_graph(
   const std::span<const std::int32_t> dst = cur.get_span<std::int32_t>();
   const std::span<const std::uint8_t> type = cur.get_span<std::uint8_t>();
   if (src.size() != dst.size() || src.size() != type.size()) {
-    fail_corrupt("edge column length mismatch");
-  }
-  std::vector<core::Edge>& edges = Access::graph_edges(*graph);
-  edges.resize(src.size());
-  for (std::size_t i = 0; i < src.size(); ++i) {
-    if (type[i] >= core::kDepTypeCount) fail_corrupt("edge type out of range");
-    edges[i] = {src[i], dst[i], static_cast<core::DepType>(type[i])};
+    fail_corrupt("graph section: edge column length mismatch");
   }
 
   io::Column<std::int32_t> rank = cur.get_column<std::int32_t>();
   io::Column<std::uint8_t> gpu = cur.get_column<std::uint8_t>();
   io::Column<std::int64_t> lane = cur.get_column<std::int64_t>();
-  trace::EventTable events = read_event_table(cur, pools);
-  if (rank.size() != events.size() || gpu.size() != events.size() ||
-      lane.size() != events.size()) {
-    fail_corrupt("task column length mismatch");
+  trace::EventTable events = read_event_table(cur, pools, "graph");
+  const std::size_t tasks = events.size();
+  if (rank.size() != tasks || gpu.size() != tasks || lane.size() != tasks) {
+    fail_corrupt("graph section: task column length mismatch");
   }
-  Access::install_task_source(
-      *graph, std::make_shared<const ColumnTaskSource>(
-                  std::move(events), std::move(rank), std::move(gpu),
-                  std::move(lane)));
+
+  // Edge endpoints index the CSR adjacency build: validate them against
+  // the task count before the graph exists.
+  std::vector<core::Edge>& edges = Access::graph_edges(*graph);
+  edges.resize(src.size());
+  for (std::size_t i = 0; i < src.size(); ++i) {
+    if (type[i] >= core::kDepTypeCount) {
+      fail_corrupt("graph section: edge type out of range");
+    }
+    if (src[i] < 0 || dst[i] < 0 || static_cast<std::size_t>(src[i]) >= tasks ||
+        static_cast<std::size_t>(dst[i]) >= tasks) {
+      fail_corrupt("graph section: edge endpoint out of range");
+    }
+    edges[i] = {src[i], dst[i], static_cast<core::DepType>(type[i])};
+  }
+  auto columns = std::make_shared<core::ColumnTaskSource>(
+      std::move(events), std::move(rank), std::move(gpu), std::move(lane));
+  Access::install_columns(*graph, columns);
 
   core::TaskMetaTable meta;
   const auto meta_size = cur.get<std::uint64_t>();
+  if (meta_size != tasks) {
+    fail_corrupt("graph section: meta row count does not match task count");
+  }
   Access::visit_meta_columns(meta, ColumnReader{cur});
-  if (meta.size() != meta_size) fail_corrupt("meta column length mismatch");
+  Access::check_meta_lengths(meta, tasks);
 
   core::LaneTable& lt = Access::meta_lane_table(meta);
   const std::span<const std::int32_t> lane_rank = cur.get_span<std::int32_t>();
@@ -590,7 +602,7 @@ std::shared_ptr<const core::ExecutionGraph> read_graph(
   const std::span<const std::int64_t> lane_lane = cur.get_span<std::int64_t>();
   if (lane_rank.size() != lane_gpu.size() ||
       lane_rank.size() != lane_lane.size()) {
-    fail_corrupt("lane column length mismatch");
+    fail_corrupt("graph section: lane column length mismatch");
   }
   std::vector<core::Processor>& lanes = Access::lt_lanes(lt);
   lanes.resize(lane_rank.size());
@@ -612,21 +624,26 @@ std::shared_ptr<const core::ExecutionGraph> read_graph(
   const std::span<const core::TaskId> members = cur.get_span<core::TaskId>();
   if (group_id.size() != group_instance.size() ||
       member_offsets.size() != group_id.size() + 1) {
-    fail_corrupt("group column length mismatch");
+    fail_corrupt("graph section: group column length mismatch");
+  }
+  for (const core::TaskId m : members) {
+    if (m < 0 || static_cast<std::size_t>(m) >= tasks) {
+      fail_corrupt("graph section: rendezvous member id out of range");
+    }
   }
   std::vector<core::CollectiveGroupMeta>& groups = Access::meta_groups(meta);
   groups.resize(group_id.size());
   for (std::size_t i = 0; i < groups.size(); ++i) {
     const std::uint64_t lo = member_offsets[i], hi = member_offsets[i + 1];
     if (lo > hi || hi > members.size()) {
-      fail_corrupt("group member offsets out of range");
+      fail_corrupt("graph section: group member offsets out of range");
     }
     groups[i].group = {group_id[i]};
     groups[i].instance = group_instance[i];
     groups[i].members.assign(members.begin() + static_cast<std::ptrdiff_t>(lo),
                              members.begin() + static_cast<std::ptrdiff_t>(hi));
   }
-  Access::meta_pools(meta) = std::move(pools);
+  Access::meta_columns(meta) = std::move(columns);
 
   Access::install_meta(
       *graph, std::make_shared<const core::TaskMetaTable>(std::move(meta)));
@@ -821,7 +838,7 @@ Bundle load(const std::string& path, bool use_mmap) {
     for (std::uint64_t i = 0; i < rank_count; ++i) {
       const auto rank = cur.get<std::int32_t>();
       trace.ranks.push_back(
-          trace::RankTrace{rank, read_event_table(cur, pools)});
+          trace::RankTrace{rank, read_event_table(cur, pools, "trace")});
     }
     bundle.trace =
         std::make_shared<const trace::ClusterTrace>(std::move(trace));

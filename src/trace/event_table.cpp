@@ -75,10 +75,12 @@ void EventTable::push_back(const TraceEvent& e) {
 
 void EventTable::push_row(const Row& row) {
   cat_.push_back(row.cat);
-  // The CUDA API classification happens exactly once, here at ingest.
+  // The CUDA API classification happens exactly once, here at ingest —
+  // unless the producer already knows it (graph builders, row copies).
   const auto cat = static_cast<EventCategory>(row.cat);
-  CudaApi api = CudaApi::None;
-  if (cat == EventCategory::CudaRuntime && row.name != NameId::kInvalidIndex) {
+  CudaApi api = row.api;
+  if (api == CudaApi::None && cat == EventCategory::CudaRuntime &&
+      row.name != NameId::kInvalidIndex) {
     api = cuda_api_from_name(pools_->names.view(row.name));
   }
   api_.push_back(static_cast<std::uint8_t>(api));
@@ -113,6 +115,67 @@ void EventTable::push_row(const Row& row) {
   } else {
     gemm_idx_.push_back(-1);
   }
+}
+
+EventTable::Row EventTable::row(std::size_t i) const {
+  Row row;
+  row.cat = cat_[i];
+  row.api = static_cast<CudaApi>(api_[i]);
+  row.ts_ns = ts_[i];
+  row.dur_ns = dur_[i];
+  row.pid = pid_[i];
+  row.tid = tid_[i];
+  row.correlation = correlation_[i];
+  row.stream = stream_[i];
+  row.cuda_event = cuda_event_[i];
+  row.layer = layer_[i];
+  row.microbatch = microbatch_[i];
+  row.bytes_moved = bytes_moved_[i];
+  row.name = name_[i];
+  row.phase = phase_[i];
+  row.block = block_[i];
+  if (const std::int32_t r = coll_idx_[i]; r >= 0) {
+    const auto u = static_cast<std::size_t>(r);
+    row.has_collective = true;
+    row.coll_op = coll_.op[u];
+    row.coll_group = coll_.group[u];
+    row.coll_bytes = coll_.bytes[u];
+    row.coll_group_size = coll_.group_size[u];
+    row.coll_instance = coll_.instance[u];
+  }
+  if (const std::int32_t r = gemm_idx_[i]; r >= 0) {
+    const auto u = static_cast<std::size_t>(r);
+    row.has_gemm = true;
+    row.gemm_m = gemm_.m[u];
+    row.gemm_n = gemm_.n[u];
+    row.gemm_k = gemm_.k[u];
+  }
+  return row;
+}
+
+RowRemap::RowRemap(const TracePools& from, TracePools& to)
+    : names_{&from.names, &to.names, {}},
+      ops_{&from.ops, &to.ops, {}},
+      groups_{&from.groups, &to.groups, {}} {}
+
+std::uint32_t RowRemap::Domain::map(std::uint32_t id) {
+  // kInvalidIndex encodes the empty string in every domain: never remapped.
+  if (id == NameId::kInvalidIndex) return id;
+  if (id >= memo.size()) memo.resize(from->size(), NameId::kInvalidIndex);
+  std::uint32_t& out = memo[id];
+  if (out == NameId::kInvalidIndex) out = to->intern(from->view(id));
+  return out;
+}
+
+EventTable::Row RowRemap::operator()(EventTable::Row row) {
+  row.name = names_.map(row.name);
+  row.phase = names_.map(row.phase);
+  row.block = names_.map(row.block);
+  if (row.has_collective) {
+    row.coll_op = ops_.map(row.coll_op);
+    row.coll_group = groups_.map(row.coll_group);
+  }
+  return row;
 }
 
 namespace {

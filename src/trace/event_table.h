@@ -156,11 +156,15 @@ class EventTable {
   /// into the pools, sparse payloads land in the side-tables.
   void push_back(const TraceEvent& e);
 
-  /// Zero-copy staging row for the SAX JSON reader: string fields are
-  /// already interned (kInvalidIndex encodes the empty string), sparse
-  /// payloads are flagged. Everything else mirrors TraceEvent defaults.
+  /// Zero-copy staging row for the SAX JSON reader and the graph producers:
+  /// string fields are already interned (kInvalidIndex encodes the empty
+  /// string), sparse payloads are flagged. Everything else mirrors
+  /// TraceEvent defaults.
   struct Row {
     std::uint8_t cat = 0;
+    /// Pre-classified CUDA API. None on a CudaRuntime row means "classify
+    /// from the name at push_row", which is what the JSON reader relies on.
+    CudaApi api = CudaApi::None;
     std::int64_t ts_ns = 0, dur_ns = 0;
     std::int32_t pid = 0, tid = 0;
     std::int64_t correlation = -1, stream = -1, cuda_event = -1;
@@ -179,6 +183,9 @@ class EventTable {
     std::int64_t gemm_m = 0, gemm_n = 0, gemm_k = 0;
   };
   void push_row(const Row& row);
+
+  /// Gathers event `i` back into a staging row (ids of this table's pools).
+  Row row(std::size_t i) const;
 
   // -- explicit column mutation (no mutable event views exist) --------------
   void set_ts_ns(std::size_t i, std::int64_t v) { ts_[i] = v; }
@@ -299,6 +306,26 @@ class EventTable {
   struct GemmColumns {
     io::Column<std::int64_t> m, n, k;
   } gemm_;
+};
+
+/// Re-homes staging rows from one TracePools onto another: each source
+/// string id is interned into the destination on first sight and memoized,
+/// in the order push_back() interns a materialized event (name, phase,
+/// block, op, group) — so destination ids come out exactly as
+/// push_back(materialize(i)) would assign them, without owning strings.
+class RowRemap {
+ public:
+  RowRemap(const TracePools& from, TracePools& to);
+  EventTable::Row operator()(EventTable::Row row);
+
+ private:
+  struct Domain {
+    const StringPool* from;
+    StringPool* to;
+    std::vector<std::uint32_t> memo;  ///< source id -> destination id
+    std::uint32_t map(std::uint32_t id);
+  };
+  Domain names_, ops_, groups_;
 };
 
 /// All events captured on one rank for one (or more) iterations.

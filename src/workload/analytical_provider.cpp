@@ -1,10 +1,11 @@
 #include "workload/analytical_provider.h"
 
 #include <stdexcept>
+#include <string>
 
 namespace lumos::workload {
 
-std::int64_t AnalyticalProvider::cpu_ns(const CpuOpDesc& desc) {
+std::int64_t AnalyticalProvider::cpu_ns(const CpuOpDesc& desc) const {
   const auto& hw = model_.hardware();
   const trace::CudaApi api = trace::cuda_api_from_name(desc.name);
   if (trace::launches_device_work(api)) {
@@ -22,12 +23,12 @@ std::int64_t AnalyticalProvider::cpu_ns(const CpuOpDesc& desc) {
   return desc.phase == "backward" ? 14'000 : 10'000;
 }
 
-std::int64_t AnalyticalProvider::kernel_ns(const KernelDesc& desc) {
+std::int64_t AnalyticalProvider::kernel_ns(const KernelDesc& desc) const {
   if (desc.collective.valid()) {
     auto kind = cost::collective_kind_from_string(desc.collective.op);
     if (!kind) {
       throw std::invalid_argument("AnalyticalProvider: unknown collective '" +
-                                  desc.collective.op + "'");
+                                  std::string(desc.collective.op) + "'");
     }
     return model_.collective_ns(*kind, desc.collective.bytes, desc.placement);
   }
@@ -46,7 +47,8 @@ std::int64_t AnalyticalProvider::kernel_ns(const KernelDesc& desc) {
   if (desc.elementwise_bytes > 0) {
     return model_.memory_bound_ns(desc.elementwise_bytes);
   }
-  throw std::invalid_argument("AnalyticalProvider: kernel '" + desc.name +
+  throw std::invalid_argument("AnalyticalProvider: kernel '" +
+                              std::string(desc.name) +
                               "' has no cost-relevant description");
 }
 

@@ -13,8 +13,8 @@ class AnalyticalProvider : public DurationProvider {
   explicit AnalyticalProvider(const cost::KernelPerfModel& model)
       : model_(model) {}
 
-  std::int64_t cpu_ns(const CpuOpDesc& desc) override;
-  std::int64_t kernel_ns(const KernelDesc& desc) override;
+  std::int64_t cpu_ns(const CpuOpDesc& desc) const override;
+  std::int64_t kernel_ns(const KernelDesc& desc) const override;
 
  private:
   const cost::KernelPerfModel& model_;

@@ -1,8 +1,9 @@
 #include "workload/graph_builder.h"
 
 #include <map>
-#include <sstream>
 #include <stdexcept>
+#include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -12,35 +13,114 @@ namespace {
 
 using core::DepType;
 using core::ExecutionGraph;
-using core::Processor;
-using core::Task;
 using core::TaskId;
+using trace::CudaApi;
 using trace::EventCategory;
+using Row = trace::EventTable::Row;
 
-/// Builds all tasks of one rank. Tasks are appended rank-by-rank so task
-/// ids encode per-rank launch order (required by the simulator's runtime
-/// dependency resolution).
+constexpr std::uint32_t kNoString = trace::NameId::kInvalidIndex;
+
+/// Interns a non-empty string; the empty string is the invalid id, the way
+/// trace::EventTable encodes it.
+std::uint32_t intern(trace::StringPool& pool, std::string_view s) {
+  return s.empty() ? kNoString : pool.intern(s);
+}
+
+/// Block instance (block, layer, phase, microbatch) over interned ids.
+struct InstanceKey {
+  std::uint32_t block;
+  std::int32_t layer;
+  std::uint32_t phase;
+  std::int32_t microbatch;
+  auto operator<=>(const InstanceKey&) const = default;
+};
+
+/// Interned ids of a collective kernel's op and communicator.
+struct CollIds {
+  std::uint32_t op = kNoString;
+  std::uint32_t group = kNoString;
+};
+
+/// A string the builder emits over and over, with its interned id.
+struct Label {
+  std::string_view text;
+  std::uint32_t id;
+
+  Label(trace::StringPool& pool, std::string_view s)
+      : text(s), id(intern(pool, s)) {}
+};
+
+/// Every fixed block, phase, runtime-call and op name of a build, interned
+/// once per build.
+struct BuildLabels {
+  explicit BuildLabels(trace::TracePools& pools)
+      : sched(pools.names, "sched"),
+        embed(pools.names, "embed"),
+        head(pools.names, "head"),
+        layer(pools.names, "layer"),
+        dp(pools.names, "dp"),
+        pp(pools.names, "pp"),
+        opt(pools.names, "opt"),
+        norm(pools.names, "norm"),
+        forward(pools.names, "forward"),
+        backward(pools.names, "backward"),
+        optimizer(pools.names, "optimizer"),
+        launch_kernel(pools.names, "cudaLaunchKernel"),
+        memset_async(pools.names, "cudaMemsetAsync"),
+        event_record(pools.names, "cudaEventRecord"),
+        stream_wait_event(pools.names, "cudaStreamWaitEvent"),
+        stream_synchronize(pools.names, "cudaStreamSynchronize"),
+        device_synchronize(pools.names, "cudaDeviceSynchronize"),
+        allreduce(pools.ops, "allreduce"),
+        send(pools.ops, "send"),
+        recv(pools.ops, "recv") {}
+
+  Label sched, embed, head, layer, dp, pp, opt, norm;  ///< blocks
+  Label forward, backward, optimizer;                   ///< phases
+  Label launch_kernel, memset_async, event_record, stream_wait_event,
+      stream_synchronize, device_synchronize;  ///< CUDA runtime calls
+  Label allreduce, send, recv;                 ///< collective ops
+};
+
+/// Builds all tasks of one rank as column rows. Tasks are appended
+/// rank-by-rank so task ids encode per-rank launch order (required by the
+/// simulator's runtime dependency resolution). Fixed names come interned
+/// (BuildLabels), the rank's communicators are interned at construction;
+/// only operator and kernel names are looked up per task.
 class RankBuilder {
  public:
-  RankBuilder(ExecutionGraph& graph, DurationProvider& provider,
+  RankBuilder(ExecutionGraph& graph, trace::TracePools& pools,
+              const BuildLabels& labels, const DurationProvider& provider,
               const ModelSpec& model, const ParallelConfig& config,
               const BuildOptions& options, const Placement& placement,
               std::int32_t stage, std::int32_t tp_rank)
       : graph_(graph),
+        pools_(pools),
+        labels_(labels),
         provider_(provider),
         model_(model),
         config_(config),
         options_(options),
-        placement_(placement),
         stage_(stage),
         tp_rank_(tp_rank),
-        rank_(placement.global_rank({tp_rank, options.dp_rank, stage})) {}
+        rank_(placement.global_rank({tp_rank, options.dp_rank, stage})),
+        tp_placement_(placement.tp_placement(rank_)),
+        dp_placement_(placement.dp_placement(rank_)),
+        pp_placement_(placement.pp_placement(rank_)),
+        tp_group_("tp_pp" + std::to_string(stage) + "_dp" +
+                  std::to_string(options.dp_rank)),
+        dp_group_("dp_tp" + std::to_string(tp_rank) + "_pp" +
+                  std::to_string(stage)),
+        mp_group_("mp_dp" + std::to_string(options.dp_rank)),
+        tp_group_id_(intern(pools.groups, tp_group_)),
+        dp_group_id_(intern(pools.groups, dp_group_)),
+        mp_group_id_(intern(pools.groups, mp_group_)) {}
 
   void build() {
     const auto schedule =
         pipeline_schedule(options_.policy, stage_, config_.pp,
                           config_.microbatches());
-    begin_block("sched", -1, "forward", -1);
+    begin_block(labels_.sched, -1, labels_.forward, -1);
     cpu(lanes::kMainThread, "Optimizer.zero_grad#start");
     for (const PipelineAction& action : schedule) {
       if (action.kind == PassKind::Forward) {
@@ -57,54 +137,63 @@ class RankBuilder {
   // Low-level task emission
   // ---------------------------------------------------------------------
 
-  void begin_block(std::string block, std::int32_t layer, std::string phase,
-                   std::int32_t microbatch) {
-    block_ = std::move(block);
-    layer_ = layer;
-    phase_ = std::move(phase);
-    microbatch_ = microbatch;
-  }
-
   /// Within-block ordinals are keyed by the block *instance* (block, layer,
   /// phase, microbatch) and persist across interleavings — the same rule
-  /// template extraction applies, so descriptors line up exactly.
-  std::int32_t next_cpu_ordinal() {
-    return ordinals_[{block_, layer_, phase_, microbatch_}].first++;
-  }
-  std::int32_t next_kernel_ordinal() {
-    return ordinals_[{block_, layer_, phase_, microbatch_}].second++;
-  }
-
-  trace::TraceEvent base_event(std::string name, EventCategory cat) {
-    trace::TraceEvent e;
-    e.name = std::move(name);
-    e.cat = cat;
-    e.pid = rank_;
-    e.ts_ns = seq_++;  // synthetic program order; the simulator's tie-break
-    e.layer = layer_;
-    e.microbatch = microbatch_;
-    e.phase = phase_;
-    e.block = block_;
-    return e;
+  /// template extraction applies, so descriptors line up exactly. The
+  /// instance's counters are resolved once per block change.
+  void begin_block(const Label& block, std::int32_t layer,
+                   const Label& phase, std::int32_t microbatch) {
+    block_ = &block;
+    layer_ = layer;
+    phase_ = &phase;
+    microbatch_ = microbatch;
+    ordinals_cur_ = &ordinals_[{block.id, layer, phase.id, microbatch}];
   }
 
-  /// Emits a CPU task on `tid`, chained to the previous task on the thread.
-  TaskId cpu(std::int32_t tid, std::string name,
-             EventCategory cat = EventCategory::CpuOp) {
-    CpuOpDesc desc{name, block_, phase_, layer_, next_cpu_ordinal()};
-    trace::TraceEvent e = base_event(std::move(name), cat);
-    e.tid = tid;
-    e.dur_ns = provider_.cpu_ns(desc);
-    Task t;
-    t.processor = {rank_, /*gpu=*/false, tid};
-    t.event = std::move(e);
-    const TaskId id = graph_.add_task(std::move(t));
+  std::int32_t next_cpu_ordinal() { return ordinals_cur_->first++; }
+  std::int32_t next_kernel_ordinal() { return ordinals_cur_->second++; }
+
+  Row base_row(std::uint32_t name, EventCategory cat) {
+    Row row;
+    row.name = name;
+    row.cat = static_cast<std::uint8_t>(cat);
+    row.pid = rank_;
+    row.ts_ns = seq_++;  // synthetic program order; the simulator's tie-break
+    row.layer = layer_;
+    row.microbatch = microbatch_;
+    row.phase = phase_->id;
+    row.block = block_->id;
+    return row;
+  }
+
+  /// A CPU row named `name` (interned as `name_id`) in the current block —
+  /// a CUDA runtime call when `api` is set — its duration from the provider.
+  Row cpu_row(std::string_view name, std::uint32_t name_id,
+              CudaApi api = CudaApi::None) {
+    const CpuOpDesc desc{name, block_->text, phase_->text, layer_,
+                         next_cpu_ordinal()};
+    Row row = base_row(name_id, api == CudaApi::None
+                                    ? EventCategory::CpuOp
+                                    : EventCategory::CudaRuntime);
+    row.api = api;
+    row.dur_ns = provider_.cpu_ns(desc);
+    return row;
+  }
+  Row runtime_row(const Label& call, CudaApi api) {
+    return cpu_row(call.text, call.id, api);
+  }
+
+  /// Appends a CPU row on `tid`, chained to the previous task on the thread
+  /// and (when `take_handoff`) to a pending cross-thread handoff.
+  TaskId emit_cpu(std::int32_t tid, Row& row, bool take_handoff = true) {
+    row.tid = tid;
+    const TaskId id = graph_.add_task({rank_, /*gpu=*/false, tid}, row);
     if (auto it = last_cpu_.find(tid); it != last_cpu_.end()) {
       graph_.add_edge(it->second, id, DepType::IntraThread);
     }
     // Cross-thread handoff requested by a previous dispatch/join point.
     if (auto it = pending_thread_dep_.find(tid);
-        it != pending_thread_dep_.end()) {
+        take_handoff && it != pending_thread_dep_.end()) {
       graph_.add_edge(it->second, id, DepType::InterThread);
       pending_thread_dep_.erase(it);
     }
@@ -112,53 +201,54 @@ class RankBuilder {
     return id;
   }
 
+  /// Emits a CPU operator task on `tid`.
+  TaskId cpu(std::int32_t tid, std::string_view name) {
+    Row row = cpu_row(name, intern(pools_.names, name));
+    return emit_cpu(tid, row);
+  }
+
   /// Emits a launch (cudaLaunchKernel) on `tid` plus the GPU kernel on
   /// `stream`, linked by a fresh correlation id. Applies pending
-  /// inter-stream waits targeted at `stream`.
+  /// inter-stream waits targeted at `stream`. `coll` carries the interned
+  /// op / communicator of a collective kernel.
   TaskId kernel(std::int32_t tid, KernelDesc desc, std::int64_t stream,
-                EventCategory gpu_cat = EventCategory::Kernel) {
-    desc.block = block_;
-    desc.phase = phase_;
+                EventCategory gpu_cat = EventCategory::Kernel,
+                CollIds coll = {}) {
+    desc.block = block_->text;
+    desc.phase = phase_->text;
     desc.layer = layer_;
     desc.ordinal = next_kernel_ordinal();
     const std::int64_t corr = next_correlation_++;
 
-    const char* launch_name = gpu_cat == EventCategory::Memset
-                                  ? "cudaMemsetAsync"
-                                  : "cudaLaunchKernel";
-    CpuOpDesc launch_desc{launch_name, block_, phase_, layer_, next_cpu_ordinal()};
-    trace::TraceEvent launch_event =
-        base_event(launch_name, EventCategory::CudaRuntime);
-    launch_event.tid = tid;
-    launch_event.dur_ns = provider_.cpu_ns(launch_desc);
-    launch_event.correlation = corr;
-    launch_event.stream = stream;
-    Task launch_task;
-    launch_task.processor = {rank_, false, tid};
-    launch_task.event = std::move(launch_event);
-    const TaskId launch_id = graph_.add_task(std::move(launch_task));
-    if (auto it = last_cpu_.find(tid); it != last_cpu_.end()) {
-      graph_.add_edge(it->second, launch_id, DepType::IntraThread);
-    }
-    if (auto it = pending_thread_dep_.find(tid);
-        it != pending_thread_dep_.end()) {
-      graph_.add_edge(it->second, launch_id, DepType::InterThread);
-      pending_thread_dep_.erase(it);
-    }
-    last_cpu_[tid] = launch_id;
+    Row launch =
+        gpu_cat == EventCategory::Memset
+            ? runtime_row(labels_.memset_async, CudaApi::MemsetAsync)
+            : runtime_row(labels_.launch_kernel, CudaApi::LaunchKernel);
+    launch.correlation = corr;
+    launch.stream = stream;
+    const TaskId launch_id = emit_cpu(tid, launch);
 
-    trace::TraceEvent gpu_event = base_event(desc.name, gpu_cat);
-    gpu_event.tid = static_cast<std::int32_t>(stream);
-    gpu_event.dur_ns = provider_.kernel_ns(desc);
-    gpu_event.correlation = corr;
-    gpu_event.stream = stream;
-    gpu_event.gemm = desc.gemm;
-    gpu_event.collective = desc.collective;
-    gpu_event.bytes_moved = desc.elementwise_bytes;
-    Task gpu_task;
-    gpu_task.processor = {rank_, true, stream};
-    gpu_task.event = std::move(gpu_event);
-    const TaskId kernel_id = graph_.add_task(std::move(gpu_task));
+    Row row = base_row(intern(pools_.names, desc.name), gpu_cat);
+    row.tid = static_cast<std::int32_t>(stream);
+    row.dur_ns = provider_.kernel_ns(desc);
+    row.correlation = corr;
+    row.stream = stream;
+    row.bytes_moved = desc.elementwise_bytes;
+    if (desc.gemm != trace::GemmShape{}) {
+      row.has_gemm = true;
+      row.gemm_m = desc.gemm.m;
+      row.gemm_n = desc.gemm.n;
+      row.gemm_k = desc.gemm.k;
+    }
+    if (desc.collective.valid()) {
+      row.has_collective = true;
+      row.coll_op = coll.op;
+      row.coll_group = coll.group;
+      row.coll_bytes = desc.collective.bytes;
+      row.coll_group_size = desc.collective.group_size;
+      row.coll_instance = desc.collective.instance;
+    }
+    const TaskId kernel_id = graph_.add_task({rank_, true, stream}, row);
 
     graph_.add_edge(launch_id, kernel_id, DepType::CpuToGpu);
     if (auto it = last_kernel_.find(stream); it != last_kernel_.end()) {
@@ -180,45 +270,15 @@ class RankBuilder {
   void record_wait(std::int32_t tid, std::int64_t src_stream,
                    std::int64_t dst_stream) {
     const std::int64_t event_id = next_cuda_event_++;
-    {
-      CpuOpDesc desc{"cudaEventRecord", block_, phase_, layer_,
-                     next_cpu_ordinal()};
-      trace::TraceEvent e =
-          base_event("cudaEventRecord", EventCategory::CudaRuntime);
-      e.tid = tid;
-      e.dur_ns = provider_.cpu_ns(desc);
-      e.stream = src_stream;
-      e.cuda_event = event_id;
-      Task t;
-      t.processor = {rank_, false, tid};
-      t.event = std::move(e);
-      const TaskId id = graph_.add_task(std::move(t));
-      if (auto it = last_cpu_.find(tid); it != last_cpu_.end()) {
-        graph_.add_edge(it->second, id, DepType::IntraThread);
-      }
-      if (auto it = pending_thread_dep_.find(tid);
-          it != pending_thread_dep_.end()) {
-        graph_.add_edge(it->second, id, DepType::InterThread);
-        pending_thread_dep_.erase(it);
-      }
-      last_cpu_[tid] = id;
-    }
-    {
-      CpuOpDesc desc{"cudaStreamWaitEvent", block_, phase_, layer_,
-                     next_cpu_ordinal()};
-      trace::TraceEvent e =
-          base_event("cudaStreamWaitEvent", EventCategory::CudaRuntime);
-      e.tid = tid;
-      e.dur_ns = provider_.cpu_ns(desc);
-      e.stream = dst_stream;
-      e.cuda_event = event_id;
-      Task t;
-      t.processor = {rank_, false, tid};
-      t.event = std::move(e);
-      const TaskId id = graph_.add_task(std::move(t));
-      graph_.add_edge(last_cpu_[tid], id, DepType::IntraThread);
-      last_cpu_[tid] = id;
-    }
+    Row record = runtime_row(labels_.event_record, CudaApi::EventRecord);
+    record.stream = src_stream;
+    record.cuda_event = event_id;
+    emit_cpu(tid, record);
+    Row wait =
+        runtime_row(labels_.stream_wait_event, CudaApi::StreamWaitEvent);
+    wait.stream = dst_stream;
+    wait.cuda_event = event_id;
+    emit_cpu(tid, wait, /*take_handoff=*/false);
     if (auto it = last_kernel_.find(src_stream); it != last_kernel_.end()) {
       pending_waits_[dst_stream].push_back(it->second);
     }
@@ -227,45 +287,16 @@ class RankBuilder {
   /// Blocking cudaStreamSynchronize on `stream`; the wait itself is a
   /// *runtime* dependency resolved by the simulator.
   TaskId sync_stream(std::int32_t tid, std::int64_t stream) {
-    CpuOpDesc desc{"cudaStreamSynchronize", block_, phase_, layer_,
-                   next_cpu_ordinal()};
-    trace::TraceEvent e =
-        base_event("cudaStreamSynchronize", EventCategory::CudaRuntime);
-    e.tid = tid;
-    e.dur_ns = provider_.cpu_ns(desc);
-    e.stream = stream;
-    Task t;
-    t.processor = {rank_, false, tid};
-    t.event = std::move(e);
-    const TaskId id = graph_.add_task(std::move(t));
-    if (auto it = last_cpu_.find(tid); it != last_cpu_.end()) {
-      graph_.add_edge(it->second, id, DepType::IntraThread);
-    }
-    if (auto it = pending_thread_dep_.find(tid);
-        it != pending_thread_dep_.end()) {
-      graph_.add_edge(it->second, id, DepType::InterThread);
-      pending_thread_dep_.erase(it);
-    }
-    last_cpu_[tid] = id;
-    return id;
+    Row row = runtime_row(labels_.stream_synchronize,
+                          CudaApi::StreamSynchronize);
+    row.stream = stream;
+    return emit_cpu(tid, row);
   }
 
   TaskId device_sync(std::int32_t tid) {
-    CpuOpDesc desc{"cudaDeviceSynchronize", block_, phase_, layer_,
-                   next_cpu_ordinal()};
-    trace::TraceEvent e =
-        base_event("cudaDeviceSynchronize", EventCategory::CudaRuntime);
-    e.tid = tid;
-    e.dur_ns = provider_.cpu_ns(desc);
-    Task t;
-    t.processor = {rank_, false, tid};
-    t.event = std::move(e);
-    const TaskId id = graph_.add_task(std::move(t));
-    if (auto it = last_cpu_.find(tid); it != last_cpu_.end()) {
-      graph_.add_edge(it->second, id, DepType::IntraThread);
-    }
-    last_cpu_[tid] = id;
-    return id;
+    Row row = runtime_row(labels_.device_synchronize,
+                          CudaApi::DeviceSynchronize);
+    return emit_cpu(tid, row, /*take_handoff=*/false);
   }
 
   // ---------------------------------------------------------------------
@@ -293,18 +324,6 @@ class RankBuilder {
     return d;
   }
 
-  std::string tp_group_name() const {
-    std::ostringstream out;
-    out << "tp_pp" << stage_ << "_dp" << options_.dp_rank;
-    return out.str();
-  }
-
-  std::string dp_group_name() const {
-    std::ostringstream out;
-    out << "dp_tp" << tp_rank_ << "_pp" << stage_;
-    return out.str();
-  }
-
   /// TP all-reduce with full event-sync choreography: the NCCL stream waits
   /// for compute, and subsequent compute waits for the collective.
   void tp_allreduce(std::int32_t tid, std::int64_t bytes) {
@@ -313,13 +332,11 @@ class RankBuilder {
     cpu(tid, "c10d::allreduce_");
     KernelDesc d;
     d.name = "ncclDevKernel_AllReduce_Sum_bf16_RING";
-    d.collective.op = "allreduce";
-    d.collective.group = tp_group_name();
-    d.collective.bytes = bytes;
-    d.collective.group_size = config_.tp;
-    d.collective.instance = group_instance_[d.collective.group]++;
-    d.placement = placement_.tp_placement(rank_);
-    kernel(tid, std::move(d), lanes::kTpStream);
+    d.collective = {labels_.allreduce.text, tp_group_, bytes, config_.tp,
+                    group_instance_[tp_group_id_]++};
+    d.placement = tp_placement_;
+    kernel(tid, d, lanes::kTpStream, EventCategory::Kernel,
+           {labels_.allreduce.id, tp_group_id_});
     record_wait(tid, lanes::kTpStream, lanes::kComputeStream);
   }
 
@@ -328,10 +345,11 @@ class RankBuilder {
   void p2p(std::int32_t tid, bool send, bool forward_dir,
            std::int32_t from_stage, std::int32_t to_stage,
            std::int32_t microbatch) {
-    std::ostringstream group;
-    group << "pp_" << (forward_dir ? "fwd" : "bwd") << "_s" << from_stage
-          << "to" << to_stage << "_tp" << tp_rank_ << "_dp"
-          << options_.dp_rank << "_mb" << microbatch;
+    const std::string group =
+        std::string("pp_") + (forward_dir ? "fwd" : "bwd") + "_s" +
+        std::to_string(from_stage) + "to" + std::to_string(to_stage) +
+        "_tp" + std::to_string(tp_rank_) + "_dp" +
+        std::to_string(options_.dp_rank) + "_mb" + std::to_string(microbatch);
     const std::int64_t stream =
         send ? lanes::kPpSendStream : lanes::kPpRecvStream;
     if (send) {
@@ -341,13 +359,13 @@ class RankBuilder {
     cpu(tid, send ? "c10d::send" : "c10d::recv");
     KernelDesc d;
     d.name = "ncclDevKernel_SendRecv";
-    d.collective.op = send ? "send" : "recv";
-    d.collective.group = group.str();
-    d.collective.bytes = tokens() * model_.d_model * dtype_bytes();
-    d.collective.group_size = 2;
-    d.collective.instance = 0;  // group names are unique per transfer
-    d.placement = placement_.pp_placement(rank_);
-    kernel(tid, std::move(d), stream);
+    // Group names are unique per transfer, so the instance is always 0.
+    d.collective = {send ? labels_.send.text : labels_.recv.text, group,
+                    tokens() * model_.d_model * dtype_bytes(), 2, 0};
+    d.placement = pp_placement_;
+    kernel(tid, d, stream, EventCategory::Kernel,
+           {send ? labels_.send.id : labels_.recv.id,
+            intern(pools_.groups, group)});
     if (!send) {
       // Compute consumes the received tensor.
       record_wait(tid, stream, lanes::kComputeStream);
@@ -355,7 +373,7 @@ class RankBuilder {
   }
 
   void embedding_forward(std::int32_t microbatch) {
-    begin_block("embed", -1, "forward", microbatch);
+    begin_block(labels_.embed, -1, labels_.forward, microbatch);
     const std::int64_t act_bytes = tokens() * model_.d_model * dtype_bytes();
     cpu(lanes::kMainThread, "aten::embedding");
     kernel(lanes::kMainThread,
@@ -364,7 +382,7 @@ class RankBuilder {
   }
 
   void embedding_backward() {
-    begin_block("embed", -1, "backward", microbatch_);
+    begin_block(labels_.embed, -1, labels_.backward, microbatch_);
     const std::int64_t act_bytes = tokens() * model_.d_model * dtype_bytes();
     cpu(lanes::kAutogradThread, "autograd::EmbeddingBackward0");
     kernel(lanes::kAutogradThread,
@@ -373,7 +391,7 @@ class RankBuilder {
   }
 
   void head_forward(std::int32_t microbatch) {
-    begin_block("head", -1, "forward", microbatch);
+    begin_block(labels_.head, -1, labels_.forward, microbatch);
     const std::int64_t T = tokens();
     const std::int64_t d = model_.d_model;
     const std::int64_t vshard = model_.vocab_size / config_.tp;
@@ -396,7 +414,7 @@ class RankBuilder {
   }
 
   void head_backward() {
-    begin_block("head", -1, "backward", microbatch_);
+    begin_block(labels_.head, -1, labels_.backward, microbatch_);
     const std::int64_t T = tokens();
     const std::int64_t d = model_.d_model;
     const std::int64_t vshard = model_.vocab_size / config_.tp;
@@ -420,7 +438,7 @@ class RankBuilder {
   }
 
   void forward_layer(std::int32_t layer, std::int32_t microbatch) {
-    begin_block("layer", layer, "forward", microbatch);
+    begin_block(labels_.layer, layer, labels_.forward, microbatch);
     const std::int64_t T = tokens();
     const std::int64_t d = model_.d_model;
     const std::int64_t ff_shard = model_.d_ff / config_.tp;
@@ -442,7 +460,7 @@ class RankBuilder {
       a.attn_heads = model_.num_heads / config_.tp;
       a.attn_seq = model_.seq_len;
       a.attn_head_dim = model_.head_dim;
-      kernel(tid, std::move(a), lanes::kComputeStream);
+      kernel(tid, a, lanes::kComputeStream);
     }
     cpu(tid, "aten::linear");
     kernel(tid, gemm_desc("sm90_xmma_gemm_bf16_attn_proj", T, d, d_shard),
@@ -473,7 +491,7 @@ class RankBuilder {
   }
 
   void backward_layer(std::int32_t layer, std::int32_t microbatch) {
-    begin_block("layer", layer, "backward", microbatch);
+    begin_block(labels_.layer, layer, labels_.backward, microbatch);
     const std::int64_t T = tokens();
     const std::int64_t d = model_.d_model;
     const std::int64_t ff_shard = model_.d_ff / config_.tp;
@@ -511,7 +529,7 @@ class RankBuilder {
       a.attn_heads = model_.num_heads / config_.tp;
       a.attn_seq = model_.seq_len;
       a.attn_head_dim = model_.head_dim;
-      kernel(tid, std::move(a), lanes::kComputeStream);
+      kernel(tid, a, lanes::kComputeStream);
     }
     cpu(tid, "autograd::MmBackward0");  // attn out projection
     kernel(tid, gemm_desc("sm90_xmma_gemm_bf16_attn_dgrad", T, d_shard, d),
@@ -535,26 +553,25 @@ class RankBuilder {
   void dp_bucket_allreduce(std::int64_t param_elems, std::int32_t bucket) {
     // The bucket index rides in the layer field so each bucket forms a
     // distinct block instance for template extraction.
-    begin_block("dp", bucket, "backward", -1);
+    begin_block(labels_.dp, bucket, labels_.backward, -1);
     record_wait(lanes::kAutogradThread, lanes::kComputeStream,
                 lanes::kDpStream);
     cpu(lanes::kAutogradThread, "c10d::allreduce_");
     KernelDesc d;
     d.name = "ncclDevKernel_AllReduce_Sum_bf16_RING";
-    d.collective.op = "allreduce";
-    d.collective.group = dp_group_name();
-    d.collective.bytes = param_elems * dtype_bytes();
-    d.collective.group_size = config_.dp;
-    d.collective.instance = group_instance_[d.collective.group]++;
-    d.placement = placement_.dp_placement(rank_);
-    kernel(lanes::kAutogradThread, std::move(d), lanes::kDpStream);
+    d.collective = {labels_.allreduce.text, dp_group_,
+                    param_elems * dtype_bytes(), config_.dp,
+                    group_instance_[dp_group_id_]++};
+    d.placement = dp_placement_;
+    kernel(lanes::kAutogradThread, d, lanes::kDpStream, EventCategory::Kernel,
+           {labels_.allreduce.id, dp_group_id_});
   }
 
   void forward_pass(std::int32_t microbatch) {
-    begin_block("sched", -1, "forward", microbatch);
+    begin_block(labels_.sched, -1, labels_.forward, microbatch);
     cpu(lanes::kMainThread, "megatron::forward_step");
     if (stage_ > 0) {
-      begin_block("pp", -1, "forward", microbatch);
+      begin_block(labels_.pp, -1, labels_.forward, microbatch);
       p2p(lanes::kMainThread, /*send=*/false, /*forward_dir=*/true,
           stage_ - 1, stage_, microbatch);
     }
@@ -566,23 +583,23 @@ class RankBuilder {
     if (stage_ == config_.pp - 1) {
       head_forward(microbatch);
     } else {
-      begin_block("pp", -1, "forward", microbatch);
+      begin_block(labels_.pp, -1, labels_.forward, microbatch);
       p2p(lanes::kMainThread, /*send=*/true, /*forward_dir=*/true, stage_,
           stage_ + 1, microbatch);
     }
   }
 
   void backward_pass(std::int32_t microbatch) {
-    begin_block("sched", -1, "backward", microbatch);
+    begin_block(labels_.sched, -1, labels_.backward, microbatch);
     cpu(lanes::kMainThread, "megatron::backward_step");
     if (stage_ < config_.pp - 1) {
-      begin_block("pp", -1, "backward", microbatch);
+      begin_block(labels_.pp, -1, labels_.backward, microbatch);
       p2p(lanes::kMainThread, /*send=*/false, /*forward_dir=*/false,
           stage_ + 1, stage_, microbatch);
     }
     // Main thread dispatches into the autograd engine; the first autograd
     // op of this segment waits on the dispatch (InterThread dependency).
-    begin_block("sched", -1, "backward", microbatch);
+    begin_block(labels_.sched, -1, labels_.backward, microbatch);
     const TaskId dispatch = cpu(lanes::kMainThread, "torch::autograd::backward");
     pending_thread_dep_[lanes::kAutogradThread] = dispatch;
 
@@ -621,7 +638,7 @@ class RankBuilder {
       pending_thread_dep_[lanes::kMainThread] = it->second;
     }
     if (stage_ > 0) {
-      begin_block("pp", -1, "backward", microbatch);
+      begin_block(labels_.pp, -1, labels_.backward, microbatch);
       p2p(lanes::kMainThread, /*send=*/true, /*forward_dir=*/false, stage_,
           stage_ - 1, microbatch);
     }
@@ -629,12 +646,12 @@ class RankBuilder {
 
   void optimizer_epilogue() {
     // All DP buckets must land before gradient clipping / optimizer.
-    begin_block("opt", -1, "optimizer", -1);
+    begin_block(labels_.opt, -1, labels_.optimizer, -1);
     sync_stream(lanes::kMainThread, lanes::kDpStream);
 
     // Global grad-norm: local reduction + all-reduce across the model-
     // parallel group (synchronizes all pipeline stages and TP ranks).
-    begin_block("norm", -1, "optimizer", -1);
+    begin_block(labels_.norm, -1, labels_.optimizer, -1);
     const std::int64_t params =
         model_.params_per_rank(config_.tp, config_.pp, stage_);
     cpu(lanes::kMainThread, "megatron::clip_grad_norm");
@@ -647,24 +664,23 @@ class RankBuilder {
     {
       KernelDesc d;
       d.name = "ncclDevKernel_AllReduce_Sum_f32_RING";
-      d.collective.op = "allreduce";
-      d.collective.group = "mp_dp" + std::to_string(options_.dp_rank);
-      d.collective.bytes = 8;
-      d.collective.group_size = config_.tp * config_.pp;
-      d.collective.instance = group_instance_[d.collective.group]++;
+      d.collective = {labels_.allreduce.text, mp_group_, 8,
+                      config_.tp * config_.pp,
+                      group_instance_[mp_group_id_]++};
       cost::CommPlacement p;
       p.group_size = config_.tp * config_.pp;
       p.nodes_spanned =
           std::max<std::int32_t>(1, config_.tp * config_.pp * config_.dp /
                                         config_.gpus_per_node);
       d.placement = p;
-      kernel(lanes::kMainThread, std::move(d), lanes::kTpStream);
+      kernel(lanes::kMainThread, d, lanes::kTpStream, EventCategory::Kernel,
+             {labels_.allreduce.id, mp_group_id_});
     }
     record_wait(lanes::kMainThread, lanes::kTpStream, lanes::kComputeStream);
 
     // Fused Adam over the stage's parameter shard, in chunks the way
     // multi_tensor_apply launches.
-    begin_block("opt", -1, "optimizer", -1);
+    begin_block(labels_.opt, -1, labels_.optimizer, -1);
     cpu(lanes::kMainThread, "Optimizer.step#Adam.step");
     constexpr std::int32_t kAdamChunks = 4;
     for (std::int32_t c = 0; c < kAdamChunks; ++c) {
@@ -681,42 +697,50 @@ class RankBuilder {
   }
 
   ExecutionGraph& graph_;
-  DurationProvider& provider_;
+  trace::TracePools& pools_;
+  const BuildLabels& labels_;
+  const DurationProvider& provider_;
   const ModelSpec& model_;
   const ParallelConfig& config_;
   const BuildOptions& options_;
-  const Placement& placement_;
   std::int32_t stage_;
   std::int32_t tp_rank_;
   std::int32_t rank_;
+  cost::CommPlacement tp_placement_, dp_placement_, pp_placement_;
+
+  // communicators of this rank, interned once
+  std::string tp_group_, dp_group_, mp_group_;
+  std::uint32_t tp_group_id_, dp_group_id_, mp_group_id_;
 
   // annotation context
-  std::string block_;
+  const Label* block_ = nullptr;
   std::int32_t layer_ = -1;
-  std::string phase_;
+  const Label* phase_ = nullptr;
   std::int32_t microbatch_ = -1;
 
   // per-rank construction state
   std::int64_t seq_ = 0;
   std::int64_t next_correlation_ = 1;
   std::int64_t next_cuda_event_ = 1;
-  std::unordered_map<std::int32_t, TaskId> last_cpu_;
-  std::unordered_map<std::int32_t, TaskId> pending_thread_dep_;
+  // Two CPU threads per rank: ordered maps beat hashing at this size.
+  std::map<std::int32_t, TaskId> last_cpu_;
+  std::map<std::int32_t, TaskId> pending_thread_dep_;
   std::map<std::int64_t, TaskId> last_kernel_;
   std::map<std::int64_t, std::vector<TaskId>> pending_waits_;
-  std::map<std::string, std::int64_t> group_instance_;
-  /// (block, layer, phase, microbatch) -> (next cpu ordinal, next kernel
-  /// ordinal); mirrors template extraction's counters.
-  std::map<std::tuple<std::string, std::int32_t, std::string, std::int32_t>,
-           std::pair<std::int32_t, std::int32_t>>
-      ordinals_;
+  /// Collective instance counters per communicator (group id).
+  std::unordered_map<std::uint32_t, std::int64_t> group_instance_;
+  /// Block instance -> (next cpu ordinal, next kernel ordinal); mirrors
+  /// template extraction's counters. Node-based, so ordinals_cur_ (the
+  /// current block instance's entry) stays valid across inserts.
+  std::map<InstanceKey, std::pair<std::int32_t, std::int32_t>> ordinals_;
+  std::pair<std::int32_t, std::int32_t>* ordinals_cur_ = nullptr;
 };
 
 }  // namespace
 
 IterationGraphBuilder::IterationGraphBuilder(ModelSpec model,
                                              ParallelConfig config,
-                                             DurationProvider& provider,
+                                             const DurationProvider& provider,
                                              BuildOptions options)
     : model_(std::move(model)),
       config_(config),
@@ -731,16 +755,30 @@ BuiltJob IterationGraphBuilder::build() {
   job.model = model_;
   job.config = config_;
   job.options = options_;
+  // One fresh pool set per build: rows carry ids into it, and the meta
+  // table classifies from those ids without re-interning.
+  auto pools = std::make_shared<trace::TracePools>();
+  job.graph = core::ExecutionGraph(pools);
+  const BuildLabels labels(*pools);
   Placement placement(config_);
+  const auto ranks = static_cast<std::size_t>(config_.pp * config_.tp);
   for (std::int32_t stage = 0; stage < config_.pp; ++stage) {
     for (std::int32_t t = 0; t < config_.tp; ++t) {
-      RankBuilder rank(job.graph, provider_, model_, config_, options_,
-                       placement, stage, t);
+      RankBuilder rank(job.graph, *pools, labels, provider_, model_, config_,
+                       options_, placement, stage, t);
       rank.build();
+      if (stage == 0 && t == 0 && ranks > 1) {
+        // Ranks emit near-identical task counts (stages differ by a few
+        // embedding / head tasks per microbatch): size the columns once
+        // from the first rank instead of regrowing them.
+        const std::size_t slack = ranks + ranks / 8;
+        job.graph.reserve(job.graph.size() * slack,
+                          job.graph.edges().size() * slack);
+      }
     }
   }
-  // Build-time classification: intern the emitted names/ops/groups and
-  // materialize the columnar metadata before the job is handed out.
+  // Build-time classification: materialize the columnar metadata and the
+  // adjacency before the job is handed out.
   job.graph.finalize();
   return job;
 }

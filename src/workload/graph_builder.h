@@ -16,7 +16,9 @@
 // Durations come from a DurationProvider: analytical cost model for
 // ground-truth graphs, profiled-trace templates for manipulated graphs.
 // The same builder therefore implements both the synthetic cluster and the
-// paper's graph-manipulation procedure (§3.4).
+// paper's graph-manipulation procedure (§3.4). Tasks are emitted as column
+// rows (core/task_columns.h) over one fresh TracePools per build; no Task
+// struct is created.
 #pragma once
 
 #include <cstdint>
@@ -61,7 +63,8 @@ struct BuiltJob {
 class IterationGraphBuilder {
  public:
   IterationGraphBuilder(ModelSpec model, ParallelConfig config,
-                        DurationProvider& provider, BuildOptions options = {});
+                        const DurationProvider& provider,
+                        BuildOptions options = {});
 
   /// Builds the iteration graph. Throws std::invalid_argument if the
   /// config does not validate against the model.
@@ -70,7 +73,7 @@ class IterationGraphBuilder {
  private:
   ModelSpec model_;
   ParallelConfig config_;
-  DurationProvider& provider_;
+  const DurationProvider& provider_;
   BuildOptions options_;
 };
 

@@ -223,6 +223,38 @@ TEST(TaskMetaTable, MutationInvalidatesMeta) {
   EXPECT_EQ(g.meta().name_view(0), "renamed");
 }
 
+TEST(TaskMetaTable, ColumnRowsClassifyLikeAuthoredTasks) {
+  // The same tasks written as column rows (the producer path) and authored
+  // as Tasks (the conversion path) classify identically; a copy keeps its
+  // own rows when the original appends after copying.
+  auto pools = std::make_shared<trace::TracePools>();
+  ExecutionGraph rows(pools);
+  const ExecutionGraph authored = mixed_graph();
+  for (const Task& t : authored.tasks()) {
+    trace::EventTable scratch(pools);
+    scratch.push_back(t.event);
+    rows.add_task(t.processor, scratch.row(0));
+  }
+  ASSERT_EQ(rows.size(), authored.size());
+  const ExecutionGraph& built = rows;  // const access keeps the columns
+  const TaskMetaTable& a = built.meta();
+  const TaskMetaTable& b = authored.meta();
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const auto id = static_cast<TaskId>(i);
+    EXPECT_EQ(a.lane(id), b.lane(id));
+    EXPECT_EQ(a.cuda_api(id), b.cuda_api(id));
+    EXPECT_EQ(a.name_view(id), b.name_view(id));
+    EXPECT_EQ(a.group_index(id), b.group_index(id));
+    EXPECT_EQ(built.task(id).event, authored.task(id).event);
+  }
+
+  const ExecutionGraph copy = rows;
+  rows.add_task({2, false, 1}, {});
+  EXPECT_EQ(copy.size(), authored.size());
+  EXPECT_EQ(copy.meta().size(), authored.size());
+  EXPECT_EQ(rows.meta().size(), authored.size() + 1);
+}
+
 TEST(TaskMetaTable, DeterministicAcrossIdenticalBuilds) {
   ExecutionGraph a = mixed_graph();
   ExecutionGraph b = mixed_graph();

@@ -2,11 +2,15 @@
 // new execution graphs from profiled ones and predicting their performance.
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <vector>
+
 #include "analysis/metrics.h"
 #include "cluster/ground_truth.h"
 #include "core/graph_manipulator.h"
 #include "core/template_provider.h"
 #include "core/trace_parser.h"
+#include "io/fnv.h"
 #include "test_util.h"
 
 namespace lumos::core {
@@ -245,6 +249,174 @@ TEST(TemplateProviderStandalone, CommTemplatesUseMinimumDuration) {
   desc.collective = {"allreduce", "tp_pp0_dp0", 1024, 2, 0};
   desc.placement = {.group_size = 2, .nodes_spanned = 1};
   EXPECT_EQ(provider.kernel_ns(desc), 500);
+}
+
+// ---------------------------------------------------------------------------
+// Bit-identity pins across the fig7 grid: builder and parser output, hashed
+// field by field (strings, never pool ids), must not move.
+// ---------------------------------------------------------------------------
+
+/// The tiny model deepened to 16 layers, so every PP in {2,4,8,16} divides it.
+workload::ModelSpec pin_model() {
+  workload::ModelSpec m = tiny_model();
+  m.num_layers = 16;
+  return m;
+}
+
+void hash_string(io::Fnv1a& h, std::string_view s) {
+  h.update_pod(static_cast<std::uint64_t>(s.size()));
+  h.update(s);
+}
+
+/// FNV-1a over every materialized Task field, the edge list, and the meta
+/// columns (string columns hashed by their text, not by pool id).
+std::uint64_t graph_fingerprint(const ExecutionGraph& g) {
+  io::Fnv1a h;
+  h.update_pod(static_cast<std::uint64_t>(g.size()));
+  for (const Task& t : g.tasks()) {
+    const trace::TraceEvent& e = t.event;
+    h.update_pod(t.id);
+    h.update_pod(t.processor.rank);
+    h.update_pod(t.processor.gpu);
+    h.update_pod(t.processor.lane);
+    hash_string(h, e.name);
+    h.update_pod(static_cast<std::uint8_t>(e.cat));
+    h.update_pod(e.ts_ns);
+    h.update_pod(e.dur_ns);
+    h.update_pod(e.pid);
+    h.update_pod(e.tid);
+    h.update_pod(e.correlation);
+    h.update_pod(e.stream);
+    h.update_pod(e.cuda_event);
+    h.update_pod(e.layer);
+    h.update_pod(e.microbatch);
+    hash_string(h, e.phase);
+    hash_string(h, e.block);
+    hash_string(h, e.collective.op);
+    hash_string(h, e.collective.group);
+    h.update_pod(e.collective.bytes);
+    h.update_pod(e.collective.group_size);
+    h.update_pod(e.collective.instance);
+    h.update_pod(e.gemm.m);
+    h.update_pod(e.gemm.n);
+    h.update_pod(e.gemm.k);
+    h.update_pod(e.bytes_moved);
+  }
+  h.update_pod(static_cast<std::uint64_t>(g.edges().size()));
+  for (const Edge& e : g.edges()) {
+    h.update_pod(e.src);
+    h.update_pod(e.dst);
+    h.update_pod(static_cast<std::uint8_t>(e.type));
+  }
+  const TaskMetaTable& meta = g.meta();
+  for (std::size_t i = 0; i < meta.size(); ++i) {
+    const auto id = static_cast<TaskId>(i);
+    h.update_pod(static_cast<std::uint8_t>(meta.category(id)));
+    h.update_pod(static_cast<std::uint8_t>(meta.cuda_api(id)));
+    h.update_pod(meta.lane(id));
+    h.update_pod(meta.duration_ns(id));
+    h.update_pod(meta.ts_ns(id));
+    hash_string(h, meta.name_view(id));
+    const bool coll = meta.collective_op(id).valid();
+    h.update_pod(coll);
+    if (coll) {
+      hash_string(h, meta.op_view(meta.collective_op(id)));
+      hash_string(h, meta.group_view(meta.collective_group(id)));
+    }
+    h.update_pod(meta.collective_instance(id));
+    h.update_pod(meta.is_gpu(id));
+    h.update_pod(meta.is_collective_kernel(id));
+    h.update_pod(meta.is_coupled_collective(id));
+    h.update_pod(meta.is_p2p(id));
+    h.update_pod(meta.group_index(id));
+    h.update_pod(meta.sync_lane(id));
+    h.update_pod(meta.sync_before(id));
+  }
+  const LaneTable& lanes = meta.lanes();
+  for (std::size_t l = 0; l < lanes.size(); ++l) {
+    const Processor& p = lanes.processor(static_cast<LaneId>(l));
+    h.update_pod(p.rank);
+    h.update_pod(p.gpu);
+    h.update_pod(p.lane);
+    h.update_pod(lanes.rank_index(static_cast<LaneId>(l)));
+  }
+  for (const CollectiveGroupMeta& group : meta.collective_groups()) {
+    hash_string(h, meta.group_view(group.group));
+    h.update_pod(group.instance);
+    for (const TaskId m : group.members) h.update_pod(m);
+  }
+  return h.digest();
+}
+
+class GridPins : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    cluster::GroundTruthEngine engine(pin_model(), tiny_config(2, 2, 4));
+    run_ = new cluster::GroundTruthRun(engine.run_profiled(/*seed=*/123));
+  }
+  static void TearDownTestSuite() {
+    delete run_;
+    run_ = nullptr;
+  }
+  static cluster::GroundTruthRun* run_;
+};
+
+cluster::GroundTruthRun* GridPins::run_ = nullptr;
+
+// Golden values computed on the Task-emitting builder and parser that the
+// columnar ones replaced; any drift is a behaviour change, not a refactor.
+TEST_F(GridPins, GroundTruthGraphIsBitIdentical) {
+  EXPECT_EQ(graph_fingerprint(run_->job.graph), 18353139907829316502ULL);
+}
+
+TEST_F(GridPins, ParsedGraphIsBitIdentical) {
+  EXPECT_EQ(graph_fingerprint(TraceParser().parse(run_->trace)),
+            9897605588546984452ULL);
+}
+
+TEST_F(GridPins, AllSixteenRebuildsAreBitIdentical) {
+  const ExecutionGraph parsed = TraceParser().parse(run_->trace);
+  cost::KernelPerfModel km;
+  const GraphManipulator manip(parsed, pin_model(), tiny_config(2, 2, 4), km);
+  io::Fnv1a grid;
+  for (const std::int32_t pp : {2, 4, 8, 16}) {
+    for (const std::int32_t dp : {4, 8, 16, 32}) {
+      const workload::BuiltJob job = manip.with_parallelism(pp, dp);
+      const std::uint64_t h = graph_fingerprint(job.graph);
+      grid.update_pod(h);
+    }
+  }
+  EXPECT_EQ(grid.digest(), 12908117677440723024ULL);
+}
+
+
+TEST(SharedManipulator, ConcurrentRebuildsMatchTheSerialOne) {
+  // PP=1 -> PP=2 needs pipeline send/recv templates the profile never saw,
+  // so every rebuild bumps the fallback counter — from four threads at once
+  // against one const manipulator (the shape a Sweep worker pool shares).
+  cluster::GroundTruthEngine engine(tiny_model(), tiny_config(2, 1, 2));
+  const cluster::GroundTruthRun run = engine.run_profiled(5);
+  const ExecutionGraph parsed = TraceParser().parse(run.trace);
+  cost::KernelPerfModel km;
+  const GraphManipulator serial(parsed, tiny_model(), tiny_config(2, 1, 2), km);
+  const std::uint64_t expected =
+      graph_fingerprint(serial.with_pipeline_parallelism(2).graph);
+  const std::size_t serial_fallbacks = serial.templates().fallback_count();
+  ASSERT_GT(serial_fallbacks, 0u);
+
+  const GraphManipulator shared(parsed, tiny_model(), tiny_config(2, 1, 2), km);
+  constexpr int kThreads = 4;
+  std::vector<std::uint64_t> hashes(kThreads);
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&shared, &hashes, i] {
+      hashes[static_cast<std::size_t>(i)] =
+          graph_fingerprint(shared.with_pipeline_parallelism(2).graph);
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (const std::uint64_t h : hashes) EXPECT_EQ(h, expected);
+  EXPECT_EQ(shared.templates().fallback_count(), kThreads * serial_fallbacks);
 }
 
 }  // namespace

@@ -7,9 +7,11 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "api/api.h"
@@ -343,6 +345,117 @@ TEST_F(SnapshotCorruption, EmptyFileIsAParseError) {
             ErrorCode::kParseError);
   EXPECT_EQ(peek_snapshot_content_hash(path_).status().code(),
             ErrorCode::kParseError);
+}
+
+// Crafted images: a payload rewrite with the checksum recomputed passes the
+// integrity check, so the loader's semantic bounds checks must catch it.
+// Image layout: a 40-byte header (payload checksum at byte 24), a table of
+// 24-byte section entries {u32 id, u32 reserved, u64 offset, u64 length},
+// then sections of length-prefixed, 8-aligned columns.
+class CraftedSnapshot : public SnapshotCorruption {
+ protected:
+  template <class T>
+  T read_at(std::size_t pos) const {
+    T v;
+    std::memcpy(&v, bytes_.data() + pos, sizeof(T));
+    return v;
+  }
+  template <class T>
+  void write_at(std::string& bytes, std::size_t pos, T v) const {
+    std::memcpy(bytes.data() + pos, &v, sizeof(T));
+  }
+  static std::size_t align8(std::size_t n) { return (n + 7) & ~std::size_t{7}; }
+
+  /// {offset, length} of the graph section (id 4).
+  std::pair<std::size_t, std::size_t> graph_section() const {
+    const auto count = read_at<std::uint32_t>(12);
+    for (std::uint32_t i = 0; i < count; ++i) {
+      const std::size_t entry = 40 + i * 24;
+      if (read_at<std::uint32_t>(entry) == 4) {
+        return {read_at<std::uint64_t>(entry + 8),
+                read_at<std::uint64_t>(entry + 16)};
+      }
+    }
+    ADD_FAILURE() << "no graph section";
+    return {0, 0};
+  }
+
+  /// Position just past the length-prefixed array of `elem`-byte values
+  /// starting at `pos`.
+  std::size_t skip_array(std::size_t pos, std::size_t elem) const {
+    return pos + 8 + align8(read_at<std::uint64_t>(pos) * elem);
+  }
+
+  /// Recomputes the payload checksum the way the writer does, so only the
+  /// loader's semantic checks stand between the image and the consumers.
+  void reseal_and_write(std::string bytes) {
+    const std::size_t payload = 40 + read_at<std::uint32_t>(12) * 24;
+    write_at(bytes, 24,
+             io::fnv1a_words(bytes.data() + payload, bytes.size() - payload));
+    rewrite(bytes);
+  }
+
+  void expect_rejected(const std::string& what) {
+    const Status status = load_baseline_snapshot(path_).status();
+    EXPECT_EQ(status.code(), ErrorCode::kParseError) << status.to_string();
+    EXPECT_NE(status.message().find("graph section"), std::string::npos)
+        << status.to_string();
+    EXPECT_NE(status.message().find(what), std::string::npos)
+        << status.to_string();
+  }
+};
+
+TEST_F(CraftedSnapshot, UntouchedResealIsAccepted) {
+  reseal_and_write(bytes_);
+  EXPECT_TRUE(load_baseline_snapshot(path_).is_ok());
+}
+
+TEST_F(CraftedSnapshot, EdgeEndpointOutOfRangeIsRejected) {
+  // The graph section opens with the edge src column: [u64 n][i32 x n].
+  std::string bad = bytes_;
+  write_at<std::int32_t>(bad, graph_section().first + 8, 0x7FFFFFF0);
+  reseal_and_write(bad);
+  expect_rejected("edge endpoint out of range");
+}
+
+TEST_F(CraftedSnapshot, RendezvousMemberOutOfRangeIsRejected) {
+  // The member id column closes the graph section; its length is the
+  // baseline graph's total rendezvous membership.
+  Result<Session> session = Session::create(tiny_scenario());
+  ASSERT_TRUE(session.is_ok());
+  Result<BaselineArtifacts> base = session->share_baseline();
+  ASSERT_TRUE(base.is_ok());
+  std::size_t members = 0;
+  for (const core::CollectiveGroupMeta& g :
+       base->graph->meta().collective_groups()) {
+    members += g.members.size();
+  }
+  ASSERT_GT(members, 0u);
+  const auto [offset, length] = graph_section();
+  const std::size_t column = offset + length - align8(members * 4);
+  ASSERT_EQ(read_at<std::uint64_t>(column - 8), members);
+  std::string bad = bytes_;
+  write_at<std::int32_t>(bad, column, 0x7FFFFFF0);
+  reseal_and_write(bad);
+  expect_rejected("rendezvous member id out of range");
+}
+
+TEST_F(CraftedSnapshot, ShortEventColumnIsRejected) {
+  // Graph section: edge src/dst/type, task rank/gpu/lane, then the task
+  // event table — a u64 row count followed by its u8 category column.
+  std::size_t pos = graph_section().first;
+  for (const std::size_t elem : {4, 4, 1, 4, 1, 8}) pos = skip_array(pos, elem);
+  const std::size_t category = pos + 8;
+  const auto rows = read_at<std::uint64_t>(category);
+  ASSERT_EQ(rows, read_at<std::uint64_t>(pos));
+  // Change the length without moving the 8-aligned end, so the rest of
+  // the section still parses and only the length check can object.
+  const std::uint64_t forged = rows % 8 != 1 ? rows - 1 : rows + 1;
+  ASSERT_EQ(align8(forged), align8(rows));
+  std::string bad = bytes_;
+  write_at<std::uint64_t>(bad, category, forged);
+  reseal_and_write(bad);
+  expect_rejected("event column length mismatch");
 }
 
 // ---------------------------------------------------------------------------
