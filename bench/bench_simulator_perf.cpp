@@ -399,25 +399,21 @@ const std::string& fixture_file(std::int32_t microbatches) {
   return it->second;
 }
 
-// File-level ingest A/B: Arg 1 = mmap zero-copy path (madvise SEQUENTIAL),
-// Arg 0 = buffered ifstream fallback. Identical traces either way; the
-// delta is exactly the cost of the intermediate owning buffer.
+// File-level ingest: the mmap zero-copy path (madvise SEQUENTIAL) straight
+// into the SAX parser, no intermediate owning buffer.
 void BM_ParseFile(benchmark::State& state) {
-  const bool use_mmap = state.range(0) != 0;
   const std::string& path = fixture_file(8);
   const auto bytes = static_cast<std::int64_t>(std::filesystem::file_size(path));
   std::size_t events = 0;
   for (auto _ : state) {
-    trace::RankTrace back =
-        trace::rank_trace_from_json_file(path, {.use_mmap = use_mmap});
+    trace::RankTrace back = trace::rank_trace_from_json_file(path);
     events = back.events.size();
     benchmark::DoNotOptimize(back);
   }
   state.SetBytesProcessed(bytes * state.iterations());
   state.counters["events"] = static_cast<double>(events);
-  state.SetLabel(use_mmap ? "mmap" : "ifstream");
 }
-BENCHMARK(BM_ParseFile)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ParseFile)->Unit(benchmark::kMillisecond);
 
 /// The 16-rank cluster fixture for the parallel-ingest bench: the bench
 /// model on a 2x8x2 deployment. The builder materializes one data-parallel
@@ -465,7 +461,7 @@ void BM_ParseCluster(benchmark::State& state) {
   const ClusterFixture& f = cluster_fixture();
   for (auto _ : state) {
     trace::ClusterTrace cluster = trace::read_cluster_trace(
-        f.prefix, f.ranks, {.use_mmap = true, .ingest_workers = workers});
+        f.prefix, f.ranks, {.ingest_workers = workers});
     benchmark::DoNotOptimize(cluster);
   }
   state.SetBytesProcessed(f.bytes * state.iterations());
@@ -606,21 +602,19 @@ BENCHMARK(BM_SnapshotSave)->Unit(benchmark::kMillisecond);
 
 // Snapshot → ready-to-predict baseline. Everything heavy is a borrowed
 // column view into the mapping; the dominant cost is the payload-checksum
-// sweep and pool re-interning. Arg 1 = mmap, Arg 0 = buffered read.
+// sweep and pool re-interning.
 void BM_SnapshotLoad(benchmark::State& state) {
-  const bool use_mmap = state.range(0) != 0;
   const SnapshotFixture& f = snapshot_fixture();
   const auto bytes =
       static_cast<std::int64_t>(std::filesystem::file_size(f.snapshot_path));
   for (auto _ : state) {
-    snapshot::Bundle bundle = snapshot::load(f.snapshot_path, use_mmap);
+    snapshot::Bundle bundle = snapshot::load(f.snapshot_path);
     benchmark::DoNotOptimize(bundle);
   }
   state.SetBytesProcessed(bytes * state.iterations());
   state.counters["events"] = static_cast<double>(f.events);
-  state.SetLabel(use_mmap ? "mmap" : "ifstream");
 }
-BENCHMARK(BM_SnapshotLoad)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SnapshotLoad)->Unit(benchmark::kMillisecond);
 
 // The pipeline BM_SnapshotLoad replaces: per-rank JSON parse into the
 // EventTable, graph construction, cycle check, meta/lane classification —

@@ -36,15 +36,9 @@
 //       one NDJSON request against a running lumos_serve
 //
 // Global flags:
-//   --no-mmap   read trace files through the buffered fallback instead of
-//               the zero-copy mmap ingest path (A/B knob; identical traces)
 //   --ingest-workers=N
 //               parse cluster rank files across N threads (0 = one per
 //               hardware thread, the default; any N is bit-identical)
-//   --compiled-replay / --no-compiled-replay
-//               lower frozen graphs into a flat core::ReplayProgram and
-//               replay through its dispatch loop (the default) vs. pinning
-//               the interpreter (A/B knob; bit-identical results)
 //
 // Models: 15b | 44b | 117b | 175b | v1..v4 | tiny
 //
@@ -64,23 +58,14 @@ namespace {
 
 using namespace lumos;
 
-/// Trace-file ingest path, set by the global --no-mmap flag.
-bool g_use_mmap = true;
-
 /// Cluster-ingest worker count, set by the global --ingest-workers=N flag.
 /// 0 (the default) = one worker per hardware thread.
 std::size_t g_ingest_workers = 0;
 
-/// Compiled-replay fast path, toggled by --compiled-replay /
-/// --no-compiled-replay (on by default).
-bool g_compiled_replay = true;
-
 /// A from_trace scenario with the CLI's ingest flags applied.
 api::Scenario trace_scenario(const char* prefix, std::size_t num_ranks = 0) {
   return api::Scenario::from_trace(prefix, num_ranks)
-      .with_mmap_io(g_use_mmap)
-      .with_ingest_workers(g_ingest_workers)
-      .with_compiled_replay(g_compiled_replay);
+      .with_ingest_workers(g_ingest_workers);
 }
 
 /// Prints a non-OK status and converts it to a process exit code.
@@ -102,8 +87,7 @@ int cmd_collect(int argc, char** argv) {
   api::Scenario scenario = api::Scenario::synthetic()
                                .with_model(argv[2])
                                .with_parallelism(argv[3])
-                               .with_seed(seed)
-                               .with_compiled_replay(g_compiled_replay);
+                               .with_seed(seed);
   Result<api::Session> session = api::Session::create(scenario);
   if (!session.is_ok()) return fail(session.status());
   Result<std::size_t> files = session->write_traces(prefix);
@@ -247,8 +231,7 @@ int cmd_sweep(int argc, char** argv) {
       api::Sweep::create(api::Scenario::synthetic()
                              .with_model(argv[1])
                              .with_parallelism(argv[2])
-                             .with_seed(seed)
-                             .with_compiled_replay(g_compiled_replay),
+                             .with_seed(seed),
                          {.workers = workers});
   if (!sweep.is_ok()) return fail(sweep.status());
   if (Status status = sweep->add_parallelism_grid(labels); !status.is_ok()) {
@@ -362,8 +345,7 @@ int cmd_faults(int argc, char** argv) {
       api::Sweep::create(api::Scenario::synthetic()
                              .with_model(argv[1])
                              .with_parallelism(argv[2])
-                             .with_seed(seed)
-                             .with_compiled_replay(g_compiled_replay),
+                             .with_seed(seed),
                          {.workers = workers});
   if (!sweep.is_ok()) return fail(sweep.status());
   Result<api::FaultReport> report =
@@ -388,8 +370,7 @@ int cmd_snapshot(int argc, char** argv) {
       api::Session::create(api::Scenario::synthetic()
                                .with_model(argv[2])
                                .with_parallelism(argv[3])
-                               .with_seed(seed)
-                               .with_compiled_replay(g_compiled_replay));
+                               .with_seed(seed));
   if (!session.is_ok()) return fail(session.status());
   if (Status status = session->save_snapshot(path); !status.is_ok()) {
     return fail(status);
@@ -411,8 +392,6 @@ int cmd_serve(int argc, char** argv) {
   }
   serve::ServerOptions options;
   options.socket_path = argv[1];
-  options.engine.use_mmap = g_use_mmap;
-  options.engine.compiled_replay = g_compiled_replay;
   if (argc > 2) options.workers = std::strtoul(argv[2], nullptr, 10);
   if (argc > 3) {
     options.engine.cache_capacity_bytes =
@@ -523,13 +502,7 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     constexpr std::string_view kIngestWorkers = "--ingest-workers=";
-    if (arg == "--no-mmap") {
-      g_use_mmap = false;
-    } else if (arg == "--compiled-replay") {
-      g_compiled_replay = true;
-    } else if (arg == "--no-compiled-replay") {
-      g_compiled_replay = false;
-    } else if (arg.rfind(kIngestWorkers, 0) == 0) {
+    if (arg.rfind(kIngestWorkers, 0) == 0) {
       g_ingest_workers =
           std::strtoul(arg.c_str() + kIngestWorkers.size(), nullptr, 10);
     } else {
@@ -539,8 +512,7 @@ int main(int argc, char** argv) {
   argc = kept;
   if (argc < 2) {
     std::fprintf(stderr,
-                 "usage: lumos_cli [--no-mmap] [--ingest-workers=N] "
-                 "[--no-compiled-replay] "
+                 "usage: lumos_cli [--ingest-workers=N] "
                  "<collect|info|replay|diff|show|sweep|faults|snapshot|"
                  "serve|request> ...\n");
     return 2;

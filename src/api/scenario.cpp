@@ -145,18 +145,8 @@ Scenario& Scenario::with_actual_seed(std::uint64_t seed) {
   return *this;
 }
 
-Scenario& Scenario::with_mmap_io(bool use_mmap) {
-  io_options_.use_mmap = use_mmap;
-  return *this;
-}
-
 Scenario& Scenario::with_ingest_workers(std::size_t workers) {
   io_options_.ingest_workers = workers;
-  return *this;
-}
-
-Scenario& Scenario::with_compiled_replay(bool enabled) {
-  compiled_replay_ = enabled;
   return *this;
 }
 

@@ -79,24 +79,12 @@ class Scenario {
   Scenario& with_actual_seed(std::uint64_t seed);  ///< measured run
   Scenario& with_build_options(workload::BuildOptions options);
   Scenario& with_parser_options(core::ParserOptions options);
-  /// Trace-file ingest path selection: mmap zero-copy (the default) vs the
-  /// buffered read() fallback. The A/B knob behind lumos_cli --no-mmap;
-  /// both paths produce identical traces.
-  Scenario& with_mmap_io(bool use_mmap);
   /// Cluster-ingest parallelism: rank files are parsed across `workers`
   /// threads with a deterministic pool merge, so any value — 0 (one worker
   /// per hardware thread, the default), 1 (serial), N — produces a
   /// bit-identical trace. The knob behind lumos_cli --ingest-workers; see
   /// "Parallel ingest" in src/api/README.md.
   Scenario& with_ingest_workers(std::size_t workers);
-  /// Compiled replay (on by default): lower the frozen baseline graph into
-  /// a flat core::ReplayProgram once and replay through its dispatch loop
-  /// instead of the interpreter whenever the run is hook-free and the
-  /// graph compiles (see "Compiled replay" in src/api/README.md). The
-  /// result is bit-identical either way; the knob behind lumos_cli
-  /// --compiled-replay / --no-compiled-replay exists for A/B timing and
-  /// for pinning the interpreter in regression hunts.
-  Scenario& with_compiled_replay(bool enabled);
 
   // -- what-if manipulations (paper §3.4) -----------------------------------
   Scenario& with_data_parallelism(std::int32_t new_dp);
@@ -158,7 +146,6 @@ class Scenario {
     return parser_options_;
   }
   const trace::IoOptions& io_options() const { return io_options_; }
-  bool compiled_replay() const { return compiled_replay_; }
 
   bool has_manipulations() const;
   const std::optional<std::int32_t>& new_dp() const { return new_dp_; }
@@ -209,7 +196,6 @@ class Scenario {
   workload::BuildOptions build_options_;
   core::ParserOptions parser_options_;
   trace::IoOptions io_options_;
-  bool compiled_replay_ = true;
 
   std::optional<std::int32_t> new_dp_, new_pp_, new_tp_;
   std::optional<workload::ModelSpec> new_architecture_;

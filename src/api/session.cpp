@@ -67,6 +67,95 @@ Status status_from_ingest_error(const trace::IngestError& e) {
   return io_error(e.what());
 }
 
+/// How a what-if treats the baseline graph. `rebuilds`: a parallelism or
+/// architecture change re-derives it from templates. `preserves_structure`:
+/// no rebuild, fusion or dropped dependency, so the baseline's tasks and
+/// edges run as-is and both a fault plan lowered against the baseline and
+/// the baseline's compiled program stay valid for it.
+struct GraphEffect {
+  bool rebuilds = false;
+  bool preserves_structure = false;
+};
+
+GraphEffect graph_effect(const Scenario& whatif) {
+  GraphEffect effect;
+  effect.rebuilds = whatif.new_dp() || whatif.new_pp() ||
+                    whatif.new_architecture() || whatif.new_layers() ||
+                    whatif.new_hidden();
+  effect.preserves_structure = !effect.rebuilds && !whatif.fusion() &&
+                               whatif.dropped_dependencies().empty();
+  return effect;
+}
+
+/// The hooks `scenario` asks for: its shared instance as-is, a fresh
+/// product of the registry factory it names (so concurrent predictions
+/// never share one), or null when it asks for none.
+Result<std::shared_ptr<core::SimulatorHooks>> resolve_hooks(
+    const Scenario& scenario) {
+  if (scenario.hooks() != nullptr || scenario.hooks_name().empty()) {
+    return scenario.hooks();
+  }
+  Session::HooksFactory factory;
+  {
+    HooksRegistry& registry = hooks_registry();
+    ReaderLock lock(registry.mutex);
+    auto it = registry.factories.find(scenario.hooks_name());
+    if (it == registry.factories.end()) {
+      return invalid_argument_error("no simulator hooks registered as '" +
+                                    scenario.hooks_name() + "'");
+    }
+    factory = it->second;
+  }
+  std::shared_ptr<core::SimulatorHooks> product = factory();
+  if (product == nullptr) {
+    return internal_error("hooks factory '" + scenario.hooks_name() +
+                          "' returned nullptr");
+  }
+  return product;
+}
+
+/// The one compile site: `graph` lowered for coupled replay, or null when
+/// the compiler refuses it (cycle, unordered lane, non-positive duration)
+/// and the interpreter stays in charge.
+std::shared_ptr<const core::ReplayProgram> compile_program(
+    const core::ExecutionGraph& graph) {
+  return core::ReplayCompiler::compile(graph).program;
+}
+
+struct Replayed {
+  core::SimResult sim;
+  bool compiled = false;
+};
+
+/// The one engine choice behind every facade replay. The compiled
+/// `program` runs when it exists, no hook is in play and the fault plan
+/// (if any) only rewrites durations; callers pass a program only for the
+/// graph it was compiled from. Everything else — hooks, contention,
+/// dropout, a structure-changing what-if, a graph that did not compile —
+/// runs the coupled interpreter, the pinned reference. Both engines are
+/// bit-identical where both apply (test_replay_program).
+Replayed run_replay(const core::ExecutionGraph& graph,
+                    const core::ReplayProgram* program,
+                    core::SimulatorHooks* hooks,
+                    const faults::FaultPlan* plan) {
+  if (program != nullptr && program->coupled() && hooks == nullptr) {
+    if (plan == nullptr) return {program->run(), true};
+    if (plan->compiled_eligible()) {
+      return {program->run(plan->durations()), true};
+    }
+  }
+  core::SimOptions options;
+  options.couple_collectives = true;
+  options.hooks = hooks;
+  faults::ColumnHooks fault_hooks({}, 0.0);
+  if (plan != nullptr) {
+    fault_hooks = plan->make_hooks();
+    options.hooks = &fault_hooks;
+    options.dropped_tasks = plan->dropped();
+  }
+  return {core::Simulator(graph, options).run(), false};
+}
+
 }  // namespace
 
 Result<Session> Session::create(Scenario scenario) {
@@ -181,12 +270,9 @@ Result<const core::ExecutionGraph*> Session::graph() {
 void Session::ensure_program() {
   if (program_attempted_ || !graph_) return;
   program_attempted_ = true;
-  if (!scenario_.compiled_replay()) return;
-  core::ReplayCompiler::Result compiled =
-      core::ReplayCompiler::compile(*graph_);
-  // A fallback status is not an error: program_ stays null and every
-  // replay/prediction keeps using the interpreter.
-  if (compiled) program_ = std::move(compiled.program);
+  // A fallback is not an error: program_ stays null and every replay /
+  // prediction keeps using the interpreter.
+  program_ = compile_program(*graph_);
 }
 
 Result<BaselineArtifacts> Session::share_baseline() {
@@ -203,58 +289,21 @@ Result<BaselineArtifacts> Session::share_baseline() {
 }
 
 void attach_replay_program(BaselineArtifacts& base) {
-  if (base.program != nullptr || base.graph == nullptr ||
-      !base.scenario.compiled_replay()) {
-    return;
+  if (base.program == nullptr && base.graph != nullptr) {
+    base.program = compile_program(*base.graph);
   }
-  core::ReplayCompiler::Result compiled =
-      core::ReplayCompiler::compile(*base.graph);
-  if (compiled) base.program = std::move(compiled.program);
-}
-
-Result<core::SimulatorHooks*> Session::resolve_hooks(
-    const Scenario& scenario) {
-  if (scenario.hooks() != nullptr) return scenario.hooks().get();
-  if (scenario.hooks_name().empty()) {
-    return static_cast<core::SimulatorHooks*>(nullptr);
-  }
-  HooksFactory factory;
-  {
-    HooksRegistry& registry = hooks_registry();
-    ReaderLock lock(registry.mutex);
-    auto it = registry.factories.find(scenario.hooks_name());
-    if (it == registry.factories.end()) {
-      return invalid_argument_error("no simulator hooks registered as '" +
-                                    scenario.hooks_name() + "'");
-    }
-    factory = it->second;
-  }
-  owned_hooks_ = factory();
-  if (owned_hooks_ == nullptr) {
-    return internal_error("hooks factory '" + scenario.hooks_name() +
-                          "' returned nullptr");
-  }
-  return owned_hooks_.get();
 }
 
 Status Session::ensure_replay() {
   if (replay_) return Status::ok();
   if (Status status = ensure_graph(); !status.is_ok()) return status;
-  Result<core::SimulatorHooks*> hooks = resolve_hooks(scenario_);
+  Result<std::shared_ptr<core::SimulatorHooks>> hooks =
+      resolve_hooks(scenario_);
   if (!hooks.is_ok()) return hooks.status();
   ensure_program();
   ++stats_.simulations;
-  core::SimResult result;
-  if (*hooks == nullptr && program_ != nullptr) {
-    // Hook-free replay of the frozen baseline: the compiled program is
-    // bit-identical to the interpreter below (test_replay_program).
-    result = program_->run();
-  } else {
-    core::SimOptions options;
-    options.couple_collectives = true;
-    options.hooks = *hooks;
-    result = core::Simulator(*graph_, options).run();
-  }
+  core::SimResult result =
+      run_replay(*graph_, program_.get(), hooks->get(), nullptr).sim;
   if (!result.complete()) {
     return deadlock_error("replay stuck with " +
                           std::to_string(result.stuck_tasks.size()) +
@@ -364,11 +413,7 @@ Result<Prediction> Session::predict_internal(const Scenario& whatif) {
   // excluded: their plan depends on the rebuilt graph, which predict_on
   // lowers on the spot.
   const faults::FaultPlan* plan = nullptr;
-  const bool rebuilds = whatif.new_dp() || whatif.new_pp() ||
-                        whatif.new_architecture() || whatif.new_layers() ||
-                        whatif.new_hidden();
-  if (whatif.faults() != nullptr && !rebuilds && !whatif.fusion() &&
-      whatif.dropped_dependencies().empty()) {
+  if (whatif.faults() != nullptr && graph_effect(whatif).preserves_structure) {
     const std::uint64_t key = whatif.faults()->fingerprint();
     auto it = fault_plans_.find(key);
     if (it == fault_plans_.end()) {
@@ -417,33 +462,9 @@ Result<Prediction> predict_on(const BaselineArtifacts& base,
         "with_faults cannot be combined with custom simulator hooks; "
         "pick one duration-override mechanism per what-if");
   }
-  // Hooks: a shared instance is used as-is; a registry name instantiates a
-  // fresh product for this call, so concurrent predictions never share it.
-  std::unique_ptr<core::SimulatorHooks> owned_hooks;
-  core::SimulatorHooks* hooks = whatif.hooks().get();
-  if (hooks == nullptr && !whatif.hooks_name().empty()) {
-    Session::HooksFactory factory;
-    {
-      HooksRegistry& registry = hooks_registry();
-      ReaderLock lock(registry.mutex);
-      auto it = registry.factories.find(whatif.hooks_name());
-      if (it == registry.factories.end()) {
-        return invalid_argument_error("no simulator hooks registered as '" +
-                                      whatif.hooks_name() + "'");
-      }
-      factory = it->second;
-    }
-    owned_hooks = factory();
-    if (owned_hooks == nullptr) {
-      return internal_error("hooks factory '" + whatif.hooks_name() +
-                            "' returned nullptr");
-    }
-    hooks = owned_hooks.get();
-  }
-
-  const bool rebuilds = whatif.new_dp() || whatif.new_pp() ||
-                        whatif.new_architecture() || whatif.new_layers() ||
-                        whatif.new_hidden();
+  Result<std::shared_ptr<core::SimulatorHooks>> hooks = resolve_hooks(whatif);
+  if (!hooks.is_ok()) return hooks.status();
+  const GraphEffect effect = graph_effect(whatif);
 
   // Resolve the cost model up front: an unknown registry name is an error,
   // and so is naming one on a what-if that never re-costs kernels — silently
@@ -461,7 +482,7 @@ Result<Prediction> predict_on(const BaselineArtifacts& base,
       }
       factory = it->second;
     }
-    if (!rebuilds) {
+    if (!effect.rebuilds) {
       return invalid_argument_error(
           "cost model '" + whatif.cost_model_name() +
           "' has no effect: kernels are only re-costed when the what-if "
@@ -475,7 +496,7 @@ Result<Prediction> predict_on(const BaselineArtifacts& base,
   Prediction out;
   core::ExecutionGraph owned;
   const core::ExecutionGraph* to_run = base.graph.get();
-  if (rebuilds) {
+  if (effect.rebuilds) {
     if (!base.model || !base.config) {
       return failed_precondition_error(
           "graph manipulation needs the baseline model and parallelism; "
@@ -529,12 +550,10 @@ Result<Prediction> predict_on(const BaselineArtifacts& base,
   // Lower the fault spec against whatever graph is about to run. A caller
   // plan (Session's fingerprint cache) is valid only for the baseline graph,
   // so it is used exactly when the what-if preserved the structure.
-  const bool structure_preserved = !rebuilds && !whatif.fusion() &&
-                                   whatif.dropped_dependencies().empty();
   faults::FaultPlan owned_plan;
   const faults::FaultPlan* fault_plan = nullptr;
   if (whatif.faults() != nullptr) {
-    if (plan != nullptr && structure_preserved) {
+    if (plan != nullptr && effect.preserves_structure) {
       fault_plan = plan;
     } else {
       owned_plan = faults::FaultPlan::lower(*to_run, *whatif.faults());
@@ -545,33 +564,13 @@ Result<Prediction> predict_on(const BaselineArtifacts& base,
     }
   }
 
-  const bool compiled_usable = hooks == nullptr && structure_preserved &&
-                               base.program != nullptr &&
-                               base.program->coupled();
-  if (compiled_usable && fault_plan == nullptr) {
-    // The manipulation left the graph structure untouched and no per-pick
-    // hook is in play, so the baseline's compiled program evaluates this
-    // variant directly — the Sweep fast path (SweepReport counts these).
-    out.sim = base.program->run();
-    out.used_compiled_replay = true;
-  } else if (compiled_usable && fault_plan->compiled_eligible()) {
-    // Duration-only faults ride the same fast path through the caller
-    // duration column; dropout and contention need the interpreter (stuck-
-    // task scan / rendezvous concurrency signal) and fall through.
-    out.sim = base.program->run(fault_plan->durations());
-    out.used_compiled_replay = true;
-  } else {
-    core::SimOptions options;
-    options.couple_collectives = true;
-    options.hooks = hooks;
-    faults::ColumnHooks fault_hooks({}, 0.0);
-    if (fault_plan != nullptr) {
-      fault_hooks = fault_plan->make_hooks();
-      options.hooks = &fault_hooks;
-      options.dropped_tasks = fault_plan->dropped();
-    }
-    out.sim = core::Simulator(*to_run, options).run();
-  }
+  // The baseline's program describes the baseline graph only, so a what-if
+  // that changed the structure replays without it.
+  Replayed ran = run_replay(
+      *to_run, effect.preserves_structure ? base.program.get() : nullptr,
+      hooks->get(), fault_plan);
+  out.sim = std::move(ran.sim);
+  out.used_compiled_replay = ran.compiled;
   if (!out.sim.complete()) {
     return deadlock_error("prediction stuck with " +
                           std::to_string(out.sim.stuck_tasks.size()) +
@@ -752,6 +751,16 @@ Result<core::SimResult> replay_graph(const core::ExecutionGraph& graph,
     return cyclic_graph_error("graph has a dependency cycle through task " +
                               std::to_string(cycle_hint));
   }
+  // The simulator indexes the mask by task id; a mismatched caller mask
+  // would read out of bounds.
+  if (options.dropped_tasks != nullptr &&
+      options.dropped_tasks->size() != graph.size()) {
+    return invalid_argument_error(
+        "dropped_tasks mask has " +
+        std::to_string(options.dropped_tasks->size()) +
+        " entries but the graph has " + std::to_string(graph.size()) +
+        " tasks");
+  }
   return core::Simulator(graph, options).run();
 }
 
@@ -766,18 +775,9 @@ Result<core::SimResult> replay_faulted(const BaselineArtifacts& base,
   if (!plan.ok()) {
     return invalid_argument_error("fault spec: " + plan.error());
   }
-  if (plan.compiled_eligible() && base.program != nullptr &&
-      base.program->coupled()) {
-    return base.program->run(plan.durations());
-  }
-  core::SimOptions options;
-  options.couple_collectives = true;
-  faults::ColumnHooks hooks = plan.make_hooks();
-  options.hooks = &hooks;
-  options.dropped_tasks = plan.dropped();
   // Deadlock-as-data: a dropout spec deadlocks by design, and the stuck-
   // task set *is* the result.
-  return core::Simulator(*base.graph, options).run();
+  return run_replay(*base.graph, base.program.get(), nullptr, &plan).sim;
 }
 
 }  // namespace lumos::api

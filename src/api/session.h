@@ -70,9 +70,10 @@ struct Prediction {
   std::int64_t fusion_saved_ns = 0;
   /// True when this prediction was evaluated by the baseline's compiled
   /// ReplayProgram instead of the interpreter (hook-free, structure-
-  /// preserving what-ifs against a baseline that compiled). Either path is
-  /// bit-identical; the flag exists so callers (and SweepReport's
-  /// compiled_replays counter) can prove the fast path engaged.
+  /// preserving what-ifs against a baseline that compiled, with no fault
+  /// contention or dropout). Either path is bit-identical; the flag exists
+  /// so callers (and SweepReport's compiled_replays counter) can prove the
+  /// fast path engaged.
   bool used_compiled_replay = false;
 
   double makespan_ms() const {
@@ -92,20 +93,18 @@ struct BaselineArtifacts {
   std::optional<workload::ParallelConfig> config;
   std::shared_ptr<const trace::ClusterTrace> trace;
   std::shared_ptr<const core::ExecutionGraph> graph;
-  /// The graph lowered by core::ReplayCompiler, when the scenario's
-  /// compiled-replay knob is on and the graph compiles; null otherwise
-  /// (predict_on then uses the interpreter). Shares the artifacts'
-  /// lifetime, is self-contained (keeps nothing of the graph alive) and
-  /// immutable, so concurrent predictions replay it freely.
+  /// The graph lowered by core::ReplayCompiler, when the graph compiles;
+  /// null otherwise (predict_on then uses the interpreter). Shares the
+  /// artifacts' lifetime, is self-contained (keeps nothing of the graph
+  /// alive) and immutable, so concurrent predictions replay it freely.
   std::shared_ptr<const core::ReplayProgram> program;
 };
 
-/// Compiles `base.graph` into `base.program` (idempotent) when
-/// `base.scenario` has compiled replay enabled and the graph is supported;
-/// a fallback (cycle, unordered lane, non-positive duration) or a disabled
-/// knob leaves `program` null and the interpreter in charge. Sessions call
-/// this in share_baseline(); serve::Engine calls it after loading a
-/// snapshot, so resident baselines pay the compile once per cache entry.
+/// Compiles `base.graph` into `base.program` (idempotent) when the graph
+/// is supported; a fallback (cycle, unordered lane, non-positive duration)
+/// leaves `program` null and the interpreter in charge. serve::Engine calls
+/// it after loading a snapshot, so resident baselines pay the compile once
+/// per cache entry (Session::share_baseline compiles its own graph once).
 void attach_replay_program(BaselineArtifacts& base);
 
 /// What-if prediction over a shared immutable baseline: the core of
@@ -268,15 +267,12 @@ class Session {
   Result<Prediction> predict_internal(const Scenario& whatif);
   Status ensure_trace();
   Status ensure_graph();
-  /// Compiles graph_ into program_ once (no-op when the knob is off or a
-  /// prior attempt fell back).
+  /// Compiles graph_ into program_ once (no-op after a prior attempt, also
+  /// one that fell back).
   void ensure_program();
   Status ensure_replay();
   Status ensure_dpro();
   Status ensure_actual();
-  /// Resolves the hooks requested by `scenario` (owned factory product or
-  /// shared instance); nullptr when none requested.
-  Result<core::SimulatorHooks*> resolve_hooks(const Scenario& scenario);
 
   Scenario scenario_;
   // Resolved at create() when the scenario specifies them.
@@ -289,8 +285,8 @@ class Session {
   std::shared_ptr<const trace::ClusterTrace> trace_;
   std::int64_t profiled_iteration_ns_ = -1;  ///< synthetic sources only
   std::shared_ptr<const core::ExecutionGraph> graph_;
-  /// Compiled once per graph by ensure_program(); null when the knob is
-  /// off or the graph fell back to the interpreter.
+  /// Compiled once per graph by ensure_program(); null when the graph fell
+  /// back to the interpreter.
   std::shared_ptr<const core::ReplayProgram> program_;
   bool program_attempted_ = false;
   std::optional<core::SimResult> replay_;
@@ -298,7 +294,6 @@ class Session {
   std::optional<trace::ClusterTrace> replayed_trace_;
   std::optional<trace::ClusterTrace> dpro_trace_;
   std::optional<cluster::GroundTruthRun> actual_run_;
-  std::unique_ptr<core::SimulatorHooks> owned_hooks_;  ///< registry product
   /// Fault plans lowered against the baseline graph, keyed by
   /// FaultSpec::fingerprint() — repeated predictions with the same spec
   /// (severity-grid reruns) reuse the lowered column.
@@ -318,14 +313,12 @@ Status save_baseline_snapshot(const BaselineArtifacts& base,
 /// are zero-copy views of the file mapping; the returned artifacts pin the
 /// mapping alive (shared_ptr aliasing), so they may outlive any loader
 /// state and the file may even be unlinked while they live — see the
-/// lifetime rule in snapshot/snapshot.h. `use_mmap = false` selects the
-/// buffered-read fallback (identical result).
+/// lifetime rule in snapshot/snapshot.h.
 ///
 /// Errors: kIoError (missing/unreadable file), kParseError (bad magic,
 /// truncation, checksum or structure mismatch), kUnsupported (format
 /// version from a different build).
-Result<BaselineArtifacts> load_baseline_snapshot(const std::string& path,
-                                                 bool use_mmap = true);
+Result<BaselineArtifacts> load_baseline_snapshot(const std::string& path);
 
 /// Reads just the snapshot header and returns the content hash pinned at
 /// save time (trace::content_hash of the embedded trace) — the cheap
@@ -334,7 +327,9 @@ Result<BaselineArtifacts> load_baseline_snapshot(const std::string& path,
 Result<std::uint64_t> peek_snapshot_content_hash(const std::string& path);
 
 /// Replays a caller-built execution graph through the facade's error
-/// handling: kCyclicGraph when the fixed-dependency graph is not a DAG.
+/// handling: kCyclicGraph when the fixed-dependency graph is not a DAG,
+/// kInvalidArgument when `options.dropped_tasks` is not one entry per task.
+/// The interpreter runs with the caller's options as given.
 /// Deadlocks are *not* an error here — the returned SimResult carries
 /// stuck_tasks so ablation studies can inspect partial schedules; use
 /// Session::replay()/predict() for deadlock-as-error semantics.
@@ -346,8 +341,8 @@ Result<core::SimResult> replay_graph(const core::ExecutionGraph& graph,
 /// exact ascending stuck-task set for inspection (Session::predict /
 /// predict_on instead map an incomplete schedule to kDeadlock). Plans
 /// without dropout or contention ride the compiled program when `base` has
-/// one; kInvalidArgument when the spec fails validation or names a rank /
-/// group the graph does not have.
+/// one, exactly as in predict_on; kInvalidArgument when the spec fails
+/// validation or names a rank / group the graph does not have.
 Result<core::SimResult> replay_faulted(const BaselineArtifacts& base,
                                        const faults::FaultSpec& spec);
 

@@ -231,11 +231,10 @@ Status Session::save_snapshot(const std::string& path) {
   return save_baseline_snapshot(*base, path);
 }
 
-Result<BaselineArtifacts> load_baseline_snapshot(const std::string& path,
-                                                 bool use_mmap) {
+Result<BaselineArtifacts> load_baseline_snapshot(const std::string& path) {
   snapshot::Bundle bundle;
   try {
-    bundle = snapshot::load(path, use_mmap);
+    bundle = snapshot::load(path);
   } catch (const snapshot::Error& e) {
     return map_snapshot_error(e);
   } catch (const std::exception& e) {

@@ -3,21 +3,18 @@
 // The SAX JSON reader (json::sax_parse) consumes a std::string_view and
 // interns event strings straight out of the input buffer, so the only
 // remaining copy on the ingest path was the ifstream -> std::string slurp
-// that produced that buffer. MappedFile removes it: on POSIX the file is
-// mmap(2)'d read-only and advised MADV_SEQUENTIAL (the parser is one
-// front-to-back pass), so file bytes flow from the page cache into the
-// parser without ever being copied into an owning buffer. A read()-based
-// fallback (used on non-POSIX builds, for empty files, and on request via
-// `use_mmap = false`) buffers the bytes instead; view() is identical either
-// way, which is what makes the mmap-vs-read A/B in bench_simulator_perf and
-// the identity tests in tests/test_io.cpp possible.
+// that produced that buffer. MappedFile removes it: the file is mmap(2)'d
+// read-only and advised MADV_SEQUENTIAL (the parser is one front-to-back
+// pass), so file bytes flow from the page cache into the parser without
+// ever being copied into an owning buffer. An empty file (which mmap(2)
+// rejects) is an empty view.
 //
-// Ownership rules: the mapping (or fallback buffer) lives exactly as long
-// as the MappedFile object; every string_view derived from view() — parser
-// tokens, staged rows — dies with it. Callers that keep strings past the
-// file's lifetime must copy or intern them (the trace reader interns into
-// TracePools, so nothing outlives the mapping). MappedFile is movable and
-// not copyable; moving transfers the mapping.
+// Ownership rules: the mapping lives exactly as long as the MappedFile
+// object; every string_view derived from view() — parser tokens, staged
+// rows — dies with it. Callers that keep strings past the file's lifetime
+// must copy or intern them (the trace reader interns into TracePools, so
+// nothing outlives the mapping). MappedFile is movable and not copyable;
+// moving transfers the mapping.
 #pragma once
 
 #include <cstddef>
@@ -28,11 +25,10 @@ namespace lumos::io {
 
 class MappedFile {
  public:
-  /// Opens `path` for reading. With `use_mmap` (the default) the contents
-  /// are memory-mapped; otherwise (or where mmap is unavailable) they are
-  /// read into an internal buffer. Throws std::runtime_error with the
-  /// errno text when the file cannot be opened, stat'ed, mapped or read.
-  static MappedFile open(const std::string& path, bool use_mmap = true);
+  /// Opens `path` for reading and memory-maps its contents. Throws
+  /// std::runtime_error with the errno text when the file cannot be
+  /// opened, stat'ed or mapped.
+  static MappedFile open(const std::string& path);
 
   MappedFile() = default;
   ~MappedFile();
@@ -44,22 +40,15 @@ class MappedFile {
   /// The file contents. Valid until this MappedFile is destroyed or
   /// assigned over.
   std::string_view view() const {
-    return mapping_ != nullptr
-               ? std::string_view(static_cast<const char*>(mapping_), size_)
-               : std::string_view(fallback_);
+    return {static_cast<const char*>(mapping_), size_};
   }
-  std::size_t size() const { return view().size(); }
-
-  /// True when backed by an actual mmap (false = fallback buffer). Lets
-  /// tests and the ingest A/B bench assert which path they measured.
-  bool is_mapped() const { return mapping_ != nullptr; }
+  std::size_t size() const { return size_; }
 
  private:
   void reset() noexcept;
 
-  void* mapping_ = nullptr;  ///< non-null only for the mmap path
-  std::size_t size_ = 0;     ///< mapping length (mmap path only)
-  std::string fallback_;     ///< owning buffer for the read() path
+  void* mapping_ = nullptr;  ///< null for an empty file
+  std::size_t size_ = 0;     ///< mapping length
 };
 
 }  // namespace lumos::io

@@ -71,9 +71,8 @@ Engine::baseline_internal(const std::string& path,
   load_flights_[content_hash] = flight;
   lock.unlock();
 
-  Result<api::BaselineArtifacts> loaded =
-      api::load_baseline_snapshot(path, options_.use_mmap);
-  if (loaded.is_ok() && options_.compiled_replay) {
+  Result<api::BaselineArtifacts> loaded = api::load_baseline_snapshot(path);
+  if (loaded.is_ok()) {
     // Compile outside the engine lock, once per cache entry: every
     // prediction served from this resident baseline then replays the flat
     // program instead of re-deriving schedule order in the interpreter.

@@ -41,13 +41,6 @@ class Engine {
     /// most recently inserted entry is always kept, even when it alone
     /// exceeds the budget — a cache of one beats a cache of none.
     std::size_t cache_capacity_bytes = 256ull << 20;
-    /// Snapshot ingest path (mmap vs. buffered read), A/B knob.
-    bool use_mmap = true;
-    /// Lower each loaded baseline into a core::ReplayProgram (once per
-    /// cache entry, outside the engine lock) so hook-free predictions
-    /// replay the flat program instead of the interpreter. Bit-identical
-    /// either way; off pins the interpreter for A/B timing.
-    bool compiled_replay = true;
   };
 
   /// Monotonic counters; all mutated under one lock, so a reader sees a

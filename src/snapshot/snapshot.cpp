@@ -765,10 +765,10 @@ Header checked_header(std::string_view view, const std::string& path) {
 
 }  // namespace
 
-Bundle load(const std::string& path, bool use_mmap) {
+Bundle load(const std::string& path) {
   std::shared_ptr<io::MappedFile> file;
   try {
-    file = std::make_shared<io::MappedFile>(io::MappedFile::open(path, use_mmap));
+    file = std::make_shared<io::MappedFile>(io::MappedFile::open(path));
   } catch (const std::exception& e) {
     throw Error(ErrorKind::kIo, std::string("snapshot: ") + e.what());
   }

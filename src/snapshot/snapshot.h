@@ -88,10 +88,9 @@ struct Bundle {
 /// filesystem failure (the temp file is unlinked on the error paths).
 void write(const std::string& path, const Bundle& bundle);
 
-/// Maps `path` and reconstructs the bundle zero-copy (use_mmap = false
-/// falls back to one buffered read; identical result). Verifies magic,
+/// Maps `path` and reconstructs the bundle zero-copy. Verifies magic,
 /// version, structure and the payload checksum. Throws Error.
-Bundle load(const std::string& path, bool use_mmap = true);
+Bundle load(const std::string& path);
 
 /// Reads just the header and returns the pinned content hash — the cheap
 /// cache-key probe the serving layer uses before deciding to map the

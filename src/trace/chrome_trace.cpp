@@ -505,12 +505,11 @@ RankTrace rank_trace_from_json_string(std::string_view text) {
   return trace;
 }
 
-RankTrace rank_trace_from_json_file(const std::string& path,
-                                    const IoOptions& io) {
+RankTrace rank_trace_from_json_file(const std::string& path) {
   // The mapping stays alive for the whole parse; every view the scanner
   // hands out is interned (copied) into the trace pools before it returns,
   // so nothing references the mapping afterwards.
-  const io::MappedFile file = io::MappedFile::open(path, io.use_mmap);
+  const io::MappedFile file = io::MappedFile::open(path);
   RankTrace trace;
   parse_rank_trace_json(file.view(), trace);
   return trace;

@@ -15,14 +15,10 @@
 
 namespace lumos::trace {
 
-/// File-level ingest options. The default is the zero-copy fast path: the
-/// rank file is mmap(2)'d (io::MappedFile) and json::sax_parse scans the
-/// mapping directly, so file bytes reach the columnar EventTable without an
-/// intermediate owning buffer. `use_mmap = false` selects the buffered
-/// read() path instead — the A/B knob the CLI (--no-mmap) and the
-/// BM_ParseFile bench expose; both paths produce identical traces.
+/// File-level ingest options. Every rank file is mmap(2)'d (io::MappedFile)
+/// and json::sax_parse scans the mapping directly, so file bytes reach the
+/// columnar EventTable without an intermediate owning buffer.
 struct IoOptions {
-  bool use_mmap = true;
   /// Cluster-ingest worker count (read_cluster_trace): rank files are
   /// parsed concurrently, each worker into a private EventTable/TracePools,
   /// then deterministically merged into the shared cluster pools in
@@ -59,12 +55,10 @@ RankTrace rank_trace_from_json_string(std::string_view text);
 /// table is re-sorted by (ts, tid). Throws like rank_trace_from_json_string.
 void parse_rank_trace_json(std::string_view text, RankTrace& trace);
 
-/// Parses one on-disk rank file through the zero-copy mmap path (or the
-/// buffered fallback, per `io`). Throws the same json::ParseError /
-/// std::out_of_range diagnostics as the string path, and
-/// std::runtime_error for I/O failures.
-RankTrace rank_trace_from_json_file(const std::string& path,
-                                    const IoOptions& io = {});
+/// Parses one on-disk rank file through the zero-copy mmap path. Throws
+/// the same json::ParseError / std::out_of_range diagnostics as the string
+/// path, and std::runtime_error for I/O failures.
+RankTrace rank_trace_from_json_file(const std::string& path);
 
 /// Writes one file per rank: <prefix>_rank<k>.json, where <k> is the rank's
 /// *global* id (Megatron numbering, not necessarily contiguous). Returns

@@ -96,8 +96,8 @@ namespace {
 /// Parses one rank file into `trace` (whatever pools its EventTable is
 /// bound to). The mapping lives for the parse only; every token is
 /// interned into the pools before it returns.
-void parse_rank_file(const RankFile& file, bool use_mmap, RankTrace& trace) {
-  const io::MappedFile mapped = io::MappedFile::open(file.path, use_mmap);
+void parse_rank_file(const RankFile& file, RankTrace& trace) {
+  const io::MappedFile mapped = io::MappedFile::open(file.path);
   parse_rank_trace_json(mapped.view(), trace);
 }
 
@@ -133,7 +133,7 @@ ClusterTrace read_cluster_trace(const std::string& prefix,
     // Serial path (one file, one core, or an explicit ingest_workers=1):
     // every rank interns straight into the shared pools, no merge needed.
     for (const RankFile& file : files) {
-      parse_rank_file(file, io.use_mmap, trace.add_rank(0));
+      parse_rank_file(file, trace.add_rank(0));
     }
     return trace;
   }
@@ -143,7 +143,7 @@ ClusterTrace read_cluster_trace(const std::string& prefix,
   // private TracePools — through its own MappedFile.
   std::vector<RankTrace> parsed(files.size());
   io::parallel_for(files.size(), workers, [&](std::size_t i) {
-    parse_rank_file(files[i], io.use_mmap, parsed[i]);
+    parse_rank_file(files[i], parsed[i]);
   });
 
   // Deterministic merge, single-threaded, in sorted-rank file order —

@@ -450,6 +450,40 @@ TEST(ErrorCodes, CyclicGraph) {
   EXPECT_EQ(result.status().code(), ErrorCode::kCyclicGraph);
 }
 
+TEST(ErrorCodes, DroppedTasksMaskMustCoverEveryTask) {
+  // The simulator reads the mask at every task id, so a short mask would
+  // read past its end; the facade rejects it with both sizes.
+  core::ExecutionGraph graph;
+  trace::TraceEvent e;
+  e.name = "op";
+  e.cat = trace::EventCategory::CpuOp;
+  e.dur_ns = 10;
+  core::Task a;
+  a.event = e;
+  core::Task b;
+  b.event = e;
+  const core::TaskId ta = graph.add_task(a);
+  const core::TaskId tb = graph.add_task(b);
+  graph.add_edge(ta, tb, core::DepType::IntraThread);
+
+  const std::vector<std::uint8_t> short_mask = {0};
+  core::SimOptions options;
+  options.dropped_tasks = &short_mask;
+  Result<core::SimResult> result = replay_graph(graph, options);
+  EXPECT_EQ(result.status().code(), ErrorCode::kInvalidArgument);
+  EXPECT_NE(result.status().message().find("1 entries"), std::string::npos)
+      << result.status().to_string();
+  EXPECT_NE(result.status().message().find("2 tasks"), std::string::npos)
+      << result.status().to_string();
+
+  const std::vector<std::uint8_t> full_mask = {0, 1};
+  options.dropped_tasks = &full_mask;
+  Result<core::SimResult> dropped = replay_graph(graph, options);
+  ASSERT_TRUE(dropped.is_ok()) << dropped.status().to_string();
+  EXPECT_EQ(dropped->executed, 1u);
+  EXPECT_EQ(dropped->stuck_tasks, std::vector<core::TaskId>{tb});
+}
+
 TEST(ErrorCodes, Deadlock) {
   // Two kernels of one rendezvous group on one stream: the first parks
   // waiting for the second, which the FIFO edge keeps behind the first.

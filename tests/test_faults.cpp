@@ -35,12 +35,11 @@ using api::Session;
 using api::Sweep;
 using api::whatif;
 
-Scenario tiny_scenario(bool compiled_replay = true) {
+Scenario tiny_scenario() {
   return Scenario::synthetic()
       .with_model(testutil::tiny_model())
       .with_parallelism(testutil::tiny_config())
-      .with_seed(123)
-      .with_compiled_replay(compiled_replay);
+      .with_seed(123);
 }
 
 /// The one representative duration-only composition used across the suite:
@@ -249,18 +248,22 @@ TEST_F(FaultPlanFixture, CompiledAndInterpreterPathsAreBitIdentical) {
                                           "baseline makespan";
 }
 
-TEST(FaultFacade, CompiledKnobOffIsBitIdenticalAndReportsThePath) {
-  Result<Session> on = Session::create(tiny_scenario(true));
-  Result<Session> off = Session::create(tiny_scenario(false));
-  ASSERT_TRUE(on.is_ok() && off.is_ok());
-  Result<Prediction> fast = on->predict(whatif().with_faults(straggler_spec()));
-  Result<Prediction> reference =
-      off->predict(whatif().with_faults(straggler_spec()));
+TEST(FaultFacade, CompiledPathIsBitIdenticalAndReportsThePath) {
+  Result<Session> session = Session::create(tiny_scenario());
+  ASSERT_TRUE(session.is_ok());
+  Result<Prediction> fast =
+      session->predict(whatif().with_faults(straggler_spec()));
   ASSERT_TRUE(fast.is_ok()) << fast.status().to_string();
-  ASSERT_TRUE(reference.is_ok()) << reference.status().to_string();
   EXPECT_TRUE(fast->used_compiled_replay);
-  EXPECT_FALSE(reference->used_compiled_replay);
-  expect_same_sim(fast->sim, reference->sim);
+
+  const core::ExecutionGraph& graph = **session->graph();
+  const FaultPlan plan = FaultPlan::lower(graph, straggler_spec());
+  ASSERT_TRUE(plan.ok()) << plan.error();
+  core::SimOptions options;
+  options.couple_collectives = true;
+  ColumnHooks hooks = plan.make_hooks();
+  options.hooks = &hooks;
+  expect_same_sim(fast->sim, core::Simulator(graph, options).run());
 }
 
 TEST(FaultFacade, SeverityGridIsBitIdenticalAcrossWorkerCounts) {

@@ -135,7 +135,7 @@ std::string write_synthetic_fixture(const std::string& name) {
 }
 
 trace::IoOptions workers(std::size_t n) {
-  return {.use_mmap = true, .ingest_workers = n};
+  return {.ingest_workers = n};
 }
 
 // ---------------------------------------------------------------------------
@@ -308,13 +308,6 @@ TEST_F(ParallelIngest, NumericRankOrderWithoutPostSort) {
   for (std::size_t r = 0; r < serial.ranks.size(); ++r) {
     EXPECT_EQ(serial.ranks[r].rank, static_cast<std::int32_t>(r));
   }
-}
-
-TEST_F(ParallelIngest, MmapOffPathIdenticalToo) {
-  trace::ClusterTrace buffered = trace::read_cluster_trace(
-      *prefix_, kSyntheticRanks,
-      {.use_mmap = false, .ingest_workers = 4});
-  expect_bit_identical(buffered);
 }
 
 // ---------------------------------------------------------------------------

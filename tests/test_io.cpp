@@ -1,8 +1,8 @@
 // Tests for the zero-copy trace I/O fast path (PR 5): io::MappedFile mmap
-// ingest vs the buffered fallback, the streaming trace::JsonWriter vs the
-// DOM reference writer (byte-identity in every indent mode), the file-level
-// parse entry points, write_cluster_trace_files path reporting, and
-// concurrent emission (the thread-sanitizer job runs this binary).
+// ingest, the streaming trace::JsonWriter vs the DOM reference writer
+// (byte-identity in every indent mode), the file-level parse entry points,
+// write_cluster_trace_files path reporting, and concurrent emission (the
+// thread-sanitizer job runs this binary).
 #include <gtest/gtest.h>
 
 #include <charconv>
@@ -43,20 +43,16 @@ void write_file(const std::string& path, std::string_view bytes) {
 // io::MappedFile
 // ---------------------------------------------------------------------------
 
-TEST(MappedFile, MmapAndFallbackSeeIdenticalBytes) {
+TEST(MappedFile, MappingSeesTheFileBytes) {
   const std::string path = temp_path("mapped_file_roundtrip.bin");
   std::string payload = "hello";
-  payload.push_back('\0');  // embedded NUL must survive both paths
+  payload.push_back('\0');  // embedded NUL must survive the mapping
   payload += "world\n\x01\xff binary bytes";
   write_file(path, payload);
 
-  const io::MappedFile mapped = io::MappedFile::open(path, /*use_mmap=*/true);
-  const io::MappedFile buffered =
-      io::MappedFile::open(path, /*use_mmap=*/false);
-  EXPECT_TRUE(mapped.is_mapped());
-  EXPECT_FALSE(buffered.is_mapped());
+  const io::MappedFile mapped = io::MappedFile::open(path);
   EXPECT_EQ(mapped.view(), std::string_view(payload));
-  EXPECT_EQ(buffered.view(), std::string_view(payload));
+  EXPECT_EQ(mapped.size(), payload.size());
 }
 
 TEST(MappedFile, EmptyFileYieldsEmptyView) {
@@ -70,9 +66,6 @@ TEST(MappedFile, EmptyFileYieldsEmptyView) {
 TEST(MappedFile, MissingFileThrows) {
   EXPECT_THROW(io::MappedFile::open(temp_path("does_not_exist.bin")),
                std::runtime_error);
-  EXPECT_THROW(
-      io::MappedFile::open(temp_path("does_not_exist.bin"), false),
-      std::runtime_error);
 }
 
 TEST(MappedFile, MoveTransfersTheMapping) {
@@ -260,7 +253,7 @@ TEST(JsonWriterGolden, ToCharsGeneral17MatchesPrintfG17) {
 }
 
 // ---------------------------------------------------------------------------
-// File-level ingest: mmap vs buffered identity
+// File-level ingest: mapped files parse to the original bytes
 // ---------------------------------------------------------------------------
 
 ClusterTrace small_cluster() {
@@ -288,22 +281,15 @@ ClusterTrace small_cluster() {
   return t;
 }
 
-TEST(FileIngest, MmapAndBufferedParsesAreIdentical) {
+TEST(FileIngest, ClusterFilesRoundTripToTheOriginalBytes) {
   const std::string prefix = temp_path("io_identity");
   const ClusterTrace original = small_cluster();
   ASSERT_EQ(trace::write_cluster_trace(original, prefix), 3u);
 
-  const ClusterTrace via_mmap =
-      trace::read_cluster_trace(prefix, 3, {.use_mmap = true});
-  const ClusterTrace via_read =
-      trace::read_cluster_trace(prefix, 3, {.use_mmap = false});
+  const ClusterTrace via_mmap = trace::read_cluster_trace(prefix, 3);
   ASSERT_EQ(via_mmap.ranks.size(), 3u);
-  ASSERT_EQ(via_read.ranks.size(), 3u);
   for (std::size_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(via_mmap.ranks[i].rank, via_read.ranks[i].rank);
-    EXPECT_EQ(trace::to_json_string(via_mmap.ranks[i]),
-              trace::to_json_string(via_read.ranks[i]));
-    // And both round-trip to the original bytes.
+    EXPECT_EQ(via_mmap.ranks[i].rank, original.ranks[i].rank);
     EXPECT_EQ(trace::to_json_string(via_mmap.ranks[i]),
               trace::to_json_string(original.ranks[i]));
   }
@@ -316,13 +302,8 @@ TEST(FileIngest, RankFileParsesSameAsString) {
   write_file(path, json);
 
   const RankTrace from_string = trace::rank_trace_from_json_string(json);
-  const RankTrace from_mmap =
-      trace::rank_trace_from_json_file(path, {.use_mmap = true});
-  const RankTrace from_read =
-      trace::rank_trace_from_json_file(path, {.use_mmap = false});
+  const RankTrace from_mmap = trace::rank_trace_from_json_file(path);
   EXPECT_EQ(trace::to_json_string(from_mmap),
-            trace::to_json_string(from_string));
-  EXPECT_EQ(trace::to_json_string(from_read),
             trace::to_json_string(from_string));
 }
 

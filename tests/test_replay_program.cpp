@@ -27,9 +27,12 @@
 #include "core/replay_program.h"
 #include "core/simulator.h"
 #include "core/trace_parser.h"
+#include "faults/fault_plan.h"
+#include "faults/fault_spec.h"
 #include "serve/engine.h"
 #include "serve/protocol.h"
 #include "test_util.h"
+#include "trace/chrome_trace.h"
 
 namespace lumos::core {
 namespace {
@@ -591,17 +594,19 @@ TEST(ReplayProgram, ConcurrentReplayOfSharedProgram) {
 }  // namespace lumos::core
 
 // ---------------------------------------------------------------------------
-// Facade wiring: Scenario::with_compiled_replay, Prediction's
-// used_compiled_replay provenance flag, SweepReport::compiled_replays, and
-// serve::Engine::Options::compiled_replay. The contract is the same as at
-// the core layer — bit-identical results with the knob on or off — plus
-// correct provenance: hook-free structure-preserving predictions report the
-// compiled path, anything that rebuilds/fuses/hooks reports the interpreter.
+// Facade wiring: Prediction's used_compiled_replay provenance flag,
+// SweepReport::compiled_replays, and serve::Engine's once-per-entry compile.
+// The contract is the same as at the core layer — every facade replay is
+// bit-identical to the coupled interpreter run on the same graph — plus
+// correct provenance: hook-free structure-preserving predictions against a
+// baseline that compiled report the compiled path; anything that rebuilds/
+// fuses/hooks, or a baseline that did not compile, reports the interpreter.
 // ---------------------------------------------------------------------------
 
 namespace lumos {
 namespace {
 
+using api::BaselineArtifacts;
 using api::Prediction;
 using api::Scenario;
 using api::Session;
@@ -616,37 +621,37 @@ void expect_same_sim(const core::SimResult& a, const core::SimResult& b) {
   EXPECT_EQ(a.stuck_tasks, b.stuck_tasks);
 }
 
-Scenario tiny_scenario(bool compiled_replay) {
+Scenario tiny_scenario() {
   return Scenario::synthetic()
       .with_model(testutil::tiny_model())
       .with_parallelism(testutil::tiny_config())
-      .with_seed(123)
-      .with_compiled_replay(compiled_replay);
+      .with_seed(123);
 }
 
-TEST(FacadeCompiledReplay, SessionReplayBitIdenticalWithKnobOff) {
-  Result<Session> on = Session::create(tiny_scenario(true));
-  Result<Session> off = Session::create(tiny_scenario(false));
-  ASSERT_TRUE(on.is_ok()) << on.status().to_string();
-  ASSERT_TRUE(off.is_ok()) << off.status().to_string();
-  Result<const core::SimResult*> fast = on->replay();
-  Result<const core::SimResult*> reference = off->replay();
+/// The coupled interpreter run every facade replay must reproduce.
+core::SimResult interpreted(const core::ExecutionGraph& graph) {
+  core::SimOptions options;
+  options.couple_collectives = true;
+  return core::Simulator(graph, options).run();
+}
+
+TEST(FacadeCompiledReplay, SessionReplayBitIdenticalToInterpreter) {
+  Result<Session> session = Session::create(tiny_scenario());
+  ASSERT_TRUE(session.is_ok()) << session.status().to_string();
+  Result<const core::SimResult*> fast = session->replay();
   ASSERT_TRUE(fast.is_ok()) << fast.status().to_string();
-  ASSERT_TRUE(reference.is_ok()) << reference.status().to_string();
-  expect_same_sim(**fast, **reference);
+  Result<const core::ExecutionGraph*> graph = session->graph();
+  ASSERT_TRUE(graph.is_ok());
+  expect_same_sim(**fast, interpreted(**graph));
 }
 
 TEST(FacadeCompiledReplay, NoOpPredictReportsCompiledPath) {
-  Result<Session> on = Session::create(tiny_scenario(true));
-  Result<Session> off = Session::create(tiny_scenario(false));
-  ASSERT_TRUE(on.is_ok() && off.is_ok());
-  Result<Prediction> fast = on->predict();
-  Result<Prediction> reference = off->predict();
+  Result<Session> session = Session::create(tiny_scenario());
+  ASSERT_TRUE(session.is_ok());
+  Result<Prediction> fast = session->predict();
   ASSERT_TRUE(fast.is_ok()) << fast.status().to_string();
-  ASSERT_TRUE(reference.is_ok()) << reference.status().to_string();
   EXPECT_TRUE(fast->used_compiled_replay);
-  EXPECT_FALSE(reference->used_compiled_replay);
-  expect_same_sim(fast->sim, reference->sim);
+  expect_same_sim(fast->sim, interpreted(**session->graph()));
 }
 
 TEST(FacadeCompiledReplay, HooksForceInterpreterFallback) {
@@ -661,7 +666,7 @@ TEST(FacadeCompiledReplay, HooksForceInterpreterFallback) {
   ASSERT_TRUE(Session::register_hooks("replay_identity_hooks", [] {
                 return std::make_unique<IdentityHooks>();
               }).is_ok());
-  Result<Session> session = Session::create(tiny_scenario(true));
+  Result<Session> session = Session::create(tiny_scenario());
   ASSERT_TRUE(session.is_ok());
   Result<Prediction> compiled = session->predict();
   Result<Prediction> hooked =
@@ -674,7 +679,7 @@ TEST(FacadeCompiledReplay, HooksForceInterpreterFallback) {
 }
 
 TEST(FacadeCompiledReplay, StructureChangingWhatIfsFallBack) {
-  Result<Session> session = Session::create(tiny_scenario(true));
+  Result<Session> session = Session::create(tiny_scenario());
   ASSERT_TRUE(session.is_ok());
   Result<Prediction> fused = session->predict(whatif().with_fusion());
   ASSERT_TRUE(fused.is_ok()) << fused.status().to_string();
@@ -686,7 +691,7 @@ TEST(FacadeCompiledReplay, StructureChangingWhatIfsFallBack) {
 }
 
 TEST(FacadeCompiledReplay, SweepCountsCompiledReplays) {
-  Result<Sweep> sweep = Sweep::create(tiny_scenario(true));
+  Result<Sweep> sweep = Sweep::create(tiny_scenario());
   ASSERT_TRUE(sweep.is_ok()) << sweep.status().to_string();
   sweep->add("noop_a", whatif());
   sweep->add("noop_b", whatif());
@@ -707,27 +712,9 @@ TEST(FacadeCompiledReplay, SweepCountsCompiledReplays) {
   }
 }
 
-TEST(FacadeCompiledReplay, SweepWithKnobOffNeverCompiles) {
-  Result<Sweep> off = Sweep::create(tiny_scenario(false));
-  ASSERT_TRUE(off.is_ok());
-  off->add("noop", whatif());
-  Result<api::SweepReport> report = off->run(1);
-  ASSERT_TRUE(report.is_ok());
-  EXPECT_EQ(report->compiled_replays, 0u);
-
-  Result<Sweep> on = Sweep::create(tiny_scenario(true));
-  ASSERT_TRUE(on.is_ok());
-  on->add("noop", whatif());
-  Result<api::SweepReport> fast = on->run(1);
-  ASSERT_TRUE(fast.is_ok());
-  ASSERT_TRUE(fast->rows[0].ok() && report->rows[0].ok());
-  expect_same_sim(fast->rows[0].prediction->sim,
-                  report->rows[0].prediction->sim);
-}
-
 TEST(FacadeCompiledReplay, ServeEngineCompilesOncePerBaseline) {
   const std::string path = ::testing::TempDir() + "replay_compiled.snap";
-  Result<Session> session = Session::create(tiny_scenario(true));
+  Result<Session> session = Session::create(tiny_scenario());
   ASSERT_TRUE(session.is_ok());
   ASSERT_TRUE(session->save_snapshot(path).is_ok());
 
@@ -735,23 +722,100 @@ TEST(FacadeCompiledReplay, ServeEngineCompilesOncePerBaseline) {
   request.method = serve::Method::kPredict;
   request.baseline = path;
 
-  serve::Engine fast_engine;  // compiled_replay defaults to true
-  Result<serve::Engine::Outcome> first = fast_engine.predict(request);
-  Result<serve::Engine::Outcome> second = fast_engine.predict(request);
+  serve::Engine engine;
+  Result<serve::Engine::Outcome> first = engine.predict(request);
+  Result<serve::Engine::Outcome> second = engine.predict(request);
   ASSERT_TRUE(first.is_ok()) << first.status().to_string();
   ASSERT_TRUE(second.is_ok());
   EXPECT_TRUE(first->prediction.used_compiled_replay);
   EXPECT_TRUE(second->prediction.used_compiled_replay);
   EXPECT_TRUE(second->baseline_was_cached);
 
-  serve::Engine::Options options;
-  options.compiled_replay = false;
-  serve::Engine reference_engine(options);
-  Result<serve::Engine::Outcome> interpreted =
-      reference_engine.predict(request);
-  ASSERT_TRUE(interpreted.is_ok());
-  EXPECT_FALSE(interpreted->prediction.used_compiled_replay);
-  expect_same_sim(first->prediction.sim, interpreted->prediction.sim);
+  Result<BaselineArtifacts> loaded = api::load_baseline_snapshot(path);
+  ASSERT_TRUE(loaded.is_ok()) << loaded.status().to_string();
+  expect_same_sim(first->prediction.sim, interpreted(*loaded->graph));
+}
+
+/// A one-rank trace whose middle kernel lasts zero ns. ReplayCompiler
+/// refuses the graph (kNonPositiveDuration), so a hook-free, structure-
+/// preserving what-if over it still has to run on the interpreter.
+std::string write_uncompilable_trace() {
+  trace::RankTrace rank;
+  rank.rank = 0;
+  trace::TraceEvent op;
+  op.name = "aten::linear";
+  op.cat = trace::EventCategory::CpuOp;
+  op.ts_ns = 0;
+  op.dur_ns = 50;
+  op.tid = 1;
+  rank.events.push_back(op);
+  const std::int64_t durations[] = {40, 0, 25};
+  for (std::size_t i = 0; i < 3; ++i) {
+    trace::TraceEvent k;
+    k.name = "gemm_" + std::to_string(i);
+    k.cat = trace::EventCategory::Kernel;
+    k.ts_ns = 100 + 100 * static_cast<std::int64_t>(i);
+    k.dur_ns = durations[i];
+    k.tid = 7;
+    k.stream = 7;
+    rank.events.push_back(k);
+  }
+  trace::ClusterTrace cluster;
+  cluster.ranks.push_back(rank);
+  const std::string prefix = ::testing::TempDir() + "replay_uncompilable";
+  EXPECT_EQ(trace::write_cluster_trace(cluster, prefix), 1u);
+  return prefix;
+}
+
+TEST(FacadeCompiledReplay, BaselineThatDoesNotCompileRunsTheInterpreter) {
+  Result<Session> session =
+      Session::create(Scenario::from_trace(write_uncompilable_trace(), 1));
+  ASSERT_TRUE(session.is_ok()) << session.status().to_string();
+  Result<BaselineArtifacts> base = session->share_baseline();
+  ASSERT_TRUE(base.is_ok()) << base.status().to_string();
+  ASSERT_EQ(core::ReplayCompiler::compile(*base->graph).status,
+            core::ReplayCompileStatus::kNonPositiveDuration);
+  api::attach_replay_program(*base);
+  EXPECT_EQ(base->program, nullptr);
+
+  const core::SimResult reference = interpreted(*base->graph);
+  ASSERT_TRUE(reference.complete());
+  Result<Prediction> predicted = session->predict();
+  ASSERT_TRUE(predicted.is_ok()) << predicted.status().to_string();
+  EXPECT_FALSE(predicted->used_compiled_replay);
+  expect_same_sim(predicted->sim, reference);
+
+  Result<Sweep> sweep = Sweep::over(*session);
+  ASSERT_TRUE(sweep.is_ok()) << sweep.status().to_string();
+  sweep->add("noop", whatif());
+  Result<api::SweepReport> report = sweep->run();
+  ASSERT_TRUE(report.is_ok()) << report.status().to_string();
+  ASSERT_TRUE(report->rows[0].ok());
+  EXPECT_EQ(report->compiled_replays, 0u);
+  expect_same_sim(report->rows[0].prediction->sim, reference);
+
+  // A duration-only plan would ride a compiled program; without one it
+  // runs on the interpreter through the plan's column hooks.
+  const faults::FaultSpec spec = faults::FaultSpec().slow_rank(0, 3.0);
+  const faults::FaultPlan plan = faults::FaultPlan::lower(*base->graph, spec);
+  ASSERT_TRUE(plan.ok()) << plan.error();
+  ASSERT_TRUE(plan.compiled_eligible());
+  core::SimOptions options;
+  options.couple_collectives = true;
+  faults::ColumnHooks hooks = plan.make_hooks();
+  options.hooks = &hooks;
+  const core::SimResult faulted_reference =
+      core::Simulator(*base->graph, options).run();
+  EXPECT_GT(faulted_reference.makespan_ns, reference.makespan_ns);
+  Result<core::SimResult> faulted = api::replay_faulted(*base, spec);
+  ASSERT_TRUE(faulted.is_ok()) << faulted.status().to_string();
+  expect_same_sim(*faulted, faulted_reference);
+  Result<Prediction> faulted_prediction =
+      session->predict(whatif().with_faults(spec));
+  ASSERT_TRUE(faulted_prediction.is_ok())
+      << faulted_prediction.status().to_string();
+  EXPECT_FALSE(faulted_prediction->used_compiled_replay);
+  expect_same_sim(faulted_prediction->sim, faulted_reference);
 }
 
 }  // namespace

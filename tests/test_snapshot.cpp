@@ -179,19 +179,6 @@ TEST(Snapshot, BaselineOutlivesTheFileAndTheLoader) {
   EXPECT_GT(sim->makespan_ns, 0);
 }
 
-TEST(Snapshot, BufferedReadFallbackLoadsIdentically) {
-  const std::string path = temp_path("lumos_snap_nommap.bin");
-  Result<Session> session = Session::create(tiny_scenario());
-  ASSERT_TRUE(session.is_ok());
-  ASSERT_TRUE(session->save_snapshot(path).is_ok());
-  Result<BaselineArtifacts> mapped = load_baseline_snapshot(path, true);
-  Result<BaselineArtifacts> buffered = load_baseline_snapshot(path, false);
-  ASSERT_TRUE(mapped.is_ok());
-  ASSERT_TRUE(buffered.is_ok());
-  EXPECT_EQ(trace::content_hash(*mapped->trace),
-            trace::content_hash(*buffered->trace));
-}
-
 // ---------------------------------------------------------------------------
 // Content hash
 // ---------------------------------------------------------------------------
