@@ -11,7 +11,8 @@
 // producers (BM_GraphBuild, BM_TraceParse, BM_Rebuild), the I/O fast-path
 // benches (BM_Write*, BM_ParseFile, BM_MergeIntervals*, BM_Parse, the
 // snapshot A/B: BM_Snapshot*, BM_IngestBaseline, plus the replay A/B:
-// BM_Replay*, BM_ReplayCompiled, BM_CompileProgram), so CI runs leave a
+// BM_Replay*, BM_ReplayCompiled, BM_CompileProgram, and on rebuilt graphs
+// BM_ReplayRebuilt vs BM_CompileReplayRebuilt), so CI runs leave a
 // machine-readable record future PRs can diff against.
 #include <benchmark/benchmark.h>
 
@@ -21,6 +22,7 @@
 #include <fstream>
 #include <map>
 #include <random>
+#include <utility>
 
 #include "analysis/interval_merge.h"
 #include "cluster/ground_truth.h"
@@ -154,6 +156,70 @@ void BM_Rebuild(benchmark::State& state) {
 }
 BENCHMARK(BM_Rebuild)->Args({4, 8})->Args({16, 32})
     ->Unit(benchmark::kMillisecond);
+
+/// The rebuilt 15B graph for target (PP, DP), rebuilt once per target from
+/// rebuild_baseline() exactly as a Sweep grid row rebuilds it.
+const core::ExecutionGraph& rebuilt_graph(std::int32_t pp, std::int32_t dp) {
+  static std::map<std::pair<std::int32_t, std::int32_t>, core::ExecutionGraph>
+      cache;
+  auto it = cache.find({pp, dp});
+  if (it == cache.end()) {
+    const workload::ModelSpec model = workload::ModelSpec::gpt3_15b();
+    const cost::KernelPerfModel kernel_model;
+    const core::GraphManipulator manipulator(rebuild_baseline(), model,
+                                             config_15b(2, 4), kernel_model);
+    it = cache.emplace(std::make_pair(pp, dp),
+                       manipulator.with_spec(model, config_15b(pp, dp)).graph)
+             .first;
+  }
+  return it->second;
+}
+
+// Replaying a rebuilt what-if on the coupled interpreter. Paired with
+// BM_CompileReplayRebuilt on the same graphs: a rebuilt row takes the
+// compiled engine only because compile plus one compiled run beats this.
+// Args = target (PP, DP): 2x2x4 (~36k tasks), 2x4x8 (~73k), 2x16x32 (~311k).
+void BM_ReplayRebuilt(benchmark::State& state) {
+  const core::ExecutionGraph& graph =
+      rebuilt_graph(static_cast<std::int32_t>(state.range(0)),
+                    static_cast<std::int32_t>(state.range(1)));
+  core::SimOptions options;
+  options.couple_collectives = true;
+  for (auto _ : state) {
+    core::SimResult r = core::Simulator(graph, options).run();
+    benchmark::DoNotOptimize(r);
+  }
+  state.counters["tasks"] = static_cast<double>(graph.size());
+  state.counters["tasks_per_s"] =
+      benchmark::Counter(static_cast<double>(graph.size()),
+                         benchmark::Counter::kIsIterationInvariantRate);
+}
+BENCHMARK(BM_ReplayRebuilt)->Args({2, 4})->Args({4, 8})->Args({16, 32})
+    ->Unit(benchmark::kMillisecond);
+
+// What a rebuilt what-if pays on the compiled engine: one
+// ReplayCompiler::compile of the graph it runs, then one compiled run.
+void BM_CompileReplayRebuilt(benchmark::State& state) {
+  const core::ExecutionGraph& graph =
+      rebuilt_graph(static_cast<std::int32_t>(state.range(0)),
+                    static_cast<std::int32_t>(state.range(1)));
+  for (auto _ : state) {
+    core::ReplayCompiler::Result compiled =
+        core::ReplayCompiler::compile(graph);
+    if (!compiled) {
+      state.SkipWithError(core::to_string(compiled.status));
+      return;
+    }
+    core::SimResult r = compiled.program->run();
+    benchmark::DoNotOptimize(r);
+  }
+  state.counters["tasks"] = static_cast<double>(graph.size());
+  state.counters["tasks_per_s"] =
+      benchmark::Counter(static_cast<double>(graph.size()),
+                         benchmark::Counter::kIsIterationInvariantRate);
+}
+BENCHMARK(BM_CompileReplayRebuilt)->Args({2, 4})->Args({4, 8})
+    ->Args({16, 32})->Unit(benchmark::kMillisecond);
 
 void BM_Replay(benchmark::State& state) {
   const auto& run = cached_run(static_cast<std::int32_t>(state.range(0)));
@@ -664,6 +730,7 @@ class TrajectoryReporter : public benchmark::ConsoleReporter {
           name.rfind("BM_Snapshot", 0) != 0 &&
           name.rfind("BM_IngestBaseline", 0) != 0 &&
           name.rfind("BM_Replay", 0) != 0 &&  // interpreter + compiled
+          name.rfind("BM_CompileReplayRebuilt", 0) != 0 &&
           name.rfind("BM_FaultedReplay", 0) != 0 &&
           name.rfind("BM_CompileProgram", 0) != 0) {
         continue;

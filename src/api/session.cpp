@@ -122,27 +122,53 @@ std::shared_ptr<const core::ReplayProgram> compile_program(
   return core::ReplayCompiler::compile(graph).program;
 }
 
+/// Whether the compiled engine may stand in for the interpreter: no hook is
+/// in play and the fault plan (if any) only rewrites durations. Contention
+/// and dropout need the interpreter's rendezvous and stuck-task logic.
+bool compiled_engine_applies(const core::SimulatorHooks* hooks,
+                             const faults::FaultPlan* plan) {
+  return hooks == nullptr && (plan == nullptr || plan->compiled_eligible());
+}
+
+/// Caller-held artifacts must carry a graph, and a program (if any) of the
+/// same task count: ReplayProgram::run only asserts its column size, and a
+/// fault plan's column is lowered against the graph.
+Status check_baseline(const BaselineArtifacts& base) {
+  if (base.graph == nullptr) {
+    return failed_precondition_error(
+        "baseline artifacts carry no execution graph; obtain them from "
+        "Session::share_baseline()");
+  }
+  if (base.program != nullptr &&
+      base.program->task_count() != base.graph->size()) {
+    return failed_precondition_error(
+        "baseline program was compiled from a graph of " +
+        std::to_string(base.program->task_count()) +
+        " tasks, but the baseline graph has " +
+        std::to_string(base.graph->size()) + " tasks");
+  }
+  return Status::ok();
+}
+
 struct Replayed {
   core::SimResult sim;
   bool compiled = false;
 };
 
 /// The one engine choice behind every facade replay. The compiled
-/// `program` runs when it exists, no hook is in play and the fault plan
-/// (if any) only rewrites durations; callers pass a program only for the
-/// graph it was compiled from. Everything else — hooks, contention,
-/// dropout, a structure-changing what-if, a graph that did not compile —
-/// runs the coupled interpreter, the pinned reference. Both engines are
+/// `program` runs when it exists and compiled_engine_applies; callers pass
+/// a program only for the graph it was compiled from. Everything else —
+/// hooks, contention, dropout, a graph that did not compile — runs the
+/// coupled interpreter, the pinned reference. Both engines are
 /// bit-identical where both apply (test_replay_program).
 Replayed run_replay(const core::ExecutionGraph& graph,
                     const core::ReplayProgram* program,
                     core::SimulatorHooks* hooks,
                     const faults::FaultPlan* plan) {
-  if (program != nullptr && program->coupled() && hooks == nullptr) {
-    if (plan == nullptr) return {program->run(), true};
-    if (plan->compiled_eligible()) {
-      return {program->run(plan->durations()), true};
-    }
+  if (program != nullptr && program->coupled() &&
+      compiled_engine_applies(hooks, plan)) {
+    return {plan == nullptr ? program->run() : program->run(plan->durations()),
+            true};
   }
   core::SimOptions options;
   options.couple_collectives = true;
@@ -442,11 +468,7 @@ Result<Prediction> predict_on(const BaselineArtifacts& base,
 Result<Prediction> predict_on(const BaselineArtifacts& base,
                               const Scenario& whatif,
                               const faults::FaultPlan* plan) {
-  if (base.graph == nullptr) {
-    return failed_precondition_error(
-        "baseline artifacts carry no execution graph; obtain them from "
-        "Session::share_baseline()");
-  }
+  if (Status status = check_baseline(base); !status.is_ok()) return status;
   if (whatif.new_tp()) {
     return unsupported_error(
         "tensor-parallelism manipulation is not supported (paper §3.4); "
@@ -564,11 +586,16 @@ Result<Prediction> predict_on(const BaselineArtifacts& base,
     }
   }
 
-  // The baseline's program describes the baseline graph only, so a what-if
-  // that changed the structure replays without it.
-  Replayed ran = run_replay(
-      *to_run, effect.preserves_structure ? base.program.get() : nullptr,
-      hooks->get(), fault_plan);
+  // The baseline's program describes the baseline graph only. A what-if
+  // that changed the structure compiles the graph it runs instead, for this
+  // prediction only, when the compiled engine would run it.
+  std::shared_ptr<const core::ReplayProgram> program = base.program;
+  if (!effect.preserves_structure) {
+    program = compiled_engine_applies(hooks->get(), fault_plan)
+                  ? compile_program(*to_run)
+                  : nullptr;
+  }
+  Replayed ran = run_replay(*to_run, program.get(), hooks->get(), fault_plan);
   out.sim = std::move(ran.sim);
   out.used_compiled_replay = ran.compiled;
   if (!out.sim.complete()) {
@@ -766,11 +793,7 @@ Result<core::SimResult> replay_graph(const core::ExecutionGraph& graph,
 
 Result<core::SimResult> replay_faulted(const BaselineArtifacts& base,
                                        const faults::FaultSpec& spec) {
-  if (base.graph == nullptr) {
-    return failed_precondition_error(
-        "baseline artifacts carry no execution graph; obtain them from "
-        "Session::share_baseline()");
-  }
+  if (Status status = check_baseline(base); !status.is_ok()) return status;
   const faults::FaultPlan plan = faults::FaultPlan::lower(*base.graph, spec);
   if (!plan.ok()) {
     return invalid_argument_error("fault spec: " + plan.error());

@@ -68,12 +68,13 @@ struct Prediction {
   /// Fusion statistics, non-zero only when the what-if requested fusion.
   std::size_t kernels_eliminated = 0;
   std::int64_t fusion_saved_ns = 0;
-  /// True when this prediction was evaluated by the baseline's compiled
-  /// ReplayProgram instead of the interpreter (hook-free, structure-
-  /// preserving what-ifs against a baseline that compiled, with no fault
-  /// contention or dropout). Either path is bit-identical; the flag exists
-  /// so callers (and SweepReport's compiled_replays counter) can prove the
-  /// fast path engaged.
+  /// True when this prediction ran on a compiled ReplayProgram instead of
+  /// the interpreter: the baseline's program for a structure-preserving
+  /// what-if, or one compiled for this prediction from the graph a rebuild,
+  /// fusion or dropped dependency produced. Hooks, fault contention or
+  /// dropout, and a graph the compiler refuses run the interpreter. Either
+  /// path is bit-identical; the flag exists so callers (and SweepReport's
+  /// compiled_replays counter) can prove the fast path engaged.
   bool used_compiled_replay = false;
 
   double makespan_ms() const {
@@ -94,7 +95,9 @@ struct BaselineArtifacts {
   std::shared_ptr<const trace::ClusterTrace> trace;
   std::shared_ptr<const core::ExecutionGraph> graph;
   /// The graph lowered by core::ReplayCompiler, when the graph compiles;
-  /// null otherwise (predict_on then uses the interpreter). Shares the
+  /// null otherwise (structure-preserving predictions then use the
+  /// interpreter). Must come from `graph`: predict_on and replay_faulted
+  /// return kFailedPrecondition when its task count differs. Shares the
   /// artifacts' lifetime, is self-contained (keeps nothing of the graph
   /// alive) and immutable, so concurrent predictions replay it freely.
   std::shared_ptr<const core::ReplayProgram> program;

@@ -71,10 +71,9 @@ struct SweepRow {
 struct SweepReport {
   std::vector<SweepRow> rows;
   std::vector<std::size_t> ranking;  ///< indices into rows, best first
-  /// Rows whose prediction was evaluated by the baseline's compiled
-  /// ReplayProgram (Prediction::used_compiled_replay) instead of the
-  /// interpreter — proof that structure-preserving variants reuse the
-  /// one-time compile rather than re-deriving schedule order per variant.
+  /// Rows that ran compiled (Prediction::used_compiled_replay) instead of
+  /// on the interpreter: structure-preserving variants on the baseline's
+  /// one-time compile, rebuilt / fused variants on their own graph's.
   std::size_t compiled_replays = 0;
 
   std::size_t succeeded() const { return ranking.size(); }

@@ -247,11 +247,13 @@ ReplayCompiler::Result ReplayCompiler::compile(const ExecutionGraph& graph,
   const std::size_t group_count = coupled ? groups.size() : 0;
   const std::size_t node_count = n + group_count;
   std::vector<std::int32_t> group_node(n, -1);
+  std::size_t member_count = 0;
   if (coupled) {
     for (std::size_t gi = 0; gi < groups.size(); ++gi) {
       if (groups[gi].members.empty()) {
         return fallback(ReplayCompileStatus::kCyclic);
       }
+      member_count += groups[gi].members.size();
       for (const TaskId m : groups[gi].members) {
         // Defensive: a member the simulator would not park (not flagged
         // coupled) leaves the rendezvous forever incomplete — the
@@ -271,50 +273,48 @@ ReplayCompiler::Result ReplayCompiler::compile(const ExecutionGraph& graph,
   };
 
   // Ordering edges: fixed edges and sync edges re-sourced through group
-  // nodes, plus member -> group arrival edges.
-  std::vector<std::pair<std::int32_t, std::int32_t>> order_edges;
-  order_edges.reserve(graph.edges().size() + n / 4 + group_count * 2);
-  for (const Edge& e : graph.edges()) {
-    order_edges.emplace_back(source_node(e.src),
-                             static_cast<std::int32_t>(e.dst));
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto t = static_cast<TaskId>(i);
-    for_each_sync_blocker(meta, t, [&](TaskId blocker) {
-      order_edges.emplace_back(source_node(blocker),
-                               static_cast<std::int32_t>(t));
-    });
-    if (group_node[i] >= 0) {
-      order_edges.emplace_back(static_cast<std::int32_t>(t), group_node[i]);
+  // nodes, plus member -> group arrival edges. Two passes over the same
+  // sources build the CSR: the first counts out-edges (and in-degrees), the
+  // second fills each node's list in source order.
+  const auto for_each_order_edge = [&](auto&& visit) {
+    for (const Edge& e : graph.edges()) {
+      visit(source_node(e.src), static_cast<std::int32_t>(e.dst));
     }
-  }
-
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto t = static_cast<TaskId>(i);
+      for_each_sync_blocker(meta, t, [&](TaskId blocker) {
+        visit(source_node(blocker), static_cast<std::int32_t>(t));
+      });
+      if (group_node[i] >= 0) {
+        visit(static_cast<std::int32_t>(t), group_node[i]);
+      }
+    }
+  };
   OrderingGraph order;
-  {
-    std::vector<std::int32_t> counts(node_count + 1, 0);
-    for (const auto& [src, dst] : order_edges) {
-      (void)dst;
-      ++counts[static_cast<std::size_t>(src) + 1];
-    }
-    for (std::size_t i = 1; i <= node_count; ++i) counts[i] += counts[i - 1];
-    order.offsets = counts;  // counts now holds the final offsets
-    order.heads.resize(order_edges.size());
-    std::vector<std::int32_t> cursor(order.offsets.begin(),
-                                     order.offsets.end() - 1);
-    for (const auto& [src, dst] : order_edges) {
-      order.heads[static_cast<std::size_t>(
-          cursor[static_cast<std::size_t>(src)]++)] = dst;
-    }
+  order.offsets.assign(node_count + 1, 0);
+  std::vector<std::int32_t> in_degree(node_count, 0);
+  for_each_order_edge([&](std::int32_t src, std::int32_t dst) {
+    ++order.offsets[static_cast<std::size_t>(src) + 1];
+    ++in_degree[static_cast<std::size_t>(dst)];
+  });
+  for (std::size_t i = 1; i <= node_count; ++i) {
+    order.offsets[i] += order.offsets[i - 1];
   }
+  order.heads.resize(static_cast<std::size_t>(order.offsets[node_count]));
+  // Fill with offsets[src] as the write cursor, which leaves offsets[i] at
+  // the start of node i + 1; shifting by one slot restores the starts.
+  for_each_order_edge([&](std::int32_t src, std::int32_t dst) {
+    order.heads[static_cast<std::size_t>(
+        order.offsets[static_cast<std::size_t>(src)]++)] = dst;
+  });
+  for (std::size_t i = node_count; i > 0; --i) {
+    order.offsets[i] = order.offsets[i - 1];
+  }
+  order.offsets[0] = 0;
 
   // Kahn topological sort, min-node-id heap for a canonical instruction
   // stream (any topo order evaluates the recurrence identically; the
   // canonical one makes compiles deterministic byte-for-byte).
-  std::vector<std::int32_t> in_degree(node_count, 0);
-  for (const auto& [src, dst] : order_edges) {
-    (void)src;
-    ++in_degree[static_cast<std::size_t>(dst)];
-  }
   std::vector<std::int32_t> topo;
   topo.reserve(node_count);
   std::priority_queue<std::int32_t, std::vector<std::int32_t>,
@@ -342,42 +342,31 @@ ReplayCompiler::Result ReplayCompiler::compile(const ExecutionGraph& graph,
     pos[static_cast<std::size_t>(topo[i])] = static_cast<std::int32_t>(i);
   }
 
-  // Lane-order proof: per lane, candidate order = topo position; every
-  // consecutive pair must be connected by a dependency path, which makes
-  // the order duration-invariant (and therefore the interpreter's order).
-  {
-    std::vector<std::vector<TaskId>> lane_tasks(program->lane_count_);
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto t = static_cast<TaskId>(i);
-      lane_tasks[static_cast<std::size_t>(meta.lane(t))].push_back(t);
-    }
-    ReachChecker checker(order, pos, node_count);
-    for (std::vector<TaskId>& tasks : lane_tasks) {
-      std::sort(tasks.begin(), tasks.end(), [&pos](TaskId a, TaskId b) {
-        return pos[static_cast<std::size_t>(a)] <
-               pos[static_cast<std::size_t>(b)];
-      });
-      for (std::size_t i = 1; i < tasks.size(); ++i) {
-        if (!checker.proven(static_cast<std::int32_t>(tasks[i - 1]),
-                            static_cast<std::int32_t>(tasks[i]),
-                            options.lane_check_budget)) {
-          return fallback(ReplayCompileStatus::kUnorderedLane);
-        }
-      }
-    }
-  }
-
-  // Emission: one instruction per node in topo order. Operands are the
-  // *original* effective predecessor ids (fixed + sync): a predecessor
-  // that is a collective member has its end written by its rendezvous
+  // Emission: one instruction per node in topo order, with the lane-order
+  // proof folded in. Per lane, candidate order = topo position, so each
+  // task must be reachable from its lane's previous occupant in topo order;
+  // a dependency path for every such pair makes the order duration-
+  // invariant (and therefore the interpreter's order). Operands are the
+  // *original* effective predecessor ids (fixed + sync): a predecessor that
+  // is a collective member has its end written by its rendezvous
   // instruction, which the re-sourced ordering edge places earlier.
+  ReachChecker checker(order, pos, node_count);
+  std::vector<TaskId> lane_last(program->lane_count_, kInvalidTask);
   program->instrs_.reserve(node_count);
   program->operands_.reserve(graph.edges().size() + n / 4);
+  program->members_.reserve(member_count);
   program->collective_count_ = group_count;
   for (const std::int32_t node : topo) {
     ReplayProgram::Instr ins;
     if (node < static_cast<std::int32_t>(n)) {
       const auto t = static_cast<TaskId>(node);
+      TaskId& prev = lane_last[static_cast<std::size_t>(meta.lane(t))];
+      if (prev != kInvalidTask &&
+          !checker.proven(static_cast<std::int32_t>(prev), node,
+                          options.lane_check_budget)) {
+        return fallback(ReplayCompileStatus::kUnorderedLane);
+      }
+      prev = t;
       ins.op = group_node[static_cast<std::size_t>(t)] >= 0
                    ? ReplayProgram::Op::kArrive
                    : ReplayProgram::Op::kRun;
@@ -397,16 +386,16 @@ ReplayCompiler::Result ReplayCompiler::compile(const ExecutionGraph& graph,
       ins.op = ReplayProgram::Op::kRendezvous;
       ins.id = static_cast<std::int32_t>(gi);
       ins.first = static_cast<std::uint32_t>(program->members_.size());
-      std::vector<TaskId> members = groups[gi].members;
-      std::sort(members.begin(), members.end(), [&meta](TaskId a, TaskId b) {
-        const std::int64_t ta = meta.ts_ns(a);
-        const std::int64_t tb = meta.ts_ns(b);
-        return ta != tb ? ta < tb : a < b;
-      });
-      for (const TaskId m : members) {
-        program->members_.push_back(
-            {m, meta.lane(m), meta.is_p2p(m)});
+      for (const TaskId m : groups[gi].members) {
+        program->members_.push_back({m, meta.lane(m), meta.is_p2p(m)});
       }
+      std::sort(program->members_.begin() + ins.first, program->members_.end(),
+                [&meta](const ReplayProgram::Member& a,
+                        const ReplayProgram::Member& b) {
+                  const std::int64_t ta = meta.ts_ns(a.task);
+                  const std::int64_t tb = meta.ts_ns(b.task);
+                  return ta != tb ? ta < tb : a.task < b.task;
+                });
       ins.count =
           static_cast<std::uint32_t>(program->members_.size()) - ins.first;
     }

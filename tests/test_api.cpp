@@ -484,6 +484,42 @@ TEST(ErrorCodes, DroppedTasksMaskMustCoverEveryTask) {
   EXPECT_EQ(dropped->stuck_tasks, std::vector<core::TaskId>{tb});
 }
 
+TEST(ErrorCodes, BaselineProgramMustMatchItsGraph) {
+  // BaselineArtifacts is a plain struct: a caller can pair a graph with a
+  // program compiled from another one. Replaying it would write a schedule
+  // sized for the foreign program, so both entry points reject it and name
+  // both sizes.
+  Result<Session> small = Session::create(tiny_scenario());
+  Result<Session> large =
+      Session::create(tiny_scenario().with_parallelism("1x2x2"));
+  ASSERT_TRUE(small.is_ok());
+  ASSERT_TRUE(large.is_ok());
+  Result<BaselineArtifacts> base = large->share_baseline();
+  Result<BaselineArtifacts> foreign = small->share_baseline();
+  ASSERT_TRUE(base.is_ok()) << base.status().to_string();
+  ASSERT_TRUE(foreign.is_ok()) << foreign.status().to_string();
+  ASSERT_NE(base->program, nullptr);
+  ASSERT_NE(foreign->program, nullptr);
+  const std::string graph_tasks = std::to_string(base->graph->size());
+  const std::string program_tasks =
+      std::to_string(foreign->program->task_count());
+  ASSERT_NE(graph_tasks, program_tasks);
+  base->program = foreign->program;
+
+  const auto expect_both_sizes = [&](const Status& status) {
+    EXPECT_EQ(status.code(), ErrorCode::kFailedPrecondition);
+    EXPECT_NE(status.message().find(graph_tasks + " tasks"),
+              std::string::npos)
+        << status.to_string();
+    EXPECT_NE(status.message().find(program_tasks + " tasks"),
+              std::string::npos)
+        << status.to_string();
+  };
+  expect_both_sizes(predict_on(*base, whatif()).status());
+  expect_both_sizes(
+      replay_faulted(*base, faults::FaultSpec().slow_rank(0, 2.0)).status());
+}
+
 TEST(ErrorCodes, Deadlock) {
   // Two kernels of one rendezvous group on one stream: the first parks
   // waiting for the second, which the FIFO edge keeps behind the first.

@@ -24,6 +24,7 @@
 #include "cluster/ground_truth.h"
 #include "core/execution_graph.h"
 #include "core/fusion.h"
+#include "core/graph_manipulator.h"
 #include "core/replay_program.h"
 #include "core/simulator.h"
 #include "core/trace_parser.h"
@@ -598,9 +599,11 @@ TEST(ReplayProgram, ConcurrentReplayOfSharedProgram) {
 // SweepReport::compiled_replays, and serve::Engine's once-per-entry compile.
 // The contract is the same as at the core layer — every facade replay is
 // bit-identical to the coupled interpreter run on the same graph — plus
-// correct provenance: hook-free structure-preserving predictions against a
-// baseline that compiled report the compiled path; anything that rebuilds/
-// fuses/hooks, or a baseline that did not compile, reports the interpreter.
+// correct provenance: a hook-free prediction whose graph compiles reports
+// the compiled path, whether it reuses the baseline's program or compiles
+// the graph a rebuild / fusion / dropped dependency produced; hooks, fault
+// contention or dropout, and a graph that does not compile report the
+// interpreter.
 // ---------------------------------------------------------------------------
 
 namespace lumos {
@@ -678,16 +681,90 @@ TEST(FacadeCompiledReplay, HooksForceInterpreterFallback) {
   expect_same_sim(compiled->sim, hooked->sim);
 }
 
-TEST(FacadeCompiledReplay, StructureChangingWhatIfsFallBack) {
+/// The graph a what-if with data-parallel degree `dp` runs: `base.graph`
+/// rebuilt by the manipulator with the inputs predict_on gives it.
+core::ExecutionGraph rebuilt_with_dp(const BaselineArtifacts& base,
+                                     std::int32_t dp) {
+  const cost::KernelPerfModel kernel_model(base.scenario.hardware());
+  const core::GraphManipulator manipulator(*base.graph, *base.model,
+                                           *base.config, kernel_model,
+                                           base.scenario.build_options());
+  workload::ParallelConfig target = *base.config;
+  target.dp = dp;
+  return manipulator.with_spec(*base.model, target).graph;
+}
+
+TEST(FacadeCompiledReplay, StructureChangingWhatIfsCompileTheGraphTheyRun) {
   Result<Session> session = Session::create(tiny_scenario());
   ASSERT_TRUE(session.is_ok());
+  Result<BaselineArtifacts> base = session->share_baseline();
+  ASSERT_TRUE(base.is_ok()) << base.status().to_string();
+  const core::ExecutionGraph& graph = *base->graph;
+
+  // Fused and rebuilt what-ifs compile the graph they run and replay it
+  // compiled, bit-identical to the interpreter on that graph.
   Result<Prediction> fused = session->predict(whatif().with_fusion());
   ASSERT_TRUE(fused.is_ok()) << fused.status().to_string();
-  EXPECT_FALSE(fused->used_compiled_replay);
+  EXPECT_TRUE(fused->used_compiled_replay);
+  expect_same_sim(fused->sim,
+                  interpreted(core::fuse_elementwise(graph, {}).graph));
   Result<Prediction> rebuilt =
       session->predict(whatif().with_data_parallelism(2));
   ASSERT_TRUE(rebuilt.is_ok()) << rebuilt.status().to_string();
-  EXPECT_FALSE(rebuilt->used_compiled_replay);
+  EXPECT_TRUE(rebuilt->used_compiled_replay);
+  expect_same_sim(rebuilt->sim, interpreted(rebuilt_with_dp(*base, 2)));
+
+  // Without intra-stream edges the compiler cannot order a stream's
+  // kernels, so that what-if falls back to the interpreter.
+  const core::ExecutionGraph unordered =
+      graph.without_edges(core::DepType::IntraStream);
+  ASSERT_EQ(core::ReplayCompiler::compile(unordered).status,
+            core::ReplayCompileStatus::kUnorderedLane);
+  Result<Prediction> dropped = session->predict(
+      whatif().without_dependencies(core::DepType::IntraStream));
+  ASSERT_TRUE(dropped.is_ok()) << dropped.status().to_string();
+  EXPECT_FALSE(dropped->used_compiled_replay);
+  expect_same_sim(dropped->sim, interpreted(unordered));
+}
+
+TEST(FacadeCompiledReplay, RebuiltWhatIfWithDurationOnlyFaultsRunsCompiled) {
+  Result<Session> session = Session::create(tiny_scenario());
+  ASSERT_TRUE(session.is_ok());
+  Result<BaselineArtifacts> base = session->share_baseline();
+  ASSERT_TRUE(base.is_ok()) << base.status().to_string();
+  const std::int32_t dp = 2 * base->config->dp;
+  const core::ExecutionGraph rebuilt = rebuilt_with_dp(*base, dp);
+  // The interpreter with the plan's column hooks, the plan lowered against
+  // the rebuilt graph as predict_on lowers it.
+  const auto faulted_reference = [&rebuilt](const faults::FaultSpec& spec) {
+    const faults::FaultPlan plan = faults::FaultPlan::lower(rebuilt, spec);
+    EXPECT_TRUE(plan.ok()) << plan.error();
+    core::SimOptions options;
+    options.couple_collectives = true;
+    faults::ColumnHooks hooks = plan.make_hooks();
+    options.hooks = &hooks;
+    return core::Simulator(rebuilt, options).run();
+  };
+
+  const faults::FaultSpec slow = faults::FaultSpec().slow_rank(0, 1.5);
+  const core::SimResult slow_reference = faulted_reference(slow);
+  EXPECT_GT(slow_reference.makespan_ns, interpreted(rebuilt).makespan_ns);
+  Result<Prediction> compiled = session->predict(
+      whatif().with_data_parallelism(dp).with_faults(slow));
+  ASSERT_TRUE(compiled.is_ok()) << compiled.status().to_string();
+  EXPECT_TRUE(compiled->used_compiled_replay);
+  expect_same_sim(compiled->sim, slow_reference);
+
+  // Contention reads the interpreter's rendezvous concurrency signal, so a
+  // rebuilt what-if that carries it stays on the interpreter.
+  const faults::FaultSpec contended =
+      faults::FaultSpec().slow_rank(0, 1.5).with_contention(0.1);
+  Result<Prediction> interpreted_faults = session->predict(
+      whatif().with_data_parallelism(dp).with_faults(contended));
+  ASSERT_TRUE(interpreted_faults.is_ok())
+      << interpreted_faults.status().to_string();
+  EXPECT_FALSE(interpreted_faults->used_compiled_replay);
+  expect_same_sim(interpreted_faults->sim, faulted_reference(contended));
 }
 
 TEST(FacadeCompiledReplay, SweepCountsCompiledReplays) {
@@ -701,9 +778,9 @@ TEST(FacadeCompiledReplay, SweepCountsCompiledReplays) {
   ASSERT_TRUE(sequential.is_ok());
   ASSERT_TRUE(parallel.is_ok());
   // The two no-op variants reuse the baseline's one-time compile; the fused
-  // variant rebuilt structure and took the interpreter.
-  EXPECT_EQ(sequential->compiled_replays, 2u);
-  EXPECT_EQ(parallel->compiled_replays, 2u);
+  // variant compiles the graph it runs.
+  EXPECT_EQ(sequential->compiled_replays, 3u);
+  EXPECT_EQ(parallel->compiled_replays, 3u);
   ASSERT_EQ(sequential->rows.size(), parallel->rows.size());
   for (std::size_t i = 0; i < sequential->rows.size(); ++i) {
     ASSERT_TRUE(sequential->rows[i].ok());

@@ -1,6 +1,7 @@
 // api::Sweep tests: sequential-vs-parallel bit-identity over a 16-scenario
-// grid, strict parallelism-label validation, per-variant failure isolation
-// (a deadlocking variant must not poison siblings), ranking, and concurrent
+// grid, each grid row against the interpreter on its rebuilt graph, strict
+// parallelism-label validation, per-variant failure isolation (a
+// deadlocking variant must not poison siblings), ranking, and concurrent
 // registry access from sweep workers.
 #include <gtest/gtest.h>
 
@@ -13,6 +14,7 @@
 #include <vector>
 
 #include "api/api.h"
+#include "core/graph_manipulator.h"
 #include "trace/chrome_trace.h"
 
 namespace lumos::api {
@@ -78,6 +80,56 @@ TEST(Sweep, SequentialAndParallelGridRunsAreBitIdentical) {
 
   EXPECT_EQ(sequential->succeeded(), 16u);
   expect_reports_bit_identical(*sequential, *parallel);
+}
+
+TEST(Sweep, GridRowsRunCompiledAndMatchTheInterpreter) {
+  // Each rebuilt row compiles the graph it runs, so both worker counts run
+  // the same engine; the reference is the coupled interpreter on that
+  // graph, rebuilt here as predict_on rebuilds it.
+  Result<Session> session = Session::create(tiny_base());
+  ASSERT_TRUE(session.is_ok()) << session.status().to_string();
+  Result<BaselineArtifacts> base = session->share_baseline();
+  ASSERT_TRUE(base.is_ok()) << base.status().to_string();
+  const cost::KernelPerfModel kernel_model(base->scenario.hardware());
+  const core::GraphManipulator manipulator(*base->graph, *base->model,
+                                           *base->config, kernel_model,
+                                           base->scenario.build_options());
+  Result<Sweep> sweep = Sweep::over(*session);
+  ASSERT_TRUE(sweep.is_ok()) << sweep.status().to_string();
+  ASSERT_TRUE(sweep->add_parallelism_grid(grid16()).is_ok());
+  Result<SweepReport> sequential = sweep->run(1);
+  ASSERT_TRUE(sequential.is_ok()) << sequential.status().to_string();
+  Result<SweepReport> parallel = sweep->run(8);
+  ASSERT_TRUE(parallel.is_ok()) << parallel.status().to_string();
+  EXPECT_EQ(sequential->compiled_replays, 16u);
+  EXPECT_EQ(parallel->compiled_replays, 16u);
+
+  const std::vector<std::string> labels = grid16();
+  core::SimOptions options;
+  options.couple_collectives = true;
+  for (std::size_t i = 0; i < labels.size(); ++i) {
+    SCOPED_TRACE(labels[i]);
+    Result<workload::ParallelConfig> config = parse_parallelism(labels[i]);
+    ASSERT_TRUE(config.is_ok());
+    workload::ParallelConfig target = *base->config;
+    target.pp = config->pp;
+    target.dp = config->dp;
+    const core::ExecutionGraph graph =
+        manipulator.with_spec(*base->model, target).graph;
+    const core::SimResult reference = core::Simulator(graph, options).run();
+    ASSERT_TRUE(reference.complete());
+    for (const SweepReport* report : {&*sequential, &*parallel}) {
+      ASSERT_TRUE(report->rows[i].ok())
+          << report->rows[i].status.to_string();
+      const Prediction& row = *report->rows[i].prediction;
+      EXPECT_TRUE(row.used_compiled_replay);
+      EXPECT_EQ(row.sim.makespan_ns, reference.makespan_ns);
+      EXPECT_EQ(row.sim.executed, reference.executed);
+      EXPECT_EQ(row.sim.start_ns, reference.start_ns);
+      EXPECT_EQ(row.sim.end_ns, reference.end_ns);
+      EXPECT_EQ(row.sim.stuck_tasks, reference.stuck_tasks);
+    }
+  }
 }
 
 TEST(Sweep, MatchesSessionPredictLoop) {
