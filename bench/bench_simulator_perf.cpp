@@ -8,7 +8,8 @@
 //
 // Besides the console output, the binary writes a BENCH_io.json trajectory
 // artifact (path override: LUMOS_BENCH_IO_OUT) covering the graph
-// producers (BM_GraphBuild, BM_TraceParse, BM_Rebuild), the I/O fast-path
+// producers (BM_GraphBuild, BM_TraceParse, BM_Rebuild and its costing
+// half BM_RebuildCosting), the I/O fast-path
 // benches (BM_Write*, BM_ParseFile, BM_MergeIntervals*, BM_Parse, the
 // snapshot A/B: BM_Snapshot*, BM_IngestBaseline, plus the replay A/B:
 // BM_Replay*, BM_ReplayCompiled, BM_CompileProgram, and on rebuilt graphs
@@ -23,6 +24,7 @@
 #include <map>
 #include <random>
 #include <utility>
+#include <vector>
 
 #include "analysis/interval_merge.h"
 #include "cluster/ground_truth.h"
@@ -155,6 +157,30 @@ void BM_Rebuild(benchmark::State& state) {
       static_cast<double>(tasks), benchmark::Counter::kIsIterationInvariantRate);
 }
 BENCHMARK(BM_Rebuild)->Args({4, 8})->Args({16, 32})
+    ->Unit(benchmark::kMillisecond);
+
+// The costing half of a rebuild, GraphManipulator::durations: what a Sweep
+// row pays when another row of its structure already built and compiled
+// the graph. Same targets as BM_Rebuild; perf-smoke gates the /16/32 ratio.
+void BM_RebuildCosting(benchmark::State& state) {
+  const workload::ModelSpec model = workload::ModelSpec::gpt3_15b();
+  const cost::KernelPerfModel kernel_model;
+  const core::GraphManipulator manipulator(rebuild_baseline(), model,
+                                           config_15b(2, 4), kernel_model);
+  const workload::ParallelConfig target =
+      config_15b(static_cast<std::int32_t>(state.range(0)),
+                 static_cast<std::int32_t>(state.range(1)));
+  std::size_t tasks = 0;
+  for (auto _ : state) {
+    std::vector<std::int64_t> column = manipulator.durations(model, target);
+    tasks = column.size();
+    benchmark::DoNotOptimize(column);
+  }
+  state.counters["tasks"] = static_cast<double>(tasks);
+  state.counters["tasks_per_s"] = benchmark::Counter(
+      static_cast<double>(tasks), benchmark::Counter::kIsIterationInvariantRate);
+}
+BENCHMARK(BM_RebuildCosting)->Args({4, 8})->Args({16, 32})
     ->Unit(benchmark::kMillisecond);
 
 /// The rebuilt 15B graph for target (PP, DP), rebuilt once per target from

@@ -65,7 +65,7 @@ int main() {
 
   std::printf("\n-- width sweep (d_model, d_ff = 2*d_model) --\n%-10s %12s\n",
               "d_model", "iter(ms)");
-  for (std::int64_t d : {4096, 6144, 9216, 12288}) {
+  for (std::int64_t d : {3072, 6144, 9216, 12288}) {
     Result<api::Prediction> r =
         session->predict(api::whatif().with_hidden_size(d, 2 * d));
     if (!r.is_ok()) {

@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "api/structure_sharing.h"
 #include "baseline/dpro.h"
 #include "core/fusion.h"
 #include "core/graph_manipulator.h"
@@ -156,20 +157,28 @@ struct Replayed {
 };
 
 /// The one engine choice behind every facade replay. The compiled
-/// `program` runs when it exists and compiled_engine_applies; callers pass
-/// a program only for the graph it was compiled from. Everything else —
-/// hooks, contention, dropout, a graph that did not compile — runs the
-/// coupled interpreter, the pinned reference. Both engines are
-/// bit-identical where both apply (test_replay_program).
-Replayed run_replay(const core::ExecutionGraph& graph,
-                    const core::ReplayProgram* program,
-                    core::SimulatorHooks* hooks,
-                    const faults::FaultPlan* plan) {
+/// `program` runs when it exists, compiled_engine_applies, and the column
+/// it would read — the plan's, the caller's `durations`, or its baked one —
+/// passes ReplayProgram::accepts; callers pass a program only for the graph
+/// it was compiled from (or, with `durations`, for a graph of the same
+/// structure). Everything else — hooks, contention, dropout, a graph that
+/// did not compile — runs the coupled interpreter, the pinned reference.
+/// Both engines are bit-identical where both apply (test_replay_program).
+/// A caller column describes another graph than `graph`, so the
+/// interpreter cannot stand in for it: nullopt, and the caller rebuilds.
+std::optional<Replayed> run_replay(
+    const core::ExecutionGraph& graph, const core::ReplayProgram* program,
+    core::SimulatorHooks* hooks, const faults::FaultPlan* plan,
+    std::span<const std::int64_t> durations = {}) {
+  const std::span<const std::int64_t> column =
+      plan != nullptr ? plan->durations() : durations;
   if (program != nullptr && program->coupled() &&
-      compiled_engine_applies(hooks, plan)) {
-    return {plan == nullptr ? program->run() : program->run(plan->durations()),
-            true};
+      compiled_engine_applies(hooks, plan) &&
+      (column.empty() || program->accepts(column))) {
+    return Replayed{column.empty() ? program->run() : program->run(column),
+                    true};
   }
+  if (!durations.empty()) return std::nullopt;
   core::SimOptions options;
   options.couple_collectives = true;
   options.hooks = hooks;
@@ -179,7 +188,54 @@ Replayed run_replay(const core::ExecutionGraph& graph,
     options.hooks = &fault_hooks;
     options.dropped_tasks = plan->dropped();
   }
-  return {core::Simulator(graph, options).run(), false};
+  return Replayed{core::Simulator(graph, options).run(), false};
+}
+
+/// Completes `out` from a replay of `graph`: kDeadlock when the schedule
+/// stuck, else the breakdown, derived from the schedule + meta columns.
+/// The full predicted trace is never materialized here (Sweep rows would
+/// otherwise each hold a copy of every event).
+Status finish_prediction(const core::ExecutionGraph& graph, Replayed ran,
+                         Prediction& out) {
+  out.sim = std::move(ran.sim);
+  out.used_compiled_replay = ran.compiled;
+  if (!out.sim.complete()) {
+    return deadlock_error("prediction stuck with " +
+                          std::to_string(out.sim.stuck_tasks.size()) +
+                          " unfinished tasks");
+  }
+  out.breakdown = analysis::compute_breakdown(graph, out.sim);
+  return Status::ok();
+}
+
+/// Runs one GraphManipulator call, reporting its exceptions the way every
+/// rebuild does: a target that does not validate is kValidationError,
+/// anything else kInternal.
+template <typename Call>
+auto manipulate(Call&& call) -> Result<decltype(call())> {
+  try {
+    return call();
+  } catch (const std::invalid_argument& e) {
+    return validation_error(e.what());
+  } catch (const std::exception& e) {
+    return internal_error(std::string("graph manipulation: ") + e.what());
+  }
+}
+
+/// The (model, config) a rebuilding what-if targets; `base` knows both.
+std::pair<workload::ModelSpec, workload::ParallelConfig> rebuild_target(
+    const BaselineArtifacts& base, const Scenario& whatif) {
+  workload::ModelSpec model = *base.model;
+  if (whatif.new_architecture()) model = *whatif.new_architecture();
+  if (whatif.new_layers()) model.num_layers = *whatif.new_layers();
+  if (whatif.new_hidden()) {
+    model = core::GraphManipulator::resized_model(
+        model, whatif.new_hidden()->first, whatif.new_hidden()->second);
+  }
+  workload::ParallelConfig config = *base.config;
+  if (whatif.new_pp()) config.pp = *whatif.new_pp();
+  if (whatif.new_dp()) config.dp = *whatif.new_dp();
+  return {std::move(model), config};
 }
 
 }  // namespace
@@ -329,7 +385,7 @@ Status Session::ensure_replay() {
   ensure_program();
   ++stats_.simulations;
   core::SimResult result =
-      run_replay(*graph_, program_.get(), hooks->get(), nullptr).sim;
+      run_replay(*graph_, program_.get(), hooks->get(), nullptr)->sim;
   if (!result.complete()) {
     return deadlock_error("replay stuck with " +
                           std::to_string(result.stuck_tasks.size()) +
@@ -420,8 +476,7 @@ Result<Prediction> Session::predict(const Scenario& whatif) {
   // silently ignored (the session already owns the baseline), so a caller
   // writing predict(Scenario::synthetic().with_model("44b")) would get
   // baseline numbers believing they predicted 44b — reject instead.
-  if (whatif.has_model() || whatif.has_parallelism() ||
-      whatif.has_microbatches()) {
+  if (carries_baseline_fields(whatif)) {
     return invalid_argument_error(
         "what-if scenarios carry only manipulations; the baseline model/"
         "parallelism come from the session — use with_architecture / "
@@ -524,33 +579,17 @@ Result<Prediction> predict_on(const BaselineArtifacts& base,
           "graph manipulation needs the baseline model and parallelism; "
           "specify them with with_model / with_parallelism");
     }
-    workload::ModelSpec target_model = *base.model;
-    if (whatif.new_architecture()) target_model = *whatif.new_architecture();
-    if (whatif.new_layers()) target_model.num_layers = *whatif.new_layers();
-    if (whatif.new_hidden()) {
-      target_model = core::GraphManipulator::resized_model(
-          target_model, whatif.new_hidden()->first,
-          whatif.new_hidden()->second);
-    }
-    workload::ParallelConfig target_config = *base.config;
-    if (whatif.new_pp()) target_config.pp = *whatif.new_pp();
-    if (whatif.new_dp()) target_config.dp = *whatif.new_dp();
-
-    try {
-      core::GraphManipulator manipulator(*base.graph, *base.model,
-                                         *base.config, kernel_model,
-                                         base.scenario.build_options());
-      workload::BuiltJob job =
-          manipulator.with_spec(target_model, target_config);
-      owned = std::move(job.graph);
-      to_run = &owned;
-      out.model = std::move(job.model);
-      out.config = job.config;
-    } catch (const std::invalid_argument& e) {
-      return validation_error(e.what());
-    } catch (const std::exception& e) {
-      return internal_error(std::string("graph manipulation: ") + e.what());
-    }
+    const auto [target_model, target_config] = rebuild_target(base, whatif);
+    Result<workload::BuiltJob> job = manipulate([&] {
+      return core::GraphManipulator(*base.graph, *base.model, *base.config,
+                                    kernel_model, base.scenario.build_options())
+          .with_spec(target_model, target_config);
+    });
+    if (!job.is_ok()) return job.status();
+    owned = std::move(job->graph);
+    to_run = &owned;
+    out.model = std::move(job->model);
+    out.config = job->config;
   } else {
     if (base.model) out.model = *base.model;
     if (base.config) out.config = *base.config;
@@ -595,18 +634,77 @@ Result<Prediction> predict_on(const BaselineArtifacts& base,
                   ? compile_program(*to_run)
                   : nullptr;
   }
-  Replayed ran = run_replay(*to_run, program.get(), hooks->get(), fault_plan);
-  out.sim = std::move(ran.sim);
-  out.used_compiled_replay = ran.compiled;
-  if (!out.sim.complete()) {
-    return deadlock_error("prediction stuck with " +
-                          std::to_string(out.sim.stuck_tasks.size()) +
-                          " unfinished tasks");
+  Status finished = finish_prediction(
+      *to_run, *run_replay(*to_run, program.get(), hooks->get(), fault_plan),
+      out);
+  if (!finished.is_ok()) return finished;
+  return out;
+}
+
+bool carries_baseline_fields(const Scenario& whatif) {
+  return whatif.has_model() || whatif.has_parallelism() ||
+         whatif.has_microbatches();
+}
+
+std::optional<RebuildTarget> shared_rebuild_target(
+    const BaselineArtifacts& base, const Scenario& whatif) {
+  if (!check_baseline(base).is_ok() || !base.model || !base.config) {
+    return std::nullopt;
   }
-  // Aggregate report data is derived from the schedule + meta columns;
-  // the full predicted trace is never materialized here (Sweep rows would
-  // otherwise each hold a copy of every event).
-  out.breakdown = analysis::compute_breakdown(*to_run, out.sim);
+  const bool plain = !carries_baseline_fields(whatif) && !whatif.new_tp() &&
+                     whatif.hooks() == nullptr && whatif.hooks_name().empty() &&
+                     whatif.faults() == nullptr && !whatif.fusion() &&
+                     whatif.dropped_dependencies().empty() &&
+                     whatif.cost_model_name().empty();
+  if (!plain || !graph_effect(whatif).rebuilds) return std::nullopt;
+  auto [model, config] = rebuild_target(base, whatif);
+  const workload::StructureKey key =
+      workload::structure_key(model, config, base.scenario.build_options());
+  return RebuildTarget{std::move(model), config, key};
+}
+
+SharedRebuilds::SharedRebuilds(const BaselineArtifacts& base)
+    : kernel_model_(base.scenario.hardware()),
+      manipulator_(*base.graph, *base.model, *base.config, kernel_model_,
+                   base.scenario.build_options()) {}
+
+Result<Prediction> SharedRebuilds::build(const RebuildTarget& target,
+                                         SharedStructure& structure) const {
+  Result<workload::BuiltJob> job = manipulate(
+      [&] { return manipulator_.with_spec(target.model, target.config); });
+  if (!job.is_ok()) return job.status();
+  auto graph =
+      std::make_shared<const core::ExecutionGraph>(std::move(job->graph));
+  Prediction out;
+  out.model = std::move(job->model);
+  out.config = job->config;
+  structure = {graph, compile_program(*graph)};
+  Status finished = finish_prediction(
+      *graph, *run_replay(*graph, structure.program.get(), nullptr, nullptr),
+      out);
+  if (!finished.is_ok()) return finished;
+  return out;
+}
+
+Result<std::vector<std::int64_t>> SharedRebuilds::cost(
+    const RebuildTarget& target) const {
+  return manipulate(
+      [&] { return manipulator_.durations(target.model, target.config); });
+}
+
+std::optional<Prediction> SharedRebuilds::replay(
+    const RebuildTarget& target, const SharedStructure& structure,
+    std::span<const std::int64_t> durations) const {
+  if (structure.graph == nullptr || durations.empty()) return std::nullopt;
+  std::optional<Replayed> ran = run_replay(
+      *structure.graph, structure.program.get(), nullptr, nullptr, durations);
+  if (!ran) return std::nullopt;
+  Prediction out;
+  out.model = target.model;
+  out.config = target.config;
+  if (!finish_prediction(*structure.graph, *std::move(ran), out).is_ok()) {
+    return std::nullopt;
+  }
   return out;
 }
 
@@ -800,7 +898,7 @@ Result<core::SimResult> replay_faulted(const BaselineArtifacts& base,
   }
   // Deadlock-as-data: a dropout spec deadlocks by design, and the stuck-
   // task set *is* the result.
-  return run_replay(*base.graph, base.program.get(), nullptr, &plan).sim;
+  return run_replay(*base.graph, base.program.get(), nullptr, &plan)->sim;
 }
 
 }  // namespace lumos::api

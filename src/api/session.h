@@ -70,11 +70,13 @@ struct Prediction {
   std::int64_t fusion_saved_ns = 0;
   /// True when this prediction ran on a compiled ReplayProgram instead of
   /// the interpreter: the baseline's program for a structure-preserving
-  /// what-if, or one compiled for this prediction from the graph a rebuild,
-  /// fusion or dropped dependency produced. Hooks, fault contention or
-  /// dropout, and a graph the compiler refuses run the interpreter. Either
-  /// path is bit-identical; the flag exists so callers (and SweepReport's
-  /// compiled_replays counter) can prove the fast path engaged.
+  /// what-if, one compiled for this prediction from the graph a rebuild,
+  /// fusion or dropped dependency produced, or (Sweep rows sharing a
+  /// structure) the structure's program with the row's own duration
+  /// column. Hooks, fault contention or dropout, and a graph the compiler
+  /// refuses run the interpreter. Either path is bit-identical; the flag
+  /// exists so callers (and SweepReport's compiled_replays counter) can
+  /// prove the fast path engaged.
   bool used_compiled_replay = false;
 
   double makespan_ms() const {

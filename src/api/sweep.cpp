@@ -5,12 +5,95 @@
 #include <cmath>
 #include <cstdio>
 #include <exception>
+#include <map>
+#include <numeric>
 #include <thread>
 #include <utility>
 
+#include "api/structure_sharing.h"
 #include "support/mutex.h"
 
 namespace lumos::api {
+
+namespace {
+
+/// One structure shared by the rows of one run(). Its leader publishes the
+/// rebuilt graph and program exactly once (an empty structure when the
+/// build failed); followers wait for that. The last row to finish releases
+/// the structure, so a graph lives no longer than its rows need it.
+class StructureSlot {
+ public:
+  void add_row() {
+    MutexLock lock(mutex_);
+    ++unfinished_;
+  }
+  void publish(SharedStructure built) {
+    {
+      MutexLock lock(mutex_);
+      structure_ = std::move(built);
+      published_ = true;
+    }
+    published_cv_.notify_all();
+  }
+  SharedStructure wait() {
+    MutexLock lock(mutex_);
+    while (!published_) published_cv_.wait(mutex_);
+    return structure_;
+  }
+  void finish_row() {
+    MutexLock lock(mutex_);
+    if (--unfinished_ == 0) structure_ = {};
+  }
+
+ private:
+  Mutex mutex_;
+  CondVar published_cv_;
+  bool published_ LUMOS_GUARDED_BY(mutex_) = false;
+  SharedStructure structure_ LUMOS_GUARDED_BY(mutex_);
+  std::size_t unfinished_ LUMOS_GUARDED_BY(mutex_) = 0;
+};
+
+void record(SweepRow& row, Result<Prediction> outcome) {
+  if (outcome.is_ok()) {
+    row.prediction = *std::move(outcome);
+  } else {
+    row.status = outcome.status();
+  }
+}
+
+}  // namespace
+
+SweepSchedule schedule_sweep(
+    const std::vector<std::optional<workload::StructureKey>>& keys,
+    std::size_t workers) {
+  SweepSchedule out;
+  out.structure_of.resize(keys.size());
+  std::map<workload::StructureKey, std::size_t> by_key;
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    if (!keys[i]) continue;
+    if (workers <= 1 && !by_key.empty() && !by_key.contains(*keys[i])) {
+      by_key.clear();  // one worker: another key closes the open one
+    }
+    const auto [it, fresh] = by_key.try_emplace(*keys[i], out.leaders.size());
+    if (fresh) out.leaders.push_back(i);
+    out.structure_of[i] = it->second;
+  }
+  out.order.resize(keys.size());
+  std::iota(out.order.begin(), out.order.end(), std::size_t{0});
+  if (workers <= 1) return out;
+  // Sort key: (wave, follower); ties keep submission order.
+  std::vector<std::pair<std::size_t, bool>> rank(keys.size(), {0, true});
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    if (const std::optional<std::size_t> s = out.structure_of[i]) {
+      rank[i] = {*s / workers, out.leaders[*s] != i};
+    }
+  }
+  std::stable_sort(out.order.begin(), out.order.end(),
+                   [&rank](std::size_t a, std::size_t b) {
+                     return rank[a] < rank[b];
+                   });
+  return out;
+}
 
 std::string SweepReport::to_string() const {
   std::string out;
@@ -150,29 +233,18 @@ SweepRow Sweep::run_item(const Item& item) const {
         row.status = session.status();
         return row;
       }
-      Result<Prediction> prediction = session->predict();
-      if (!prediction.is_ok()) {
-        row.status = prediction.status();
-        return row;
-      }
-      row.prediction = *std::move(prediction);
+      record(row, session->predict());
     } else {
       // Mirror Session::predict's contract: a what-if carries manipulations
       // only; baseline fields would be silently ignored.
-      if (item.scenario.has_model() || item.scenario.has_parallelism() ||
-          item.scenario.has_microbatches()) {
+      if (carries_baseline_fields(item.scenario)) {
         row.status = invalid_argument_error(
             "sweep variant '" + item.label +
             "' carries baseline fields; what-if variants take manipulations "
             "only (use add_scenario for standalone configurations)");
         return row;
       }
-      Result<Prediction> prediction = predict_on(base_, item.scenario);
-      if (!prediction.is_ok()) {
-        row.status = prediction.status();
-        return row;
-      }
-      row.prediction = *std::move(prediction);
+      record(row, predict_on(base_, item.scenario));
     }
   } catch (const std::exception& e) {
     // predict_on converts exceptions at the facade boundary already; this
@@ -198,6 +270,73 @@ Result<SweepReport> Sweep::run(std::size_t workers) {
   if (pool_size == 0) pool_size = 1;
   pool_size = std::min(pool_size, items_.size());
 
+  // Rebuilt rows that key to one structure share it: the leader builds
+  // and compiles it, every other row costs its own duration column and
+  // replays the leader's program with it.
+  std::vector<std::optional<RebuildTarget>> targets(items_.size());
+  std::vector<std::optional<workload::StructureKey>> keys(items_.size());
+  for (std::size_t i = 0; i < items_.size(); ++i) {
+    if (items_[i].standalone) continue;
+    targets[i] = shared_rebuild_target(base_, items_[i].scenario);
+    if (targets[i]) keys[i] = targets[i]->key;
+  }
+  std::optional<SharedRebuilds> rebuilds;
+  if (std::ranges::any_of(
+          keys, [](const auto& key) { return key.has_value(); })) {
+    try {
+      rebuilds.emplace(base_);
+    } catch (const std::exception&) {
+      // Each row meets the same failure in its own run_item.
+      std::fill(keys.begin(), keys.end(), std::nullopt);
+    }
+  }
+  const SweepSchedule schedule = schedule_sweep(keys, pool_size);
+  std::vector<StructureSlot> structures(schedule.leaders.size());
+  for (const std::optional<std::size_t>& s : schedule.structure_of) {
+    if (s) structures[*s].add_row();
+  }
+
+  const auto run_shared = [this, &targets, &schedule, &rebuilds,
+                           &structures](std::size_t i) -> SweepRow {
+    const Item& item = items_[i];
+    const RebuildTarget& target = *targets[i];
+    const std::size_t s = *schedule.structure_of[i];
+    StructureSlot& slot = structures[s];
+    SweepRow row;
+    row.label = item.label;
+    row.scenario = item.scenario;
+    try {
+      if (schedule.leaders[s] == i) {
+        SharedStructure structure;
+        try {
+          record(row, rebuilds->build(target, structure));
+        } catch (...) {
+          slot.publish({});  // followers then rebuild for themselves
+          throw;
+        }
+        slot.publish(std::move(structure));
+      } else {
+        // Cost first: the column needs no structure, so it overlaps the
+        // leader's build instead of waiting on it.
+        Result<std::vector<std::int64_t>> column = rebuilds->cost(target);
+        if (!column.is_ok()) {
+          row.status = column.status();
+        } else if (std::optional<Prediction> shared =
+                       rebuilds->replay(target, slot.wait(), *column)) {
+          row.prediction = std::move(*shared);
+        } else {
+          // No program to share, or a column it refuses: rebuild.
+          row = run_item(item);
+        }
+      }
+    } catch (const std::exception& e) {
+      row.status = internal_error(std::string("sweep variant '") +
+                                  item.label + "': " + e.what());
+    }
+    slot.finish_row();
+    return row;
+  };
+
   // Each worker claims the next unclaimed item and writes its own row slot;
   // rows are keyed by submission index, so the gathered report is identical
   // whatever the interleaving — run(1) is the bit-identity reference.
@@ -206,11 +345,14 @@ Result<SweepReport> Sweep::run(std::size_t workers) {
   // affect the gathered rows.
   std::atomic<std::size_t> next{0};
   Mutex stream_mutex;
-  const auto work = [this, &next, &report, &stream_mutex] {
-    for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-         i < items_.size();
-         i = next.fetch_add(1, std::memory_order_relaxed)) {
-      report.rows[i] = run_item(items_[i]);
+  const auto work = [this, &next, &schedule, &run_shared, &report,
+                     &stream_mutex] {
+    for (std::size_t k = next.fetch_add(1, std::memory_order_relaxed);
+         k < schedule.order.size();
+         k = next.fetch_add(1, std::memory_order_relaxed)) {
+      const std::size_t i = schedule.order[k];
+      report.rows[i] =
+          schedule.structure_of[i] ? run_shared(i) : run_item(items_[i]);
       if (on_result_) {
         MutexLock lock(stream_mutex);
         try {

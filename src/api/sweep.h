@@ -5,9 +5,19 @@
 // evaluates one Scenario at a time; a Sweep evaluates N of them: the base
 // artifacts (trace, parsed ExecutionGraph, resolved model/config) are
 // collected exactly once into an immutable BaselineArtifacts snapshot, the
-// variants fan out across a worker pool (each worker runs copy-on-manipulate
-// graph transforms plus an independent Simulator), and the per-scenario
-// results gather into one ranked SweepReport.
+// variants fan out across a worker pool, and the per-scenario results
+// gather into one ranked SweepReport.
+//
+// Rebuilt variants share work by structure (workload::StructureKey): the
+// first row of each structure rebuilds and compiles its graph once, and
+// every other row of that structure — a DP or hidden-size change of it —
+// runs only a costing pass and replays the shared program with its own
+// duration column. One GraphManipulator serves all of them. Workers take
+// the structures in waves of the pool size, so the graphs alive at once
+// grow with the pool; run(1) keeps submission order and shares only
+// between key-mates with no other structure's row between them. Every
+// other variant (faults, hooks, fusion, dropped dependencies, a cost
+// model, standalone scenarios) runs its own pipeline through predict_on.
 //
 //   auto sweep = Sweep::create(
 //       Scenario::synthetic().with_model("15b").with_parallelism("2x2x4"));
@@ -73,7 +83,8 @@ struct SweepReport {
   std::vector<std::size_t> ranking;  ///< indices into rows, best first
   /// Rows that ran compiled (Prediction::used_compiled_replay) instead of
   /// on the interpreter: structure-preserving variants on the baseline's
-  /// one-time compile, rebuilt / fused variants on their own graph's.
+  /// one-time compile, rebuilt variants on their structure's program (with
+  /// their own duration column), fused variants on their own graph's.
   std::size_t compiled_replays = 0;
 
   std::size_t succeeded() const { return ranking.size(); }
@@ -172,7 +183,9 @@ class Sweep {
 
   /// Runs every variant and gathers the report. Per-variant failures are
   /// recorded in their rows; run() itself fails only for structural misuse
-  /// (kFailedPrecondition when no variants were added).
+  /// (kFailedPrecondition when no variants were added). A structure's
+  /// rebuilt graph and program live only inside this call, released when
+  /// its last row finishes.
   Result<SweepReport> run() { return run(options_.workers); }
   /// Same, with an explicit worker count (1 = sequential reference).
   Result<SweepReport> run(std::size_t workers);

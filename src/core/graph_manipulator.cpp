@@ -18,50 +18,28 @@ GraphManipulator::GraphManipulator(const ExecutionGraph& profiled,
           profiled, base_model_, base_config_, kernel_model,
           template_options)) {}
 
-workload::BuiltJob GraphManipulator::rebuild(
+workload::IterationGraphBuilder GraphManipulator::builder(
+    const workload::ModelSpec& model,
+    const workload::ParallelConfig& config) const {
+  if (config.tp != base_config_.tp) {
+    // Matching the paper (§3.4): "We currently do not support modifications
+    // to tensor parallelism, as it is typically fixed in practice."
+    throw std::invalid_argument(
+        "GraphManipulator: tensor-parallelism manipulation is not supported "
+        "(see paper §3.4); re-profile with the desired TP degree instead");
+  }
+  return workload::IterationGraphBuilder(model, config, *provider_,
+                                         build_options_);
+}
+
+workload::BuiltJob GraphManipulator::with_spec(
     const workload::ModelSpec& model, workload::ParallelConfig config) const {
-  workload::IterationGraphBuilder builder(model, config, *provider_,
-                                          build_options_);
-  return builder.build();
+  return builder(model, config).build();
 }
 
-workload::BuiltJob GraphManipulator::with_data_parallelism(
-    std::int32_t new_dp) const {
-  workload::ParallelConfig config = base_config_;
-  config.dp = new_dp;
-  return rebuild(base_model_, config);
-}
-
-workload::BuiltJob GraphManipulator::with_pipeline_parallelism(
-    std::int32_t new_pp) const {
-  workload::ParallelConfig config = base_config_;
-  config.pp = new_pp;
-  return rebuild(base_model_, config);
-}
-
-workload::BuiltJob GraphManipulator::with_parallelism(
-    std::int32_t new_pp, std::int32_t new_dp) const {
-  workload::ParallelConfig config = base_config_;
-  config.pp = new_pp;
-  config.dp = new_dp;
-  return rebuild(base_model_, config);
-}
-
-workload::BuiltJob GraphManipulator::with_model(
-    const workload::ModelSpec& new_model) const {
-  return rebuild(new_model, base_config_);
-}
-
-workload::BuiltJob GraphManipulator::with_num_layers(
-    std::int32_t new_layers) const {
-  workload::ModelSpec model = base_model_;
-  model.num_layers = new_layers;
-  return with_model(model);
-}
-
-workload::BuiltJob GraphManipulator::with_hidden_size(
-    std::int64_t d_model, std::int64_t d_ff) const {
-  return with_model(resized_model(base_model_, d_model, d_ff));
+std::vector<std::int64_t> GraphManipulator::durations(
+    const workload::ModelSpec& model, workload::ParallelConfig config) const {
+  return builder(model, config).durations();
 }
 
 workload::ModelSpec GraphManipulator::resized_model(workload::ModelSpec base,
@@ -71,32 +49,6 @@ workload::ModelSpec GraphManipulator::resized_model(workload::ModelSpec base,
   base.d_ff = d_ff;
   base.head_dim = d_model / base.num_heads;
   return base;
-}
-
-workload::BuiltJob GraphManipulator::with_tensor_parallelism(
-    std::int32_t) const {
-  // Matching the paper (§3.4): "We currently do not support modifications
-  // to tensor parallelism, as it is typically fixed in practice."
-  throw std::invalid_argument(
-      "GraphManipulator: tensor-parallelism manipulation is not supported "
-      "(see paper §3.4); re-profile with the desired TP degree instead");
-}
-
-workload::BuiltJob GraphManipulator::with_spec(
-    const workload::ModelSpec& model, workload::ParallelConfig config) const {
-  if (config.tp != base_config_.tp) {
-    throw std::invalid_argument(
-        "GraphManipulator: tensor-parallelism manipulation is not supported "
-        "(see paper §3.4); re-profile with the desired TP degree instead");
-  }
-  return rebuild(model, config);
-}
-
-SimResult GraphManipulator::predict(const workload::BuiltJob& job) {
-  SimOptions options;
-  options.couple_collectives = true;
-  Simulator sim(job.graph, options);
-  return sim.run();
 }
 
 }  // namespace lumos::core

@@ -15,13 +15,17 @@
 //     communication kernels re-costed);
 //   - tensor parallelism changes are rejected, as in the paper ("We
 //     currently do not support modifications to tensor parallelism").
+// All of them are one entry point, with_spec(model, config).
 //
 // Implementation: manipulation = rebuilding the iteration graph with the
 // same generator that expresses the original dependency pattern, driven by
 // a TemplateProvider that sources every duration from the profiled trace
-// (cost-model ratio scaling only where shapes changed). Predictions run in
-// the coupled multi-rank simulator, which re-derives rendezvous waits under
-// the new schedule.
+// (cost-model ratio scaling only where shapes changed). durations() is the
+// costing half alone: a DP or hidden-size change keeps the structure
+// (workload::structure_key), so its column can replay a key-mate's graph.
+// Predictions run the rebuilt graph in the coupled multi-rank simulator
+// (or its compiled program), which re-derives rendezvous waits under the
+// new schedule.
 //
 // Thread safety: every const member may run concurrently — one manipulator
 // can serve rebuilds on many threads (the template lookups are const and
@@ -30,9 +34,9 @@
 
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "core/execution_graph.h"
-#include "core/simulator.h"
 #include "core/template_provider.h"
 #include "costmodel/kernel_model.h"
 #include "workload/graph_builder.h"
@@ -48,27 +52,21 @@ class GraphManipulator {
                    workload::BuildOptions build_options = {},
                    TemplateOptions template_options = {});
 
-  /// Fig. 7a: new data-parallel degree; everything but DP communication is
-  /// sourced unchanged from the trace.
-  workload::BuiltJob with_data_parallelism(std::int32_t new_dp) const;
+  /// Rebuilds with an arbitrary (model, config) pair — any composition of
+  /// the Fig. 7 parallelism and Fig. 8 architecture changes. TP must match
+  /// the base config (tensor-parallelism manipulation is unsupported);
+  /// throws std::invalid_argument otherwise, or when the pair does not
+  /// validate.
+  workload::BuiltJob with_spec(const workload::ModelSpec& model,
+                               workload::ParallelConfig config) const;
 
-  /// Fig. 7b: new pipeline-parallel degree (layers re-staged, schedule
-  /// rebuilt, p2p re-inserted).
-  workload::BuiltJob with_pipeline_parallelism(std::int32_t new_pp) const;
-
-  /// Fig. 7c: simultaneous PP and DP change.
-  workload::BuiltJob with_parallelism(std::int32_t new_pp,
-                                      std::int32_t new_dp) const;
-
-  /// Fig. 8: arbitrary architecture change (layer count, hidden size,
-  /// feedforward size). Throws std::invalid_argument if the new model is
-  /// incompatible with the base parallelism.
-  workload::BuiltJob with_model(const workload::ModelSpec& new_model) const;
-
-  /// Convenience wrappers for the Table 2 variants.
-  workload::BuiltJob with_num_layers(std::int32_t new_layers) const;
-  workload::BuiltJob with_hidden_size(std::int64_t d_model,
-                                      std::int64_t d_ff) const;
+  /// Costing only: the duration column with_spec(model, config) would
+  /// carry, from the same emission and template lookups without building a
+  /// graph. Throws exactly when with_spec throws. Any graph whose
+  /// workload::structure_key matches replays with this column as if it
+  /// were with_spec's own graph.
+  std::vector<std::int64_t> durations(const workload::ModelSpec& model,
+                                      workload::ParallelConfig config) const;
 
   /// The model derived from `base` by resizing the hidden/feedforward
   /// dimensions (head_dim tracks d_model at fixed head count) — the single
@@ -77,31 +75,19 @@ class GraphManipulator {
                                            std::int64_t d_model,
                                            std::int64_t d_ff);
 
-  /// Rejected, as in the paper.
-  workload::BuiltJob with_tensor_parallelism(std::int32_t new_tp) const;
-
-  /// General form: rebuild with an arbitrary (model, config) pair — the
-  /// composition of an architecture and a parallelism change. TP must match
-  /// the base config (tensor-parallelism manipulation is unsupported).
-  workload::BuiltJob with_spec(const workload::ModelSpec& model,
-                               workload::ParallelConfig config) const;
-
-  /// Runs the coupled multi-rank prediction simulation for a manipulated
-  /// job and returns the result (paper: "predicting performance through
-  /// simulation").
-  static SimResult predict(const workload::BuiltJob& job);
-
   const TemplateProvider& templates() const { return *provider_; }
 
  private:
-  workload::BuiltJob rebuild(const workload::ModelSpec& model,
-                             workload::ParallelConfig config) const;
+  /// The builder for (model, config); throws on a TP change.
+  workload::IterationGraphBuilder builder(
+      const workload::ModelSpec& model,
+      const workload::ParallelConfig& config) const;
 
   workload::ModelSpec base_model_;
   workload::ParallelConfig base_config_;
   const cost::KernelPerfModel& kernel_model_;
   workload::BuildOptions build_options_;
-  // Const lookups (atomic fallback counter): with_spec / rebuild may run on
+  // Const lookups (atomic fallback counter): with_spec / durations may run on
   // any number of threads against one manipulator.
   std::unique_ptr<const TemplateProvider> provider_;
 };

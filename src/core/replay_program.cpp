@@ -25,6 +25,12 @@ const char* to_string(ReplayCompileStatus status) {
 
 SimResult ReplayProgram::run() const { return run(durations_); }
 
+bool ReplayProgram::accepts(std::span<const std::int64_t> durations) const {
+  return durations.size() == task_count_ &&
+         std::all_of(durations.begin(), durations.end(),
+                     [](std::int64_t d) { return d > 0; });
+}
+
 SimResult ReplayProgram::run(std::span<const std::int64_t> durations) const {
   assert(durations.size() == task_count_);
   SimResult result;

@@ -82,10 +82,13 @@ class ReplayProgram {
   SimResult run() const;
 
   /// Replays with a caller-supplied duration column (duration-only
-  /// what-ifs). Precondition: `durations.size() == task_count()` and every
-  /// entry is > 0 — the same positivity compile() proved for the baked
-  /// column; callers that cannot guarantee it use the interpreter.
+  /// what-ifs, structure-shared rebuilds). Precondition:
+  /// accepts(durations); callers that cannot guarantee it use another path.
   SimResult run(std::span<const std::int64_t> durations) const;
+
+  /// Whether run(durations) is exact: one entry per task and every entry
+  /// > 0, the positivity compile() proved for the baked column.
+  bool accepts(std::span<const std::int64_t> durations) const;
 
   std::size_t task_count() const { return task_count_; }
   std::size_t instruction_count() const { return instrs_.size(); }

@@ -82,19 +82,50 @@ struct BuildLabels {
   Label allreduce, send, recv;                 ///< collective ops
 };
 
+/// A build's sink: every task becomes a graph row, with its edges.
+struct GraphSink {
+  static constexpr bool kCosting = false;
+  ExecutionGraph& graph;
+
+  TaskId add_task(const core::Processor& processor, const Row& row) {
+    return graph.add_task(processor, row);
+  }
+  void reserve(std::size_t factor) {
+    graph.reserve(graph.size() * factor, graph.edges().size() * factor);
+  }
+};
+
+/// A costing pass's sink: only each task's duration, in task id order —
+/// no per-task interning, rows or edges.
+struct DurationSink {
+  static constexpr bool kCosting = true;
+  std::vector<std::int64_t>& durations;
+
+  TaskId add_task(const core::Processor&, const Row& row) {
+    durations.push_back(row.dur_ns);
+    return static_cast<TaskId>(durations.size() - 1);
+  }
+  void reserve(std::size_t factor) {
+    durations.reserve(durations.size() * factor);
+  }
+};
+
 /// Builds all tasks of one rank as column rows. Tasks are appended
 /// rank-by-rank so task ids encode per-rank launch order (required by the
 /// simulator's runtime dependency resolution). Fixed names come interned
 /// (BuildLabels), the rank's communicators are interned at construction;
-/// only operator and kernel names are looked up per task.
+/// only operator and kernel names are looked up per task. Every task goes
+/// to the `Sink`, a graph for a build or a duration column for a costing
+/// pass: the emission is one, the sink a compile-time choice.
+template <typename Sink>
 class RankBuilder {
  public:
-  RankBuilder(ExecutionGraph& graph, trace::TracePools& pools,
-              const BuildLabels& labels, const DurationProvider& provider,
-              const ModelSpec& model, const ParallelConfig& config,
-              const BuildOptions& options, const Placement& placement,
-              std::int32_t stage, std::int32_t tp_rank)
-      : graph_(graph),
+  RankBuilder(Sink& sink, trace::TracePools& pools, const BuildLabels& labels,
+              const DurationProvider& provider, const ModelSpec& model,
+              const ParallelConfig& config, const BuildOptions& options,
+              const Placement& placement, std::int32_t stage,
+              std::int32_t tp_rank)
+      : sink_(sink),
         pools_(pools),
         labels_(labels),
         provider_(provider),
@@ -183,27 +214,38 @@ class RankBuilder {
     return cpu_row(call.text, call.id, api);
   }
 
+  /// Interns a string only a graph row carries; a costing pass skips it.
+  std::uint32_t intern_row(trace::StringPool& pool, std::string_view s) {
+    if constexpr (Sink::kCosting) {
+      return kNoString;
+    } else {
+      return intern(pool, s);
+    }
+  }
+
   /// Appends a CPU row on `tid`, chained to the previous task on the thread
   /// and (when `take_handoff`) to a pending cross-thread handoff.
   TaskId emit_cpu(std::int32_t tid, Row& row, bool take_handoff = true) {
     row.tid = tid;
-    const TaskId id = graph_.add_task({rank_, /*gpu=*/false, tid}, row);
-    if (auto it = last_cpu_.find(tid); it != last_cpu_.end()) {
-      graph_.add_edge(it->second, id, DepType::IntraThread);
+    const TaskId id = sink_.add_task({rank_, /*gpu=*/false, tid}, row);
+    if constexpr (!Sink::kCosting) {
+      if (auto it = last_cpu_.find(tid); it != last_cpu_.end()) {
+        sink_.graph.add_edge(it->second, id, DepType::IntraThread);
+      }
+      // Cross-thread handoff requested by a previous dispatch/join point.
+      if (auto it = pending_thread_dep_.find(tid);
+          take_handoff && it != pending_thread_dep_.end()) {
+        sink_.graph.add_edge(it->second, id, DepType::InterThread);
+        pending_thread_dep_.erase(it);
+      }
+      last_cpu_[tid] = id;
     }
-    // Cross-thread handoff requested by a previous dispatch/join point.
-    if (auto it = pending_thread_dep_.find(tid);
-        take_handoff && it != pending_thread_dep_.end()) {
-      graph_.add_edge(it->second, id, DepType::InterThread);
-      pending_thread_dep_.erase(it);
-    }
-    last_cpu_[tid] = id;
     return id;
   }
 
   /// Emits a CPU operator task on `tid`.
   TaskId cpu(std::int32_t tid, std::string_view name) {
-    Row row = cpu_row(name, intern(pools_.names, name));
+    Row row = cpu_row(name, intern_row(pools_.names, name));
     return emit_cpu(tid, row);
   }
 
@@ -228,7 +270,7 @@ class RankBuilder {
     launch.stream = stream;
     const TaskId launch_id = emit_cpu(tid, launch);
 
-    Row row = base_row(intern(pools_.names, desc.name), gpu_cat);
+    Row row = base_row(intern_row(pools_.names, desc.name), gpu_cat);
     row.tid = static_cast<std::int32_t>(stream);
     row.dur_ns = provider_.kernel_ns(desc);
     row.correlation = corr;
@@ -248,18 +290,20 @@ class RankBuilder {
       row.coll_group_size = desc.collective.group_size;
       row.coll_instance = desc.collective.instance;
     }
-    const TaskId kernel_id = graph_.add_task({rank_, true, stream}, row);
-
-    graph_.add_edge(launch_id, kernel_id, DepType::CpuToGpu);
-    if (auto it = last_kernel_.find(stream); it != last_kernel_.end()) {
-      graph_.add_edge(it->second, kernel_id, DepType::IntraStream);
-    }
-    last_kernel_[stream] = kernel_id;
-    if (auto it = pending_waits_.find(stream); it != pending_waits_.end()) {
-      for (TaskId src : it->second) {
-        graph_.add_edge(src, kernel_id, DepType::InterStream);
+    const TaskId kernel_id = sink_.add_task({rank_, true, stream}, row);
+    if constexpr (!Sink::kCosting) {
+      ExecutionGraph& graph = sink_.graph;
+      graph.add_edge(launch_id, kernel_id, DepType::CpuToGpu);
+      if (auto it = last_kernel_.find(stream); it != last_kernel_.end()) {
+        graph.add_edge(it->second, kernel_id, DepType::IntraStream);
       }
-      pending_waits_.erase(it);
+      last_kernel_[stream] = kernel_id;
+      if (auto it = pending_waits_.find(stream); it != pending_waits_.end()) {
+        for (TaskId src : it->second) {
+          graph.add_edge(src, kernel_id, DepType::InterStream);
+        }
+        pending_waits_.erase(it);
+      }
     }
     return kernel_id;
   }
@@ -365,7 +409,7 @@ class RankBuilder {
     d.placement = pp_placement_;
     kernel(tid, d, stream, EventCategory::Kernel,
            {send ? labels_.send.id : labels_.recv.id,
-            intern(pools_.groups, group)});
+            intern_row(pools_.groups, group)});
     if (!send) {
       // Compute consumes the received tensor.
       record_wait(tid, stream, lanes::kComputeStream);
@@ -696,7 +740,7 @@ class RankBuilder {
     device_sync(lanes::kMainThread);
   }
 
-  ExecutionGraph& graph_;
+  Sink& sink_;
   trace::TracePools& pools_;
   const BuildLabels& labels_;
   const DurationProvider& provider_;
@@ -736,7 +780,44 @@ class RankBuilder {
   std::pair<std::int32_t, std::int32_t>* ordinals_cur_ = nullptr;
 };
 
+void validate_or_throw(const ModelSpec& model, const ParallelConfig& config) {
+  if (std::string err = config.validate(model); !err.empty()) {
+    throw std::invalid_argument("IterationGraphBuilder: " + err);
+  }
+}
+
+/// Runs every rank's emission into `sink`.
+template <typename Sink>
+void emit_ranks(const ModelSpec& model, const ParallelConfig& config,
+                const DurationProvider& provider, const BuildOptions& options,
+                trace::TracePools& pools, Sink sink) {
+  const BuildLabels labels(pools);
+  Placement placement(config);
+  const auto ranks = static_cast<std::size_t>(config.pp * config.tp);
+  for (std::int32_t stage = 0; stage < config.pp; ++stage) {
+    for (std::int32_t t = 0; t < config.tp; ++t) {
+      RankBuilder<Sink> rank(sink, pools, labels, provider, model, config,
+                             options, placement, stage, t);
+      rank.build();
+      if (stage == 0 && t == 0 && ranks > 1) {
+        // Ranks emit near-identical task counts (stages differ by a few
+        // embedding / head tasks per microbatch): size the columns once
+        // from the first rank instead of regrowing them.
+        sink.reserve(ranks + ranks / 8);
+      }
+    }
+  }
+}
+
 }  // namespace
+
+StructureKey structure_key(const ModelSpec& model, const ParallelConfig& config,
+                           const BuildOptions& options) {
+  return {model.num_layers, config.tp,
+          config.pp,        config.microbatches(),
+          options.policy,   options.bucket_layers,
+          options.dp_rank,  options.include_optimizer};
+}
 
 IterationGraphBuilder::IterationGraphBuilder(ModelSpec model,
                                              ParallelConfig config,
@@ -748,9 +829,7 @@ IterationGraphBuilder::IterationGraphBuilder(ModelSpec model,
       options_(options) {}
 
 BuiltJob IterationGraphBuilder::build() {
-  if (std::string err = config_.validate(model_); !err.empty()) {
-    throw std::invalid_argument("IterationGraphBuilder: " + err);
-  }
+  validate_or_throw(model_, config_);
   BuiltJob job;
   job.model = model_;
   job.config = config_;
@@ -759,28 +838,23 @@ BuiltJob IterationGraphBuilder::build() {
   // table classifies from those ids without re-interning.
   auto pools = std::make_shared<trace::TracePools>();
   job.graph = core::ExecutionGraph(pools);
-  const BuildLabels labels(*pools);
-  Placement placement(config_);
-  const auto ranks = static_cast<std::size_t>(config_.pp * config_.tp);
-  for (std::int32_t stage = 0; stage < config_.pp; ++stage) {
-    for (std::int32_t t = 0; t < config_.tp; ++t) {
-      RankBuilder rank(job.graph, *pools, labels, provider_, model_, config_,
-                       options_, placement, stage, t);
-      rank.build();
-      if (stage == 0 && t == 0 && ranks > 1) {
-        // Ranks emit near-identical task counts (stages differ by a few
-        // embedding / head tasks per microbatch): size the columns once
-        // from the first rank instead of regrowing them.
-        const std::size_t slack = ranks + ranks / 8;
-        job.graph.reserve(job.graph.size() * slack,
-                          job.graph.edges().size() * slack);
-      }
-    }
-  }
+  emit_ranks(model_, config_, provider_, options_, *pools,
+             GraphSink{job.graph});
   // Build-time classification: materialize the columnar metadata and the
   // adjacency before the job is handed out.
   job.graph.finalize();
   return job;
+}
+
+std::vector<std::int64_t> IterationGraphBuilder::durations() {
+  validate_or_throw(model_, config_);
+  // Holds only the fixed labels and the ranks' communicators, which key
+  // the emission's per-block ordinals and collective instances.
+  trace::TracePools pools;
+  std::vector<std::int64_t> column;
+  emit_ranks(model_, config_, provider_, options_, pools,
+             DurationSink{column});
+  return column;
 }
 
 }  // namespace lumos::workload

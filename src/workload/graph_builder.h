@@ -22,6 +22,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "core/execution_graph.h"
 #include "workload/duration_provider.h"
@@ -52,6 +53,31 @@ struct BuildOptions {
   bool include_optimizer = true;
 };
 
+/// Everything emission's control flow reads: two builds with equal keys
+/// emit the same tasks, edges, lanes, program order and collective
+/// instances. They differ only in per-task costing fields (durations,
+/// payload bytes, group sizes) and in global rank labels, a bijection that
+/// keeps rank order. Everything outside the key is *costing*: dp, d_model,
+/// d_ff, num_heads, head_dim, seq_len, vocab_size, microbatch_size,
+/// gpus_per_node and the hardware behind the duration provider. A program
+/// compiled from one build therefore replays any key-mate exactly, given
+/// the key-mate's duration column.
+struct StructureKey {
+  std::int32_t num_layers = 0;
+  std::int32_t tp = 0;
+  std::int32_t pp = 0;
+  std::int32_t microbatches = 0;
+  SchedulePolicy policy = SchedulePolicy::OneFOneB;
+  std::int32_t bucket_layers = 0;
+  std::int32_t dp_rank = 0;
+  bool include_optimizer = true;
+
+  auto operator<=>(const StructureKey&) const = default;
+};
+
+StructureKey structure_key(const ModelSpec& model, const ParallelConfig& config,
+                           const BuildOptions& options);
+
 /// A built job: the graph plus the configuration that produced it.
 struct BuiltJob {
   core::ExecutionGraph graph;
@@ -69,6 +95,11 @@ class IterationGraphBuilder {
   /// Builds the iteration graph. Throws std::invalid_argument if the
   /// config does not validate against the model.
   BuiltJob build();
+
+  /// Costing-only pass: the duration column build() would produce, in task
+  /// id order, from the same emission with no graph — no interning, rows,
+  /// edges or finalize(). Throws exactly when build() throws.
+  std::vector<std::int64_t> durations();
 
  private:
   ModelSpec model_;

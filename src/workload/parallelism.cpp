@@ -27,6 +27,12 @@ std::string ParallelConfig::validate(const ModelSpec& model) const {
   if (tp > 0 && model.d_ff % tp != 0) {
     err << "d_ff (" << model.d_ff << ") not divisible by tp (" << tp << "); ";
   }
+  // Attention splits d_model into num_heads heads of head_dim each; a
+  // remainder would be silently truncated away.
+  if (model.num_heads > 0 && model.d_model % model.num_heads != 0) {
+    err << "d_model (" << model.d_model << ") not divisible by num_heads ("
+        << model.num_heads << "); ";
+  }
   if (tp > gpus_per_node) {
     err << "tp (" << tp << ") exceeds gpus_per_node (" << gpus_per_node
         << "); ";

@@ -33,7 +33,8 @@ struct ParallelConfig {
   std::string label() const;
 
   /// Validates the config against a model (layers divisible by pp, heads
-  /// and d_ff divisible by tp, ...). Returns an error message or "".
+  /// and d_ff divisible by tp, d_model divisible by heads, ...). Returns an
+  /// error message or "".
   std::string validate(const ModelSpec& model) const;
 };
 

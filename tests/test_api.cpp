@@ -379,6 +379,21 @@ TEST(ErrorCodes, ValidationError) {
             ErrorCode::kValidationError);
 }
 
+TEST(ErrorCodes, HiddenSizeMustSplitIntoTheHeads) {
+  // GPT-tiny has 8 heads; d_model 1020 would truncate head_dim to 127 and
+  // silently model 1016 hidden units.
+  Result<Session> session = Session::create(
+      Scenario::synthetic().with_model("tiny").with_parallelism("1x2x1"));
+  ASSERT_TRUE(session.is_ok());
+  Result<Prediction> uneven =
+      session->predict(whatif().with_hidden_size(1020, 4096));
+  EXPECT_EQ(uneven.status().code(), ErrorCode::kValidationError);
+  const std::string message = uneven.status().message();
+  EXPECT_NE(message.find("d_model (1020)"), std::string::npos) << message;
+  EXPECT_NE(message.find("num_heads (8)"), std::string::npos) << message;
+  EXPECT_TRUE(session->predict(whatif().with_hidden_size(1024, 4096)).is_ok());
+}
+
 TEST(ErrorCodes, WhatIfRejectsBaselineFields) {
   Result<Session> session = Session::create(tiny_scenario());
   ASSERT_TRUE(session.is_ok());

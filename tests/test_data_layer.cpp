@@ -360,8 +360,9 @@ TEST_F(GoldenReplay, TemplateGraphReplaysBitIdenticallyAcrossRebuilds) {
                             testutil::tiny_config(), kernel_model, {});
   core::GraphManipulator m2(profiled, testutil::tiny_model(),
                             testutil::tiny_config(), kernel_model, {});
-  workload::BuiltJob j1 = m1.with_data_parallelism(4);
-  workload::BuiltJob j2 = m2.with_data_parallelism(4);
+  const workload::ParallelConfig dp4 = testutil::tiny_config(2, 2, 4);
+  workload::BuiltJob j1 = m1.with_spec(testutil::tiny_model(), dp4);
+  workload::BuiltJob j2 = m2.with_spec(testutil::tiny_model(), dp4);
   expect_identical(core::replay(j1.graph), core::replay(j2.graph));
 }
 

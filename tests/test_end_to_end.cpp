@@ -18,6 +18,13 @@ namespace {
 using testutil::tiny_config;
 using testutil::tiny_model;
 
+/// The coupled multi-rank prediction a manipulated job runs.
+core::SimResult predict(const workload::BuiltJob& job) {
+  core::SimOptions options;
+  options.couple_collectives = true;
+  return core::Simulator(job.graph, options).run();
+}
+
 cluster::GroundTruthRun run_tiny(std::int32_t tp = 2, std::int32_t pp = 2,
                                  std::int32_t dp = 2,
                                  std::uint64_t seed = 7) {
@@ -95,8 +102,9 @@ TEST(EndToEnd, PredictionDpScalingCompletes) {
   core::ExecutionGraph graph = parser.parse(base.trace);
   cost::KernelPerfModel km;
   core::GraphManipulator manip(graph, tiny_model(), tiny_config(2, 2, 2), km);
-  workload::BuiltJob predicted = manip.with_data_parallelism(8);
-  core::SimResult result = core::GraphManipulator::predict(predicted);
+  workload::BuiltJob predicted =
+      manip.with_spec(tiny_model(), tiny_config(2, 2, 8));
+  core::SimResult result = predict(predicted);
   EXPECT_TRUE(result.complete());
   EXPECT_GT(result.makespan_ns, 0);
 }
@@ -108,8 +116,9 @@ TEST(EndToEnd, PredictionPpScalingTracksActual) {
   cost::KernelPerfModel km;
   core::GraphManipulator manip(graph, tiny_model(), tiny_config(2, 2, 2), km);
 
-  workload::BuiltJob predicted = manip.with_pipeline_parallelism(4);
-  core::SimResult result = core::GraphManipulator::predict(predicted);
+  workload::BuiltJob predicted =
+      manip.with_spec(tiny_model(), tiny_config(2, 4, 2));
+  core::SimResult result = predict(predicted);
   ASSERT_TRUE(result.complete());
 
   cluster::GroundTruthEngine target(tiny_model(), tiny_config(2, 4, 2));

@@ -1,13 +1,19 @@
 // GraphManipulator & TemplateProvider tests (paper §3.4 / §4.3): generating
-// new execution graphs from profiled ones and predicting their performance.
+// new execution graphs from profiled ones and predicting their performance,
+// the costing-only pass (durations) and the structure key that lets one
+// rebuilt graph's program replay its key-mates' columns.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "analysis/breakdown.h"
 #include "analysis/metrics.h"
 #include "cluster/ground_truth.h"
 #include "core/graph_manipulator.h"
+#include "core/replay_program.h"
 #include "core/template_provider.h"
 #include "core/trace_parser.h"
 #include "io/fnv.h"
@@ -18,6 +24,21 @@ namespace {
 
 using testutil::tiny_config;
 using testutil::tiny_model;
+
+/// The coupled multi-rank prediction a manipulated job runs (paper:
+/// "predicting performance through simulation").
+SimResult predict(const ExecutionGraph& graph) {
+  SimOptions options;
+  options.couple_collectives = true;
+  return Simulator(graph, options).run();
+}
+
+/// The tiny model with `layers` layers.
+workload::ModelSpec tiny_with_layers(std::int32_t layers) {
+  workload::ModelSpec m = tiny_model();
+  m.num_layers = layers;
+  return m;
+}
 
 class ManipulatorFixture : public ::testing::Test {
  protected:
@@ -51,8 +72,9 @@ TEST_F(ManipulatorFixture, IdentityRebuildReproducesIterationTime) {
   // Rebuilding the *same* configuration from templates and predicting must
   // land very close to the profiled iteration (the durations are the
   // profiled ones; only jitter averaging differs).
-  workload::BuiltJob same = manip_->with_parallelism(2, 2);
-  SimResult predicted = GraphManipulator::predict(same);
+  workload::BuiltJob same =
+      manip_->with_spec(tiny_model(), tiny_config(2, 2, 2));
+  SimResult predicted = predict(same.graph);
   ASSERT_TRUE(predicted.complete());
   const double err = analysis::percent_error(
       static_cast<double>(predicted.makespan_ns),
@@ -61,13 +83,15 @@ TEST_F(ManipulatorFixture, IdentityRebuildReproducesIterationTime) {
 }
 
 TEST_F(ManipulatorFixture, IdentityRebuildPreservesStructure) {
-  workload::BuiltJob same = manip_->with_parallelism(2, 2);
+  workload::BuiltJob same =
+      manip_->with_spec(tiny_model(), tiny_config(2, 2, 2));
   EXPECT_EQ(same.graph.size(), run_->job.graph.size());
   EXPECT_EQ(same.graph.edges().size(), run_->job.graph.edges().size());
 }
 
 TEST_F(ManipulatorFixture, DataParallelismChangeKeepsLocalWork) {
-  workload::BuiltJob scaled = manip_->with_data_parallelism(8);
+  workload::BuiltJob scaled =
+      manip_->with_spec(tiny_model(), tiny_config(2, 2, 8));
   // Same explicit rank count (one replica materialized), same task count.
   EXPECT_EQ(scaled.graph.size(), run_->job.graph.size());
   EXPECT_EQ(scaled.config.dp, 8);
@@ -85,7 +109,8 @@ TEST_F(ManipulatorFixture, DataParallelismChangeKeepsLocalWork) {
 }
 
 TEST_F(ManipulatorFixture, LargerDpGroupSlowsDpCollectives) {
-  workload::BuiltJob scaled = manip_->with_data_parallelism(16);
+  workload::BuiltJob scaled =
+      manip_->with_spec(tiny_model(), tiny_config(2, 2, 16));
   std::int64_t base_dp = 0, scaled_dp = 0;
   for (const Task& t : run_->job.graph.tasks()) {
     if (t.is_collective_kernel() &&
@@ -103,7 +128,8 @@ TEST_F(ManipulatorFixture, LargerDpGroupSlowsDpCollectives) {
 }
 
 TEST_F(ManipulatorFixture, PpChangeRestagesLayers) {
-  workload::BuiltJob scaled = manip_->with_pipeline_parallelism(4);
+  workload::BuiltJob scaled =
+      manip_->with_spec(tiny_model(), tiny_config(2, 4, 2));
   EXPECT_EQ(scaled.config.pp, 4);
   EXPECT_EQ(scaled.graph.ranks().size(), 8u);  // tp*pp = 2*4
   // Every stage now owns 2 of the 8 layers.
@@ -122,8 +148,9 @@ TEST_F(ManipulatorFixture, PpChangeRestagesLayers) {
 }
 
 TEST_F(ManipulatorFixture, PpChangePredictionTracksActual) {
-  workload::BuiltJob scaled = manip_->with_pipeline_parallelism(4);
-  SimResult predicted = GraphManipulator::predict(scaled);
+  workload::BuiltJob scaled =
+      manip_->with_spec(tiny_model(), tiny_config(2, 4, 2));
+  SimResult predicted = predict(scaled.graph);
   ASSERT_TRUE(predicted.complete());
   const double err = analysis::percent_error(
       static_cast<double>(predicted.makespan_ns) / 1e6, actual_ms(2, 4, 2));
@@ -131,13 +158,15 @@ TEST_F(ManipulatorFixture, PpChangePredictionTracksActual) {
 }
 
 TEST_F(ManipulatorFixture, CombinedScalingPredictionCompletes) {
-  workload::BuiltJob scaled = manip_->with_parallelism(4, 8);
-  SimResult predicted = GraphManipulator::predict(scaled);
+  workload::BuiltJob scaled =
+      manip_->with_spec(tiny_model(), tiny_config(2, 4, 8));
+  SimResult predicted = predict(scaled.graph);
   EXPECT_TRUE(predicted.complete());
 }
 
 TEST_F(ManipulatorFixture, MoreLayersDuplicateTasks) {
-  workload::BuiltJob deeper = manip_->with_num_layers(16);
+  workload::BuiltJob deeper =
+      manip_->with_spec(tiny_with_layers(16), tiny_config());
   EXPECT_GT(deeper.graph.size(), run_->job.graph.size());
   std::set<std::int32_t> layers;
   for (const Task& t : deeper.graph.tasks()) {
@@ -151,8 +180,8 @@ TEST_F(ManipulatorFixture, MoreLayersDuplicateTasks) {
 TEST_F(ManipulatorFixture, MoreLayersPredictionTracksActual) {
   workload::ModelSpec deeper_model = tiny_model();
   deeper_model.num_layers = 16;
-  workload::BuiltJob deeper = manip_->with_num_layers(16);
-  SimResult predicted = GraphManipulator::predict(deeper);
+  workload::BuiltJob deeper = manip_->with_spec(deeper_model, tiny_config());
+  SimResult predicted = predict(deeper.graph);
   ASSERT_TRUE(predicted.complete());
   const double err = analysis::percent_error(
       static_cast<double>(predicted.makespan_ns) / 1e6,
@@ -161,7 +190,8 @@ TEST_F(ManipulatorFixture, MoreLayersPredictionTracksActual) {
 }
 
 TEST_F(ManipulatorFixture, HiddenSizeChangeRescalesGemms) {
-  workload::BuiltJob wider = manip_->with_hidden_size(2048, 8192);
+  workload::BuiltJob wider = manip_->with_spec(
+      GraphManipulator::resized_model(tiny_model(), 2048, 8192), tiny_config());
   // QKV GEMMs must get ~4x slower (flops scale with d^2 in the
   // compute-bound regime); verify they grew substantially.
   auto mean_gemm = [](const ExecutionGraph& g) {
@@ -183,8 +213,9 @@ TEST_F(ManipulatorFixture, HiddenSizePredictionTracksActual) {
   wider_model.d_model = 2048;
   wider_model.d_ff = 8192;
   wider_model.head_dim = 2048 / wider_model.num_heads;
-  workload::BuiltJob wider = manip_->with_hidden_size(2048, 8192);
-  SimResult predicted = GraphManipulator::predict(wider);
+  workload::BuiltJob wider = manip_->with_spec(
+      GraphManipulator::resized_model(tiny_model(), 2048, 8192), tiny_config());
+  SimResult predicted = predict(wider.graph);
   ASSERT_TRUE(predicted.complete());
   const double err = analysis::percent_error(
       static_cast<double>(predicted.makespan_ns) / 1e6,
@@ -193,18 +224,19 @@ TEST_F(ManipulatorFixture, HiddenSizePredictionTracksActual) {
 }
 
 TEST_F(ManipulatorFixture, TensorParallelismIsRejected) {
-  EXPECT_THROW(manip_->with_tensor_parallelism(4), std::invalid_argument);
+  EXPECT_THROW(manip_->with_spec(tiny_model(), tiny_config(4, 2, 2)),
+               std::invalid_argument);
 }
 
 TEST_F(ManipulatorFixture, InvalidArchitectureIsRejected) {
   workload::ModelSpec bad = tiny_model();
   bad.num_layers = 9;  // not divisible by pp=2
-  EXPECT_THROW(manip_->with_model(bad), std::invalid_argument);
+  EXPECT_THROW(manip_->with_spec(bad, tiny_config()), std::invalid_argument);
 }
 
 TEST_F(ManipulatorFixture, FallbackUsedOnlyForUnseenKeys) {
   // Rebuilding the same config must not need the analytical fallback.
-  manip_->with_parallelism(2, 2);
+  manip_->with_spec(tiny_model(), tiny_config(2, 2, 2));
   EXPECT_EQ(manip_->templates().fallback_count(), 0u);
 }
 
@@ -216,9 +248,10 @@ TEST(TemplateProviderStandalone, FallsBackForUnseenKeys) {
   ExecutionGraph parsed = TraceParser().parse(run.trace);
   cost::KernelPerfModel km;
   GraphManipulator manip(parsed, tiny_model(), tiny_config(2, 1, 2), km);
-  workload::BuiltJob scaled = manip.with_pipeline_parallelism(2);
+  workload::BuiltJob scaled =
+      manip.with_spec(tiny_model(), tiny_config(2, 2, 2));
   EXPECT_GT(manip.templates().fallback_count(), 0u);
-  SimResult predicted = GraphManipulator::predict(scaled);
+  SimResult predicted = predict(scaled.graph);
   EXPECT_TRUE(predicted.complete());
 }
 
@@ -381,7 +414,8 @@ TEST_F(GridPins, AllSixteenRebuildsAreBitIdentical) {
   io::Fnv1a grid;
   for (const std::int32_t pp : {2, 4, 8, 16}) {
     for (const std::int32_t dp : {4, 8, 16, 32}) {
-      const workload::BuiltJob job = manip.with_parallelism(pp, dp);
+      const workload::BuiltJob job =
+          manip.with_spec(pin_model(), tiny_config(2, pp, dp));
       const std::uint64_t h = graph_fingerprint(job.graph);
       grid.update_pod(h);
     }
@@ -389,6 +423,184 @@ TEST_F(GridPins, AllSixteenRebuildsAreBitIdentical) {
   EXPECT_EQ(grid.digest(), 12908117677440723024ULL);
 }
 
+// ---------------------------------------------------------------------------
+// Structure and costing: GraphManipulator::durations and
+// workload::structure_key.
+// ---------------------------------------------------------------------------
+
+/// A graph's duration column in task-id order.
+std::vector<std::int64_t> duration_column(const ExecutionGraph& g) {
+  std::vector<std::int64_t> column(g.size());
+  for (std::size_t i = 0; i < column.size(); ++i) {
+    column[i] = g.meta().duration_ns(static_cast<TaskId>(i));
+  }
+  return column;
+}
+
+TEST_F(GridPins, CostingPassEqualsTheRebuiltDurationColumn) {
+  const ExecutionGraph parsed = TraceParser().parse(run_->trace);
+  cost::KernelPerfModel km;
+  const GraphManipulator manip(parsed, pin_model(), tiny_config(2, 2, 4), km);
+  std::vector<std::pair<workload::ModelSpec, workload::ParallelConfig>> targets;
+  for (const std::int32_t pp : {2, 4, 8, 16}) {
+    for (const std::int32_t dp : {4, 8, 16, 32}) {
+      targets.emplace_back(pin_model(), tiny_config(2, pp, dp));
+    }
+  }
+  // The Fig. 8 hidden-size variants.
+  for (const auto& [d_model, d_ff] :
+       {std::pair<std::int64_t, std::int64_t>{6144, 24576}, {4096, 16384}}) {
+    targets.emplace_back(
+        GraphManipulator::resized_model(pin_model(), d_model, d_ff),
+        tiny_config(2, 2, 4));
+  }
+  for (const auto& [model, config] : targets) {
+    SCOPED_TRACE(config.label() + " d_model " + std::to_string(model.d_model));
+    EXPECT_EQ(manip.durations(model, config),
+              duration_column(manip.with_spec(model, config).graph));
+  }
+}
+
+/// One change to one field of a (model, config, options) triple.
+struct Perturbation {
+  const char* field;
+  std::function<void(workload::ModelSpec&, workload::ParallelConfig&,
+                     workload::BuildOptions&)>
+      apply;
+};
+
+/// One change per costing field. Each keeps the pin model valid at TP 2.
+std::vector<Perturbation> costing_perturbations() {
+  return {
+      {"dp", [](auto&, auto& c, auto&) { c.dp *= 2; }},
+      {"d_model", [](auto& m, auto&, auto&) { m.d_model *= 2; }},
+      {"d_ff", [](auto& m, auto&, auto&) { m.d_ff += 512; }},
+      {"num_heads", [](auto& m, auto&, auto&) { m.num_heads *= 2; }},
+      {"head_dim", [](auto& m, auto&, auto&) { m.head_dim /= 2; }},
+      {"seq_len", [](auto& m, auto&, auto&) { m.seq_len *= 2; }},
+      {"vocab_size", [](auto& m, auto&, auto&) { m.vocab_size += 2; }},
+      {"microbatch_size", [](auto&, auto& c, auto&) { ++c.microbatch_size; }},
+      {"gpus_per_node", [](auto&, auto& c, auto&) { c.gpus_per_node /= 2; }},
+  };
+}
+
+/// One change per structure-key field.
+std::vector<Perturbation> key_perturbations() {
+  return {
+      {"num_layers", [](auto& m, auto& c, auto&) { m.num_layers += c.pp; }},
+      {"tp", [](auto&, auto& c, auto&) { c.tp *= 2; }},
+      // Pin the microbatch count, so only pp itself moves.
+      {"pp",
+       [](auto&, auto& c, auto&) {
+         c.num_microbatches = c.microbatches();
+         c.pp *= 2;
+       }},
+      {"microbatches",
+       [](auto&, auto& c, auto&) {
+         c.num_microbatches = c.microbatches() + 1;
+       }},
+      {"policy",
+       [](auto&, auto&, auto& o) {
+         o.policy = workload::SchedulePolicy::GPipe;
+       }},
+      {"bucket_layers", [](auto&, auto&, auto& o) { ++o.bucket_layers; }},
+      {"dp_rank", [](auto&, auto&, auto& o) { ++o.dp_rank; }},
+      {"include_optimizer",
+       [](auto&, auto&, auto& o) {
+         o.include_optimizer = !o.include_optimizer;
+       }},
+  };
+}
+
+TEST(StructureKey, CostingFieldsKeepTheKeyAndKeyFieldsMoveIt) {
+  const std::vector<workload::ModelSpec> zoo = {
+      workload::ModelSpec::gpt3_15b(), workload::ModelSpec::gpt3_44b(),
+      workload::ModelSpec::gpt3_117b(), workload::ModelSpec::gpt3_175b(),
+      workload::ModelSpec::gpt3_v1(),  workload::ModelSpec::gpt3_v2(),
+      workload::ModelSpec::gpt3_v3(),  workload::ModelSpec::gpt3_v4(),
+      tiny_model(),                    pin_model()};
+  for (const workload::ModelSpec& model : zoo) {
+    for (const std::int32_t pp : {2, 4, 8, 16}) {
+      for (const std::int32_t dp : {4, 8, 16, 32}) {
+        const workload::ParallelConfig config = tiny_config(2, pp, dp);
+        SCOPED_TRACE(model.name + " " + config.label());
+        const workload::StructureKey key =
+            workload::structure_key(model, config, {});
+        const auto perturbed_key = [&](const Perturbation& p) {
+          workload::ModelSpec m = model;
+          workload::ParallelConfig c = config;
+          workload::BuildOptions o;
+          p.apply(m, c, o);
+          return workload::structure_key(m, c, o);
+        };
+        for (const Perturbation& p : costing_perturbations()) {
+          EXPECT_EQ(perturbed_key(p), key) << p.field;
+        }
+        for (const Perturbation& p : key_perturbations()) {
+          EXPECT_NE(perturbed_key(p), key) << p.field;
+        }
+      }
+    }
+  }
+}
+
+void expect_same_breakdown(const analysis::Breakdown& a,
+                           const analysis::Breakdown& b) {
+  EXPECT_EQ(a.exposed_compute_ns, b.exposed_compute_ns);
+  EXPECT_EQ(a.overlapped_ns, b.overlapped_ns);
+  EXPECT_EQ(a.exposed_comm_ns, b.exposed_comm_ns);
+  EXPECT_EQ(a.other_ns, b.other_ns);
+}
+
+TEST_F(GridPins, KeyMateProgramReplaysAPerturbedColumnExactly) {
+  // A costing-only change keeps the structure, so the program compiled from
+  // a key-mate's graph, run with the changed target's costing column, must
+  // equal the coupled interpreter on that target's own rebuilt graph.
+  const ExecutionGraph parsed = TraceParser().parse(run_->trace);
+  const cost::KernelPerfModel km;
+  const GraphManipulator manip(parsed, pin_model(), tiny_config(2, 2, 4), km);
+  cost::HardwareSpec slow_nic;
+  slow_nic.nic_bandwidth /= 2;
+  const cost::KernelPerfModel slow_km(slow_nic);
+  const GraphManipulator slow_manip(parsed, pin_model(), tiny_config(2, 2, 4),
+                                    slow_km);
+  for (const workload::ParallelConfig& config :
+       {tiny_config(2, 2, 4), tiny_config(2, 4, 8)}) {
+    const ExecutionGraph mate = manip.with_spec(pin_model(), config).graph;
+    const std::shared_ptr<const ReplayProgram> program =
+        ReplayCompiler::compile(mate).program;
+    ASSERT_NE(program, nullptr);
+    const auto expect_replays = [&](const GraphManipulator& m,
+                                    const workload::ModelSpec& model,
+                                    const workload::ParallelConfig& c,
+                                    const char* field) {
+      SCOPED_TRACE(config.label() + " perturbed " + field);
+      ASSERT_EQ(workload::structure_key(model, c, {}),
+                workload::structure_key(pin_model(), config, {}));
+      const std::vector<std::int64_t> column = m.durations(model, c);
+      ASSERT_TRUE(program->accepts(column));
+      const SimResult shared = program->run(column);
+      const ExecutionGraph own = m.with_spec(model, c).graph;
+      const SimResult reference = predict(own);
+      ASSERT_TRUE(reference.complete());
+      EXPECT_EQ(shared.start_ns, reference.start_ns);
+      EXPECT_EQ(shared.end_ns, reference.end_ns);
+      EXPECT_EQ(shared.makespan_ns, reference.makespan_ns);
+      EXPECT_EQ(shared.executed, reference.executed);
+      EXPECT_EQ(shared.stuck_tasks, reference.stuck_tasks);
+      expect_same_breakdown(analysis::compute_breakdown(mate, shared),
+                            analysis::compute_breakdown(own, reference));
+    };
+    for (const Perturbation& p : costing_perturbations()) {
+      workload::ModelSpec model = pin_model();
+      workload::ParallelConfig c = config;
+      workload::BuildOptions o;
+      p.apply(model, c, o);
+      expect_replays(manip, model, c, p.field);
+    }
+    expect_replays(slow_manip, pin_model(), config, "hardware");
+  }
+}
 
 TEST(SharedManipulator, ConcurrentRebuildsMatchTheSerialOne) {
   // PP=1 -> PP=2 needs pipeline send/recv templates the profile never saw,
@@ -400,7 +612,8 @@ TEST(SharedManipulator, ConcurrentRebuildsMatchTheSerialOne) {
   cost::KernelPerfModel km;
   const GraphManipulator serial(parsed, tiny_model(), tiny_config(2, 1, 2), km);
   const std::uint64_t expected =
-      graph_fingerprint(serial.with_pipeline_parallelism(2).graph);
+      graph_fingerprint(
+          serial.with_spec(tiny_model(), tiny_config(2, 2, 2)).graph);
   const std::size_t serial_fallbacks = serial.templates().fallback_count();
   ASSERT_GT(serial_fallbacks, 0u);
 
@@ -411,7 +624,8 @@ TEST(SharedManipulator, ConcurrentRebuildsMatchTheSerialOne) {
   for (int i = 0; i < kThreads; ++i) {
     threads.emplace_back([&shared, &hashes, i] {
       hashes[static_cast<std::size_t>(i)] =
-          graph_fingerprint(shared.with_pipeline_parallelism(2).graph);
+          graph_fingerprint(
+              shared.with_spec(tiny_model(), tiny_config(2, 2, 2)).graph);
     });
   }
   for (std::thread& t : threads) t.join();

@@ -465,6 +465,26 @@ TEST(ReplayProgram, AlternateDurationsMatchHookedInterpreter) {
   expect_identical(compiled.program->run(column), reference);
 }
 
+TEST(ReplayProgram, AcceptsOnlyOnePositiveEntryPerTask) {
+  // run(span) is exact only for a full, positive column; accepts() is the
+  // check the facade applies before every run(span). No duration provider
+  // produces a non-positive entry today (the GPT-3 15B costing floor is
+  // 1,500 ns, even at d_model 48), so the refused columns are hand-made.
+  GraphFixture f;
+  const TaskId a = f.cpu(0, 1, 10);
+  const TaskId b = f.cpu(0, 1, 20);
+  f.g.add_edge(a, b, DepType::IntraThread);
+  ReplayCompiler::Result compiled = ReplayCompiler::compile(f.g);
+  ASSERT_TRUE(compiled) << to_string(compiled.status);
+  const ReplayProgram& program = *compiled.program;
+  EXPECT_TRUE(program.accepts(std::vector<std::int64_t>{10, 20}));
+  EXPECT_TRUE(program.accepts(std::vector<std::int64_t>{1, 1}));
+  EXPECT_FALSE(program.accepts(std::vector<std::int64_t>{10}));  // short
+  EXPECT_FALSE(program.accepts(std::vector<std::int64_t>{10, 20, 30}));
+  EXPECT_FALSE(program.accepts(std::vector<std::int64_t>{10, 0}));   // zero
+  EXPECT_FALSE(program.accepts(std::vector<std::int64_t>{-5, 20}));  // negative
+}
+
 // ---------------------------------------------------------------------------
 // Fused graphs
 // ---------------------------------------------------------------------------

@@ -1,10 +1,14 @@
 // api::Sweep tests: sequential-vs-parallel bit-identity over a 16-scenario
-// grid, each grid row against the interpreter on its rebuilt graph, strict
+// grid, each grid row against the interpreter on its rebuilt graph,
+// structure sharing (every row that replays another row's program equals a
+// rebuild of its own; an invalid row fails alone, even as a leader; the
+// claim schedule keeps at most a pool of structures open), strict
 // parallelism-label validation, per-variant failure isolation (a
 // deadlocking variant must not poison siblings), ranking, and concurrent
 // registry access from sweep workers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -14,6 +18,7 @@
 #include <vector>
 
 #include "api/api.h"
+#include "api/structure_sharing.h"
 #include "core/graph_manipulator.h"
 #include "trace/chrome_trace.h"
 
@@ -158,6 +163,309 @@ TEST(Sweep, MatchesSessionPredictLoop) {
     EXPECT_EQ(sweep_sim.start_ns, loop->sim.start_ns);
     EXPECT_EQ(sweep_sim.end_ns, loop->sim.end_ns);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Structure sharing: rebuilt rows that key to one structure share its graph
+// and program, and each must still equal a rebuild of its own.
+// ---------------------------------------------------------------------------
+
+/// One rebuilt row: the what-if and the (model, config) it targets.
+struct RebuiltRow {
+  std::string label;
+  Scenario whatif;
+  workload::ModelSpec model;
+  workload::ParallelConfig config;
+};
+
+/// What a row must equal: the coupled interpreter on with_spec(target).
+struct Reference {
+  core::SimResult sim;
+  analysis::Breakdown breakdown;
+};
+
+Reference rebuild_reference(const BaselineArtifacts& base,
+                            const RebuiltRow& row) {
+  const cost::KernelPerfModel kernel_model(base.scenario.hardware());
+  const core::GraphManipulator manipulator(*base.graph, *base.model,
+                                           *base.config, kernel_model,
+                                           base.scenario.build_options());
+  const core::ExecutionGraph graph =
+      manipulator.with_spec(row.model, row.config).graph;
+  core::SimOptions options;
+  options.couple_collectives = true;
+  Reference out{core::Simulator(graph, options).run(), {}};
+  out.breakdown = analysis::compute_breakdown(graph, out.sim);
+  return out;
+}
+
+void expect_row_matches(const SweepRow& row, const RebuiltRow& target,
+                        const Reference& reference) {
+  SCOPED_TRACE(row.label);
+  ASSERT_TRUE(row.ok()) << row.status.to_string();
+  const Prediction& p = *row.prediction;
+  EXPECT_TRUE(p.used_compiled_replay);
+  EXPECT_EQ(p.sim.start_ns, reference.sim.start_ns);
+  EXPECT_EQ(p.sim.end_ns, reference.sim.end_ns);
+  EXPECT_EQ(p.sim.makespan_ns, reference.sim.makespan_ns);
+  EXPECT_EQ(p.sim.executed, reference.sim.executed);
+  EXPECT_EQ(p.sim.stuck_tasks, reference.sim.stuck_tasks);
+  EXPECT_EQ(p.breakdown.exposed_compute_ns,
+            reference.breakdown.exposed_compute_ns);
+  EXPECT_EQ(p.breakdown.overlapped_ns, reference.breakdown.overlapped_ns);
+  EXPECT_EQ(p.breakdown.exposed_comm_ns, reference.breakdown.exposed_comm_ns);
+  EXPECT_EQ(p.breakdown.other_ns, reference.breakdown.other_ns);
+  EXPECT_EQ(p.model, target.model);
+  EXPECT_EQ(p.config.label(), target.config.label());
+  EXPECT_EQ(p.config.microbatches(), target.config.microbatches());
+  EXPECT_EQ(p.config.microbatch_size, target.config.microbatch_size);
+}
+
+/// The fig7-style grid plus hidden-size and layer-count rows over the tiny
+/// baseline: several structures, most with more than one row.
+std::vector<RebuiltRow> mixed_rows(const BaselineArtifacts& base) {
+  std::vector<RebuiltRow> rows;
+  const auto add = [&](std::string label, Scenario whatif,
+                       workload::ModelSpec model, std::int32_t pp,
+                       std::int32_t dp) {
+    workload::ParallelConfig config = *base.config;
+    config.pp = pp;
+    config.dp = dp;
+    rows.push_back({std::move(label), std::move(whatif), std::move(model),
+                    config});
+  };
+  const workload::ModelSpec tiny = *base.model;
+  for (const std::int32_t pp : {1, 2, 4, 8}) {
+    for (const std::int32_t dp : {1, 2, 4, 8}) {
+      add("1x" + std::to_string(pp) + "x" + std::to_string(dp),
+          whatif().with_scaled_parallelism(pp, dp), tiny, pp, dp);
+    }
+  }
+  const std::int32_t pp = base.config->pp;
+  const std::int32_t dp = base.config->dp;
+  add("wide", whatif().with_hidden_size(2048, 8192),
+      core::GraphManipulator::resized_model(tiny, 2048, 8192), pp, dp);
+  add("narrow", whatif().with_hidden_size(512, 2048),
+      core::GraphManipulator::resized_model(tiny, 512, 2048), pp, dp);
+  add("wide_dp8",
+      whatif().with_hidden_size(2048, 8192).with_data_parallelism(8),
+      core::GraphManipulator::resized_model(tiny, 2048, 8192), pp, 8);
+  workload::ModelSpec deep = tiny;
+  deep.num_layers = 16;
+  add("deep", whatif().with_num_layers(16), deep, pp, dp);
+  add("deep_dp4", whatif().with_num_layers(16).with_data_parallelism(4), deep,
+      pp, 4);
+  add("deep_4x4", whatif().with_num_layers(16).with_scaled_parallelism(4, 4),
+      deep, 4, 4);
+  return rows;
+}
+
+TEST(Sweep, StructureSharedRowsMatchTheirOwnRebuilds) {
+  Result<Session> session = Session::create(tiny_base());
+  ASSERT_TRUE(session.is_ok()) << session.status().to_string();
+  Result<BaselineArtifacts> base = session->share_baseline();
+  ASSERT_TRUE(base.is_ok()) << base.status().to_string();
+  const std::vector<RebuiltRow> rows = mixed_rows(*base);
+  Result<Sweep> sweep = Sweep::over(*session);
+  ASSERT_TRUE(sweep.is_ok()) << sweep.status().to_string();
+  for (const RebuiltRow& row : rows) sweep->add(row.label, row.whatif);
+  // 2 workers take the structures in waves: fewer workers than structures.
+  std::vector<SweepReport> reports;
+  for (const std::size_t workers : {1u, 2u, 8u}) {
+    Result<SweepReport> report = sweep->run(workers);
+    ASSERT_TRUE(report.is_ok()) << report.status().to_string();
+    EXPECT_EQ(report->compiled_replays, rows.size());
+    reports.push_back(*std::move(report));
+  }
+  std::set<workload::StructureKey> structures;
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    structures.insert(
+        shared_rebuild_target(*base, rows[i].whatif).value().key);
+    const Reference reference = rebuild_reference(*base, rows[i]);
+    ASSERT_TRUE(reference.sim.complete()) << rows[i].label;
+    for (const SweepReport& report : reports) {
+      expect_row_matches(report.rows[i], rows[i], reference);
+    }
+  }
+  EXPECT_GT(structures.size(), 2u);
+}
+
+TEST(Sweep, ScheduleKeepsAtMostAPoolOfStructuresOpen) {
+  // Rows keyed to 7 structures (by layer count), submitted interleaved
+  // with rows that run alone (nullopt).
+  const auto layers = [](std::int32_t n) {
+    workload::StructureKey key;
+    key.num_layers = n;
+    return std::optional<workload::StructureKey>(key);
+  };
+  const std::optional<workload::StructureKey> alone;
+  const std::vector<std::optional<workload::StructureKey>> keys = {
+      layers(1), layers(2), alone,     layers(1), layers(3), layers(4),
+      layers(2), layers(5), alone,     layers(6), layers(3), layers(7),
+      layers(1), layers(6), layers(7), layers(4), layers(4)};
+  const std::size_t key_count = 7;
+
+  for (std::size_t workers = 1; workers <= 8; ++workers) {
+    SCOPED_TRACE("workers " + std::to_string(workers));
+    const SweepSchedule schedule = schedule_sweep(keys, workers);
+    ASSERT_EQ(schedule.structure_of.size(), keys.size());
+    std::vector<std::size_t> rows(keys.size());
+    for (std::size_t i = 0; i < keys.size(); ++i) rows[i] = i;
+    if (workers == 1) {
+      EXPECT_EQ(schedule.order, rows);
+    } else {
+      EXPECT_EQ(schedule.leaders.size(), key_count);  // one per key
+    }
+    ASSERT_EQ(std::multiset<std::size_t>(schedule.order.begin(),
+                                         schedule.order.end()),
+              std::multiset<std::size_t>(rows.begin(), rows.end()));
+
+    // A structure's rows are key-mates, and its leader is the first of
+    // them in submission order.
+    std::vector<std::size_t> unclaimed(schedule.leaders.size(), 0);
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      ASSERT_EQ(schedule.structure_of[i].has_value(), keys[i].has_value());
+      if (!keys[i]) continue;
+      const std::size_t s = *schedule.structure_of[i];
+      ASSERT_LT(s, schedule.leaders.size());
+      EXPECT_EQ(keys[schedule.leaders[s]], keys[i]);
+      EXPECT_LE(schedule.leaders[s], i);
+      ++unclaimed[s];
+    }
+    // Claimed in order, a leader comes before its followers, and the
+    // opened structures with a row still to claim never outnumber the
+    // workers.
+    std::vector<bool> opened(schedule.leaders.size(), false);
+    for (const std::size_t i : schedule.order) {
+      if (!schedule.structure_of[i]) continue;
+      const std::size_t s = *schedule.structure_of[i];
+      EXPECT_EQ(opened[s], schedule.leaders[s] != i);
+      opened[s] = true;
+      --unclaimed[s];
+      std::size_t open = 0;
+      for (std::size_t t = 0; t < opened.size(); ++t) {
+        if (opened[t] && unclaimed[t] > 0) ++open;
+      }
+      EXPECT_LE(open, workers);
+    }
+    // Several workers start as many builds side by side.
+    if (workers > 1) {
+      for (std::size_t k = 0; k < std::min(workers, key_count); ++k) {
+        EXPECT_EQ(schedule.order[k], schedule.leaders[k]);
+      }
+    }
+  }
+}
+
+TEST(Sweep, InvalidRowInASharedStructureFailsAlone) {
+  // d_model 1020 does not split into GPT-tiny's 8 heads. The row keys to
+  // the baseline's structure, so it shares a group with the DP and width
+  // rows: as a follower, and as the leader whose build fails.
+  Result<Session> session = Session::create(tiny_base());
+  ASSERT_TRUE(session.is_ok()) << session.status().to_string();
+  Result<BaselineArtifacts> base = session->share_baseline();
+  ASSERT_TRUE(base.is_ok()) << base.status().to_string();
+  const workload::ParallelConfig& config = *base->config;
+  const workload::ModelSpec& tiny = *base->model;
+  const Scenario invalid = whatif().with_hidden_size(1020, 4096);
+  workload::ParallelConfig dp4 = config;
+  dp4.dp = 4;
+  const std::vector<RebuiltRow> valid = {
+      {"dp4", whatif().with_data_parallelism(4), tiny, dp4},
+      {"wide", whatif().with_hidden_size(2048, 8192),
+       core::GraphManipulator::resized_model(tiny, 2048, 8192), config},
+  };
+  for (const bool invalid_leads : {true, false}) {
+    SCOPED_TRACE(invalid_leads ? "invalid leader" : "invalid follower");
+    Result<Sweep> sweep = Sweep::over(*session);
+    ASSERT_TRUE(sweep.is_ok()) << sweep.status().to_string();
+    if (invalid_leads) sweep->add("invalid", invalid);
+    for (const RebuiltRow& row : valid) sweep->add(row.label, row.whatif);
+    if (!invalid_leads) sweep->add("invalid", invalid);
+    const std::size_t bad = invalid_leads ? 0 : valid.size();
+    for (const std::size_t workers : {1u, 8u}) {
+      SCOPED_TRACE("workers " + std::to_string(workers));
+      Result<SweepReport> report = sweep->run(workers);
+      ASSERT_TRUE(report.is_ok()) << report.status().to_string();
+      EXPECT_EQ(report->rows[bad].status.code(),
+                ErrorCode::kValidationError);
+      EXPECT_EQ(report->succeeded(), valid.size());
+      for (std::size_t i = 0; i < valid.size(); ++i) {
+        const std::size_t at = invalid_leads ? i + 1 : i;
+        expect_row_matches(report->rows[at], valid[i],
+                           rebuild_reference(*base, valid[i]));
+      }
+    }
+  }
+}
+
+TEST(Sweep, OnlyPlainRebuildsShareAStructure) {
+  Result<Session> session = Session::create(tiny_base());
+  ASSERT_TRUE(session.is_ok()) << session.status().to_string();
+  Result<BaselineArtifacts> base = session->share_baseline();
+  ASSERT_TRUE(base.is_ok()) << base.status().to_string();
+  for (const Scenario& shares :
+       {whatif().with_data_parallelism(4),
+        whatif().with_scaled_parallelism(4, 2), whatif().with_num_layers(16),
+        whatif().with_hidden_size(2048, 8192),
+        whatif().with_architecture(*base->model)}) {
+    EXPECT_TRUE(shared_rebuild_target(*base, shares).has_value());
+  }
+  // Faults and hooks see rank labels, which differ between key-mates; the
+  // rest change the graph or its costing beyond the builder's column.
+  const faults::FaultSpec slow = faults::FaultSpec().slow_rank(0, 1.5);
+  for (const Scenario& alone :
+       {whatif(), whatif().with_fusion(),
+        whatif().with_data_parallelism(4).with_faults(slow),
+        whatif().with_data_parallelism(4).with_hooks("sweep_half_speed"),
+        whatif().with_data_parallelism(4).with_tensor_parallelism(2),
+        whatif().with_data_parallelism(4).with_fusion(),
+        whatif().with_data_parallelism(4).without_dependencies(
+            core::DepType::InterStream),
+        whatif().with_data_parallelism(4).with_cost_model("sweep_model"),
+        whatif().with_data_parallelism(4).with_microbatches(8)}) {
+    EXPECT_FALSE(shared_rebuild_target(*base, alone).has_value())
+        << alone.describe();
+  }
+}
+
+TEST(Sweep, SharedReplayRefusesAColumnItsProgramDoesNotAccept) {
+  Result<Session> session = Session::create(tiny_base());
+  ASSERT_TRUE(session.is_ok()) << session.status().to_string();
+  Result<BaselineArtifacts> base = session->share_baseline();
+  ASSERT_TRUE(base.is_ok()) << base.status().to_string();
+  const std::optional<RebuildTarget> target =
+      shared_rebuild_target(*base, whatif().with_data_parallelism(4));
+  ASSERT_TRUE(target.has_value());
+  const SharedRebuilds rebuilds(*base);
+  SharedStructure structure;
+  Result<Prediction> built = rebuilds.build(*target, structure);
+  ASSERT_TRUE(built.is_ok()) << built.status().to_string();
+  ASSERT_NE(structure.program, nullptr);
+  Result<std::vector<std::int64_t>> column = rebuilds.cost(*target);
+  ASSERT_TRUE(column.is_ok()) << column.status().to_string();
+
+  // The row's own costing column replays exactly what its build ran.
+  const std::optional<Prediction> costed =
+      rebuilds.replay(*target, structure, *column);
+  ASSERT_TRUE(costed.has_value());
+  EXPECT_TRUE(costed->used_compiled_replay);
+  EXPECT_EQ(costed->sim.start_ns, built->sim.start_ns);
+  EXPECT_EQ(costed->sim.end_ns, built->sim.end_ns);
+
+  // A column the program does not accept is refused, and the row rebuilds
+  // instead: one entry short, a zero entry, a negative entry.
+  const std::vector<std::int64_t> shorter(column->begin(), column->end() - 1);
+  EXPECT_FALSE(rebuilds.replay(*target, structure, shorter).has_value());
+  std::vector<std::int64_t> zero = *column;
+  zero[zero.size() / 2] = 0;
+  EXPECT_FALSE(rebuilds.replay(*target, structure, zero).has_value());
+  std::vector<std::int64_t> negative = *column;
+  negative.front() = -1;
+  EXPECT_FALSE(rebuilds.replay(*target, structure, negative).has_value());
+  // So is a structure without a program.
+  EXPECT_FALSE(rebuilds.replay(*target, {structure.graph, nullptr}, *column)
+                   .has_value());
 }
 
 TEST(Sweep, RepeatedParallelRunsAreStable) {
