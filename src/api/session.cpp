@@ -709,9 +709,8 @@ std::optional<Prediction> SharedRebuilds::replay(
 }
 
 Result<analysis::Breakdown> Session::breakdown() {
-  Result<const trace::ClusterTrace*> replayed = replayed_trace();
-  if (!replayed.is_ok()) return replayed.status();
-  return analysis::compute_breakdown(**replayed);
+  if (Status status = ensure_replay(); !status.is_ok()) return status;
+  return analysis::compute_breakdown(*graph_, *replay_);
 }
 
 Result<analysis::Breakdown> Session::breakdown_actual() {

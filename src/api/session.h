@@ -203,7 +203,8 @@ class Session {
   Result<Prediction> predict(const Scenario& whatif);
 
   // -- analysis -------------------------------------------------------------
-  /// Breakdown of the Lumos-replayed trace (averaged across ranks).
+  /// Breakdown of the Lumos replay (averaged across ranks), read from the
+  /// graph's columns and the schedule; no replayed trace is built.
   Result<analysis::Breakdown> breakdown();
   /// Breakdown of the actual run's trace (synthetic sessions only).
   Result<analysis::Breakdown> breakdown_actual();

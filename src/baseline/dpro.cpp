@@ -3,39 +3,24 @@
 namespace lumos::baseline {
 
 core::ExecutionGraph dpro_graph(const core::ExecutionGraph& graph) {
-  // dPRO's global dataflow graph does capture producer/consumer relations
-  // of pipeline transfers (a recv's output feeds the next forward), so
-  // inter-stream edges touching send/recv kernels survive. What it misses
-  // is the cudaEventRecord/cudaStreamWaitEvent choreography ordering
-  // overlapped collectives (TP/DP all-reduce) against compute — exactly the
-  // paper's diagnosis of its overlap overestimation.
-  core::ExecutionGraph out;
-  for (const core::Task& t : graph.tasks()) {
-    core::Task copy = t;
-    copy.id = core::kInvalidTask;
-    out.add_task(std::move(copy));
-  }
-  // dPRO's dataflow graph knows a collective's *inputs* (tensors produced
-  // on the compute stream feed the all-reduce), so compute->comm edges and
-  // all pipeline-transfer edges survive. What its graph lacks is the
-  // event-based ordering from communication back into computation — the
-  // comm->compute edges — which is what lets its replay overlap collectives
-  // with the downstream compute that really waits for them. Classification
-  // comes from the meta table's precomputed flags — no string probes.
+  // dPRO's global dataflow graph knows a collective's *inputs* (compute
+  // feeds the all-reduce) and the producer/consumer relations of pipeline
+  // transfers (a recv's output feeds the next forward), so those edges
+  // survive. It lacks the cudaEventRecord/cudaStreamWaitEvent ordering from
+  // communication back into computation, which lets its replay overlap
+  // collectives with the compute that really waits for them — exactly the
+  // paper's diagnosis of its overlap overestimation. The derived graph
+  // shares the rows and the meta table, whose flags classify the edges.
   const core::TaskMetaTable& meta = graph.meta();
   auto is_p2p = [&](core::TaskId id) {
     return meta.is_collective_kernel(id) && meta.is_p2p(id);
   };
-  for (const core::Edge& e : graph.edges()) {
+  core::ExecutionGraph out = graph.with_edges_if([&](const core::Edge& e) {
     const bool missed_by_dpro = e.type == core::DepType::InterStream &&
                                 meta.is_collective_kernel(e.src) &&
                                 !is_p2p(e.src) && !is_p2p(e.dst);
-    if (missed_by_dpro) continue;
-    out.add_edge(e.src, e.dst, e.type);
-  }
-  // Tasks are copied verbatim in id order, so the derived graph could share
-  // the meta table; finalize() rebuilds it defensively (ids match but the
-  // copy went through add_task).
+    return !missed_by_dpro;
+  });
   out.finalize();
   return out;
 }

@@ -10,7 +10,7 @@
 // the communication share grows.
 //
 // This baseline reproduces that failure mode from the same mechanism: it
-// replays the *same* parsed graph with all InterStream edges removed.
+// replays the *same* parsed graph minus its comm->compute InterStream edges.
 #pragma once
 
 #include "core/execution_graph.h"

@@ -1,6 +1,5 @@
 #include "core/execution_graph.h"
 
-#include <algorithm>
 #include <set>
 #include <stdexcept>
 
@@ -19,24 +18,25 @@ std::string_view to_string(DepType type) {
   return "unknown";
 }
 
+ExecutionGraph::ExecutionGraph()
+    : ExecutionGraph(std::make_shared<trace::TracePools>()) {}
+
 ExecutionGraph::ExecutionGraph(std::shared_ptr<trace::TracePools> pools)
-    : tasks_valid_(false),
-      columns_(std::make_shared<ColumnTaskSource>(std::move(pools))) {}
+    : columns_(std::make_shared<ColumnTaskSource>(std::move(pools))) {}
 
 ExecutionGraph::ExecutionGraph(const ExecutionGraph& other)
-    : edges_(other.edges_) {
+    : columns_(other.columns_), edges_(other.edges_) {
   // Carry valid caches over (the copy is often simulated immediately);
   // take the source's locks so a concurrent lazy build on `other` cannot be
   // observed half-written. The meta table is immutable once built and
-  // depends only on tasks, so the copy *shares* it instead of re-deriving.
-  // Column-backed tasks stay lazy: the copy shares the columns and
-  // materializes independently on first demand.
+  // depends only on the rows, so the copy *shares* it instead of
+  // re-deriving.
   {
     MutexLock lock(other.tasks_mutex_);
-    tasks_ = other.tasks_;
-    columns_ = other.columns_;
-    tasks_valid_.store(other.tasks_valid_.load(std::memory_order_relaxed),
-                       std::memory_order_relaxed);
+    if (other.tasks_valid_.load(std::memory_order_relaxed)) {
+      tasks_ = other.tasks_;
+      tasks_valid_.store(true, std::memory_order_relaxed);
+    }
   }
   {
     MutexLock lock(other.adjacency_mutex_);
@@ -65,8 +65,8 @@ ExecutionGraph& ExecutionGraph::operator=(const ExecutionGraph& other) {
 }
 
 ExecutionGraph::ExecutionGraph(ExecutionGraph&& other) noexcept
-    : tasks_(std::move(other.tasks_)),
-      columns_(std::move(other.columns_)),
+    : columns_(std::move(other.columns_)),
+      tasks_(std::move(other.tasks_)),
       edges_(std::move(other.edges_)),
       succ_offsets_(std::move(other.succ_offsets_)),
       pred_offsets_(std::move(other.pred_offsets_)),
@@ -74,10 +74,11 @@ ExecutionGraph::ExecutionGraph(ExecutionGraph&& other) noexcept
       pred_ids_(std::move(other.pred_ids_)),
       meta_(std::move(other.meta_)) {
   // Moving from a graph that is concurrently read is a caller bug (a move
-  // mutates); no lock taken here.
+  // mutates); no lock taken here. The source is left without columns, and
+  // its caches rebuild lazily as those of an empty graph.
   tasks_valid_.store(other.tasks_valid_.load(std::memory_order_relaxed),
                      std::memory_order_relaxed);
-  other.tasks_valid_.store(true, std::memory_order_relaxed);
+  other.tasks_valid_.store(false, std::memory_order_relaxed);
   adjacency_valid_.store(
       other.adjacency_valid_.load(std::memory_order_relaxed),
       std::memory_order_relaxed);
@@ -89,11 +90,11 @@ ExecutionGraph::ExecutionGraph(ExecutionGraph&& other) noexcept
 
 ExecutionGraph& ExecutionGraph::operator=(ExecutionGraph&& other) noexcept {
   if (this == &other) return *this;
-  tasks_ = std::move(other.tasks_);
   columns_ = std::move(other.columns_);
+  tasks_ = std::move(other.tasks_);
   tasks_valid_.store(other.tasks_valid_.load(std::memory_order_relaxed),
                      std::memory_order_relaxed);
-  other.tasks_valid_.store(true, std::memory_order_relaxed);
+  other.tasks_valid_.store(false, std::memory_order_relaxed);
   edges_ = std::move(other.edges_);
   succ_offsets_ = std::move(other.succ_offsets_);
   pred_offsets_ = std::move(other.pred_offsets_);
@@ -114,30 +115,14 @@ void ExecutionGraph::ensure_tasks() const {
   if (tasks_valid_.load(std::memory_order_acquire)) return;
   MutexLock lock(tasks_mutex_);
   if (tasks_valid_.load(std::memory_order_relaxed)) return;
-  tasks_ = columns_->materialize();
+  tasks_ = columns_ ? columns_->materialize() : std::vector<Task>{};
   tasks_valid_.store(true, std::memory_order_release);
-}
-
-void ExecutionGraph::author_tasks() {
-  ensure_tasks();
-  columns_.reset();
-  invalidate_meta();
-}
-
-TaskId ExecutionGraph::add_task(Task task) {
-  author_tasks();
-  std::vector<Task>& tasks = tasks_unsync();  // build phase: single-threaded
-  task.id = static_cast<TaskId>(tasks.size());
-  tasks.push_back(std::move(task));
-  adjacency_valid_.store(false, std::memory_order_relaxed);
-  return tasks.back().id;
 }
 
 TaskId ExecutionGraph::add_task(const Processor& processor,
                                 const trace::EventTable::Row& row) {
   if (!columns_) {
-    throw std::logic_error(
-        "ExecutionGraph: column rows need a graph constructed with pools");
+    throw std::logic_error("ExecutionGraph: add_task on a moved-from graph");
   }
   // Build phase, single-threaded. Columns shared with a copy or with a
   // published meta table are cloned before the append; a materialized Task
@@ -147,10 +132,9 @@ TaskId ExecutionGraph::add_task(const Processor& processor,
   }
   const auto id = static_cast<TaskId>(columns_->count());
   columns_->push(processor, row);
-  tasks_unsync().clear();
   tasks_valid_.store(false, std::memory_order_relaxed);
   adjacency_valid_.store(false, std::memory_order_relaxed);
-  invalidate_meta();
+  meta_valid_.store(false, std::memory_order_relaxed);
   return id;
 }
 
@@ -213,13 +197,9 @@ void ExecutionGraph::ensure_meta() const {
   if (meta_valid_.load(std::memory_order_acquire)) return;
   MutexLock lock(meta_mutex_);
   if (meta_valid_.load(std::memory_order_relaxed)) return;
-  if (columns_) {
-    meta_ = std::make_shared<const TaskMetaTable>(
-        TaskMetaTable::build(columns_));
-  } else {
-    meta_ = std::make_shared<const TaskMetaTable>(
-        TaskMetaTable::build(tasks_unsync()));
-  }
+  // A moved-from graph has no columns; it classifies as an empty payload.
+  meta_ = std::make_shared<const TaskMetaTable>(TaskMetaTable::build(
+      columns_ ? columns_ : std::make_shared<const ColumnTaskSource>()));
   meta_valid_.store(true, std::memory_order_release);
 }
 
@@ -253,15 +233,10 @@ std::vector<std::int32_t> ExecutionGraph::in_degrees() const {
   return deg;
 }
 
-std::vector<Processor> ExecutionGraph::processors() const {
-  std::set<Processor> procs;
-  for (const Task& t : tasks()) procs.insert(t.processor);
-  return {procs.begin(), procs.end()};
-}
-
 std::vector<std::int32_t> ExecutionGraph::ranks() const {
-  std::set<std::int32_t> ranks;
-  for (const Task& t : tasks()) ranks.insert(t.processor.rank);
+  if (!columns_) return {};
+  const std::span<const std::int32_t> column = columns_->rank_column();
+  const std::set<std::int32_t> ranks(column.begin(), column.end());
   return {ranks.begin(), ranks.end()};
 }
 
@@ -305,26 +280,18 @@ bool ExecutionGraph::is_acyclic(TaskId* cycle_hint) const {
   return false;
 }
 
-ExecutionGraph ExecutionGraph::without_edges(DepType drop) const {
+ExecutionGraph ExecutionGraph::with_edges_if(
+    const std::function<bool(const Edge&)>& keep) const {
   ExecutionGraph out;
-  // Propagate laziness: a column-backed graph's ablation copy shares the
-  // immutable columns instead of forcing materialization here.
-  {
-    // `out` is local, so its lock is uncontended — taken anyway so the
-    // analysis can check the cross-object copy instead of being escaped.
-    MutexLock out_lock(out.tasks_mutex_);
-    MutexLock lock(tasks_mutex_);
-    out.tasks_ = tasks_;
-    out.columns_ = columns_;
-    out.tasks_valid_.store(tasks_valid_.load(std::memory_order_relaxed),
-                           std::memory_order_relaxed);
-  }
+  out.columns_ = columns_;
   out.edges_.reserve(edges_.size());
   for (const Edge& e : edges_) {
-    if (e.type != drop) out.edges_.push_back(e);
+    if (keep(e)) out.edges_.push_back(e);
   }
-  // Tasks are identical, so the derived graph shares this one's meta table
-  // (building it here if needed keeps ablation replays off the lazy path).
+  // The rows are identical, so the derived graph shares this one's meta
+  // table (building it here if needed keeps derived replays off the lazy
+  // path). `out` is local, so its lock is uncontended — taken anyway so
+  // the analysis can check the cross-object copy instead of being escaped.
   ensure_meta();
   {
     MutexLock out_lock(out.meta_mutex_);
@@ -335,10 +302,8 @@ ExecutionGraph ExecutionGraph::without_edges(DepType drop) const {
   return out;
 }
 
-std::int64_t ExecutionGraph::total_duration_ns() const {
-  std::int64_t total = 0;
-  for (const Task& t : tasks()) total += t.duration_ns();
-  return total;
+ExecutionGraph ExecutionGraph::without_edges(DepType drop) const {
+  return with_edges_if([drop](const Edge& e) { return e.type != drop; });
 }
 
 }  // namespace lumos::core

@@ -4,20 +4,17 @@
 // ground-truth engine and manipulated-graph prediction). Edges are stored
 // flat and indexed into CSR adjacency on demand.
 //
-// Data layer: producers (IterationGraphBuilder, TraceParser, the snapshot
-// loader) write a graph's tasks as columns — one row of interned ids plus
+// Data layer: a graph's tasks are columns — one row of interned ids plus
 // scalars per task, in a ColumnTaskSource (core/task_columns.h) over the
-// graph's TracePools. On top of that payload the graph owns a columnar
-// TaskMetaTable (core/task_meta.h) — per-task CudaApi/category/flags, dense
-// LaneIds and collective rendezvous groups, all classified once. Producers
-// call finalize() when a graph is fully built; meta() also builds lazily.
-// The authoring Task vector (tasks()) is materialized from the columns on
-// first demand, once per graph; hand-authored graphs (add_task(Task):
-// fusion, dPRO, tests) keep Tasks directly and classify from a conversion.
-// The table depends only on the task payload, so copies and edge-dropped
-// derivations (without_edges) share it.
+// graph's TracePools — appended by every producer and shared by
+// edge-filtered derivations (with_edges_if). On top of that payload the
+// graph owns a columnar TaskMetaTable (core/task_meta.h) — per-task
+// CudaApi/category/flags, dense LaneIds and collective rendezvous groups,
+// all classified once (finalize(), or lazily in meta()) and shared by
+// copies and derivations. tasks() / task(id) are a const Task view for
+// SimulatorHooks, materialized from the columns once per graph.
 //
-// Thread safety: mutation (add_task / add_edge / non-const tasks()) is not
+// Thread safety: mutation (add_task / add_edge) is not
 // synchronized — build the graph on one thread. Once built, every const
 // member is safe to call from any number of threads concurrently: the lazily
 // built CSR adjacency cache, the materialized tasks and the TaskMetaTable
@@ -29,6 +26,7 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -96,15 +94,16 @@ class EdgeTypeHistogram {
 
 class ExecutionGraph {
  public:
-  /// An empty graph authored through add_task(Task).
-  ExecutionGraph() = default;
-  /// An empty column-backed graph whose add_task(Processor, Row) rows carry
-  /// string ids interned into `pools` — the producer path.
+  /// An empty graph over fresh pools.
+  ExecutionGraph();
+  /// An empty graph whose add_task rows carry string ids interned into
+  /// `pools` — the producer path.
   explicit ExecutionGraph(std::shared_ptr<trace::TracePools> pools);
   // The caches hold mutexes/atomics, so copies and moves are spelled out:
-  // payload (tasks, edges) transfers, cache state of the source is carried
-  // over where cheap (copy shares the immutable meta table) or rebuilt
-  // lazily (move).
+  // payload (columns, edges) transfers, cache state of the source is
+  // carried over where cheap (copy shares the immutable meta table) or
+  // rebuilt lazily (move). A moved-from graph is empty: size(), meta(),
+  // tasks() and the edge accessors work on it; add_task throws.
   ExecutionGraph(const ExecutionGraph& other);
   ExecutionGraph& operator=(const ExecutionGraph& other);
   ExecutionGraph(ExecutionGraph&& other) noexcept;
@@ -115,15 +114,9 @@ class ExecutionGraph {
   ExecutionGraph& operator=(ExecutionGraph&& other) noexcept
       LUMOS_NO_THREAD_SAFETY_ANALYSIS;
 
-  /// Appends a task, assigning the next id (= program order). Returns it.
-  /// A column-backed graph first materializes its tasks, which become the
-  /// authoritative payload from then on.
-  TaskId add_task(Task task);
-
   /// Appends a task as one column row (string ids of the pools passed at
-  /// construction), assigning the next id. Precondition: the graph was
-  /// constructed with pools and no Task was authored into it since;
-  /// std::logic_error otherwise.
+  /// construction), assigning the next id (= program order). Returns it.
+  /// std::logic_error on a moved-from graph.
   TaskId add_task(const Processor& processor,
                   const trace::EventTable::Row& row);
 
@@ -131,36 +124,21 @@ class ExecutionGraph {
   /// with std::invalid_argument.
   void add_edge(TaskId src, TaskId dst, DepType type);
 
-  /// Capacity hint for a column-backed build: room for `tasks` rows and
-  /// `edges` edges in total.
+  /// Capacity hint: room for `tasks` rows and `edges` edges in total.
   void reserve(std::size_t tasks, std::size_t edges);
 
-  /// The authoring Task vector, materialized from the columns on first
-  /// call (once per graph, thread-safe).
+  /// The Task view hooked simulation reads, materialized from the columns
+  /// on first call (once per graph, thread-safe).
   const std::vector<Task>& tasks() const {
     ensure_tasks();
-    return tasks_unsync();
-  }
-  /// Mutable task access makes the Task vector the authoritative payload
-  /// and invalidates the meta table, which reclassifies on next meta().
-  std::vector<Task>& tasks() {
-    author_tasks();
     return tasks_unsync();
   }
   const Task& task(TaskId id) const {
     ensure_tasks();
     return tasks_unsync()[static_cast<std::size_t>(id)];
   }
-  Task& task(TaskId id) {
-    author_tasks();
-    return tasks_unsync()[static_cast<std::size_t>(id)];
-  }
-  /// Task count — available without materializing tasks.
-  std::size_t size() const {
-    return tasks_valid_.load(std::memory_order_acquire)
-               ? tasks_unsync().size()
-               : columns_->count();
-  }
+  /// Task count: the column row count.
+  std::size_t size() const { return columns_ ? columns_->count() : 0; }
   bool empty() const { return size() == 0; }
 
   const std::vector<Edge>& edges() const { return edges_; }
@@ -197,9 +175,6 @@ class ExecutionGraph {
   /// Number of fixed in-edges per task.
   std::vector<std::int32_t> in_degrees() const;
 
-  /// Distinct processors over all tasks, in deterministic order.
-  std::vector<Processor> processors() const;
-
   /// Distinct rank ids in ascending order.
   std::vector<std::int32_t> ranks() const;
 
@@ -210,13 +185,13 @@ class ExecutionGraph {
   /// fills `cycle_hint` with a task on a cycle otherwise.
   bool is_acyclic(TaskId* cycle_hint = nullptr) const;
 
-  /// Returns a copy with all edges of `drop` removed (ablation support,
-  /// also how the dPRO baseline graph is derived). The meta table is shared
-  /// with this graph — it depends only on tasks, which are identical.
+  /// Returns a copy keeping only the edges `keep` accepts (how the dPRO
+  /// baseline graph is derived). The copy shares this graph's columns and
+  /// meta table: both depend only on the rows, which are identical.
+  ExecutionGraph with_edges_if(
+      const std::function<bool(const Edge&)>& keep) const;
+  /// with_edges_if dropping every edge of type `drop` (ablation support).
   ExecutionGraph without_edges(DepType drop) const;
-
-  /// Sum of task durations per processor (used in analysis & tests).
-  std::int64_t total_duration_ns() const;
 
  private:
   friend struct lumos::snapshot::Access;  // installs columns + meta
@@ -231,37 +206,29 @@ class ExecutionGraph {
   /// Materializes tasks from the columns if not yet present; same
   /// double-checked discipline on `tasks_valid_` under `tasks_mutex_`.
   void ensure_tasks() const LUMOS_EXCLUDES(tasks_mutex_);
-  /// Build phase: makes the Task vector authoritative (drops the columns,
-  /// which would go stale under Task edits) and invalidates the meta table.
-  void author_tasks();
-  void invalidate_meta() {
-    meta_valid_.store(false, std::memory_order_relaxed);
-  }
 
   /// Analysis escape for the double-checked fast path: tasks_ may be read
-  /// without tasks_mutex_ because (a) every const reader arrives through
+  /// without tasks_mutex_ because every reader arrives through
   /// ensure_tasks(), whose acquire-load of tasks_valid_ pairs with the
-  /// builder's release-store — from publication until the next mutation the
-  /// vector is immutable — and (b) mutators (add_task, non-const tasks())
-  /// run in the documented single-threaded build phase. All other access
+  /// builder's release-store — from publication until the next
+  /// (single-threaded) add_task the vector is immutable. All other access
   /// takes tasks_mutex_ and stays under full analysis.
   const std::vector<Task>& tasks_unsync() const
       LUMOS_NO_THREAD_SAFETY_ANALYSIS {
     return tasks_;
   }
-  std::vector<Task>& tasks_unsync() LUMOS_NO_THREAD_SAFETY_ANALYSIS {
-    return tasks_;
-  }
 
-  // Task storage. Column-backed graphs (producers, snapshot loads) keep
-  // their rows in columns_ and materialize tasks_ on first demand (mutable
-  // cache, double-checked); hand-authored graphs keep tasks_ directly
-  // (tasks_valid_ true, columns_ null). Copies share the columns; a copy
-  // that appends rows clones them first.
+  // The task rows; null only in a moved-from graph. Copies and
+  // edge-filtered derivations share them; a graph that appends to shared
+  // columns clones them first.
+  std::shared_ptr<ColumnTaskSource> columns_;
+
+  // The Task view, materialized from columns_ on first demand (mutable
+  // cache, double-checked). add_task only clears the flag; the next
+  // materialization overwrites the stale vector.
   mutable Mutex tasks_mutex_;
   mutable std::vector<Task> tasks_ LUMOS_GUARDED_BY(tasks_mutex_);
-  mutable std::atomic<bool> tasks_valid_{true};
-  std::shared_ptr<ColumnTaskSource> columns_;
+  mutable std::atomic<bool> tasks_valid_{false};
 
   std::vector<Edge> edges_;
 
@@ -278,7 +245,7 @@ class ExecutionGraph {
   mutable std::vector<TaskId> pred_ids_ LUMOS_GUARDED_BY(adjacency_mutex_);
 
   // Lazily built columnar metadata (mutable cache, same discipline). Held
-  // behind a shared_ptr so copies / without_edges share the immutable table.
+  // behind a shared_ptr so copies / with_edges_if share the immutable table.
   mutable std::atomic<bool> meta_valid_{false};
   mutable Mutex meta_mutex_;
   mutable std::shared_ptr<const TaskMetaTable> meta_

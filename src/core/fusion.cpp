@@ -1,40 +1,39 @@
 #include "core/fusion.h"
 
-#include <map>
+#include <algorithm>
 #include <set>
+#include <string>
 #include <tuple>
 #include <vector>
 
 namespace lumos::core {
 
-namespace {
-
-bool is_fusible(const Task& t) {
-  return t.is_gpu() && t.event.cat == trace::EventCategory::Kernel &&
-         t.event.bytes_moved > 0 && !t.event.collective.valid() &&
-         !t.event.gemm.valid();
-}
-
-using BlockKey = std::tuple<std::string, std::int32_t, std::string,
-                            std::int32_t>;
-
-BlockKey block_key(const Task& t) {
-  return {t.event.block, t.event.layer, t.event.phase, t.event.microbatch};
-}
-
-}  // namespace
-
 FusionResult fuse_elementwise(const ExecutionGraph& graph,
                               const FusionOptions& options) {
   // 1. Walk each GPU lane's tasks in id (launch) order — the meta table
   //    already holds them as dense per-lane lists — and find maximal runs
-  //    of fusible kernels.
+  //    of fusible kernels within one block instance, reading the event
+  //    columns (one pool, so equal ids are equal strings).
   const TaskMetaTable& meta = graph.meta();
+  const ColumnTaskSource& cols = meta.columns();
+  const trace::EventTable& ev = cols.events();
+  const std::size_t n = cols.count();
+  auto fusible = [&](TaskId id) {
+    const auto i = static_cast<std::size_t>(id);
+    return ev.category(i) == trace::EventCategory::Kernel &&
+           ev.bytes_moved(i) > 0 && !ev.collective_op(i).valid() &&
+           !ev.gemm(i).valid();
+  };
+  auto block_key = [&](TaskId id) {
+    const auto i = static_cast<std::size_t>(id);
+    return std::tuple(ev.block_id(i), ev.layer(i), ev.phase_id(i),
+                      ev.microbatch(i));
+  };
 
-  // representative[d] = surviving kernel that absorbs task d.
-  std::map<TaskId, TaskId> representative;
-  // extra duration added to each surviving fused kernel.
-  std::map<TaskId, std::int64_t> added_ns;
+  // head[t] = the surviving kernel that absorbs task t (t itself for a
+  // run's head); added_ns[head] = extra duration the head takes on.
+  std::vector<TaskId> head(n, kInvalidTask);
+  std::vector<std::int64_t> added_ns(n, 0);
   FusionResult result;
 
   for (LaneId lane = 0; lane < static_cast<LaneId>(meta.lanes().size());
@@ -42,29 +41,28 @@ FusionResult fuse_elementwise(const ExecutionGraph& graph,
     const std::span<const TaskId> ids = meta.gpu_tasks(lane);
     std::size_t i = 0;
     while (i < ids.size()) {
-      if (!is_fusible(graph.task(ids[i]))) {
+      if (!fusible(ids[i])) {
         ++i;
         continue;
       }
       std::size_t j = i + 1;
-      while (j < ids.size() && is_fusible(graph.task(ids[j])) &&
-             (!options.require_same_block ||
-              block_key(graph.task(ids[j])) == block_key(graph.task(ids[i]))) &&
+      while (j < ids.size() && fusible(ids[j]) &&
+             block_key(ids[j]) == block_key(ids[i]) &&
              (options.max_run_length == 0 ||
               static_cast<std::int32_t>(j - i) < options.max_run_length)) {
         ++j;
       }
       if (j - i >= 2) {
-        const TaskId head = ids[i];
+        const auto h = static_cast<std::size_t>(ids[i]);
+        head[h] = ids[i];
         ++result.fused_groups;
         for (std::size_t k = i + 1; k < j; ++k) {
-          representative[ids[k]] = head;
-          const std::int64_t contribution =
-              std::max<std::int64_t>(0, graph.task(ids[k]).event.dur_ns -
-                                            options.per_kernel_saving_ns);
-          added_ns[head] += contribution;
-          result.saved_ns +=
-              graph.task(ids[k]).event.dur_ns - contribution;
+          const auto t = static_cast<std::size_t>(ids[k]);
+          head[t] = ids[i];
+          const std::int64_t contribution = std::max<std::int64_t>(
+              0, ev.dur_ns(t) - options.per_kernel_saving_ns);
+          added_ns[h] += contribution;
+          result.saved_ns += ev.dur_ns(t) - contribution;
           ++result.kernels_eliminated;
         }
       }
@@ -72,37 +70,46 @@ FusionResult fuse_elementwise(const ExecutionGraph& graph,
     }
   }
 
-  // 2. Rebuild the graph: survivors keep their relative order (ids shift),
-  //    eliminated kernels vanish, edges re-target their representative.
-  std::map<TaskId, TaskId> new_id;
-  for (const Task& t : graph.tasks()) {
-    if (representative.count(t.id)) continue;
-    Task copy = t;
-    copy.id = kInvalidTask;
-    if (auto it = added_ns.find(t.id); it != added_ns.end()) {
-      copy.event.dur_ns += it->second;
-      copy.event.name = "fused_" + copy.event.name;
+  // 2. Append the survivors' rows in order (ids shift) into fresh pools.
+  //    A head is renamed `fused_<name>`, interned before the rest of its
+  //    row: the order a push of the renamed event would intern it in.
+  auto pools = std::make_shared<trace::TracePools>();
+  trace::RowRemap remap(*ev.pools(), *pools);
+  result.graph = ExecutionGraph(pools);
+  result.graph.reserve(n - result.kernels_eliminated, graph.edges().size());
+  std::vector<TaskId> new_id(n, kInvalidTask);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto id = static_cast<TaskId>(i);
+    if (head[i] != kInvalidTask && head[i] != id) continue;  // absorbed
+    trace::EventTable::Row row = ev.row(i);
+    if (head[i] == id) {
+      const std::uint32_t name =
+          pools->names.intern("fused_" + std::string(ev.name(i)));
+      row.name = trace::NameId::kInvalidIndex;
+      row = remap(row);
+      row.name = name;
+      row.dur_ns += added_ns[i];
+    } else {
+      row = remap(row);
     }
-    new_id[t.id] = result.graph.add_task(std::move(copy));
+    new_id[i] = result.graph.add_task(cols.processor(i), row);
   }
 
+  // 3. Re-target edges to the heads, dropping collapsed intra-run edges
+  //    and duplicates.
   auto resolve = [&](TaskId id) {
-    if (auto it = representative.find(id); it != representative.end()) {
-      id = it->second;
-    }
-    return new_id.at(id);
+    const TaskId h = head[static_cast<std::size_t>(id)];
+    return new_id[static_cast<std::size_t>(h != kInvalidTask ? h : id)];
   };
   std::set<std::tuple<TaskId, TaskId, DepType>> seen;
   for (const Edge& e : graph.edges()) {
     const TaskId src = resolve(e.src);
     const TaskId dst = resolve(e.dst);
-    if (src == dst) continue;  // collapsed intra-run edge
+    if (src == dst) continue;
     if (seen.insert({src, dst, e.type}).second) {
       result.graph.add_edge(src, dst, e.type);
     }
   }
-  // The fused graph has new ids, durations and names ("fused_*"), so it
-  // needs its own classification pass before it is simulated.
   result.graph.finalize();
   return result;
 }

@@ -4,10 +4,13 @@
 // painful to prototype in the framework, naming operator fusion
 // explicitly. This transform answers "what if adjacent memory-bound
 // kernels were fused?" directly on the execution graph: runs of
-// consecutive elementwise kernels on one CUDA stream (same layer/phase
-// block) are merged into one kernel whose duration is the sum minus the
-// saved per-kernel launch overhead; the replayed graph then quantifies the
-// end-to-end benefit before anyone writes a fused kernel.
+// consecutive elementwise kernels on one CUDA stream, within one
+// (block, layer, phase, microbatch) instance, are merged into one kernel
+// whose duration is the sum minus the saved per-kernel launch overhead;
+// the replayed graph then quantifies the end-to-end benefit before anyone
+// writes a fused kernel. Runs never cross a block instance: fusion across
+// module boundaries is rarely legal, and merging kernels that other
+// streams' work interleaves with would put a cycle into the graph.
 #pragma once
 
 #include <cstdint>
@@ -19,9 +22,6 @@ namespace lumos::core {
 struct FusionOptions {
   /// GPU-side overhead recovered per eliminated kernel (ramp-up/teardown).
   std::int64_t per_kernel_saving_ns = 2'500;
-  /// Only fuse kernels from the same (block, layer, phase, microbatch)
-  /// instance — fusion across module boundaries is rarely legal.
-  bool require_same_block = true;
   /// Maximum kernels merged into one (compiler limits); 0 = unlimited.
   std::int32_t max_run_length = 0;
 };
@@ -35,8 +35,9 @@ struct FusionResult {
 
 /// Returns a new graph with eligible elementwise-kernel runs fused.
 /// Eligible kernels: GPU, category Kernel, memory-bound (bytes_moved > 0),
-/// neither GEMM nor collective. All edges touching an eliminated kernel are
-/// re-targeted to the fused kernel.
+/// neither GEMM nor collective. Each run's head survives as `fused_<name>`
+/// with the run's duration; all edges touching an eliminated kernel are
+/// re-targeted to its head. The graph's rows are copied into fresh pools.
 FusionResult fuse_elementwise(const ExecutionGraph& graph,
                               const FusionOptions& options = {});
 

@@ -13,11 +13,11 @@ namespace lumos::core {
 
 std::int64_t SimResult::rank_end_ns(const ExecutionGraph& graph,
                                     std::int32_t rank) const {
+  const std::span<const std::int32_t> ranks =
+      graph.meta().columns().rank_column();
   std::int64_t hi = 0;
-  for (const Task& t : graph.tasks()) {
-    if (t.processor.rank == rank) {
-      hi = std::max(hi, end_ns[static_cast<std::size_t>(t.id)]);
-    }
+  for (std::size_t i = 0; i < ranks.size(); ++i) {
+    if (ranks[i] == rank) hi = std::max(hi, end_ns[i]);
   }
   return hi;
 }

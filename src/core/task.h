@@ -62,12 +62,13 @@ std::string_view to_string(DepType type);
 /// to stream S before task T" is exactly "GPU tasks on S with id < T.id".
 /// That property is what lets Algorithm 1 resolve runtime dependencies.
 ///
-/// Task is the *authoring* representation: producers build and manipulate
-/// graphs through it, and hooks / report boundaries read it. The simulator
-/// and graph-level analyses instead read ExecutionGraph::meta() — the
-/// columnar TaskMetaTable (core/task_meta.h) that classifies every task
-/// once (interned name/op/group ids, CudaApi, dense LaneId, duration) so
-/// the hot paths never touch strings or this struct's TraceEvent payload.
+/// Task is a read-only *view*: graphs are built and stored as columns
+/// (core/task_columns.h), and ExecutionGraph::tasks() materializes Tasks
+/// from them only for the SimulatorHooks that take a `const Task&`. The
+/// simulator, graph transforms and analyses read ExecutionGraph::meta() —
+/// the columnar TaskMetaTable (core/task_meta.h) that classifies every task
+/// once (interned name/op/group ids, CudaApi, dense LaneId, duration) — and
+/// its column payload, so they never touch this struct's TraceEvent.
 struct Task {
   TaskId id = kInvalidTask;
   Processor processor;

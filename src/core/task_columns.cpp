@@ -14,18 +14,6 @@ ColumnTaskSource::ColumnTaskSource(trace::EventTable events,
       gpu_(std::move(gpu)),
       lane_(std::move(lane)) {}
 
-ColumnTaskSource ColumnTaskSource::from_tasks(const std::vector<Task>& tasks) {
-  ColumnTaskSource out;
-  out.reserve(tasks.size());
-  for (const Task& t : tasks) {
-    out.events_.push_back(t.event);
-    out.rank_.push_back(t.processor.rank);
-    out.gpu_.push_back(t.processor.gpu ? 1 : 0);
-    out.lane_.push_back(t.processor.lane);
-  }
-  return out;
-}
-
 std::vector<Task> ColumnTaskSource::materialize() const {
   std::vector<Task> tasks(events_.size());
   for (std::size_t i = 0; i < events_.size(); ++i) {

@@ -7,9 +7,9 @@
 // rebuild, TraceParser, the snapshot loader) append rows here directly;
 // TaskMetaTable classifies from these columns without re-interning, and
 // report boundaries (SimResult::to_trace, template extraction, snapshot
-// save) read them back. The authoring Task vector is materialized from the
-// columns only when something asks for it (hooked simulation, fusion,
-// dPRO, tests) — once per graph, through ExecutionGraph's lazy task cache.
+// save, fusion) read them back. A Task view is materialized from the
+// columns only for hooked simulation — once per graph, through
+// ExecutionGraph's lazy task cache.
 #pragma once
 
 #include <cstdint>
@@ -33,11 +33,8 @@ class ColumnTaskSource {
   ColumnTaskSource(trace::EventTable events, io::Column<std::int32_t> rank,
                    io::Column<std::uint8_t> gpu, io::Column<std::int64_t> lane);
 
-  /// Converts authored Tasks, interning their strings into fresh pools.
-  static ColumnTaskSource from_tasks(const std::vector<Task>& tasks);
-
   std::size_t count() const { return events_.size(); }
-  /// Builds the authoring Task vector (ids 0..count-1 in order).
+  /// Builds the Task view (ids 0..count-1 in order).
   std::vector<Task> materialize() const;
 
   /// Appends one task. String ids in `row` must be ids of pools().

@@ -57,11 +57,6 @@ struct PairHash {
 
 }  // namespace
 
-TaskMetaTable TaskMetaTable::build(const std::vector<Task>& tasks) {
-  return build(std::make_shared<const ColumnTaskSource>(
-      ColumnTaskSource::from_tasks(tasks)));
-}
-
 TaskMetaTable TaskMetaTable::build(
     std::shared_ptr<const ColumnTaskSource> columns) {
   TaskMetaTable t;

@@ -134,10 +134,6 @@ class TaskMetaTable {
   /// ids == graph ids). The table keeps `columns` (see columns()).
   /// Deterministic: identical payloads produce identical tables.
   static TaskMetaTable build(std::shared_ptr<const ColumnTaskSource> columns);
-  /// Authoring-path overload: converts `tasks` into columns over fresh
-  /// pools (never a pool another graph or trace may be reading) and
-  /// delegates to the column classifier.
-  static TaskMetaTable build(const std::vector<Task>& tasks);
 
   std::size_t size() const { return lane_.size(); }
 
@@ -210,9 +206,8 @@ class TaskMetaTable {
   }
 
   // -- the classified payload ----------------------------------------------
-  /// The column payload this table was classified from: the producer's
-  /// rows for built / parsed / loaded graphs, a conversion of the Task
-  /// vector for hand-authored ones. Report boundaries read task rows here.
+  /// The column payload this table was classified from (the graph's
+  /// rows). Report boundaries read task rows here.
   const ColumnTaskSource& columns() const { return *columns_; }
 
   // -- string resolution (report boundaries only) ---------------------------

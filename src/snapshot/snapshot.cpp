@@ -346,18 +346,14 @@ struct Access {
       const core::ExecutionGraph& g) {
     return g.edges_;
   }
+  /// Replaces a fresh graph's (empty) rows.
+  static void install_columns(core::ExecutionGraph& g,
+                              std::shared_ptr<core::ColumnTaskSource> c) {
+    g.columns_ = std::move(c);
+  }
   /// Analysis escape: the loader owns `g` exclusively — it is a fresh
   /// graph still being assembled, unpublished to any other thread — so the
-  /// cache members are written without their mutexes.
-  static void install_columns(core::ExecutionGraph& g,
-                              std::shared_ptr<core::ColumnTaskSource> c)
-      LUMOS_NO_THREAD_SAFETY_ANALYSIS {
-    g.tasks_.clear();
-    g.columns_ = std::move(c);
-    g.tasks_valid_.store(false, std::memory_order_relaxed);
-  }
-  /// Analysis escape: same loader-private pre-publication window as
-  /// install_columns.
+  /// meta cache is written without its mutex.
   static void install_meta(core::ExecutionGraph& g,
                            std::shared_ptr<const core::TaskMetaTable> meta)
       LUMOS_NO_THREAD_SAFETY_ANALYSIS {

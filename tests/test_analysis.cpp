@@ -11,6 +11,7 @@
 #include "analysis/metrics.h"
 #include "analysis/sm_utilization.h"
 #include "core/simulator.h"
+#include "test_util.h"
 
 namespace lumos::analysis {
 namespace {
@@ -356,7 +357,8 @@ TEST(Metrics, MeanAndMax) {
 // ---------------------------------------------------------------------------
 
 TEST(CriticalPath, FollowsBindingChain) {
-  core::ExecutionGraph g;
+  testutil::GraphAuthor author;
+  core::ExecutionGraph& g = author.graph;
   auto add = [&](bool gpu, std::int64_t lane, std::int64_t dur,
                  bool comm = false) {
     core::Task t;
@@ -366,7 +368,7 @@ TEST(CriticalPath, FollowsBindingChain) {
     t.event.name = comm ? "nccl" : "w";
     t.event.dur_ns = dur;
     if (comm) t.event.collective.op = "allreduce";
-    return g.add_task(std::move(t));
+    return author.add(t);
   };
   core::TaskId a = add(false, 1, 10);
   core::TaskId b = add(true, 7, 100);
@@ -392,7 +394,8 @@ TEST(CriticalPath, EmptyGraph) {
 }
 
 TEST(CriticalPath, ProcessorSerializationOnPath) {
-  core::ExecutionGraph g;
+  testutil::GraphAuthor author;
+  core::ExecutionGraph& g = author.graph;
   // Two tasks on one stream, no edges: path must go through both via
   // processor order.
   for (int i = 0; i < 2; ++i) {
@@ -401,7 +404,7 @@ TEST(CriticalPath, ProcessorSerializationOnPath) {
     t.event.cat = trace::EventCategory::Kernel;
     t.event.dur_ns = 100;
     t.event.ts_ns = i;
-    g.add_task(std::move(t));
+    author.add(t);
   }
   core::SimResult r = core::Simulator(g).run();
   CriticalPathSummary s = critical_path(g, r);

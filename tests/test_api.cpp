@@ -157,6 +157,40 @@ TEST(Session, ReplayMatchesLowLevelPipeline) {
   EXPECT_GT(breakdown->total_ns(), 0);
 }
 
+/// Session::breakdown() reads the graph's columns; it must equal the
+/// breakdown of the replayed trace it no longer builds.
+void expect_breakdown_matches_replayed_trace(Session& session) {
+  Result<analysis::Breakdown> breakdown = session.breakdown();
+  ASSERT_TRUE(breakdown.is_ok()) << breakdown.status().to_string();
+  Result<const trace::ClusterTrace*> replayed = session.replayed_trace();
+  ASSERT_TRUE(replayed.is_ok());
+  const analysis::Breakdown from_trace =
+      analysis::compute_breakdown(**replayed);
+  EXPECT_GT(breakdown->total_ns(), 0);
+  EXPECT_EQ(breakdown->exposed_compute_ns, from_trace.exposed_compute_ns);
+  EXPECT_EQ(breakdown->overlapped_ns, from_trace.overlapped_ns);
+  EXPECT_EQ(breakdown->exposed_comm_ns, from_trace.exposed_comm_ns);
+  EXPECT_EQ(breakdown->other_ns, from_trace.other_ns);
+}
+
+TEST(Session, BreakdownEqualsTheReplayedTraceBreakdown) {
+  Result<Session> synthetic = Session::create(
+      tiny_scenario().with_parallelism("2x2x2"));
+  ASSERT_TRUE(synthetic.is_ok());
+  expect_breakdown_matches_replayed_trace(*synthetic);
+
+  // A trace-directory session over the same job's rank files.
+  const std::string prefix = ::testing::TempDir() + "lumos_api_breakdown";
+  Result<std::vector<std::string>> files =
+      synthetic->write_trace_files(prefix);
+  ASSERT_TRUE(files.is_ok());
+  ASSERT_EQ(files->size(), 4u);
+  Result<Session> loaded =
+      Session::create(Scenario::from_trace(prefix, files->size()));
+  ASSERT_TRUE(loaded.is_ok());
+  expect_breakdown_matches_replayed_trace(*loaded);
+}
+
 TEST(Session, SecondReplayReusesTraceGraphAndResult) {
   Result<Session> session = Session::create(tiny_scenario());
   ASSERT_TRUE(session.is_ok());
@@ -448,7 +482,8 @@ TEST(ErrorCodes, ParseError) {
 }
 
 TEST(ErrorCodes, CyclicGraph) {
-  core::ExecutionGraph graph;
+  testutil::GraphAuthor author;
+  core::ExecutionGraph& graph = author.graph;
   trace::TraceEvent e;
   e.name = "op";
   e.cat = trace::EventCategory::CpuOp;
@@ -457,8 +492,8 @@ TEST(ErrorCodes, CyclicGraph) {
   a.event = e;
   core::Task b;
   b.event = e;
-  const core::TaskId ta = graph.add_task(a);
-  const core::TaskId tb = graph.add_task(b);
+  const core::TaskId ta = author.add(a);
+  const core::TaskId tb = author.add(b);
   graph.add_edge(ta, tb, core::DepType::IntraThread);
   graph.add_edge(tb, ta, core::DepType::IntraThread);
   Result<core::SimResult> result = replay_graph(graph);
@@ -468,7 +503,8 @@ TEST(ErrorCodes, CyclicGraph) {
 TEST(ErrorCodes, DroppedTasksMaskMustCoverEveryTask) {
   // The simulator reads the mask at every task id, so a short mask would
   // read past its end; the facade rejects it with both sizes.
-  core::ExecutionGraph graph;
+  testutil::GraphAuthor author;
+  core::ExecutionGraph& graph = author.graph;
   trace::TraceEvent e;
   e.name = "op";
   e.cat = trace::EventCategory::CpuOp;
@@ -477,8 +513,8 @@ TEST(ErrorCodes, DroppedTasksMaskMustCoverEveryTask) {
   a.event = e;
   core::Task b;
   b.event = e;
-  const core::TaskId ta = graph.add_task(a);
-  const core::TaskId tb = graph.add_task(b);
+  const core::TaskId ta = author.add(a);
+  const core::TaskId tb = author.add(b);
   graph.add_edge(ta, tb, core::DepType::IntraThread);
 
   const std::vector<std::uint8_t> short_mask = {0};

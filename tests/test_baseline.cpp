@@ -19,7 +19,8 @@ using testutil::tiny_config;
 using testutil::tiny_model;
 
 TEST(DproGraph, DropsCollectiveInterStreamEdges) {
-  ExecutionGraph g;
+  testutil::GraphAuthor author;
+  ExecutionGraph& g = author.graph;
   auto add_kernel = [&](std::int64_t stream, const char* op) {
     Task t;
     t.processor = {0, true, stream};
@@ -30,7 +31,7 @@ TEST(DproGraph, DropsCollectiveInterStreamEdges) {
       t.event.collective.op = op;
       t.event.collective.group = "g";
     }
-    return g.add_task(std::move(t));
+    return author.add(t);
   };
   core::TaskId compute = add_kernel(7, nullptr);
   core::TaskId allreduce = add_kernel(13, "allreduce");
@@ -54,14 +55,14 @@ TEST(DproGraph, DropsCollectiveInterStreamEdges) {
 }
 
 TEST(DproGraph, PreservesTaskPayloads) {
-  ExecutionGraph g;
+  testutil::GraphAuthor author;
   Task t;
   t.processor = {3, true, 7};
   t.event.cat = trace::EventCategory::Kernel;
   t.event.name = "gemm";
   t.event.dur_ns = 42;
-  g.add_task(std::move(t));
-  ExecutionGraph d = dpro_graph(g);
+  author.add(t);
+  ExecutionGraph d = dpro_graph(author.graph);
   EXPECT_EQ(d.task(0).event.name, "gemm");
   EXPECT_EQ(d.task(0).event.dur_ns, 42);
   EXPECT_EQ(d.task(0).processor.rank, 3);

@@ -94,30 +94,28 @@ TEST(StringHandles, TypedHandlesCompare) {
 // ---------------------------------------------------------------------------
 
 ExecutionGraph mixed_graph() {
-  ExecutionGraph g;
+  testutil::GraphAuthor author;
   std::int64_t seq = 0;
   auto add = [&](std::int32_t rank, bool gpu, std::int64_t lane,
                  const char* name, trace::EventCategory cat,
-                 std::int64_t dur) {
+                 std::int64_t dur, trace::CollectiveInfo collective = {}) {
     Task t;
     t.processor = {rank, gpu, lane};
     t.event.name = name;
     t.event.cat = cat;
     t.event.dur_ns = dur;
     t.event.ts_ns = seq++;
-    return g.add_task(std::move(t));
+    t.event.collective = std::move(collective);
+    return author.add(t);
   };
   add(0, false, 1, "op_a", trace::EventCategory::CpuOp, 10);
   add(0, false, 1, "cudaLaunchKernel", trace::EventCategory::CudaRuntime, 5);
   add(0, true, 7, "gemm", trace::EventCategory::Kernel, 100);
   add(1, true, 7, "gemm", trace::EventCategory::Kernel, 100);
   add(1, false, 2, "op_a", trace::EventCategory::CpuOp, 10);
-  add(0, true, 13, "nccl", trace::EventCategory::Kernel, 50);
-  core::Task& coll = g.task(5);
-  coll.event.collective.op = "allreduce";
-  coll.event.collective.group = "tp_0";
-  coll.event.collective.instance = 0;
-  return g;
+  add(0, true, 13, "nccl", trace::EventCategory::Kernel, 50,
+      {.op = "allreduce", .group = "tp_0", .instance = 0});
+  return std::move(author.graph);
 }
 
 TEST(LaneTable, DenseIdsAndLookupRoundTrip) {
@@ -214,19 +212,10 @@ TEST(TaskMetaTable, GpuTasksPerLaneInLaunchOrder) {
   EXPECT_TRUE(meta.gpu_tasks(cpu_lane).empty());
 }
 
-TEST(TaskMetaTable, MutationInvalidatesMeta) {
-  ExecutionGraph g = mixed_graph();
-  EXPECT_EQ(g.meta().duration_ns(0), 10);
-  g.task(0).event.dur_ns = 77;  // non-const access invalidates
-  EXPECT_EQ(g.meta().duration_ns(0), 77);
-  g.tasks()[0].event.name = "renamed";
-  EXPECT_EQ(g.meta().name_view(0), "renamed");
-}
-
 TEST(TaskMetaTable, ColumnRowsClassifyLikeAuthoredTasks) {
-  // The same tasks written as column rows (the producer path) and authored
-  // as Tasks (the conversion path) classify identically; a copy keeps its
-  // own rows when the original appends after copying.
+  // A graph's Task view, interned again into other pools and appended as
+  // column rows, classifies identically; a copy keeps its own rows when the
+  // original appends after copying.
   auto pools = std::make_shared<trace::TracePools>();
   ExecutionGraph rows(pools);
   const ExecutionGraph authored = mixed_graph();
@@ -236,7 +225,7 @@ TEST(TaskMetaTable, ColumnRowsClassifyLikeAuthoredTasks) {
     rows.add_task(t.processor, scratch.row(0));
   }
   ASSERT_EQ(rows.size(), authored.size());
-  const ExecutionGraph& built = rows;  // const access keeps the columns
+  const ExecutionGraph& built = rows;
   const TaskMetaTable& a = built.meta();
   const TaskMetaTable& b = authored.meta();
   for (std::size_t i = 0; i < a.size(); ++i) {
@@ -253,6 +242,38 @@ TEST(TaskMetaTable, ColumnRowsClassifyLikeAuthoredTasks) {
   EXPECT_EQ(copy.size(), authored.size());
   EXPECT_EQ(copy.meta().size(), authored.size());
   EXPECT_EQ(rows.meta().size(), authored.size() + 1);
+}
+
+TEST(ExecutionGraph, MovedFromGraphIsAValidEmptyGraph) {
+  ExecutionGraph source = mixed_graph();
+  source.add_edge(0, 1, DepType::IntraThread);
+  source.finalize();
+  (void)source.tasks();  // every cache is populated before the move
+  ExecutionGraph moved = std::move(source);
+  ASSERT_EQ(moved.size(), 6u);
+  EXPECT_EQ(moved.meta().size(), 6u);
+  EXPECT_EQ(moved.edges().size(), 1u);
+
+  ExecutionGraph assigned;
+  assigned = std::move(moved);
+  EXPECT_EQ(assigned.size(), 6u);
+  EXPECT_EQ(assigned.task(5).event.collective.group, "tp_0");
+
+  for (const ExecutionGraph* g : {&source, &moved}) {
+    EXPECT_EQ(g->size(), 0u);
+    EXPECT_TRUE(g->empty());
+    EXPECT_EQ(g->meta().size(), 0u);
+    EXPECT_EQ(g->meta().lanes().size(), 0u);
+    EXPECT_TRUE(g->tasks().empty());
+    EXPECT_TRUE(g->edges().empty());
+    EXPECT_TRUE(g->ranks().empty());
+    EXPECT_TRUE(g->is_acyclic());
+    EXPECT_TRUE(core::Simulator(*g).run().complete());
+  }
+  // Reassigning a moved-from graph makes it whole again.
+  source = mixed_graph();
+  EXPECT_EQ(source.size(), 6u);
+  EXPECT_EQ(source.meta().size(), 6u);
 }
 
 TEST(TaskMetaTable, DeterministicAcrossIdenticalBuilds) {
@@ -341,13 +362,18 @@ TEST_F(GoldenReplay, CopiedGraphReplaysBitIdentically) {
 }
 
 TEST_F(GoldenReplay, LazyAndEagerMetaAgree) {
-  // The parser finalizes eagerly; force the lazy path by mutating a task
-  // (invalidates meta) and reverting, then compare against a fresh parse.
-  ExecutionGraph eager = core::TraceParser().parse(run_->trace);
+  // The parser finalizes eagerly; a graph holding the same rows and edges
+  // that is never finalized classifies lazily, on its first replay.
+  const ExecutionGraph eager = core::TraceParser().parse(run_->trace);
   const SimResult reference = core::replay(eager);
-  ExecutionGraph lazy = core::TraceParser().parse(run_->trace);
-  const std::int64_t dur = lazy.task(0).event.dur_ns;  // invalidates meta
-  lazy.task(0).event.dur_ns = dur;                     // unchanged payload
+  const core::ColumnTaskSource& rows = eager.meta().columns();
+  ExecutionGraph lazy(rows.pools());
+  for (std::size_t i = 0; i < rows.count(); ++i) {
+    lazy.add_task(rows.processor(i), rows.events().row(i));
+  }
+  for (const core::Edge& e : eager.edges()) {
+    lazy.add_edge(e.src, e.dst, e.type);
+  }
   expect_identical(core::replay(lazy), reference);
 }
 

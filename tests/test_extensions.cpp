@@ -2,6 +2,9 @@
 // trace diffing, and operator-fusion what-if.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+
 #include "analysis/timeline.h"
 #include "analysis/trace_diff.h"
 #include "cluster/ground_truth.h"
@@ -283,15 +286,22 @@ TEST(TraceDiff, GpuOnlyFiltersCpuEvents) {
 // ---------------------------------------------------------------------------
 
 TEST(Fusion, FusesAdjacentElementwiseRuns) {
-  cluster::GroundTruthEngine engine(tiny_model(), tiny_config(2, 1, 2));
-  auto run = engine.run_profiled(5);
-  core::ExecutionGraph graph = core::TraceParser().parse(run.trace);
-  core::FusionResult fused = core::fuse_elementwise(graph);
-  EXPECT_GT(fused.fused_groups, 0u);
-  EXPECT_GT(fused.kernels_eliminated, 0u);
-  EXPECT_EQ(fused.graph.size(), graph.size() - fused.kernels_eliminated);
-  core::TaskId hint;
-  EXPECT_TRUE(fused.graph.is_acyclic(&hint)) << "cycle at " << hint;
+  // Runs stay inside one block instance, so the fused graph stays acyclic
+  // (fusing across blocks put cycles into every one of these configs).
+  for (const auto& [tp, pp, dp] : {std::tuple{1, 1, 1}, std::tuple{2, 1, 2},
+                                   std::tuple{2, 2, 2}}) {
+    SCOPED_TRACE(std::to_string(tp) + "x" + std::to_string(pp) + "x" +
+                 std::to_string(dp));
+    cluster::GroundTruthEngine engine(tiny_model(), tiny_config(tp, pp, dp));
+    auto run = engine.run_profiled(5);
+    core::ExecutionGraph graph = core::TraceParser().parse(run.trace);
+    core::FusionResult fused = core::fuse_elementwise(graph);
+    EXPECT_GT(fused.fused_groups, 0u);
+    EXPECT_GT(fused.kernels_eliminated, 0u);
+    EXPECT_EQ(fused.graph.size(), graph.size() - fused.kernels_eliminated);
+    core::TaskId hint = core::kInvalidTask;
+    EXPECT_TRUE(fused.graph.is_acyclic(&hint)) << "cycle at " << hint;
+  }
 }
 
 TEST(Fusion, FusedReplayIsFasterButBounded) {
@@ -342,8 +352,15 @@ TEST(Fusion, SavedTimeMatchesAccounting) {
   auto run = engine.run_profiled(5);
   core::ExecutionGraph graph = core::TraceParser().parse(run.trace);
   core::FusionResult fused = core::fuse_elementwise(graph);
+  auto total_duration_ns = [](const core::ExecutionGraph& g) {
+    std::int64_t total = 0;
+    for (std::size_t i = 0; i < g.size(); ++i) {
+      total += g.meta().duration_ns(static_cast<core::TaskId>(i));
+    }
+    return total;
+  };
   EXPECT_EQ(fused.saved_ns,
-            graph.total_duration_ns() - fused.graph.total_duration_ns());
+            total_duration_ns(graph) - total_duration_ns(fused.graph));
 }
 
 

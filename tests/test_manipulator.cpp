@@ -11,7 +11,9 @@
 
 #include "analysis/breakdown.h"
 #include "analysis/metrics.h"
+#include "baseline/dpro.h"
 #include "cluster/ground_truth.h"
+#include "core/fusion.h"
 #include "core/graph_manipulator.h"
 #include "core/replay_program.h"
 #include "core/template_provider.h"
@@ -258,7 +260,7 @@ TEST(TemplateProviderStandalone, FallsBackForUnseenKeys) {
 TEST(TemplateProviderStandalone, CommTemplatesUseMinimumDuration) {
   // Build a graph with two occurrences of the same collective key with
   // different (wait-inflated) durations; the template must use the min.
-  ExecutionGraph g;
+  testutil::GraphAuthor author;
   for (std::int64_t dur : {500, 900}) {
     Task t;
     t.processor = {0, true, 13};
@@ -270,10 +272,11 @@ TEST(TemplateProviderStandalone, CommTemplatesUseMinimumDuration) {
     t.event.microbatch = dur == 500 ? 0 : 1;
     t.event.dur_ns = dur;
     t.event.collective = {"allreduce", "tp_pp0_dp0", 1024, 2, 0};
-    g.add_task(std::move(t));
+    author.add(t);
   }
   cost::KernelPerfModel km;
-  TemplateProvider provider(g, tiny_model(), tiny_config(2, 1, 1), km);
+  TemplateProvider provider(author.graph, tiny_model(), tiny_config(2, 1, 1),
+                            km);
   workload::KernelDesc desc;
   desc.name = "ncclDevKernel_AllReduce_Sum_bf16_RING";
   desc.block = "layer";
@@ -285,8 +288,8 @@ TEST(TemplateProviderStandalone, CommTemplatesUseMinimumDuration) {
 }
 
 // ---------------------------------------------------------------------------
-// Bit-identity pins across the fig7 grid: builder and parser output, hashed
-// field by field (strings, never pool ids), must not move.
+// Bit-identity pins across the fig7 grid: builder, parser, fusion and dPRO
+// output, hashed field by field (strings, never pool ids), must not move.
 // ---------------------------------------------------------------------------
 
 /// The tiny model deepened to 16 layers, so every PP in {2,4,8,16} divides it.
@@ -405,6 +408,22 @@ TEST_F(GridPins, GroundTruthGraphIsBitIdentical) {
 TEST_F(GridPins, ParsedGraphIsBitIdentical) {
   EXPECT_EQ(graph_fingerprint(TraceParser().parse(run_->trace)),
             9897605588546984452ULL);
+}
+
+// Golden values computed on the Task-copying fusion and dPRO derivations
+// that the column ones replaced.
+TEST_F(GridPins, FusedGraphIsBitIdentical) {
+  const FusionResult fused =
+      fuse_elementwise(TraceParser().parse(run_->trace));
+  EXPECT_EQ(fused.kernels_eliminated, 140u);
+  EXPECT_EQ(graph_fingerprint(fused.graph), 10974436870803681141ULL);
+}
+
+TEST_F(GridPins, DproGraphIsBitIdenticalAndSharesTheMetaTable) {
+  const ExecutionGraph parsed = TraceParser().parse(run_->trace);
+  const ExecutionGraph dpro = baseline::dpro_graph(parsed);
+  EXPECT_EQ(graph_fingerprint(dpro), 5070533245387179454ULL);
+  EXPECT_EQ(&dpro.meta(), &parsed.meta());
 }
 
 TEST_F(GridPins, AllSixteenRebuildsAreBitIdentical) {

@@ -63,8 +63,7 @@ void expect_compiles_identical(const ExecutionGraph& graph, bool coupled) {
 
 /// Same fluent graph builder as test_simulator.cpp: hand-built shapes with
 /// full control over lanes, syncs and collectives.
-struct GraphFixture {
-  ExecutionGraph g;
+struct GraphFixture : testutil::GraphAuthor {
   std::int64_t seq = 0;
 
   TaskId cpu(std::int32_t rank, std::int32_t tid, std::int64_t dur,
@@ -77,7 +76,7 @@ struct GraphFixture {
     t.event.ts_ns = seq++;
     t.event.pid = rank;
     t.event.tid = tid;
-    return g.add_task(std::move(t));
+    return add(t);
   }
 
   TaskId runtime(std::int32_t rank, std::int32_t tid, std::int64_t dur,
@@ -91,11 +90,12 @@ struct GraphFixture {
     t.event.ts_ns = seq++;
     t.event.stream = stream;
     t.event.cuda_event = cuda_event;
-    return g.add_task(std::move(t));
+    return add(t);
   }
 
   TaskId kernel(std::int32_t rank, std::int64_t stream, std::int64_t dur,
-                std::string name = "kernel") {
+                std::string name = "kernel",
+                trace::CollectiveInfo collective = {}) {
     Task t;
     t.processor = {rank, true, stream};
     t.event.name = std::move(name);
@@ -103,20 +103,17 @@ struct GraphFixture {
     t.event.dur_ns = dur;
     t.event.ts_ns = seq++;
     t.event.stream = stream;
-    return g.add_task(std::move(t));
+    t.event.collective = std::move(collective);
+    return add(t);
   }
 
   TaskId collective(std::int32_t rank, std::int64_t stream, std::int64_t dur,
                     std::string group, std::int64_t instance,
-                    std::string op = "allreduce") {
-    TaskId id = kernel(rank, stream, dur, "nccl");
-    Task& t = g.task(id);
-    t.event.collective.op = std::move(op);
-    t.event.collective.group = std::move(group);
-    t.event.collective.instance = instance;
-    t.event.collective.bytes = 1024;
-    t.event.collective.group_size = 2;
-    return id;
+                    std::string op = "allreduce",
+                    std::int32_t group_size = 2) {
+    return kernel(rank, stream, dur, "nccl",
+                  {std::move(op), std::move(group), 1024, group_size,
+                   instance});
   }
 };
 
@@ -129,9 +126,9 @@ TEST(ReplayProgram, ChainBitIdentical) {
   TaskId a = f.cpu(0, 1, 10);
   TaskId b = f.cpu(0, 1, 20);
   TaskId c = f.cpu(0, 1, 30);
-  f.g.add_edge(a, b, DepType::IntraThread);
-  f.g.add_edge(b, c, DepType::IntraThread);
-  expect_compiles_identical(f.g, /*coupled=*/false);
+  f.graph.add_edge(a, b, DepType::IntraThread);
+  f.graph.add_edge(b, c, DepType::IntraThread);
+  expect_compiles_identical(f.graph, /*coupled=*/false);
 }
 
 TEST(ReplayProgram, StreamSynchronizeBitIdentical) {
@@ -140,10 +137,10 @@ TEST(ReplayProgram, StreamSynchronizeBitIdentical) {
   TaskId k = f.kernel(0, 7, 100);
   TaskId sync = f.runtime(0, 1, 5, "cudaStreamSynchronize", 7);
   TaskId after = f.cpu(0, 1, 1);
-  f.g.add_edge(launch, k, DepType::CpuToGpu);
-  f.g.add_edge(launch, sync, DepType::IntraThread);
-  f.g.add_edge(sync, after, DepType::IntraThread);
-  expect_compiles_identical(f.g, /*coupled=*/false);
+  f.graph.add_edge(launch, k, DepType::CpuToGpu);
+  f.graph.add_edge(launch, sync, DepType::IntraThread);
+  f.graph.add_edge(sync, after, DepType::IntraThread);
+  expect_compiles_identical(f.graph, /*coupled=*/false);
 }
 
 TEST(ReplayProgram, SyncIgnoresLaterKernelsBitIdentical) {
@@ -151,9 +148,9 @@ TEST(ReplayProgram, SyncIgnoresLaterKernelsBitIdentical) {
   TaskId sync = f.runtime(0, 1, 5, "cudaStreamSynchronize", 7);
   TaskId launch = f.runtime(0, 1, 5, "cudaLaunchKernel", 7);
   TaskId k = f.kernel(0, 7, 1000);  // launched AFTER the sync (higher id)
-  f.g.add_edge(sync, launch, DepType::IntraThread);
-  f.g.add_edge(launch, k, DepType::CpuToGpu);
-  expect_compiles_identical(f.g, /*coupled=*/false);
+  f.graph.add_edge(sync, launch, DepType::IntraThread);
+  f.graph.add_edge(launch, k, DepType::CpuToGpu);
+  expect_compiles_identical(f.graph, /*coupled=*/false);
 }
 
 TEST(ReplayProgram, DeviceSynchronizeBitIdentical) {
@@ -163,11 +160,11 @@ TEST(ReplayProgram, DeviceSynchronizeBitIdentical) {
   TaskId l2 = f.runtime(0, 1, 5, "cudaLaunchKernel", 13);
   TaskId k2 = f.kernel(0, 13, 200);
   TaskId sync = f.runtime(0, 1, 5, "cudaDeviceSynchronize");
-  f.g.add_edge(l1, k1, DepType::CpuToGpu);
-  f.g.add_edge(l2, k2, DepType::CpuToGpu);
-  f.g.add_edge(l1, l2, DepType::IntraThread);
-  f.g.add_edge(l2, sync, DepType::IntraThread);
-  expect_compiles_identical(f.g, /*coupled=*/false);
+  f.graph.add_edge(l1, k1, DepType::CpuToGpu);
+  f.graph.add_edge(l2, k2, DepType::CpuToGpu);
+  f.graph.add_edge(l1, l2, DepType::IntraThread);
+  f.graph.add_edge(l2, sync, DepType::IntraThread);
+  expect_compiles_identical(f.graph, /*coupled=*/false);
 }
 
 TEST(ReplayProgram, EventSynchronizeBitIdentical) {
@@ -178,12 +175,12 @@ TEST(ReplayProgram, EventSynchronizeBitIdentical) {
   TaskId l2 = f.runtime(0, 1, 5, "cudaLaunchKernel", 7);
   TaskId k2 = f.kernel(0, 7, 1000);
   TaskId esync = f.runtime(0, 2, 3, "cudaEventSynchronize", -1, /*event=*/1);
-  f.g.add_edge(l1, k1, DepType::CpuToGpu);
-  f.g.add_edge(l1, record, DepType::IntraThread);
-  f.g.add_edge(record, l2, DepType::IntraThread);
-  f.g.add_edge(l2, k2, DepType::CpuToGpu);
-  f.g.add_edge(k1, k2, DepType::IntraStream);
-  expect_compiles_identical(f.g, /*coupled=*/false);
+  f.graph.add_edge(l1, k1, DepType::CpuToGpu);
+  f.graph.add_edge(l1, record, DepType::IntraThread);
+  f.graph.add_edge(record, l2, DepType::IntraThread);
+  f.graph.add_edge(l2, k2, DepType::CpuToGpu);
+  f.graph.add_edge(k1, k2, DepType::IntraStream);
+  expect_compiles_identical(f.graph, /*coupled=*/false);
 }
 
 TEST(ReplayProgram, CoupledRendezvousBitIdentical) {
@@ -192,9 +189,9 @@ TEST(ReplayProgram, CoupledRendezvousBitIdentical) {
   TaskId c0 = f.collective(0, 13, 50, "tp_0", 0);
   TaskId pre1 = f.kernel(1, 7, 400);
   TaskId c1 = f.collective(1, 13, 50, "tp_0", 0);
-  f.g.add_edge(pre0, c0, DepType::InterStream);
-  f.g.add_edge(pre1, c1, DepType::InterStream);
-  expect_compiles_identical(f.g, /*coupled=*/true);
+  f.graph.add_edge(pre0, c0, DepType::InterStream);
+  f.graph.add_edge(pre1, c1, DepType::InterStream);
+  expect_compiles_identical(f.graph, /*coupled=*/true);
 }
 
 TEST(ReplayProgram, CoupledP2pStartsAtRendezvousBitIdentical) {
@@ -203,9 +200,9 @@ TEST(ReplayProgram, CoupledP2pStartsAtRendezvousBitIdentical) {
   TaskId send = f.collective(0, 21, 30, "pp_fwd_s0to1", 0, "send");
   TaskId pre1 = f.kernel(1, 22, 400);
   TaskId recv = f.collective(1, 22, 30, "pp_fwd_s0to1", 0, "recv");
-  f.g.add_edge(pre0, send, DepType::IntraStream);
-  f.g.add_edge(pre1, recv, DepType::IntraStream);
-  expect_compiles_identical(f.g, /*coupled=*/true);
+  f.graph.add_edge(pre0, send, DepType::IntraStream);
+  f.graph.add_edge(pre1, recv, DepType::IntraStream);
+  expect_compiles_identical(f.graph, /*coupled=*/true);
 }
 
 TEST(ReplayProgram, LastArrivalDurationBitIdentical) {
@@ -214,16 +211,16 @@ TEST(ReplayProgram, LastArrivalDurationBitIdentical) {
   TaskId c0 = f.collective(0, 13, 999, "tp_0", 0);  // wait-inflated profile
   TaskId c1 = f.collective(1, 13, 50, "tp_0", 0);   // last arrival: pure
   TaskId pre1 = f.kernel(1, 7, 400);
-  f.g.add_edge(pre0, c0, DepType::InterStream);
-  f.g.add_edge(pre1, c1, DepType::InterStream);
-  expect_compiles_identical(f.g, /*coupled=*/true);
+  f.graph.add_edge(pre0, c0, DepType::InterStream);
+  f.graph.add_edge(pre1, c1, DepType::InterStream);
+  expect_compiles_identical(f.graph, /*coupled=*/true);
 }
 
 TEST(ReplayProgram, UncoupledCollectivesBitIdentical) {
   GraphFixture f;
   f.collective(0, 13, 500, "tp_0", 0);
   f.collective(1, 13, 700, "tp_0", 0);
-  expect_compiles_identical(f.g, /*coupled=*/false);
+  expect_compiles_identical(f.graph, /*coupled=*/false);
 }
 
 TEST(ReplayProgram, EmptyGraphCompiles) {
@@ -241,7 +238,7 @@ TEST(ReplayCompiler, UnorderedLaneFallsBack) {
   GraphFixture f;
   f.cpu(0, 1, 10);
   f.cpu(0, 1, 10);  // same thread, no edge: order is queue-arbitrated
-  ReplayCompiler::Result r = ReplayCompiler::compile(f.g);
+  ReplayCompiler::Result r = ReplayCompiler::compile(f.graph);
   EXPECT_FALSE(r);
   EXPECT_EQ(r.status, ReplayCompileStatus::kUnorderedLane);
 }
@@ -250,8 +247,8 @@ TEST(ReplayCompiler, NonPositiveDurationFallsBack) {
   GraphFixture f;
   TaskId a = f.cpu(0, 1, 10);
   TaskId b = f.cpu(0, 1, 0);  // zero-duration: tie-break proof breaks
-  f.g.add_edge(a, b, DepType::IntraThread);
-  ReplayCompiler::Result r = ReplayCompiler::compile(f.g);
+  f.graph.add_edge(a, b, DepType::IntraThread);
+  ReplayCompiler::Result r = ReplayCompiler::compile(f.graph);
   EXPECT_FALSE(r);
   EXPECT_EQ(r.status, ReplayCompileStatus::kNonPositiveDuration);
 }
@@ -264,11 +261,11 @@ TEST(ReplayCompiler, DeadlockCycleFallsBack) {
   TaskId gate = f.cpu(0, 1, 10);
   TaskId c0 = f.collective(0, 13, 50, "tp_0", 0);
   TaskId c1 = f.collective(1, 13, 50, "tp_0", 0);
-  f.g.add_edge(gate, c0, DepType::InterStream);
+  f.graph.add_edge(gate, c0, DepType::InterStream);
   TaskId blocker = f.cpu(1, 1, 10);
-  f.g.add_edge(c1, blocker, DepType::GpuToCpu);
-  f.g.add_edge(blocker, c1, DepType::InterThread);
-  ReplayCompiler::Result r = ReplayCompiler::compile(f.g);
+  f.graph.add_edge(c1, blocker, DepType::GpuToCpu);
+  f.graph.add_edge(blocker, c1, DepType::InterThread);
+  ReplayCompiler::Result r = ReplayCompiler::compile(f.graph);
   EXPECT_FALSE(r);
   EXPECT_EQ(r.status, ReplayCompileStatus::kCyclic);
   EXPECT_STREQ(to_string(r.status), "cyclic");
@@ -278,9 +275,9 @@ TEST(ReplayCompiler, PlainFixedCycleFallsBack) {
   GraphFixture f;
   TaskId a = f.cpu(0, 1, 10);
   TaskId b = f.cpu(0, 2, 10);
-  f.g.add_edge(a, b, DepType::InterThread);
-  f.g.add_edge(b, a, DepType::InterThread);
-  ReplayCompiler::Result r = ReplayCompiler::compile(f.g);
+  f.graph.add_edge(a, b, DepType::InterThread);
+  f.graph.add_edge(b, a, DepType::InterThread);
+  ReplayCompiler::Result r = ReplayCompiler::compile(f.graph);
   EXPECT_FALSE(r);
   EXPECT_EQ(r.status, ReplayCompileStatus::kCyclic);
 }
@@ -300,7 +297,7 @@ class RandomGraph {
     add_cross_thread_edges();
   }
 
-  ExecutionGraph& graph() { return graph_; }
+  ExecutionGraph& graph() { return author_.graph; }
 
  private:
   int pick(int lo, int hi) {
@@ -316,10 +313,10 @@ class RandomGraph {
     t.event.dur_ns = pick(1, 50);
     t.event.ts_ns = seq_++;
     t.event.stream = stream;
-    TaskId id = graph_.add_task(std::move(t));
+    TaskId id = author_.add(t);
     auto key = std::make_pair(rank, tid);
     if (auto it = last_cpu_.find(key); it != last_cpu_.end()) {
-      graph_.add_edge(it->second, id, DepType::IntraThread);
+      author_.graph.add_edge(it->second, id, DepType::IntraThread);
     }
     last_cpu_[key] = id;
     return id;
@@ -342,12 +339,12 @@ class RandomGraph {
       t.event.collective.instance = instance;
       t.event.collective.group_size = 2;
     }
-    TaskId id = graph_.add_task(std::move(t));
+    TaskId id = author_.add(t);
     auto key = std::make_pair(rank, stream);
     if (auto it = last_kernel_.find(key); it != last_kernel_.end()) {
-      graph_.add_edge(it->second, id, DepType::IntraStream);
+      author_.graph.add_edge(it->second, id, DepType::IntraStream);
     }
-    graph_.add_edge(id - 1, id, DepType::CpuToGpu);
+    author_.graph.add_edge(id - 1, id, DepType::CpuToGpu);
     last_kernel_[key] = id;
     return id;
   }
@@ -374,7 +371,7 @@ class RandomGraph {
               a->second != b->second) {
             TaskId src = std::min(a->second, b->second);
             TaskId dst = std::max(a->second, b->second);
-            graph_.add_edge(src, dst, DepType::InterStream);
+            author_.graph.add_edge(src, dst, DepType::InterStream);
           }
           break;
         }
@@ -395,17 +392,18 @@ class RandomGraph {
   }
 
   void add_cross_thread_edges() {
-    const auto n = static_cast<TaskId>(graph_.size());
+    const auto n = static_cast<TaskId>(author_.graph.size());
     for (int i = 0; i < 5 && n > 2; ++i) {
       TaskId a = pick(0, n - 2);
       TaskId b = pick(a + 1, n - 1);
-      if (!graph_.task(a).is_gpu() && !graph_.task(b).is_gpu()) {
-        graph_.add_edge(a, b, DepType::InterThread);
+      if (!author_.graph.meta().is_gpu(a) &&
+          !author_.graph.meta().is_gpu(b)) {
+        author_.graph.add_edge(a, b, DepType::InterThread);
       }
     }
   }
 
-  ExecutionGraph graph_;
+  testutil::GraphAuthor author_;
   std::mt19937_64 rng_;
   std::int64_t seq_ = 0;
   std::int64_t collective_instance_ = 0;
@@ -473,8 +471,8 @@ TEST(ReplayProgram, AcceptsOnlyOnePositiveEntryPerTask) {
   GraphFixture f;
   const TaskId a = f.cpu(0, 1, 10);
   const TaskId b = f.cpu(0, 1, 20);
-  f.g.add_edge(a, b, DepType::IntraThread);
-  ReplayCompiler::Result compiled = ReplayCompiler::compile(f.g);
+  f.graph.add_edge(a, b, DepType::IntraThread);
+  ReplayCompiler::Result compiled = ReplayCompiler::compile(f.graph);
   ASSERT_TRUE(compiled) << to_string(compiled.status);
   const ReplayProgram& program = *compiled.program;
   EXPECT_TRUE(program.accepts(std::vector<std::int64_t>{10, 20}));

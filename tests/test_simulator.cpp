@@ -5,13 +5,13 @@
 
 #include "core/execution_graph.h"
 #include "core/simulator.h"
+#include "test_util.h"
 
 namespace lumos::core {
 namespace {
 
 /// Small fluent helper for building test graphs.
-struct GraphFixture {
-  ExecutionGraph g;
+struct GraphFixture : testutil::GraphAuthor {
   std::int64_t seq = 0;
 
   TaskId cpu(std::int32_t rank, std::int32_t tid, std::int64_t dur,
@@ -24,7 +24,7 @@ struct GraphFixture {
     t.event.ts_ns = seq++;
     t.event.pid = rank;
     t.event.tid = tid;
-    return g.add_task(std::move(t));
+    return add(t);
   }
 
   TaskId runtime(std::int32_t rank, std::int32_t tid, std::int64_t dur,
@@ -38,11 +38,12 @@ struct GraphFixture {
     t.event.ts_ns = seq++;
     t.event.stream = stream;
     t.event.cuda_event = cuda_event;
-    return g.add_task(std::move(t));
+    return add(t);
   }
 
   TaskId kernel(std::int32_t rank, std::int64_t stream, std::int64_t dur,
-                std::string name = "kernel") {
+                std::string name = "kernel",
+                trace::CollectiveInfo collective = {}) {
     Task t;
     t.processor = {rank, true, stream};
     t.event.name = std::move(name);
@@ -50,27 +51,24 @@ struct GraphFixture {
     t.event.dur_ns = dur;
     t.event.ts_ns = seq++;
     t.event.stream = stream;
-    return g.add_task(std::move(t));
+    t.event.collective = std::move(collective);
+    return add(t);
   }
 
   TaskId collective(std::int32_t rank, std::int64_t stream, std::int64_t dur,
                     std::string group, std::int64_t instance,
-                    std::string op = "allreduce") {
-    TaskId id = kernel(rank, stream, dur, "nccl");
-    Task& t = g.task(id);
-    t.event.collective.op = std::move(op);
-    t.event.collective.group = std::move(group);
-    t.event.collective.instance = instance;
-    t.event.collective.bytes = 1024;
-    t.event.collective.group_size = 2;
-    return id;
+                    std::string op = "allreduce",
+                    std::int32_t group_size = 2) {
+    return kernel(rank, stream, dur, "nccl",
+                  {std::move(op), std::move(group), 1024, group_size,
+                   instance});
   }
 
   SimResult run(bool coupled = false, SimulatorHooks* hooks = nullptr) {
     SimOptions options;
     options.couple_collectives = coupled;
     options.hooks = hooks;
-    return Simulator(g, options).run();
+    return Simulator(graph, options).run();
   }
 };
 
@@ -78,11 +76,11 @@ TEST(ExecutionGraph, AddEdgeValidation) {
   GraphFixture f;
   TaskId a = f.cpu(0, 1, 10);
   TaskId b = f.cpu(0, 1, 10);
-  EXPECT_THROW(f.g.add_edge(a, a, DepType::IntraThread),
+  EXPECT_THROW(f.graph.add_edge(a, a, DepType::IntraThread),
                std::invalid_argument);
-  EXPECT_THROW(f.g.add_edge(a, 99, DepType::IntraThread),
+  EXPECT_THROW(f.graph.add_edge(a, 99, DepType::IntraThread),
                std::invalid_argument);
-  EXPECT_NO_THROW(f.g.add_edge(a, b, DepType::IntraThread));
+  EXPECT_NO_THROW(f.graph.add_edge(a, b, DepType::IntraThread));
 }
 
 TEST(ExecutionGraph, AdjacencyAndDegrees) {
@@ -90,12 +88,12 @@ TEST(ExecutionGraph, AdjacencyAndDegrees) {
   TaskId a = f.cpu(0, 1, 1);
   TaskId b = f.cpu(0, 1, 1);
   TaskId c = f.cpu(0, 1, 1);
-  f.g.add_edge(a, b, DepType::IntraThread);
-  f.g.add_edge(a, c, DepType::IntraThread);
-  f.g.add_edge(b, c, DepType::InterThread);
-  EXPECT_EQ(f.g.successors(a).size(), 2u);
-  EXPECT_EQ(f.g.predecessors(c).size(), 2u);
-  auto deg = f.g.in_degrees();
+  f.graph.add_edge(a, b, DepType::IntraThread);
+  f.graph.add_edge(a, c, DepType::IntraThread);
+  f.graph.add_edge(b, c, DepType::InterThread);
+  EXPECT_EQ(f.graph.successors(a).size(), 2u);
+  EXPECT_EQ(f.graph.predecessors(c).size(), 2u);
+  auto deg = f.graph.in_degrees();
   EXPECT_EQ(deg[static_cast<std::size_t>(a)], 0);
   EXPECT_EQ(deg[static_cast<std::size_t>(c)], 2);
 }
@@ -104,11 +102,11 @@ TEST(ExecutionGraph, CycleDetection) {
   GraphFixture f;
   TaskId a = f.cpu(0, 1, 1);
   TaskId b = f.cpu(0, 1, 1);
-  f.g.add_edge(a, b, DepType::IntraThread);
-  EXPECT_TRUE(f.g.is_acyclic());
-  f.g.add_edge(b, a, DepType::InterThread);
+  f.graph.add_edge(a, b, DepType::IntraThread);
+  EXPECT_TRUE(f.graph.is_acyclic());
+  f.graph.add_edge(b, a, DepType::InterThread);
   TaskId hint = kInvalidTask;
-  EXPECT_FALSE(f.g.is_acyclic(&hint));
+  EXPECT_FALSE(f.graph.is_acyclic(&hint));
   EXPECT_NE(hint, kInvalidTask);
 }
 
@@ -116,12 +114,12 @@ TEST(ExecutionGraph, WithoutEdgesFilters) {
   GraphFixture f;
   TaskId a = f.cpu(0, 1, 1);
   TaskId b = f.cpu(0, 1, 1);
-  f.g.add_edge(a, b, DepType::IntraThread);
-  f.g.add_edge(a, b, DepType::InterStream);
-  ExecutionGraph stripped = f.g.without_edges(DepType::InterStream);
+  f.graph.add_edge(a, b, DepType::IntraThread);
+  f.graph.add_edge(a, b, DepType::InterStream);
+  ExecutionGraph stripped = f.graph.without_edges(DepType::InterStream);
   EXPECT_EQ(stripped.edges().size(), 1u);
   EXPECT_EQ(stripped.edges()[0].type, DepType::IntraThread);
-  EXPECT_EQ(stripped.size(), f.g.size());
+  EXPECT_EQ(stripped.size(), f.graph.size());
 }
 
 TEST(Simulator, ChainExecutesSequentially) {
@@ -129,8 +127,8 @@ TEST(Simulator, ChainExecutesSequentially) {
   TaskId a = f.cpu(0, 1, 10);
   TaskId b = f.cpu(0, 1, 20);
   TaskId c = f.cpu(0, 1, 30);
-  f.g.add_edge(a, b, DepType::IntraThread);
-  f.g.add_edge(b, c, DepType::IntraThread);
+  f.graph.add_edge(a, b, DepType::IntraThread);
+  f.graph.add_edge(b, c, DepType::IntraThread);
   SimResult r = f.run();
   ASSERT_TRUE(r.complete());
   EXPECT_EQ(r.start_ns[0], 0);
@@ -145,10 +143,10 @@ TEST(Simulator, DiamondWaitsForSlowestBranch) {
   TaskId fast = f.cpu(0, 2, 5);
   TaskId slow = f.kernel(0, 7, 100);
   TaskId join = f.cpu(0, 3, 1);
-  f.g.add_edge(a, fast, DepType::InterThread);
-  f.g.add_edge(a, slow, DepType::CpuToGpu);
-  f.g.add_edge(fast, join, DepType::InterThread);
-  f.g.add_edge(slow, join, DepType::GpuToCpu);
+  f.graph.add_edge(a, fast, DepType::InterThread);
+  f.graph.add_edge(a, slow, DepType::CpuToGpu);
+  f.graph.add_edge(fast, join, DepType::InterThread);
+  f.graph.add_edge(slow, join, DepType::GpuToCpu);
   SimResult r = f.run();
   EXPECT_EQ(r.start_ns[static_cast<std::size_t>(join)], 110);
 }
@@ -178,9 +176,9 @@ TEST(Simulator, StreamSynchronizeWaitsForPriorKernels) {
   TaskId k = f.kernel(0, 7, 100);
   TaskId sync = f.runtime(0, 1, 5, "cudaStreamSynchronize", 7);
   TaskId after = f.cpu(0, 1, 1);
-  f.g.add_edge(launch, k, DepType::CpuToGpu);
-  f.g.add_edge(launch, sync, DepType::IntraThread);
-  f.g.add_edge(sync, after, DepType::IntraThread);
+  f.graph.add_edge(launch, k, DepType::CpuToGpu);
+  f.graph.add_edge(launch, sync, DepType::IntraThread);
+  f.graph.add_edge(sync, after, DepType::IntraThread);
   SimResult r = f.run();
   // Sync is a runtime dependency: it must start only at kernel end (105).
   EXPECT_EQ(r.start_ns[static_cast<std::size_t>(sync)], 105);
@@ -192,8 +190,8 @@ TEST(Simulator, StreamSynchronizeIgnoresOtherStreams) {
   TaskId launch = f.runtime(0, 1, 5, "cudaLaunchKernel", 13);
   TaskId k = f.kernel(0, 13, 1000);
   TaskId sync = f.runtime(0, 1, 5, "cudaStreamSynchronize", 7);  // stream 7!
-  f.g.add_edge(launch, k, DepType::CpuToGpu);
-  f.g.add_edge(launch, sync, DepType::IntraThread);
+  f.graph.add_edge(launch, k, DepType::CpuToGpu);
+  f.graph.add_edge(launch, sync, DepType::IntraThread);
   SimResult r = f.run();
   EXPECT_EQ(r.start_ns[static_cast<std::size_t>(sync)], 5);
 }
@@ -203,8 +201,8 @@ TEST(Simulator, StreamSynchronizeIgnoresLaterKernels) {
   TaskId sync = f.runtime(0, 1, 5, "cudaStreamSynchronize", 7);
   TaskId launch = f.runtime(0, 1, 5, "cudaLaunchKernel", 7);
   TaskId k = f.kernel(0, 7, 1000);  // launched AFTER the sync (higher id)
-  f.g.add_edge(sync, launch, DepType::IntraThread);
-  f.g.add_edge(launch, k, DepType::CpuToGpu);
+  f.graph.add_edge(sync, launch, DepType::IntraThread);
+  f.graph.add_edge(launch, k, DepType::CpuToGpu);
   SimResult r = f.run();
   EXPECT_EQ(r.start_ns[static_cast<std::size_t>(sync)], 0);
 }
@@ -216,10 +214,10 @@ TEST(Simulator, DeviceSynchronizeWaitsForAllStreams) {
   TaskId l2 = f.runtime(0, 1, 5, "cudaLaunchKernel", 13);
   TaskId k2 = f.kernel(0, 13, 200);
   TaskId sync = f.runtime(0, 1, 5, "cudaDeviceSynchronize");
-  f.g.add_edge(l1, k1, DepType::CpuToGpu);
-  f.g.add_edge(l2, k2, DepType::CpuToGpu);
-  f.g.add_edge(l1, l2, DepType::IntraThread);
-  f.g.add_edge(l2, sync, DepType::IntraThread);
+  f.graph.add_edge(l1, k1, DepType::CpuToGpu);
+  f.graph.add_edge(l2, k2, DepType::CpuToGpu);
+  f.graph.add_edge(l1, l2, DepType::IntraThread);
+  f.graph.add_edge(l2, sync, DepType::IntraThread);
   SimResult r = f.run();
   // k2 starts at 10 and runs 200 -> sync at 210.
   EXPECT_EQ(r.start_ns[static_cast<std::size_t>(sync)], 210);
@@ -233,10 +231,10 @@ TEST(Simulator, EventSynchronizeWaitsForRecordPoint) {
   TaskId l2 = f.runtime(0, 1, 5, "cudaLaunchKernel", 7);
   TaskId k2 = f.kernel(0, 7, 1000);  // after the record point
   TaskId esync = f.runtime(0, 2, 3, "cudaEventSynchronize", -1, /*event=*/1);
-  f.g.add_edge(l1, k1, DepType::CpuToGpu);
-  f.g.add_edge(l1, record, DepType::IntraThread);
-  f.g.add_edge(record, l2, DepType::IntraThread);
-  f.g.add_edge(l2, k2, DepType::CpuToGpu);
+  f.graph.add_edge(l1, k1, DepType::CpuToGpu);
+  f.graph.add_edge(l1, record, DepType::IntraThread);
+  f.graph.add_edge(record, l2, DepType::IntraThread);
+  f.graph.add_edge(l2, k2, DepType::CpuToGpu);
   SimResult r = f.run();
   // The event fires when k1 (before the record) completes at 105; k2 must
   // not gate it.
@@ -259,8 +257,8 @@ TEST(Simulator, CoupledAllReduceRendezvous) {
   TaskId c0 = f.collective(0, 13, 50, "tp_0", 0);
   TaskId pre1 = f.kernel(1, 7, 400);
   TaskId c1 = f.collective(1, 13, 50, "tp_0", 0);
-  f.g.add_edge(pre0, c0, DepType::InterStream);
-  f.g.add_edge(pre1, c1, DepType::InterStream);
+  f.graph.add_edge(pre0, c0, DepType::InterStream);
+  f.graph.add_edge(pre1, c1, DepType::InterStream);
   SimResult r = f.run(/*coupled=*/true);
   ASSERT_TRUE(r.complete());
   // Ring collectives spin: rank 0 starts at its own arrival (100) and both
@@ -277,8 +275,8 @@ TEST(Simulator, CoupledSendRecvStartsAtRendezvous) {
   TaskId send = f.collective(0, 21, 30, "pp_fwd_s0to1", 0, "send");
   TaskId pre1 = f.kernel(1, 22, 400);
   TaskId recv = f.collective(1, 22, 30, "pp_fwd_s0to1", 0, "recv");
-  f.g.add_edge(pre0, send, DepType::IntraStream);
-  f.g.add_edge(pre1, recv, DepType::IntraStream);
+  f.graph.add_edge(pre0, send, DepType::IntraStream);
+  f.graph.add_edge(pre1, recv, DepType::IntraStream);
   SimResult r = f.run(/*coupled=*/true);
   ASSERT_TRUE(r.complete());
   // P2P engages only when both sides are ready: both kernels run
@@ -294,8 +292,8 @@ TEST(Simulator, CoupledCollectiveUsesLastArrivalDuration) {
   TaskId c0 = f.collective(0, 13, 999, "tp_0", 0);  // wait-inflated profile
   TaskId c1 = f.collective(1, 13, 50, "tp_0", 0);   // last arrival: pure
   TaskId pre1 = f.kernel(1, 7, 400);
-  f.g.add_edge(pre0, c0, DepType::InterStream);
-  f.g.add_edge(pre1, c1, DepType::InterStream);
+  f.graph.add_edge(pre0, c0, DepType::InterStream);
+  f.graph.add_edge(pre1, c1, DepType::InterStream);
   SimResult r = f.run(/*coupled=*/true);
   // Transfer time comes from the last-arriving member (c1: 50), not the
   // wait-inflated early member.
@@ -308,10 +306,10 @@ TEST(Simulator, IncompleteCollectiveGroupDeadlocksDetectably) {
   TaskId c0 = f.collective(0, 13, 50, "tp_0", 0);
   TaskId c1 = f.collective(1, 13, 50, "tp_0", 0);
   // c1 can never run: depends on a task that depends on c1 (cycle).
-  f.g.add_edge(gate, c0, DepType::InterStream);
+  f.graph.add_edge(gate, c0, DepType::InterStream);
   TaskId blocker = f.cpu(1, 1, 10);
-  f.g.add_edge(c1, blocker, DepType::GpuToCpu);
-  f.g.add_edge(blocker, c1, DepType::InterThread);
+  f.graph.add_edge(c1, blocker, DepType::GpuToCpu);
+  f.graph.add_edge(blocker, c1, DepType::InterThread);
   SimResult r = f.run(/*coupled=*/true);
   EXPECT_FALSE(r.complete());
   EXPECT_FALSE(r.stuck_tasks.empty());
@@ -338,11 +336,10 @@ TEST(Simulator, CollectiveHookSeesConcurrency) {
     }
   } hooks;
   GraphFixture f;
-  // Two overlapping collectives on different streams of the same rank.
-  f.collective(0, 13, 1'000, "tp_0", 0);
-  f.collective(0, 17, 1'000, "dp_0", 0);
-  // Make instances singletons so they rendezvous immediately but overlap.
-  for (Task& t : f.g.tasks()) t.event.collective.group_size = 1;
+  // Two overlapping collectives on different streams of the same rank,
+  // singleton instances so they rendezvous immediately but overlap.
+  f.collective(0, 13, 1'000, "tp_0", 0, "allreduce", /*group_size=*/1);
+  f.collective(0, 17, 1'000, "dp_0", 0, "allreduce", /*group_size=*/1);
   SimResult r = f.run(/*coupled=*/true, &hooks);
   ASSERT_TRUE(r.complete());
   EXPECT_GE(hooks.max_concurrent, 1);
@@ -352,9 +349,9 @@ TEST(Simulator, ResultToTraceRoundTrip) {
   GraphFixture f;
   TaskId a = f.cpu(3, 1, 10);
   TaskId k = f.kernel(3, 7, 20);
-  f.g.add_edge(a, k, DepType::CpuToGpu);
+  f.graph.add_edge(a, k, DepType::CpuToGpu);
   SimResult r = f.run();
-  trace::ClusterTrace t = r.to_trace(f.g);
+  trace::ClusterTrace t = r.to_trace(f.graph);
   ASSERT_EQ(t.ranks.size(), 1u);
   EXPECT_EQ(t.ranks[0].rank, 3);
   ASSERT_EQ(t.ranks[0].events.size(), 2u);
@@ -368,8 +365,8 @@ TEST(Simulator, DeterministicAcrossRuns) {
     f.kernel(i % 3, 7, 10 + i);
     f.cpu(i % 3, 1, 5 + i);
   }
-  SimResult a = Simulator(f.g).run();
-  SimResult b = Simulator(f.g).run();
+  SimResult a = Simulator(f.graph).run();
+  SimResult b = Simulator(f.graph).run();
   EXPECT_EQ(a.start_ns, b.start_ns);
   EXPECT_EQ(a.end_ns, b.end_ns);
 }
@@ -387,9 +384,9 @@ TEST(Simulator, RankEndNs) {
   f.cpu(0, 1, 10);
   f.cpu(5, 1, 99);
   SimResult r = f.run();
-  EXPECT_EQ(r.rank_end_ns(f.g, 0), 10);
-  EXPECT_EQ(r.rank_end_ns(f.g, 5), 99);
-  EXPECT_EQ(r.rank_end_ns(f.g, 42), 0);
+  EXPECT_EQ(r.rank_end_ns(f.graph, 0), 10);
+  EXPECT_EQ(r.rank_end_ns(f.graph, 5), 99);
+  EXPECT_EQ(r.rank_end_ns(f.graph, 42), 0);
 }
 
 }  // namespace

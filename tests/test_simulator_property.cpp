@@ -15,6 +15,7 @@
 
 #include "core/execution_graph.h"
 #include "core/simulator.h"
+#include "test_util.h"
 
 namespace lumos::core {
 namespace {
@@ -29,7 +30,7 @@ class RandomGraph {
     add_cross_thread_edges();
   }
 
-  ExecutionGraph& graph() { return graph_; }
+  ExecutionGraph& graph() { return author_.graph; }
 
  private:
   int pick(int lo, int hi) {
@@ -45,10 +46,10 @@ class RandomGraph {
     t.event.dur_ns = pick(1, 50);
     t.event.ts_ns = seq_++;
     t.event.stream = stream;
-    TaskId id = graph_.add_task(std::move(t));
+    TaskId id = author_.add(t);
     auto key = std::make_pair(rank, tid);
     if (auto it = last_cpu_.find(key); it != last_cpu_.end()) {
-      graph_.add_edge(it->second, id, DepType::IntraThread);
+      author_.graph.add_edge(it->second, id, DepType::IntraThread);
     }
     last_cpu_[key] = id;
     return id;
@@ -72,13 +73,13 @@ class RandomGraph {
       t.event.collective.instance = instance;
       t.event.collective.group_size = 2;
     }
-    TaskId id = graph_.add_task(std::move(t));
+    TaskId id = author_.add(t);
     auto key = std::make_pair(rank, stream);
     if (auto it = last_kernel_.find(key); it != last_kernel_.end()) {
-      graph_.add_edge(it->second, id, DepType::IntraStream);
+      author_.graph.add_edge(it->second, id, DepType::IntraStream);
     }
     // CPU->GPU edge from the launch we just appended (id - 1).
-    graph_.add_edge(id - 1, id, DepType::CpuToGpu);
+    author_.graph.add_edge(id - 1, id, DepType::CpuToGpu);
     last_kernel_[key] = id;
     return id;
   }
@@ -106,7 +107,7 @@ class RandomGraph {
               a->second != b->second) {
             TaskId src = std::min(a->second, b->second);
             TaskId dst = std::max(a->second, b->second);
-            graph_.add_edge(src, dst, DepType::InterStream);
+            author_.graph.add_edge(src, dst, DepType::InterStream);
           }
           break;
         }
@@ -131,17 +132,18 @@ class RandomGraph {
   void add_cross_thread_edges() {
     // A few random forward (id-ordered) inter-thread edges; forward edges
     // cannot create cycles.
-    const auto n = static_cast<TaskId>(graph_.size());
+    const auto n = static_cast<TaskId>(author_.graph.size());
     for (int i = 0; i < 5 && n > 2; ++i) {
       TaskId a = pick(0, n - 2);
       TaskId b = pick(a + 1, n - 1);
-      if (!graph_.task(a).is_gpu() && !graph_.task(b).is_gpu()) {
-        graph_.add_edge(a, b, DepType::InterThread);
+      if (!author_.graph.meta().is_gpu(a) &&
+          !author_.graph.meta().is_gpu(b)) {
+        author_.graph.add_edge(a, b, DepType::InterThread);
       }
     }
   }
 
-  ExecutionGraph graph_;
+  testutil::GraphAuthor author_;
   std::mt19937_64 rng_;
   std::int64_t seq_ = 0;
   std::int64_t collective_instance_ = 0;

@@ -1,13 +1,15 @@
-// Shared test helpers: tiny model specs (fast to simulate) and graph
-// comparison utilities.
+// Shared test helpers: tiny model specs (fast to simulate), a graph author
+// for hand-built graphs, and graph comparison utilities.
 #pragma once
 
 #include <map>
+#include <memory>
 #include <set>
 #include <tuple>
 #include <vector>
 
 #include "core/execution_graph.h"
+#include "trace/event_table.h"
 #include "workload/model_spec.h"
 #include "workload/parallelism.h"
 
@@ -38,6 +40,22 @@ inline workload::ParallelConfig tiny_config(std::int32_t tp = 2,
   c.microbatch_size = 1;
   return c;
 }
+
+/// Hand-builds a graph the way producers do: each Task's event is interned
+/// through a scratch EventTable into pools the author owns, then appended
+/// to `graph` as one column row. Set every field before add(); the graph
+/// has no way to edit a row afterwards.
+struct GraphAuthor {
+  std::shared_ptr<trace::TracePools> pools =
+      std::make_shared<trace::TracePools>();
+  core::ExecutionGraph graph{pools};
+
+  core::TaskId add(const core::Task& task) {
+    trace::EventTable scratch(pools);
+    scratch.push_back(task.event);
+    return graph.add_task(task.processor, scratch.row(0));
+  }
+};
 
 /// Identity of a task that is stable across graph reconstructions: the
 /// n-th task on a given (rank, gpu, lane) processor.
