@@ -456,7 +456,7 @@ void BM_WriteDom(benchmark::State& state) {
 }
 BENCHMARK(BM_WriteDom)->Arg(8)->Unit(benchmark::kMillisecond);
 
-// Steady-state writer reuse — the Session::write_traces shape: one
+// Steady-state writer reuse — the Session::write_trace_files shape: one
 // JsonWriter whose output buffer and escaped-string memo persist across
 // ranks.
 void BM_WriteReuse(benchmark::State& state) {
@@ -531,7 +531,7 @@ const ClusterFixture& cluster_fixture() {
     f.prefix =
         (std::filesystem::temp_directory_path() / "lumos_bench_cluster16")
             .string();
-    f.ranks = trace::write_cluster_trace(run.trace, f.prefix);
+    f.ranks = trace::write_cluster_trace_files(run.trace, f.prefix).size();
     f.events = run.trace.total_events();
     for (const trace::RankTrace& rank : run.trace.ranks) {
       f.bytes += static_cast<std::int64_t>(std::filesystem::file_size(
@@ -593,8 +593,8 @@ std::vector<analysis::Interval> interval_workload(std::size_t n) {
   return out;
 }
 
-// The restructured kernel: radix sort on the begins + branch-free sweep
-// (SIMD pass where the CPU has it).
+// The production kernel: radix sort on the begins (std::sort below the
+// threshold) + the shared in-place merge sweep.
 void BM_MergeIntervals(benchmark::State& state) {
   const auto master = interval_workload(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
@@ -605,12 +605,11 @@ void BM_MergeIntervals(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(master.size()) *
                           state.iterations());
-  state.SetLabel(analysis::detail::simd_sweep_active() ? "simd" : "scalar-sweep");
 }
 BENCHMARK(BM_MergeIntervals)->Arg(1 << 12)->Arg(1 << 16)
     ->Unit(benchmark::kMillisecond);
 
-// The pre-PR5 reference (std::sort + branchy sweep), for the A/B.
+// The scalar reference (std::sort + the same sweep), for the A/B.
 void BM_MergeIntervalsScalar(benchmark::State& state) {
   const auto master = interval_workload(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
@@ -669,7 +668,9 @@ const SnapshotFixture& snapshot_fixture() {
     f.snapshot_path = (tmp / "lumos_bench_baseline.snap").string();
     snapshot::write(f.snapshot_path, f.bundle);
     f.trace_prefix = (tmp / "lumos_bench_snapcmp").string();
-    f.ranks = trace::write_cluster_trace(*f.bundle.trace, f.trace_prefix);
+    f.ranks =
+        trace::write_cluster_trace_files(*f.bundle.trace, f.trace_prefix)
+            .size();
     f.events = f.bundle.trace->total_events();
     return f;
   }();

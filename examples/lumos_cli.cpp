@@ -90,12 +90,12 @@ int cmd_collect(int argc, char** argv) {
                                .with_seed(seed);
   Result<api::Session> session = api::Session::create(scenario);
   if (!session.is_ok()) return fail(session.status());
-  Result<std::size_t> files = session->write_traces(prefix);
+  Result<std::vector<std::string>> files = session->write_trace_files(prefix);
   if (!files.is_ok()) return fail(files.status());
   const trace::ClusterTrace& trace = **session->trace();
   std::printf("wrote %zu rank traces (%zu events) to %s_rank<k>.json; "
               "profiled iteration %.1f ms\n",
-              *files, trace.total_events(), prefix.c_str(),
+              files->size(), trace.total_events(), prefix.c_str(),
               static_cast<double>(*session->profiled_iteration_ns()) / 1e6);
   return 0;
 }

@@ -784,12 +784,6 @@ Result<std::vector<std::int32_t>> Session::ranks() {
   return out;
 }
 
-Result<std::size_t> Session::write_traces(const std::string& prefix) {
-  Result<std::vector<std::string>> paths = write_trace_files(prefix);
-  if (!paths.is_ok()) return paths.status();
-  return paths->size();
-}
-
 Result<std::vector<std::string>> Session::write_trace_files(
     const std::string& prefix) {
   Result<const trace::ClusterTrace*> traces = trace();

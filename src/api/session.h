@@ -228,11 +228,10 @@ class Session {
   Result<std::vector<std::int32_t>> ranks();
 
   // -- trace I/O ------------------------------------------------------------
-  /// Writes the baseline trace as <prefix>_rank<k>.json; returns file count.
-  Result<std::size_t> write_traces(const std::string& prefix);
-  /// Same write, returning the full paths written (rank order). One
-  /// streaming writer buffer and one filename buffer are reused across
-  /// ranks — no per-rank string rebuilding.
+  /// Writes the baseline trace as <prefix>_rank<k>.json; returns the full
+  /// paths written (rank order). One streaming writer buffer and one
+  /// filename buffer are reused across ranks — no per-rank string
+  /// rebuilding.
   Result<std::vector<std::string>> write_trace_files(const std::string& prefix);
   /// Chrome-trace JSON of one rank of the *replayed* trace (for
   /// chrome://tracing / Perfetto).

@@ -8,6 +8,13 @@
 
 namespace lumos::core {
 
+namespace {
+
+/// GPU-side overhead recovered per eliminated kernel (ramp-up/teardown).
+constexpr std::int64_t kPerKernelSavingNs = 2'500;
+
+}  // namespace
+
 FusionResult fuse_elementwise(const ExecutionGraph& graph,
                               const FusionOptions& options) {
   // 1. Walk each GPU lane's tasks in id (launch) order — the meta table
@@ -60,7 +67,7 @@ FusionResult fuse_elementwise(const ExecutionGraph& graph,
           const auto t = static_cast<std::size_t>(ids[k]);
           head[t] = ids[i];
           const std::int64_t contribution = std::max<std::int64_t>(
-              0, ev.dur_ns(t) - options.per_kernel_saving_ns);
+              0, ev.dur_ns(t) - kPerKernelSavingNs);
           added_ns[h] += contribution;
           result.saved_ns += ev.dur_ns(t) - contribution;
           ++result.kernels_eliminated;

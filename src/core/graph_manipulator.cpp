@@ -8,15 +8,13 @@ GraphManipulator::GraphManipulator(const ExecutionGraph& profiled,
                                    workload::ModelSpec base_model,
                                    workload::ParallelConfig base_config,
                                    const cost::KernelPerfModel& kernel_model,
-                                   workload::BuildOptions build_options,
-                                   TemplateOptions template_options)
+                                   workload::BuildOptions build_options)
     : base_model_(std::move(base_model)),
       base_config_(base_config),
       kernel_model_(kernel_model),
       build_options_(build_options),
       provider_(std::make_unique<TemplateProvider>(
-          profiled, base_model_, base_config_, kernel_model,
-          template_options)) {}
+          profiled, base_model_, base_config_, kernel_model)) {}
 
 workload::IterationGraphBuilder GraphManipulator::builder(
     const workload::ModelSpec& model,

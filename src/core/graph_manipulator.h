@@ -49,8 +49,7 @@ class GraphManipulator {
                    workload::ModelSpec base_model,
                    workload::ParallelConfig base_config,
                    const cost::KernelPerfModel& kernel_model,
-                   workload::BuildOptions build_options = {},
-                   TemplateOptions template_options = {});
+                   workload::BuildOptions build_options = {});
 
   /// Rebuilds with an arbitrary (model, config) pair — any composition of
   /// the Fig. 7 parallelism and Fig. 8 architecture changes. TP must match

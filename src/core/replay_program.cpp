@@ -141,11 +141,17 @@ struct OrderingGraph {
   }
 };
 
+/// Node budget for each lane-order path proof. Every parser/builder lane
+/// carries direct intra-lane chain edges (found in O(out-degree)), so the
+/// budget only bounds pathological hand-built graphs, which fall back to
+/// the interpreter.
+constexpr std::size_t kLaneCheckBudget = 4096;
+
 /// Breadth-first reachability `from => to`, pruned to topological positions
 /// <= pos[to] (every ordering edge goes forward in topo position, so the
-/// pruning is exact, not a heuristic). `budget` bounds visited nodes;
-/// exceeding it reports "not proven". Parser/builder lanes carry direct
-/// intra-lane chain edges, so in practice this terminates within one or two
+/// pruning is exact, not a heuristic). Visiting more than kLaneCheckBudget
+/// nodes reports "not proven". Parser/builder lanes carry direct intra-lane
+/// chain edges, so in practice this terminates within one or two
 /// expansions.
 class ReachChecker {
  public:
@@ -153,7 +159,7 @@ class ReachChecker {
                const std::vector<std::int32_t>& pos, std::size_t nodes)
       : graph_(graph), pos_(pos), stamp_(nodes, 0) {}
 
-  bool proven(std::int32_t from, std::int32_t to, std::size_t budget) {
+  bool proven(std::int32_t from, std::int32_t to) {
     ++epoch_;
     frontier_.clear();
     frontier_.push_back(from);
@@ -165,7 +171,7 @@ class ReachChecker {
         if (next == to) return true;
         const auto i = static_cast<std::size_t>(next);
         if (pos_[i] > limit || stamp_[i] == epoch_) continue;
-        if (++visited > budget) return false;
+        if (++visited > kLaneCheckBudget) return false;
         stamp_[i] = epoch_;
         frontier_.push_back(next);
       }
@@ -368,8 +374,7 @@ ReplayCompiler::Result ReplayCompiler::compile(const ExecutionGraph& graph,
       const auto t = static_cast<TaskId>(node);
       TaskId& prev = lane_last[static_cast<std::size_t>(meta.lane(t))];
       if (prev != kInvalidTask &&
-          !checker.proven(static_cast<std::int32_t>(prev), node,
-                          options.lane_check_budget)) {
+          !checker.proven(static_cast<std::int32_t>(prev), node)) {
         return fallback(ReplayCompileStatus::kUnorderedLane);
       }
       prev = t;

@@ -138,11 +138,6 @@ class ReplayCompiler {
     /// Must match the SimOptions::couple_collectives of the runs the
     /// program will replace (api paths always couple).
     bool couple_collectives = true;
-    /// Node budget for each lane-order path proof. Every parser/builder
-    /// lane carries direct intra-lane chain edges (found in O(out-degree)),
-    /// so the budget only bounds pathological hand-built graphs, which
-    /// fall back to the interpreter.
-    std::size_t lane_check_budget = 4096;
   };
 
   struct Result {

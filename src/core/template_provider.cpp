@@ -50,12 +50,10 @@ std::size_t TemplateProvider::KeyHash::operator()(const Key& k) const {
 TemplateProvider::TemplateProvider(const ExecutionGraph& profiled,
                                    workload::ModelSpec base_model,
                                    workload::ParallelConfig base_config,
-                                   const cost::KernelPerfModel& kernel_model,
-                                   TemplateOptions options)
+                                   const cost::KernelPerfModel& kernel_model)
     : base_model_(std::move(base_model)),
       base_config_(base_config),
       kernel_model_(kernel_model),
-      options_(options),
       fallback_(kernel_model) {
   extract(profiled);
 }
@@ -231,10 +229,11 @@ std::int64_t TemplateProvider::kernel_ns(
     return static_cast<std::int64_t>(base);
   }
 
+  // Memory-bound kernels re-cost by bytes moved (the paper re-costs only
+  // GEMM and communication).
   if (desc.elementwise_bytes > 0) {
     std::int64_t base = stats.mean_ns();
-    if (options_.recost_elementwise && stats.bytes_moved > 0 &&
-        stats.bytes_moved != desc.elementwise_bytes) {
+    if (stats.bytes_moved > 0 && stats.bytes_moved != desc.elementwise_bytes) {
       const double new_cost = static_cast<double>(
           kernel_model_.memory_bound_ns(desc.elementwise_bytes));
       const double old_cost = static_cast<double>(

@@ -41,12 +41,6 @@
 
 namespace lumos::core {
 
-struct TemplateOptions {
-  /// Re-cost memory-bound kernels when their bytes change. The paper only
-  /// re-costs GEMM and communication; disabling this reproduces that.
-  bool recost_elementwise = true;
-};
-
 class TemplateProvider : public workload::DurationProvider {
  public:
   /// `profiled` is a parsed (or built) graph of the base configuration;
@@ -54,8 +48,7 @@ class TemplateProvider : public workload::DurationProvider {
   TemplateProvider(const ExecutionGraph& profiled,
                    workload::ModelSpec base_model,
                    workload::ParallelConfig base_config,
-                   const cost::KernelPerfModel& kernel_model,
-                   TemplateOptions options = {});
+                   const cost::KernelPerfModel& kernel_model);
 
   std::int64_t cpu_ns(const workload::CpuOpDesc& desc) const override;
   std::int64_t kernel_ns(const workload::KernelDesc& desc) const override;
@@ -111,7 +104,6 @@ class TemplateProvider : public workload::DurationProvider {
   workload::ModelSpec base_model_;
   workload::ParallelConfig base_config_;
   const cost::KernelPerfModel& kernel_model_;
-  TemplateOptions options_;
   workload::AnalyticalProvider fallback_;  ///< for keys absent in the profile
 
   trace::StringPool keys_;  ///< owns the text every stored Key views

@@ -543,11 +543,6 @@ std::vector<std::string> write_cluster_trace_files(const ClusterTrace& trace,
   return paths;
 }
 
-std::size_t write_cluster_trace(const ClusterTrace& trace,
-                                const std::string& prefix) {
-  return write_cluster_trace_files(trace, prefix).size();
-}
-
 // read_cluster_trace lives in trace/ingest.cpp: discovery (numeric-rank
 // ordered), the worker-pool fan-out and the deterministic pool merge.
 

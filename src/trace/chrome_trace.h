@@ -67,10 +67,6 @@ RankTrace rank_trace_from_json_file(const std::string& path);
 std::vector<std::string> write_cluster_trace_files(const ClusterTrace& trace,
                                                    const std::string& prefix);
 
-/// Count-only convenience over write_cluster_trace_files.
-std::size_t write_cluster_trace(const ClusterTrace& trace,
-                                const std::string& prefix);
-
 /// Reads all <prefix>_rank*.json files, in numeric rank order (the rank is
 /// parsed out of the filename at discovery — see trace::discover_rank_files
 /// in trace/ingest.h). Parsing fans over `io.ingest_workers` threads with a

@@ -4,7 +4,7 @@
 // trace::to_json_string used to materialize a full json::Value DOM per rank
 // — one Object of heap Values per event, a fresh escape() string per name,
 // a std::to_string per integer — and only then print the tree. For a
-// multi-rank Session::write_traces that tree was the dominant cost of the
+// multi-rank Session::write_trace_files that tree was the dominant cost of the
 // whole emit path. JsonWriter removes it: one pass over the table columns
 // appends directly into a reusable output buffer, integers go through
 // std::to_chars, and pooled strings (names, phases, blocks, collective

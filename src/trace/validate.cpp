@@ -14,12 +14,11 @@ namespace {
 void check_no_overlap_per_lane(
     const RankTrace& trace, bool gpu_lane, const char* lane_kind,
     std::vector<Violation>& out) {
-  // Group event indices by lane (thread for CPU, stream for GPU); the
-  // overlap *test* is the shared interval-merge kernel over the contiguous
-  // ts/dur columns (a clean lane — the overwhelming case — costs one
-  // gather + sort + sweep and no pairwise bookkeeping); only lanes the
-  // kernel flags pay the detailed pairwise attribution pass that builds
-  // human-readable messages.
+  // Group event indices by lane (thread for CPU, stream for GPU), sort
+  // each lane by start and flag every event that starts before its
+  // predecessor ends. Consecutive pairs suffice for non-negative
+  // durations: with the lane sorted by start, no consecutive overlap means
+  // the ends ascend too, so no pair overlaps at all.
   const EventTable& t = trace.events;
   std::unordered_map<std::int64_t, std::vector<std::uint32_t>> lanes;
   for (std::size_t i = 0; i < t.size(); ++i) {
@@ -30,25 +29,7 @@ void check_no_overlap_per_lane(
       lanes[t.tid(i)].push_back(static_cast<std::uint32_t>(i));
     }
   }
-  // One scratch serves every lane: the fused gather+union overload below
-  // runs allocation-free once the columns have grown to the largest lane.
-  analysis::IntervalScratch scratch;
   for (auto& [lane, indices] : lanes) {
-    // A zero-duration event inside another event never adds busy time, so
-    // the union-vs-sum test cannot see it; fall through to the pairwise
-    // scan for such lanes (they are vanishingly rare in real traces).
-    bool has_zero_dur = false;
-    for (const std::uint32_t i : indices) {
-      if (t.dur_ns(i) <= 0) {
-        has_zero_dur = true;
-        break;
-      }
-    }
-    if (!has_zero_dur) {
-      const analysis::UnionStats stats = analysis::gather_intervals(
-          t.ts_column(), t.dur_column(), indices, scratch);
-      if (stats.union_ns == stats.total_ns) continue;  // disjoint
-    }
     std::sort(indices.begin(), indices.end(),
               [&t](std::uint32_t a, std::uint32_t b) {
                 return t.ts_ns(a) < t.ts_ns(b);
@@ -161,11 +142,6 @@ std::vector<Violation> validate(const ClusterTrace& trace) {
     }
   }
   return out;
-}
-
-std::int64_t interval_union_ns(
-    std::vector<std::pair<std::int64_t, std::int64_t>> intervals) {
-  return analysis::merge_intervals(intervals);
 }
 
 TraceStats compute_stats(const RankTrace& trace) {

@@ -53,8 +53,4 @@ struct TraceStats {
 
 TraceStats compute_stats(const RankTrace& trace);
 
-/// Union length of a set of [start,end) intervals.
-std::int64_t interval_union_ns(
-    std::vector<std::pair<std::int64_t, std::int64_t>> intervals);
-
 }  // namespace lumos::trace

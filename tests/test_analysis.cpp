@@ -68,16 +68,13 @@ TEST(IntervalMerge, GatherSelectsAndClampsColumns) {
   const std::vector<std::uint32_t> select{0, 1, 2};  // 100 not selected
   const std::vector<Interval> got = gather_intervals(ts, dur, select, 2, 52);
   EXPECT_EQ(got, (std::vector<Interval>{{2, 5}, {10, 20}, {50, 52}}));
-  EXPECT_EQ(total_length_ns(got), 3 + 10 + 2);
   // Unclamped gather keeps everything with positive length.
   EXPECT_EQ(gather_intervals(ts, dur, select).size(), 3u);
 }
 
 // ---------------------------------------------------------------------------
-// Scalar-vs-restructured kernel equivalence (PR 5). merge_intervals_scalar
-// is the executable spec; the radix-sorted merge, the branch-free /
-// SIMD-dispatched union sweep, and the fused gather overload must all agree
-// with it bit-for-bit.
+// Radix-vs-scalar kernel equivalence. merge_intervals_scalar is the
+// executable spec; the radix-sorted merge must agree with it bit-for-bit.
 // ---------------------------------------------------------------------------
 
 /// Runs one input through the reference and the fast path, expecting
@@ -89,17 +86,6 @@ void expect_kernels_agree(std::vector<Interval> input) {
   const std::int64_t fast_union = merge_intervals(fast);
   EXPECT_EQ(fast_union, scalar_union);
   EXPECT_EQ(fast, scalar);
-
-  // The SoA union sweep (branch-free scalar and, where the CPU has it, the
-  // SIMD pass) over the sorted columns must match too.
-  std::vector<std::int64_t> begins;
-  std::vector<std::int64_t> ends;
-  for (const auto& [b, e] : scalar) {
-    begins.push_back(b);
-    ends.push_back(e);
-  }
-  EXPECT_EQ(detail::union_of_sorted_scalar(begins, ends), scalar_union);
-  EXPECT_EQ(detail::union_of_sorted(begins, ends), scalar_union);
 }
 
 TEST(IntervalMergeEquivalence, AdversarialShapes) {
@@ -140,8 +126,7 @@ TEST(IntervalMergeEquivalence, AdversarialShapes) {
 
 TEST(IntervalMergeEquivalence, RandomizedAcrossSortThresholds) {
   std::mt19937_64 rng(20260726);
-  // Sizes straddle the radix-sort threshold and the SIMD tail handling
-  // (odd/even counts).
+  // Sizes straddle the radix-sort threshold (odd and even counts).
   for (const std::size_t n : {1u, 2u, 3u, 7u, 64u, 127u, 128u, 129u, 1000u,
                               4097u}) {
     std::vector<Interval> v;
@@ -153,42 +138,6 @@ TEST(IntervalMergeEquivalence, RandomizedAcrossSortThresholds) {
     }
     expect_kernels_agree(std::move(v));
   }
-}
-
-TEST(IntervalMergeEquivalence, FusedGatherMatchesComposition) {
-  std::mt19937_64 rng(42);
-  const std::size_t n = 700;
-  std::vector<std::int64_t> ts(n);
-  std::vector<std::int64_t> dur(n);
-  std::vector<std::uint32_t> select;
-  for (std::size_t i = 0; i < n; ++i) {
-    ts[i] = static_cast<std::int64_t>(rng() % 100'000);
-    dur[i] = static_cast<std::int64_t>(rng() % 500);  // includes zero-length
-    if (rng() % 4 != 0) select.push_back(static_cast<std::uint32_t>(i));
-  }
-  IntervalScratch scratch;
-  for (const auto& [cb, ce] :
-       std::vector<std::pair<std::int64_t, std::int64_t>>{
-           {0, 0}, {100, 50'000}, {99'999, 100'000}, {50, 51}}) {
-    SCOPED_TRACE("clamp=[" + std::to_string(cb) + "," + std::to_string(ce) +
-                 ")");
-    std::vector<Interval> composed =
-        gather_intervals(ts, dur, select, cb, ce);
-    const std::int64_t composed_total = total_length_ns(composed);
-    const std::int64_t composed_union = merge_intervals_scalar(composed);
-    const UnionStats fused =
-        gather_intervals(ts, dur, select, scratch, cb, ce);
-    EXPECT_EQ(fused.total_ns, composed_total);
-    EXPECT_EQ(fused.union_ns, composed_union);
-  }
-  // Empty selection and fully-clamped-away selections.
-  const UnionStats empty = gather_intervals(ts, dur, {}, scratch);
-  EXPECT_EQ(empty.union_ns, 0);
-  EXPECT_EQ(empty.total_ns, 0);
-  const UnionStats clamped_away =
-      gather_intervals(ts, dur, select, scratch, -100, -50);
-  EXPECT_EQ(clamped_away.union_ns, 0);
-  EXPECT_EQ(clamped_away.total_ns, 0);
 }
 
 // ---------------------------------------------------------------------------

@@ -314,12 +314,13 @@ TEST(Session, TraceFileRoundTrip) {
       ::testing::TempDir() + "lumos_api_roundtrip";
   Result<Session> collector = Session::create(tiny_scenario());
   ASSERT_TRUE(collector.is_ok());
-  Result<std::size_t> files = collector->write_traces(prefix);
+  Result<std::vector<std::string>> files =
+      collector->write_trace_files(prefix);
   ASSERT_TRUE(files.is_ok());
-  EXPECT_EQ(*files, 1u);
+  EXPECT_EQ(files->size(), 1u);
 
   Result<Session> loaded =
-      Session::create(Scenario::from_trace(prefix, *files));
+      Session::create(Scenario::from_trace(prefix, files->size()));
   ASSERT_TRUE(loaded.is_ok());
   Result<const core::SimResult*> replay = loaded->replay();
   ASSERT_TRUE(replay.is_ok());
@@ -594,7 +595,7 @@ TEST(ErrorCodes, Deadlock) {
   trace::ClusterTrace cluster;
   cluster.ranks.push_back(rank);
   const std::string prefix = ::testing::TempDir() + "lumos_api_deadlock";
-  ASSERT_EQ(trace::write_cluster_trace(cluster, prefix), 1u);
+  ASSERT_EQ(trace::write_cluster_trace_files(cluster, prefix).size(), 1u);
 
   Result<Session> session = Session::create(Scenario::from_trace(prefix, 1));
   ASSERT_TRUE(session.is_ok());
@@ -610,7 +611,7 @@ TEST(ErrorCodes, FailedPrecondition) {
   const std::string prefix = ::testing::TempDir() + "lumos_api_precond";
   Result<Session> collector = Session::create(tiny_scenario());
   ASSERT_TRUE(collector.is_ok());
-  ASSERT_TRUE(collector->write_traces(prefix).is_ok());
+  ASSERT_TRUE(collector->write_trace_files(prefix).is_ok());
   Result<Session> loaded = Session::create(Scenario::from_trace(prefix, 1));
   ASSERT_TRUE(loaded.is_ok());
   EXPECT_EQ(loaded->actual_iteration_ns().status().code(),

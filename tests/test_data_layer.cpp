@@ -490,7 +490,7 @@ TEST(ParsePathGolden, GraphMetaSharesClusterTracePools) {
   const cluster::GroundTruthRun run = engine.run_profiled(/*seed=*/5);
   const std::string prefix =
       ::testing::TempDir() + "/lumos_pool_share";
-  trace::write_cluster_trace(run.trace, prefix);
+  trace::write_cluster_trace_files(run.trace, prefix);
   trace::ClusterTrace back =
       trace::read_cluster_trace(prefix, run.trace.ranks.size());
   for (const trace::RankTrace& rank : back.ranks) {

@@ -130,7 +130,8 @@ std::string write_synthetic_fixture(const std::string& name) {
       ts += 100;
     }
   }
-  EXPECT_EQ(trace::write_cluster_trace(cluster, prefix), kSyntheticRanks);
+  EXPECT_EQ(trace::write_cluster_trace_files(cluster, prefix).size(),
+            kSyntheticRanks);
   return prefix;
 }
 
@@ -320,7 +321,7 @@ TEST(ParallelIngestGolden, Seed123FixtureAcrossWorkerCounts) {
   const cluster::GroundTruthRun run = engine.run_profiled(/*seed=*/123);
   ASSERT_EQ(run.trace.ranks.size(), 4u);
   const std::string prefix = fixture_dir("seed123") + "/trace";
-  ASSERT_EQ(trace::write_cluster_trace(run.trace, prefix), 4u);
+  ASSERT_EQ(trace::write_cluster_trace_files(run.trace, prefix).size(), 4u);
 
   const trace::ClusterTrace serial =
       trace::read_cluster_trace(prefix, 4, workers(1));
@@ -462,7 +463,7 @@ TEST(ParallelIngestErrors, CorruptFileFailsLikeSerial) {
     good.add_rank(r).events.push_back(
         make_event("op", trace::EventCategory::CpuOp, r, 10, 1));
   }
-  ASSERT_EQ(trace::write_cluster_trace(good, prefix), 4u);
+  ASSERT_EQ(trace::write_cluster_trace_files(good, prefix).size(), 4u);
   std::ofstream(prefix + "_rank2.json") << "this is not json {";
   EXPECT_THROW(trace::read_cluster_trace(prefix, 4, workers(1)),
                json::ParseError);

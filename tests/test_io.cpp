@@ -180,7 +180,7 @@ TEST(JsonWriterGolden, EmptyAndMetadataOnlyTraces) {
 }
 
 TEST(JsonWriterGolden, ReusedWriterMatchesFreshAcrossRanks) {
-  // One writer across ranks sharing pools (the write_cluster_trace shape):
+  // One writer across ranks sharing pools (write_cluster_trace_files):
   // memo reuse must not change bytes; switching to a trace with different
   // pools must reset the memo.
   ClusterTrace cluster;
@@ -284,7 +284,7 @@ ClusterTrace small_cluster() {
 TEST(FileIngest, ClusterFilesRoundTripToTheOriginalBytes) {
   const std::string prefix = temp_path("io_identity");
   const ClusterTrace original = small_cluster();
-  ASSERT_EQ(trace::write_cluster_trace(original, prefix), 3u);
+  ASSERT_EQ(trace::write_cluster_trace_files(original, prefix).size(), 3u);
 
   const ClusterTrace via_mmap = trace::read_cluster_trace(prefix, 3);
   ASSERT_EQ(via_mmap.ranks.size(), 3u);
@@ -347,10 +347,10 @@ TEST(WriteTraceFiles, SessionReportsWrittenPaths) {
   ASSERT_EQ(paths->size(), 2u);
   EXPECT_EQ((*paths)[0], prefix + "_rank0.json");
   EXPECT_EQ((*paths)[1], prefix + "_rank1.json");
-  // The count-only facade stays consistent with the path list.
-  Result<std::size_t> count = session->write_traces(prefix);
-  ASSERT_TRUE(count.is_ok());
-  EXPECT_EQ(*count, paths->size());
+  // Rewriting the same prefix reports the same number of files.
+  Result<std::vector<std::string>> again = session->write_trace_files(prefix);
+  ASSERT_TRUE(again.is_ok());
+  EXPECT_EQ(again->size(), paths->size());
   // Written files parse back through the mmap path.
   const ClusterTrace back = trace::read_cluster_trace(prefix, 2);
   EXPECT_EQ(back.ranks.size(), 2u);

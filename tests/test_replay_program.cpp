@@ -858,7 +858,7 @@ std::string write_uncompilable_trace() {
   trace::ClusterTrace cluster;
   cluster.ranks.push_back(rank);
   const std::string prefix = ::testing::TempDir() + "replay_uncompilable";
-  EXPECT_EQ(trace::write_cluster_trace(cluster, prefix), 1u);
+  EXPECT_EQ(trace::write_cluster_trace_files(cluster, prefix).size(), 1u);
   return prefix;
 }
 

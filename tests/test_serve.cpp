@@ -73,7 +73,7 @@ std::string make_poisoned_snapshot(const std::string& name) {
   trace::ClusterTrace cluster;
   cluster.ranks.push_back(rank);
   const std::string prefix = temp_path(name + "_trace");
-  EXPECT_EQ(trace::write_cluster_trace(cluster, prefix), 1u);
+  EXPECT_EQ(trace::write_cluster_trace_files(cluster, prefix).size(), 1u);
 
   const std::string path = temp_path(name + ".snap");
   Result<Session> session =

@@ -557,7 +557,7 @@ TEST(Sweep, DeadlockedVariantDoesNotPoisonSiblings) {
   trace::ClusterTrace cluster;
   cluster.ranks.push_back(rank);
   const std::string prefix = ::testing::TempDir() + "lumos_sweep_deadlock";
-  ASSERT_EQ(trace::write_cluster_trace(cluster, prefix), 1u);
+  ASSERT_EQ(trace::write_cluster_trace_files(cluster, prefix).size(), 1u);
 
   Result<Sweep> sweep = Sweep::create(tiny_base());
   ASSERT_TRUE(sweep.is_ok());

@@ -3,7 +3,10 @@
 // (lumos::trace).
 #include <gtest/gtest.h>
 
+#include "cluster/ground_truth.h"
 #include "core/trace_parser.h"
+#include "io/fnv.h"
+#include "test_util.h"
 #include "trace/chrome_trace.h"
 #include "trace/event.h"
 #include "trace/validate.h"
@@ -198,7 +201,7 @@ TEST(ChromeTrace, FileRoundTrip) {
     t.ranks[r].events.push_back(e);
   }
   const std::string prefix = ::testing::TempDir() + "/lumos_trace_test";
-  EXPECT_EQ(write_cluster_trace(t, prefix), 2u);
+  EXPECT_EQ(write_cluster_trace_files(t, prefix).size(), 2u);
   ClusterTrace back = read_cluster_trace(prefix, 2);
   ASSERT_EQ(back.ranks.size(), 2u);
   EXPECT_EQ(back.ranks[1].events[0].ts_ns, 100);
@@ -217,7 +220,7 @@ TEST(ChromeTrace, FileRoundTripWithNonContiguousGlobalRanks) {
     t.ranks.push_back(std::move(rank));
   }
   const std::string prefix = ::testing::TempDir() + "/lumos_trace_sparse";
-  EXPECT_EQ(write_cluster_trace(t, prefix), 4u);
+  EXPECT_EQ(write_cluster_trace_files(t, prefix).size(), 4u);
   ClusterTrace back = read_cluster_trace(prefix);  // count discovered
   ASSERT_EQ(back.ranks.size(), 4u);
   EXPECT_EQ(back.ranks[2].rank, 4);  // sorted by rank id
@@ -318,13 +321,6 @@ TEST(Validate, ClusterPrefixesRank) {
   auto v = validate(t);
   ASSERT_FALSE(v.empty());
   EXPECT_NE(v[0].message.find("rank 9"), std::string::npos);
-}
-
-TEST(IntervalUnion, MergesOverlaps) {
-  EXPECT_EQ(interval_union_ns({{0, 10}, {5, 15}, {20, 25}}), 20);
-  EXPECT_EQ(interval_union_ns({{0, 10}, {10, 20}}), 20);
-  EXPECT_EQ(interval_union_ns({}), 0);
-  EXPECT_EQ(interval_union_ns({{3, 3}}), 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -461,7 +457,7 @@ TEST(EventTable, ClusterRanksShareOnePool) {
   EXPECT_EQ(t.ranks[0].events.names().size(), 1u);
 
   const std::string prefix = ::testing::TempDir() + "/lumos_shared_pool";
-  EXPECT_EQ(write_cluster_trace(t, prefix), 2u);
+  EXPECT_EQ(write_cluster_trace_files(t, prefix).size(), 2u);
   ClusterTrace back = read_cluster_trace(prefix, 2);
   EXPECT_EQ(back.ranks[0].events.pools(), back.ranks[1].events.pools());
 }
@@ -482,8 +478,8 @@ TEST(EventTable, ParserSharesTracePoolsWithGraph) {
   EXPECT_EQ(graph.meta().name_view(0), "cudaLaunchKernel");
 }
 
-TEST(Validate, OverlapCheckUsesMergeKernelFastPath) {
-  // Disjoint lanes take the union-vs-sum fast path (no violations).
+TEST(Validate, OverlapCheckFlagsOverlapsAndNestedZeroDurationEvents) {
+  // Disjoint lanes produce no violations.
   RankTrace clean = minimal_valid_trace();
   EXPECT_TRUE(validate(clean).empty());
 
@@ -503,7 +499,8 @@ TEST(Validate, OverlapCheckUsesMergeKernelFastPath) {
   EXPECT_NE(violations[0].message.find("stream 7"), std::string::npos);
   EXPECT_NE(violations[0].message.find("starts at 25"), std::string::npos);
 
-  // Zero-duration events inside a kernel still trip the (slow-path) check.
+  // A zero-duration event inside a kernel adds no busy time, but it still
+  // starts before the kernel ends.
   RankTrace z = minimal_valid_trace();
   TraceEvent zk = z.events[1];
   zk.ts_ns = 15;
@@ -515,6 +512,48 @@ TEST(Validate, OverlapCheckUsesMergeKernelFastPath) {
   z.events.push_back(zl);
   z.events.push_back(zk);
   EXPECT_FALSE(validate(z).empty());
+}
+
+TEST(Validate, PinsFullViolationListOnPerturbedMultiRankTrace) {
+  // The whole violation list (messages, event indices and order) of a
+  // realistic 4-rank trace, clean and perturbed: any rewrite of the overlap
+  // check must reproduce it exactly.
+  cluster::GroundTruthEngine engine(testutil::tiny_model(),
+                                    testutil::tiny_config());
+  const ClusterTrace clean = engine.run_profiled(/*seed=*/123).trace;
+  ASSERT_EQ(clean.total_events(), 6548u);
+  ASSERT_EQ(clean.ranks.size(), 4u);
+  EXPECT_TRUE(validate(clean).empty());
+
+  // Shift some kernels into their predecessor, collapse others to zero
+  // duration just inside it, and nudge some CPU ops back by 1 ns.
+  ClusterTrace perturbed = clean;
+  for (RankTrace& rank : perturbed.ranks) {
+    EventTable& t = rank.events;
+    for (std::size_t i = 0; i < t.size(); ++i) {
+      if (t.is_gpu(i) && i % 37 == 0) {
+        t.set_ts_ns(i, t.ts_ns(i) - (t.dur_ns(i) / 2 + 1));
+      } else if (t.is_gpu(i) && i % 53 == 0) {
+        t.set_ts_ns(i, t.ts_ns(i) - 1);
+        t.set_dur_ns(i, 0);
+      } else if (t.is_cpu(i) && i % 101 == 0) {
+        t.set_ts_ns(i, t.ts_ns(i) - 1);
+      }
+    }
+  }
+  const std::vector<Violation> violations = validate(perturbed);
+  ASSERT_EQ(violations.size(), 60u);
+  std::size_t stream = 0;
+  std::size_t thread = 0;
+  std::string listing;
+  for (const Violation& v : violations) {
+    if (v.message.find(": stream ") != std::string::npos) ++stream;
+    if (v.message.find(": thread ") != std::string::npos) ++thread;
+    listing += v.message + "#" + std::to_string(v.event_index) + "\n";
+  }
+  EXPECT_EQ(stream, 31u);
+  EXPECT_EQ(thread, 29u);
+  EXPECT_EQ(io::fnv1a(listing), 7591994068097958094ULL);
 }
 
 TEST(TraceStats, CountsAndBusyTime) {
