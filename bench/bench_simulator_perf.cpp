@@ -13,8 +13,9 @@
 // benches (BM_Write*, BM_ParseFile, BM_MergeIntervals*, BM_Parse, the
 // snapshot A/B: BM_Snapshot*, BM_IngestBaseline, plus the replay A/B:
 // BM_Replay*, BM_ReplayCompiled, BM_CompileProgram, and on rebuilt graphs
-// BM_ReplayRebuilt vs BM_CompileReplayRebuilt), so CI runs leave a
-// machine-readable record future PRs can diff against.
+// BM_ReplayRebuilt vs BM_CompileReplayRebuilt, and BM_Breakdown over a
+// compiled schedule), so CI runs leave a machine-readable record future PRs
+// can diff against.
 #include <benchmark/benchmark.h>
 
 #include <array>
@@ -26,6 +27,7 @@
 #include <utility>
 #include <vector>
 
+#include "analysis/breakdown.h"
 #include "analysis/interval_merge.h"
 #include "cluster/ground_truth.h"
 #include "core/graph_manipulator.h"
@@ -286,6 +288,28 @@ void BM_ReplayCompiled(benchmark::State& state) {
 }
 BENCHMARK(BM_ReplayCompiled)->Arg(2)->Arg(8)->Arg(32)->Arg(64)
     ->Unit(benchmark::kMillisecond);
+
+// The breakdown every prediction computes after its replay, over the
+// schedule BM_ReplayCompiled produces at the same Arg. perf-smoke gates its
+// cpu time against BM_ReplayCompiled/64's as a same-process ratio.
+void BM_Breakdown(benchmark::State& state) {
+  const auto& run = cached_run(static_cast<std::int32_t>(state.range(0)));
+  core::ExecutionGraph graph = core::TraceParser().parse(run.trace);
+  core::ReplayCompiler::Result compiled = core::ReplayCompiler::compile(graph);
+  if (!compiled) {
+    state.SkipWithError(core::to_string(compiled.status));
+    return;
+  }
+  const core::SimResult sim = compiled.program->run();
+  for (auto _ : state) {
+    analysis::Breakdown b = analysis::compute_breakdown(graph, sim);
+    benchmark::DoNotOptimize(b);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(graph.size()) *
+                          state.iterations());
+  state.counters["tasks"] = static_cast<double>(graph.size());
+}
+BENCHMARK(BM_Breakdown)->Arg(64)->Unit(benchmark::kMillisecond);
 
 // The one-time lowering cost (topo order, lane-order proofs, rendezvous
 // grouping, instruction emission) — what a Session/serve cache entry pays
@@ -759,7 +783,8 @@ class TrajectoryReporter : public benchmark::ConsoleReporter {
           name.rfind("BM_Replay", 0) != 0 &&  // interpreter + compiled
           name.rfind("BM_CompileReplayRebuilt", 0) != 0 &&
           name.rfind("BM_FaultedReplay", 0) != 0 &&
-          name.rfind("BM_CompileProgram", 0) != 0) {
+          name.rfind("BM_CompileProgram", 0) != 0 &&
+          name.rfind("BM_Breakdown", 0) != 0) {
         continue;
       }
       json::Object entry;

@@ -489,6 +489,14 @@ int cmd_request(int argc, char** argv) {
                         coalesced->as_bool()
                     ? ", coalesced"
                     : "");
+    if (const json::Value* b = reply.body.as_object().find("breakdown");
+        b != nullptr && b->is_object()) {
+      const analysis::Breakdown breakdown{b->get_int("exposed_compute_ns", 0),
+                                          b->get_int("overlapped_ns", 0),
+                                          b->get_int("exposed_comm_ns", 0),
+                                          b->get_int("other_ns", 0)};
+      std::printf("breakdown: %s\n", breakdown.to_string().c_str());
+    }
   }
   std::printf("%s\n", reply_line->c_str());
   return 0;

@@ -28,15 +28,13 @@ std::int64_t intersection_ns(const std::vector<Interval>& a,
   return total;
 }
 
-/// One rank's breakdown from its raw compute/comm interval sets over a
-/// window of `span_ns` — the single definition both the trace-based and the
-/// schedule-based overloads share, so they stay bit-identical by
-/// construction. The sort-then-sweep lives in the shared merge_intervals
-/// kernel.
-Breakdown assemble(std::vector<Interval> compute, std::vector<Interval> comm,
-                   std::int64_t span_ns) {
-  const std::int64_t compute_len = merge_intervals(compute);
-  const std::int64_t comm_len = merge_intervals(comm);
+/// One rank's breakdown from its merged compute/comm interval sets (sorted,
+/// disjoint) and their union lengths over a window of `span_ns` — the
+/// single definition both the trace-based and the schedule-based overloads
+/// share, so they stay bit-identical by construction.
+Breakdown classify(const std::vector<Interval>& compute,
+                   std::int64_t compute_len, const std::vector<Interval>& comm,
+                   std::int64_t comm_len, std::int64_t span_ns) {
   Breakdown b;
   b.overlapped_ns = intersection_ns(compute, comm);
   b.exposed_compute_ns = compute_len - b.overlapped_ns;
@@ -46,6 +44,35 @@ Breakdown assemble(std::vector<Interval> compute, std::vector<Interval> comm,
   b.other_ns = span_ns - busy;
   return b;
 }
+
+/// One rank's breakdown from its raw compute/comm interval sets; the
+/// sort-then-sweep lives in the shared merge_intervals kernel.
+Breakdown assemble(std::vector<Interval> compute, std::vector<Interval> comm,
+                   std::int64_t span_ns) {
+  const std::int64_t compute_len = merge_intervals(compute);
+  const std::int64_t comm_len = merge_intervals(comm);
+  return classify(compute, compute_len, comm, comm_len, span_ns);
+}
+
+/// One category's device intervals of one rank, appended lane by lane so
+/// each lane is a run for merge_runs. Reused across ranks.
+struct LaneRuns {
+  std::vector<Interval> intervals;
+  std::vector<std::size_t> run_ends;
+  std::vector<Interval> merged;
+
+  explicit LaneRuns(std::size_t capacity) {
+    intervals.reserve(capacity);
+    merged.reserve(capacity);
+  }
+
+  void clear() {
+    intervals.clear();
+    run_ends.clear();
+  }
+  void close_run() { run_ends.push_back(intervals.size()); }
+  std::int64_t merge() { return merge_runs(intervals, run_ends, merged); }
+};
 
 }  // namespace
 
@@ -117,31 +144,55 @@ Breakdown compute_breakdown(const core::ExecutionGraph& graph,
   // max-end the trace-based overload derives from the materialized events.
   std::int64_t begin = result.start_ns[0];
   std::int64_t end = result.end_ns[0];
-  for (std::size_t i = 1; i < n; ++i) {
+  std::size_t device = 0;
+  for (std::size_t i = 0; i < n; ++i) {
     begin = std::min(begin, result.start_ns[i]);
     end = std::max(end, result.end_ns[i]);
+    device += meta.is_device_activity(static_cast<core::TaskId>(i));
   }
 
-  // Device-activity intervals bucketed by dense rank index, comm vs compute
-  // straight from the meta columns.
-  const std::size_t ranks = meta.lanes().rank_count();
-  std::vector<std::vector<Interval>> compute(ranks), comm(ranks);
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto id = static_cast<core::TaskId>(i);
-    if (!meta.is_device_activity(id)) continue;
-    const std::int64_t lo = std::clamp(result.start_ns[i], begin, end);
-    const std::int64_t hi = std::clamp(result.end_ns[i], begin, end);
-    if (lo >= hi) continue;
-    const auto r = static_cast<std::size_t>(
-        meta.lanes().rank_index(meta.lane(id)));
-    (meta.collective_op(id).valid() ? comm : compute)[r].emplace_back(lo, hi);
+  // Each GPU lane runs its tasks one at a time in launch order, so a lane's
+  // compute and comm intervals each arrive as a run sorted by start. The
+  // buffers are sized for the rank with the most GPU tasks, once.
+  const core::LaneTable& lanes = meta.lanes();
+  const auto ranks = static_cast<std::int32_t>(lanes.rank_count());
+  std::size_t widest = 0;
+  for (std::int32_t r = 0; r < ranks; ++r) {
+    std::size_t tasks = 0;
+    for (const core::LaneId lane : lanes.gpu_lanes(r)) {
+      tasks += meta.gpu_tasks(lane).size();
+    }
+    widest = std::max(widest, tasks);
   }
-
+  LaneRuns compute(widest), comm(widest);
+  std::size_t walked = 0;
   Breakdown sum;
-  for (std::size_t r = 0; r < ranks; ++r) {
-    sum += assemble(std::move(compute[r]), std::move(comm[r]), end - begin);
+  for (std::int32_t r = 0; r < ranks; ++r) {
+    compute.clear();
+    comm.clear();
+    for (const core::LaneId lane : lanes.gpu_lanes(r)) {
+      for (const core::TaskId id : meta.gpu_tasks(lane)) {
+        if (!meta.is_device_activity(id)) continue;
+        ++walked;
+        const auto i = static_cast<std::size_t>(id);
+        const std::int64_t lo = std::clamp(result.start_ns[i], begin, end);
+        const std::int64_t hi = std::clamp(result.end_ns[i], begin, end);
+        if (lo >= hi) continue;
+        (meta.collective_op(id).valid() ? comm : compute)
+            .intervals.emplace_back(lo, hi);
+      }
+      compute.close_run();
+      comm.close_run();
+    }
+    const std::int64_t compute_len = compute.merge();
+    const std::int64_t comm_len = comm.merge();
+    sum += classify(compute.merged, compute_len, comm.merged, comm_len,
+                    end - begin);
   }
-  return sum / static_cast<std::int64_t>(ranks);
+  // Parsed and built graphs keep all device activity on GPU lanes; a
+  // hand-built graph that does not takes the reference path.
+  if (walked != device) return compute_breakdown(result.to_trace(graph));
+  return sum / ranks;
 }
 
 }  // namespace lumos::analysis

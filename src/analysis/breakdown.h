@@ -52,8 +52,11 @@ Breakdown compute_breakdown(const trace::ClusterTrace& trace);
 /// Same aggregate, computed directly from a simulated schedule: device
 /// activity and comm/compute classification come from the graph's columnar
 /// meta table and the intervals from the SimResult — no per-event trace
-/// materialization. Bit-identical to
-/// `compute_breakdown(result.to_trace(graph))`.
+/// materialization. Each rank's GPU lanes are walked in launch order
+/// (TaskMetaTable::gpu_tasks), and their sorted runs are merged rather
+/// than sorted (analysis::merge_runs). A graph with device activity off
+/// its GPU lanes (only hand-built graphs) takes the reference path.
+/// Bit-identical to `compute_breakdown(result.to_trace(graph))`.
 Breakdown compute_breakdown(const core::ExecutionGraph& graph,
                             const core::SimResult& result);
 

@@ -10,6 +10,15 @@ namespace {
 /// Below this size std::sort beats the radix passes' fixed histogram cost.
 constexpr std::size_t kRadixThreshold = 128;
 
+/// merge_runs picks the next interval by scanning the run heads, which
+/// pays while runs are few (one per GPU lane of a rank); past this many it
+/// sorts the concatenation instead.
+constexpr std::size_t kMaxRunHeads = 16;
+
+bool begins_before(const Interval& a, const Interval& b) {
+  return a.first < b.first;
+}
+
 /// Maps int64 keys to uint64 so unsigned digit order equals signed order.
 constexpr std::uint64_t kSignBias = 0x8000000000000000ULL;
 
@@ -107,6 +116,51 @@ std::int64_t merge_intervals_scalar(std::vector<Interval>& intervals) {
   if (intervals.empty()) return 0;
   std::sort(intervals.begin(), intervals.end());
   return sweep_merge(intervals);
+}
+
+std::int64_t merge_runs(std::span<Interval> intervals,
+                        std::span<const std::size_t> run_ends,
+                        std::vector<Interval>& out) {
+  out.clear();
+  // Cursor [next, end) of each non-empty run.
+  std::array<std::pair<std::size_t, std::size_t>, kMaxRunHeads> heads;
+  std::size_t live = 0;
+  std::size_t begin = 0;
+  for (const std::size_t end : run_ends) {
+    if (begin == end) continue;
+    if (live == kMaxRunHeads) {
+      out.assign(intervals.begin(), intervals.end());
+      return merge_intervals(out);
+    }
+    const std::span<Interval> run = intervals.subspan(begin, end - begin);
+    if (!std::is_sorted(run.begin(), run.end(), begins_before)) {
+      std::sort(run.begin(), run.end(), begins_before);
+    }
+    heads[live++] = {begin, end};
+    begin = end;
+  }
+
+  // The merge sweep of sweep_merge, fed in begin order from the heads.
+  std::int64_t total = 0;
+  while (live > 0) {
+    std::size_t pick = 0;
+    for (std::size_t h = 1; h < live; ++h) {
+      if (intervals[heads[h].first].first <
+          intervals[heads[pick].first].first) {
+        pick = h;
+      }
+    }
+    const Interval iv = intervals[heads[pick].first];
+    if (++heads[pick].first == heads[pick].second) heads[pick] = heads[--live];
+    if (!out.empty() && iv.first <= out.back().second) {
+      out.back().second = std::max(out.back().second, iv.second);
+    } else {
+      if (!out.empty()) total += out.back().second - out.back().first;
+      out.push_back(iv);
+    }
+  }
+  if (!out.empty()) total += out.back().second - out.back().first;
+  return total;
 }
 
 std::vector<Interval> gather_intervals(std::span<const std::int64_t> ts,

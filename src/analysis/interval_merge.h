@@ -8,10 +8,13 @@
 //
 // The sort is an LSD radix sort on the 64-bit begins (stable, 8-bit
 // digits, uniform digit passes skipped — timestamps use ~5 of 8 bytes),
-// falling back to std::sort below a size threshold; breakdown runs it on
-// every prediction. merge_intervals_scalar() is the executable reference
-// the radix path must match bit-for-bit (tests/test_analysis.cpp drives
-// both over adversarial inputs).
+// falling back to std::sort below a size threshold; the trace-based
+// breakdown and SM utilization run it. A simulated schedule already holds
+// each lane's intervals in order, so the schedule-based breakdown (run on
+// every prediction) unions those runs with merge_runs() instead of
+// sorting. merge_intervals_scalar() is the executable reference both must
+// match bit-for-bit (tests/test_analysis.cpp drives them over adversarial
+// inputs).
 //
 // Convention: intervals are half-open [begin, end). Touching intervals
 // ([a,b) and [b,c)) merge; an input interval *overlaps* when its begin is
@@ -38,6 +41,17 @@ std::int64_t merge_intervals(std::vector<Interval>& intervals);
 /// spec of merge_intervals, kept separate so the equivalence tests and the
 /// BM_MergeIntervals A/B bench can pin the radix path against it.
 std::int64_t merge_intervals_scalar(std::vector<Interval>& intervals);
+
+/// Unions intervals that arrive as runs sorted by begin: each GPU lane's
+/// device intervals in launch order. `intervals` holds the runs end to
+/// end, run r ending before run_ends[r] (ascending, the last one
+/// intervals.size()). A run found out of order is sorted on its own. Writes
+/// the sorted, disjoint union to `out` (cleared first, its capacity reused)
+/// and returns its length: the union and length merge_intervals gives the
+/// concatenated runs.
+std::int64_t merge_runs(std::span<Interval> intervals,
+                        std::span<const std::size_t> run_ends,
+                        std::vector<Interval>& out);
 
 /// Gathers the device-activity intervals of a columnar event selection:
 /// entries of the parallel ts/dur columns named by `select`, clamped to

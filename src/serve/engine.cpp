@@ -117,14 +117,20 @@ Result<Engine::Outcome> Engine::predict(const Request& request) {
 
   MutexLock lock(mu_);
   if (auto it = predict_flights_.find(key); it != predict_flights_.end()) {
-    // Identical request already in flight: join it. The coalesced counter
-    // moves under the same lock as the join, so tests can assert exact
-    // counts.
+    // Identical request already in flight: join it. The join and the
+    // coalesced counter move under the same lock, so tests can assert
+    // exact counts and the leader sees every follower once it retires the
+    // flight.
     std::shared_ptr<PredictFlight> flight = it->second;
+    ++flight->followers;
     ++stats_.coalesced;
     while (!flight->done) cv_.wait(mu_);
-    if (!flight->status.is_ok()) return flight->status;
-    Outcome outcome = flight->outcome;
+    const Status status = flight->status;
+    const std::shared_ptr<const Outcome> published = flight->outcome;
+    lock.unlock();
+    if (!status.is_ok()) return status;
+    // The published outcome is immutable: copy it outside the lock.
+    Outcome outcome = *published;
     outcome.coalesced = true;
     return outcome;
   }
@@ -152,13 +158,24 @@ Result<Engine::Outcome> Engine::predict(const Request& request) {
     }
   }
 
+  // Retire the flight. No request can join once it has left the map, so
+  // the follower count read here is final.
   lock.lock();
   predict_flights_.erase(key);
-  flight->status = status;
-  flight->outcome = outcome;
-  flight->done = true;
-  cv_.notify_all();
+  const bool followed = flight->followers > 0;
   lock.unlock();
+  if (followed) {
+    // The one copy the followers share, made outside the lock; a failed
+    // prediction publishes only its status.
+    std::shared_ptr<const Outcome> published;
+    if (status.is_ok()) published = std::make_shared<const Outcome>(outcome);
+    lock.lock();
+    flight->status = status;
+    flight->outcome = std::move(published);
+    flight->done = true;
+    cv_.notify_all();
+    lock.unlock();
+  }
   if (!status.is_ok()) return status;
   return outcome;
 }

@@ -14,6 +14,16 @@
 //   - Single-flight: concurrent identical (baseline content, what-if
 //     fingerprint) predictions run once; followers wait and share the
 //     leader's result. Concurrent loads of one snapshot also coalesce.
+//   - Publication: an outcome is never copied under the engine lock. A
+//     follower joins under the lock and is counted on its flight. The
+//     leader erases the flight under the lock (no request joins after
+//     that, so the count is final) and releases it. With followers and a
+//     successful prediction it copies its outcome once into a
+//     shared_ptr<const Outcome> outside the lock, then retakes the lock
+//     to publish the pointer with its Status; a failed leader publishes
+//     the Status alone. Each follower reads both under the lock and
+//     copies the immutable outcome after releasing it. A leader without
+//     followers publishes nothing and returns its own outcome uncopied.
 //
 // Thread-safe; every public method may be called from any thread. A
 // request that fails (deadlocked variant, bad snapshot, unknown model)
@@ -100,8 +110,12 @@ class Engine {
   };
   struct PredictFlight {
     bool done = false;
+    /// Requests that joined; final once the leader erases the flight.
+    std::size_t followers = 0;
     Status status = Status::ok();
-    Outcome outcome;
+    /// The leader's outcome, published only when followers joined and the
+    /// prediction succeeded; immutable once published.
+    std::shared_ptr<const Outcome> outcome;
   };
 
   /// baseline() plus whether it was a cache hit (for Outcome provenance).
@@ -122,9 +136,10 @@ class Engine {
   /// front = most recently used
   std::list<std::uint64_t> lru_ LUMOS_GUARDED_BY(mu_);
   /// Flight bookkeeping maps are guarded; the Flight structs they point at
-  /// are too (done/status/base/outcome are only touched under mu_ — the
-  /// leader drops the lock for the load/predict, buffers into locals, and
-  /// re-locks to publish).
+  /// are too (done/followers/status/base/outcome are only touched under
+  /// mu_ — the leader drops the lock for the load/predict, buffers into
+  /// locals, and re-locks to publish). A published outcome is const and
+  /// copied by its readers after they release mu_.
   std::unordered_map<std::uint64_t, std::shared_ptr<LoadFlight>> load_flights_
       LUMOS_GUARDED_BY(mu_);
   std::unordered_map<std::string, std::shared_ptr<PredictFlight>>

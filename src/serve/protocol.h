@@ -10,7 +10,11 @@
 // Reply line (predict):
 //   {"id":7,"ok":true,"makespan_ns":...,"makespan_ms":...,"executed":...,
 //    "kernels_eliminated":...,"fusion_saved_ns":...,
+//    "breakdown":{"exposed_compute_ns":...,"overlapped_ns":...,
+//                 "exposed_comm_ns":...,"other_ns":...},
 //    "baseline_cached":true,"coalesced":false,"content_hash":"<hex>"}
+// The breakdown is the predicted schedule's per-rank average (see
+// analysis/breakdown.h), in ns.
 // Reply line (error):
 //   {"id":7,"ok":false,"error_code":5,"error":"deadlock: ..."}
 //

@@ -41,6 +41,7 @@ std::string hash_hex(std::uint64_t hash) {
 
 std::string predict_reply(std::int64_t id, const Engine::Outcome& outcome) {
   const api::Prediction& p = outcome.prediction;
+  const analysis::Breakdown& b = p.breakdown;
   return json::write(json::Value(json::Object{
       {"id", id},
       {"ok", true},
@@ -50,6 +51,10 @@ std::string predict_reply(std::int64_t id, const Engine::Outcome& outcome) {
       {"kernels_eliminated",
        static_cast<std::int64_t>(p.kernels_eliminated)},
       {"fusion_saved_ns", p.fusion_saved_ns},
+      {"breakdown", json::Object{{"exposed_compute_ns", b.exposed_compute_ns},
+                                 {"overlapped_ns", b.overlapped_ns},
+                                 {"exposed_comm_ns", b.exposed_comm_ns},
+                                 {"other_ns", b.other_ns}}},
       {"baseline_cached", outcome.baseline_was_cached},
       {"coalesced", outcome.coalesced},
       {"content_hash", hash_hex(outcome.content_hash)}}));

@@ -1,7 +1,10 @@
-// Analysis-module tests: breakdown interval arithmetic, SM-utilization
-// timelines, error metrics, critical-path extraction.
+// Analysis-module tests: breakdown interval arithmetic (and the
+// schedule-based breakdown pinned to the trace-based one), the interval
+// kernels, SM-utilization timelines, error metrics, critical-path
+// extraction.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <random>
 
@@ -10,7 +13,12 @@
 #include "analysis/interval_merge.h"
 #include "analysis/metrics.h"
 #include "analysis/sm_utilization.h"
+#include "cluster/ground_truth.h"
+#include "core/graph_manipulator.h"
+#include "core/replay_program.h"
 #include "core/simulator.h"
+#include "core/trace_parser.h"
+#include "costmodel/kernel_model.h"
 #include "test_util.h"
 
 namespace lumos::analysis {
@@ -72,17 +80,68 @@ TEST(IntervalMerge, GatherSelectsAndClampsColumns) {
   EXPECT_EQ(gather_intervals(ts, dur, select).size(), 3u);
 }
 
+TEST(IntervalMerge, MergeRunsUnionsLaneOrderedRuns) {
+  // Two runs: intervals touching across runs merge, like within one.
+  std::vector<Interval> lanes{{0, 10}, {20, 30}, {10, 15}, {40, 50}};
+  const std::vector<std::size_t> two{2, 4};
+  std::vector<Interval> out{{-5, -1}};  // stale content is cleared
+  EXPECT_EQ(merge_runs(lanes, two, out), 35);
+  EXPECT_EQ(out, (std::vector<Interval>{{0, 15}, {20, 30}, {40, 50}}));
+  // A run out of order is sorted on its own.
+  std::vector<Interval> unordered{{20, 30}, {0, 10}};
+  const std::vector<std::size_t> one{2};
+  EXPECT_EQ(merge_runs(unordered, one, out), 20);
+  EXPECT_EQ(out, (std::vector<Interval>{{0, 10}, {20, 30}}));
+  // No intervals, in no runs or in empty ones.
+  std::vector<Interval> none;
+  const std::vector<std::size_t> empty_runs{0, 0};
+  EXPECT_EQ(merge_runs(none, {}, out), 0);
+  EXPECT_EQ(merge_runs(none, empty_runs, out), 0);
+  EXPECT_TRUE(out.empty());
+}
+
 // ---------------------------------------------------------------------------
-// Radix-vs-scalar kernel equivalence. merge_intervals_scalar is the
-// executable spec; the radix-sorted merge must agree with it bit-for-bit.
+// Kernel equivalence. merge_intervals_scalar is the executable spec; the
+// radix-sorted merge and the run merge must agree with it bit-for-bit.
 // ---------------------------------------------------------------------------
 
-/// Runs one input through the reference and the fast path, expecting
-/// identical union lengths and identical merged output.
+/// Lays `input` out as `runs` contiguous runs (some empty when there are
+/// more runs than intervals), each sorted by begin when `sorted`, and
+/// expects merge_runs to reproduce the reference union and length.
+void expect_runs_agree(const std::vector<Interval>& input,
+                       const std::vector<Interval>& scalar,
+                       std::int64_t scalar_union, std::size_t runs,
+                       bool sorted) {
+  std::vector<Interval> laid = input;
+  std::vector<std::size_t> ends;
+  std::size_t begin = 0;
+  for (std::size_t r = 1; r <= runs; ++r) {
+    const std::size_t end = laid.size() * r / runs;
+    if (sorted) {
+      std::sort(laid.begin() + static_cast<std::ptrdiff_t>(begin),
+                laid.begin() + static_cast<std::ptrdiff_t>(end));
+    }
+    ends.push_back(end);
+    begin = end;
+  }
+  std::vector<Interval> merged;
+  EXPECT_EQ(merge_runs(laid, ends, merged), scalar_union)
+      << runs << " runs, sorted=" << sorted;
+  EXPECT_EQ(merged, scalar) << runs << " runs, sorted=" << sorted;
+}
+
+/// Runs one input through the reference and the fast paths, expecting
+/// identical union lengths and identical merged output. The run merge sees
+/// the input as 1, 3 and 40 runs (the last past its head limit), both
+/// sorted per run and as laid out.
 void expect_kernels_agree(std::vector<Interval> input) {
   std::vector<Interval> scalar = input;
-  std::vector<Interval> fast = std::move(input);
   const std::int64_t scalar_union = merge_intervals_scalar(scalar);
+  for (const std::size_t runs : {1u, 3u, 40u}) {
+    expect_runs_agree(input, scalar, scalar_union, runs, /*sorted=*/true);
+    expect_runs_agree(input, scalar, scalar_union, runs, /*sorted=*/false);
+  }
+  std::vector<Interval> fast = std::move(input);
   const std::int64_t fast_union = merge_intervals(fast);
   EXPECT_EQ(fast_union, scalar_union);
   EXPECT_EQ(fast, scalar);
@@ -226,6 +285,130 @@ TEST(Breakdown, ClusterAverageUsesGlobalWindow) {
   // Each rank: 100 busy + 100 idle within the [0,200) window -> average.
   EXPECT_EQ(b.exposed_compute_ns, 100);
   EXPECT_EQ(b.other_ns, 100);
+}
+
+// ---------------------------------------------------------------------------
+// Schedule-based breakdown: equal, field by field, to the trace-based
+// breakdown of the materialized schedule (the contract breakdown.h states)
+// ---------------------------------------------------------------------------
+
+void expect_same_breakdown(const Breakdown& got, const Breakdown& want) {
+  EXPECT_EQ(got.exposed_compute_ns, want.exposed_compute_ns);
+  EXPECT_EQ(got.overlapped_ns, want.overlapped_ns);
+  EXPECT_EQ(got.exposed_comm_ns, want.exposed_comm_ns);
+  EXPECT_EQ(got.other_ns, want.other_ns);
+}
+
+void expect_exact_breakdown(const core::ExecutionGraph& graph,
+                            const core::SimResult& sim) {
+  expect_same_breakdown(compute_breakdown(graph, sim),
+                        compute_breakdown(sim.to_trace(graph)));
+}
+
+/// Checks the schedules of both engines: the coupled interpreter and the
+/// compiled program.
+void expect_exact_breakdown_on_both_engines(
+    const core::ExecutionGraph& graph) {
+  core::SimOptions options;
+  options.couple_collectives = true;
+  const core::SimResult interpreted = core::Simulator(graph, options).run();
+  ASSERT_TRUE(interpreted.complete());
+  expect_exact_breakdown(graph, interpreted);
+  const core::ReplayCompiler::Result compiled =
+      core::ReplayCompiler::compile(graph);
+  ASSERT_TRUE(compiled) << core::to_string(compiled.status);
+  expect_exact_breakdown(graph, compiled.program->run());
+}
+
+TEST(ExactBreakdown, RandomGraphsOnBothEngines) {
+  for (std::uint64_t seed = 1; seed <= 25; ++seed) {
+    SCOPED_TRACE(seed);
+    testutil::RandomGraph random(seed);
+    expect_exact_breakdown_on_both_engines(random.graph());
+  }
+}
+
+TEST(ExactBreakdown, Seed123ParsedGraphOnBothEngines) {
+  cluster::GroundTruthEngine engine(testutil::tiny_model(),
+                                    testutil::tiny_config());
+  const core::ExecutionGraph graph =
+      core::TraceParser().parse(engine.run_profiled(/*seed=*/123).trace);
+  expect_exact_breakdown_on_both_engines(graph);
+}
+
+TEST(ExactBreakdown, RebuiltGraphsOnBothEngines) {
+  // The GPT-3 15B 2x2x4 baseline rebuilt to 2x4x8 (~73k tasks) and
+  // 2x16x32 (~311k tasks), as the perf benches rebuild it.
+  const auto config = [](std::int32_t pp, std::int32_t dp) {
+    workload::ParallelConfig c;
+    c.tp = 2;
+    c.pp = pp;
+    c.dp = dp;
+    return c;
+  };
+  const workload::ModelSpec model = workload::ModelSpec::gpt3_15b();
+  cluster::GroundTruthEngine engine(model, config(2, 4));
+  const core::ExecutionGraph baseline =
+      core::TraceParser().parse(engine.run_profiled(/*seed=*/7).trace);
+  const cost::KernelPerfModel kernel_model;
+  const core::GraphManipulator manipulator(baseline, model, config(2, 4),
+                                           kernel_model);
+  for (const auto& [pp, dp] : {std::pair{4, 8}, std::pair{16, 32}}) {
+    SCOPED_TRACE(testing::Message() << "2x" << pp << "x" << dp);
+    expect_exact_breakdown_on_both_engines(
+        manipulator.with_spec(model, config(pp, dp)).graph);
+  }
+}
+
+core::TaskId add_kernel(testutil::GraphAuthor& author, bool gpu_lane,
+                        std::int64_t lane, std::int64_t ts,
+                        std::int64_t dur, bool comm = false) {
+  core::Task t;
+  t.processor = {0, gpu_lane, lane};
+  t.event = kernel(ts, dur, lane, comm);
+  return author.add(t);
+}
+
+TEST(ExactBreakdown, InterpreterLaneOutOfLaunchOrder) {
+  // Kernel `late` is launched first on stream 7 but waits on a 100 ns CPU
+  // op; `early`, launched second with no dependency, runs first. Without a
+  // chain edge the interpreter runs the lane out of launch order.
+  testutil::GraphAuthor author;
+  core::Task op;
+  op.processor = {0, false, 1};
+  op.event = cpu(0, 100);
+  const core::TaskId gate = author.add(op);
+  const core::TaskId late = add_kernel(author, true, 7, 1, 30);
+  const core::TaskId early = add_kernel(author, true, 7, 2, 40);
+  add_kernel(author, true, 13, 3, 120, /*comm=*/true);
+  author.graph.add_edge(gate, late, core::DepType::CpuToGpu);
+
+  const core::SimResult sim = core::Simulator(author.graph).run();
+  ASSERT_TRUE(sim.complete());
+  ASSERT_LT(sim.start_ns[static_cast<std::size_t>(early)],
+            sim.start_ns[static_cast<std::size_t>(late)]);
+  expect_exact_breakdown(author.graph, sim);
+  // compute [0,40) u [100,130), comm [0,120), span 130.
+  const Breakdown b = compute_breakdown(author.graph, sim);
+  EXPECT_EQ(b.overlapped_ns, 60);
+  EXPECT_EQ(b.exposed_compute_ns, 10);
+  EXPECT_EQ(b.exposed_comm_ns, 60);
+  EXPECT_EQ(b.other_ns, 0);
+}
+
+TEST(ExactBreakdown, KernelOnACpuLaneCounts) {
+  // Only a hand-built graph puts device activity off the GPU lanes; it
+  // still counts, as it does in the materialized trace.
+  testutil::GraphAuthor author;
+  add_kernel(author, /*gpu_lane=*/false, 1, 0, 100);
+  add_kernel(author, /*gpu_lane=*/true, 7, 1, 50, /*comm=*/true);
+  const core::SimResult sim = core::Simulator(author.graph).run();
+  ASSERT_TRUE(sim.complete());
+  expect_exact_breakdown(author.graph, sim);
+  const Breakdown b = compute_breakdown(author.graph, sim);
+  EXPECT_EQ(b.exposed_compute_ns, 50);
+  EXPECT_EQ(b.overlapped_ns, 50);
+  EXPECT_EQ(b.exposed_comm_ns, 0);
 }
 
 // ---------------------------------------------------------------------------

@@ -12,9 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <random>
 #include <string>
 #include <thread>
 #include <utility>
@@ -283,133 +281,11 @@ TEST(ReplayCompiler, PlainFixedCycleFallsBack) {
 }
 
 // ---------------------------------------------------------------------------
-// Random graphs: the same generator shape as test_simulator_property
+// Random graphs: testutil::RandomGraph, the generator test_simulator_property
+// and test_analysis also use
 // ---------------------------------------------------------------------------
 
-/// Layered random DAG over a few ranks/threads/streams with launches,
-/// kernels, syncs and coupled collectives — every lane carries chain edges
-/// (like parser/builder output), so these must all compile.
-class RandomGraph {
- public:
-  explicit RandomGraph(std::uint64_t seed) : rng_(seed) {
-    const int ranks = pick(1, 3);
-    for (int r = 0; r < ranks; ++r) build_rank(r);
-    add_cross_thread_edges();
-  }
-
-  ExecutionGraph& graph() { return author_.graph; }
-
- private:
-  int pick(int lo, int hi) {
-    return std::uniform_int_distribution<int>(lo, hi)(rng_);
-  }
-
-  TaskId add_cpu(std::int32_t rank, std::int32_t tid, std::string name,
-                 trace::EventCategory cat, std::int64_t stream = -1) {
-    Task t;
-    t.processor = {rank, false, tid};
-    t.event.name = std::move(name);
-    t.event.cat = cat;
-    t.event.dur_ns = pick(1, 50);
-    t.event.ts_ns = seq_++;
-    t.event.stream = stream;
-    TaskId id = author_.add(t);
-    auto key = std::make_pair(rank, tid);
-    if (auto it = last_cpu_.find(key); it != last_cpu_.end()) {
-      author_.graph.add_edge(it->second, id, DepType::IntraThread);
-    }
-    last_cpu_[key] = id;
-    return id;
-  }
-
-  TaskId add_kernel(std::int32_t rank, std::int64_t stream, bool collective,
-                    const std::string& group, std::int64_t instance) {
-    add_cpu(rank, pick(0, 1), "cudaLaunchKernel",
-            trace::EventCategory::CudaRuntime, stream);
-    Task t;
-    t.processor = {rank, true, stream};
-    t.event.name = collective ? "nccl" : "kernel";
-    t.event.cat = trace::EventCategory::Kernel;
-    t.event.dur_ns = pick(10, 300);
-    t.event.ts_ns = seq_++;
-    t.event.stream = stream;
-    if (collective) {
-      t.event.collective.op = pick(0, 1) ? "allreduce" : "recv";
-      t.event.collective.group = group;
-      t.event.collective.instance = instance;
-      t.event.collective.group_size = 2;
-    }
-    TaskId id = author_.add(t);
-    auto key = std::make_pair(rank, stream);
-    if (auto it = last_kernel_.find(key); it != last_kernel_.end()) {
-      author_.graph.add_edge(it->second, id, DepType::IntraStream);
-    }
-    author_.graph.add_edge(id - 1, id, DepType::CpuToGpu);
-    last_kernel_[key] = id;
-    return id;
-  }
-
-  void build_rank(std::int32_t rank) {
-    const int ops = pick(20, 60);
-    for (int i = 0; i < ops; ++i) {
-      switch (pick(0, 9)) {
-        case 0:
-        case 1:
-        case 2:
-        case 3:
-          add_cpu(rank, pick(0, 1), "aten::op", trace::EventCategory::CpuOp);
-          break;
-        case 4:
-        case 5:
-        case 6:
-          add_kernel(rank, pick(0, 1) ? 7 : 13, false, "", -1);
-          break;
-        case 7: {
-          auto a = last_kernel_.find({rank, 7});
-          auto b = last_kernel_.find({rank, 13});
-          if (a != last_kernel_.end() && b != last_kernel_.end() &&
-              a->second != b->second) {
-            TaskId src = std::min(a->second, b->second);
-            TaskId dst = std::max(a->second, b->second);
-            author_.graph.add_edge(src, dst, DepType::InterStream);
-          }
-          break;
-        }
-        case 8:
-          add_cpu(rank, pick(0, 1), "cudaStreamSynchronize",
-                  trace::EventCategory::CudaRuntime, pick(0, 1) ? 7 : 13);
-          break;
-        case 9:
-          if (rank > 0) {
-            const std::int64_t inst = collective_instance_++;
-            const std::string group = "g" + std::to_string(rank);
-            add_kernel(0, 13, true, group, inst);
-            add_kernel(rank, 13, true, group, inst);
-          }
-          break;
-      }
-    }
-  }
-
-  void add_cross_thread_edges() {
-    const auto n = static_cast<TaskId>(author_.graph.size());
-    for (int i = 0; i < 5 && n > 2; ++i) {
-      TaskId a = pick(0, n - 2);
-      TaskId b = pick(a + 1, n - 1);
-      if (!author_.graph.meta().is_gpu(a) &&
-          !author_.graph.meta().is_gpu(b)) {
-        author_.graph.add_edge(a, b, DepType::InterThread);
-      }
-    }
-  }
-
-  testutil::GraphAuthor author_;
-  std::mt19937_64 rng_;
-  std::int64_t seq_ = 0;
-  std::int64_t collective_instance_ = 0;
-  std::map<std::pair<std::int32_t, std::int32_t>, TaskId> last_cpu_;
-  std::map<std::pair<std::int32_t, std::int64_t>, TaskId> last_kernel_;
-};
+using testutil::RandomGraph;
 
 class ReplayProgramProperty : public ::testing::TestWithParam<std::uint64_t> {
 };

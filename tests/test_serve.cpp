@@ -51,10 +51,22 @@ std::string make_snapshot(const std::string& name, std::uint64_t seed = 123) {
 
 /// A trace whose coupled replay deadlocks (two kernels of one rendezvous
 /// group stuck behind each other on one stream), snapshotted — the
-/// "poisoned" baseline for isolation tests.
-std::string make_poisoned_snapshot(const std::string& name) {
+/// "poisoned" baseline for isolation tests. With `cpu_op_first`, one
+/// ordinary CPU op runs ahead of the stuck kernels, so a duration hook is
+/// called before the simulation deadlocks.
+std::string make_poisoned_snapshot(const std::string& name,
+                                   bool cpu_op_first = false) {
   trace::RankTrace rank;
   rank.rank = 0;
+  if (cpu_op_first) {
+    trace::TraceEvent op;
+    op.name = "aten::op";
+    op.cat = trace::EventCategory::CpuOp;
+    op.ts_ns = 0;
+    op.dur_ns = 5;
+    op.tid = 1;
+    rank.events.push_back(op);
+  }
   for (int i = 0; i < 2; ++i) {
     trace::TraceEvent k;
     k.name = "ncclDevKernel_AllReduce";
@@ -342,42 +354,58 @@ class GatedHooks : public core::SimulatorHooks {
   bool entered_ = false;
 };
 
-TEST(ServeEngine, IdenticalInFlightRequestsCoalesce) {
-  ASSERT_TRUE(Session::register_hooks("serve_test_gate", [] {
+/// Sends three identical gated requests for `snapshot` at once: the
+/// leader parks on the flight gate inside the simulator, the other two
+/// join its flight (the coalesced counter moves under the flight lock, so
+/// the wait is exact), then the gate opens. Outcomes are in arrival order.
+std::vector<Result<Engine::Outcome>> gated_flight(Engine& engine,
+                                                  const std::string& snapshot) {
+  EXPECT_TRUE(Session::register_hooks("serve_test_gate", [] {
                 return std::make_unique<GatedHooks>();
               }).is_ok());
   flight_gate().reset();
-
-  const std::string snap = make_snapshot("serve_flight.snap");
-  Engine engine;
-  Request request = predict_request(snap);
+  Request request = predict_request(snapshot);
   request.whatif.hooks = "serve_test_gate";
 
-  // Leader enters the simulator and parks on the gate.
   std::vector<Result<Engine::Outcome>> outcomes;
   outcomes.reserve(3);
   for (int i = 0; i < 3; ++i) {
     outcomes.emplace_back(internal_error("not run"));
   }
   std::thread leader([&] { outcomes[0] = engine.predict(request); });
-  ASSERT_TRUE(eventually([&] { return flight_gate().entered.load() == 1; }));
-
-  // Two identical requests arrive while the leader is in flight: both must
-  // coalesce (counter moves under the flight lock, so this is exact).
+  EXPECT_TRUE(eventually([&] { return flight_gate().entered.load() == 1; }));
   std::thread f1([&] { outcomes[1] = engine.predict(request); });
   std::thread f2([&] { outcomes[2] = engine.predict(request); });
-  ASSERT_TRUE(eventually([&] { return engine.stats().coalesced == 2; }));
+  EXPECT_TRUE(eventually([&] { return engine.stats().coalesced == 2; }));
 
   flight_gate().release();
   leader.join();
   f1.join();
   f2.join();
+  return outcomes;
+}
 
+TEST(ServeEngine, IdenticalInFlightRequestsCoalesce) {
+  const std::string snap = make_snapshot("serve_flight.snap");
+  Engine engine;
+  const std::vector<Result<Engine::Outcome>> outcomes =
+      gated_flight(engine, snap);
+
+  // Every follower holds the leader's whole prediction: schedule and
+  // breakdown, not only the makespan.
+  const api::Prediction& led = outcomes[0]->prediction;
   for (const Result<Engine::Outcome>& outcome : outcomes) {
     ASSERT_TRUE(outcome.is_ok()) << outcome.status().to_string();
-    EXPECT_EQ(outcome->prediction.sim.makespan_ns,
-              outcomes[0]->prediction.sim.makespan_ns);
+    const api::Prediction& p = outcome->prediction;
+    EXPECT_EQ(p.sim.makespan_ns, led.sim.makespan_ns);
+    EXPECT_EQ(p.sim.start_ns, led.sim.start_ns);
+    EXPECT_EQ(p.sim.end_ns, led.sim.end_ns);
+    EXPECT_EQ(p.breakdown.exposed_compute_ns, led.breakdown.exposed_compute_ns);
+    EXPECT_EQ(p.breakdown.overlapped_ns, led.breakdown.overlapped_ns);
+    EXPECT_EQ(p.breakdown.exposed_comm_ns, led.breakdown.exposed_comm_ns);
+    EXPECT_EQ(p.breakdown.other_ns, led.breakdown.other_ns);
   }
+  EXPECT_FALSE(led.sim.start_ns.empty());
   EXPECT_FALSE(outcomes[0]->coalesced);
   EXPECT_TRUE(outcomes[1]->coalesced);
   EXPECT_TRUE(outcomes[2]->coalesced);
@@ -389,6 +417,24 @@ TEST(ServeEngine, IdenticalInFlightRequestsCoalesce) {
   EXPECT_EQ(stats.requests, 3u);
   EXPECT_EQ(stats.coalesced, 2u);
   EXPECT_EQ(stats.misses, 1u);
+}
+
+TEST(ServeEngine, FailedLeaderHandsItsStatusToEveryFollower) {
+  // The gate parks the leader on the CPU op, before the deadlock.
+  const std::string poisoned =
+      make_poisoned_snapshot("serve_gated_poison", /*cpu_op_first=*/true);
+  Engine engine;
+  const std::vector<Result<Engine::Outcome>> outcomes =
+      gated_flight(engine, poisoned);
+
+  for (const Result<Engine::Outcome>& outcome : outcomes) {
+    EXPECT_EQ(outcome.status().code(), ErrorCode::kDeadlock)
+        << outcome.status().to_string();
+  }
+  EXPECT_EQ(flight_gate().entered.load(), 1);
+  const Engine::Stats stats = engine.stats();
+  EXPECT_EQ(stats.requests, 3u);
+  EXPECT_EQ(stats.coalesced, 2u);
 }
 
 TEST(ServeEngine, PoisonedRequestDoesNotWedgeTheEngine) {
@@ -442,7 +488,14 @@ TEST(ServeServer, AnswersOverTheSocketAndCachesAcrossConnections) {
   EXPECT_TRUE(reply.ok);
   EXPECT_EQ(reply.id, 1);
 
-  // Two predicts on separate connections: the second is a cache hit.
+  // Two predicts on separate connections: the second is a cache hit. Each
+  // reply carries the breakdown the engine computes for the same snapshot.
+  Engine reference;
+  const Result<Engine::Outcome> expected =
+      reference.predict(predict_request(snap));
+  ASSERT_TRUE(expected.is_ok()) << expected.status().to_string();
+  const analysis::Breakdown& want = expected->prediction.breakdown;
+  EXPECT_GT(want.exposed_compute_ns, 0);
   for (int i = 0; i < 2; ++i) {
     line = request_over_socket(options.socket_path,
                                encode(predict_request(snap, 10 + i)));
@@ -451,6 +504,14 @@ TEST(ServeServer, AnswersOverTheSocketAndCachesAcrossConnections) {
     ASSERT_TRUE(reply.ok) << reply.error.to_string();
     EXPECT_EQ(reply.id, 10 + i);
     EXPECT_GT(reply.body.get_int("makespan_ns", 0), 0);
+    const json::Value* breakdown = reply.body.as_object().find("breakdown");
+    ASSERT_NE(breakdown, nullptr);
+    EXPECT_EQ(breakdown->get_int("exposed_compute_ns", -1),
+              want.exposed_compute_ns);
+    EXPECT_EQ(breakdown->get_int("overlapped_ns", -1), want.overlapped_ns);
+    EXPECT_EQ(breakdown->get_int("exposed_comm_ns", -1),
+              want.exposed_comm_ns);
+    EXPECT_EQ(breakdown->get_int("other_ns", -1), want.other_ns);
   }
   const Engine::Stats stats = (*server)->engine().stats();
   EXPECT_EQ(stats.requests, 2u);
