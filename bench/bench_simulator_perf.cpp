@@ -11,7 +11,9 @@
 // producers (BM_GraphBuild, BM_TraceParse, BM_Rebuild and its costing
 // half BM_RebuildCosting), the I/O fast-path
 // benches (BM_Write*, BM_ParseFile, BM_MergeIntervals*, BM_Parse, the
-// snapshot A/B: BM_Snapshot*, BM_IngestBaseline, plus the replay A/B:
+// snapshot A/B: BM_Snapshot* (save, load, and load plus the compile a
+// serve miss paid before images stored their program), BM_IngestBaseline,
+// plus the replay A/B:
 // BM_Replay*, BM_ReplayCompiled, BM_CompileProgram, and on rebuilt graphs
 // BM_ReplayRebuilt vs BM_CompileReplayRebuilt, and BM_Breakdown over a
 // compiled schedule), so CI runs leave a machine-readable record future PRs
@@ -683,6 +685,8 @@ const SnapshotFixture& snapshot_fixture() {
     auto graph = std::make_shared<core::ExecutionGraph>(
         core::TraceParser().parse(*cluster));
     graph->meta();  // finalize: the snapshot stores the built meta columns
+    // Saved baselines carry their compiled program (Session::save_snapshot).
+    f.bundle.program = core::ReplayCompiler::compile(*graph).program;
     f.bundle.meta_json = "{}";
     f.bundle.content_hash = trace::content_hash(*cluster);
     f.bundle.trace = std::move(cluster);
@@ -732,6 +736,20 @@ void BM_SnapshotLoad(benchmark::State& state) {
   state.counters["events"] = static_cast<double>(f.events);
 }
 BENCHMARK(BM_SnapshotLoad)->Unit(benchmark::kMillisecond);
+
+// What a serve miss cost before snapshots stored the compiled program: the
+// BM_SnapshotLoad load, then ReplayCompiler::compile. A miss now is the
+// load alone.
+void BM_SnapshotLoadCompile(benchmark::State& state) {
+  const SnapshotFixture& f = snapshot_fixture();
+  for (auto _ : state) {
+    snapshot::Bundle bundle = snapshot::load(f.snapshot_path);
+    bundle.program = core::ReplayCompiler::compile(*bundle.graph).program;
+    benchmark::DoNotOptimize(bundle);
+  }
+  state.counters["tasks"] = static_cast<double>(f.bundle.graph->size());
+}
+BENCHMARK(BM_SnapshotLoadCompile)->Unit(benchmark::kMillisecond);
 
 // The pipeline BM_SnapshotLoad replaces: per-rank JSON parse into the
 // EventTable, graph construction, cycle check, meta/lane classification —

@@ -100,16 +100,19 @@ struct BaselineArtifacts {
   /// null otherwise (structure-preserving predictions then use the
   /// interpreter). Must come from `graph`: predict_on and replay_faulted
   /// return kFailedPrecondition when its task count differs. Shares the
-  /// artifacts' lifetime, is self-contained (keeps nothing of the graph
-  /// alive) and immutable, so concurrent predictions replay it freely.
+  /// artifacts' lifetime, is self-contained (a compiled program keeps
+  /// nothing of the graph alive; a loaded one borrows the snapshot mapping
+  /// the graph also pins) and immutable, so concurrent predictions replay
+  /// it freely. Snapshots store it; load_baseline_snapshot returns it.
   std::shared_ptr<const core::ReplayProgram> program;
 };
 
 /// Compiles `base.graph` into `base.program` (idempotent) when the graph
 /// is supported; a fallback (cycle, unordered lane, non-positive duration)
-/// leaves `program` null and the interpreter in charge. serve::Engine calls
-/// it after loading a snapshot, so resident baselines pay the compile once
-/// per cache entry (Session::share_baseline compiles its own graph once).
+/// leaves `program` null and the interpreter in charge. A loaded snapshot
+/// needs no call: save_baseline_snapshot stores the program (compiling it
+/// when `base` has none), so there a null program means the graph does not
+/// compile (Session::share_baseline compiles its own graph once).
 void attach_replay_program(BaselineArtifacts& base);
 
 /// What-if prediction over a shared immutable baseline: the core of
@@ -166,10 +169,11 @@ class Session {
   /// the session's own caches — no copies — and stays valid after the
   /// Session is destroyed. This is the hand-off point to api::Sweep.
   Result<BaselineArtifacts> share_baseline();
-  /// Serializes the finalized baseline (trace + parsed graph + scenario
-  /// metadata) as a versioned binary snapshot at `path` (snapshot/
-  /// snapshot.h). load_baseline_snapshot() brings it back by mmap — no
-  /// JSON, no re-parse, no re-finalize. kIoError on filesystem failure.
+  /// Serializes the finalized baseline (trace + parsed graph + its
+  /// compiled program + scenario metadata) as a versioned binary snapshot
+  /// at `path` (snapshot/snapshot.h). load_baseline_snapshot() brings it
+  /// back by mmap — no JSON, no re-parse, no re-finalize, no re-compile.
+  /// kIoError on filesystem failure.
   Status save_snapshot(const std::string& path);
   /// Lumos replay of the graph (Algorithm 1 with collective coupling and
   /// this scenario's hooks, if any). kDeadlock when the simulation sticks.
@@ -309,20 +313,23 @@ class Session {
 };
 
 /// Session-free form of Session::save_snapshot, for baselines already
-/// shared out of a session (or loaded from another snapshot).
+/// shared out of a session (or loaded from another snapshot). Stores
+/// `base.program`, or compiles `base.graph` when that is null, so the image
+/// lacks a program only when its graph does not compile.
 Status save_baseline_snapshot(const BaselineArtifacts& base,
                               const std::string& path);
 
 /// Loads a snapshot written by save_snapshot() back into an immutable
 /// baseline ready for predict_on / api::Sweep. The trace and graph columns
-/// are zero-copy views of the file mapping; the returned artifacts pin the
+/// and the stored program (null when the saved graph did not compile) are
+/// zero-copy views of the file mapping; the returned artifacts pin the
 /// mapping alive (shared_ptr aliasing), so they may outlive any loader
 /// state and the file may even be unlinked while they live — see the
 /// lifetime rule in snapshot/snapshot.h.
 ///
 /// Errors: kIoError (missing/unreadable file), kParseError (bad magic,
-/// truncation, checksum or structure mismatch), kUnsupported (format
-/// version from a different build).
+/// truncation, checksum, structure mismatch or an out-of-range id),
+/// kUnsupported (format version from a different build).
 Result<BaselineArtifacts> load_baseline_snapshot(const std::string& path);
 
 /// Reads just the snapshot header and returns the content hash pinned at

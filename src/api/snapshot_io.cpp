@@ -1,9 +1,11 @@
 // Baseline snapshot save/load at the api layer: wraps snapshot::write /
 // snapshot::load (the core binary format) with the Scenario/model/config
-// metadata JSON and the facade's Status mapping.
+// metadata JSON and the facade's Status mapping. The baseline's compiled
+// program travels in the image, so a loaded baseline needs no compile.
 #include <utility>
 
 #include "api/session.h"
+#include "core/replay_program.h"
 #include "json/json.h"
 #include "snapshot/snapshot.h"
 #include "trace/content_hash.h"
@@ -214,7 +216,13 @@ Status save_baseline_snapshot(const BaselineArtifacts& base,
   bundle.meta_json = build_meta_json(base);
   bundle.trace = base.trace;
   bundle.graph = base.graph;
+  bundle.program = base.program;
   try {
+    // A caller-built baseline may come without its program: compile it
+    // here, so a loaded null program means the graph does not compile.
+    if (bundle.program == nullptr) {
+      bundle.program = core::ReplayCompiler::compile(*base.graph).program;
+    }
     bundle.content_hash = trace::content_hash(*base.trace);
     snapshot::write(path, bundle);
   } catch (const snapshot::Error& e) {
@@ -247,6 +255,7 @@ Result<BaselineArtifacts> load_baseline_snapshot(const std::string& path) {
   }
   out.trace = std::move(bundle.trace);
   out.graph = std::move(bundle.graph);
+  out.program = std::move(bundle.program);
   return out;
 }
 

@@ -104,7 +104,7 @@ SimResult ReplayProgram::run(std::span<const std::int64_t> durations) const {
         const std::int64_t transfer =
             dur[static_cast<std::size_t>(member[last].task)];
         const std::int64_t group_end = rendezvous + transfer;
-        const bool rendezvous_start = member[last].p2p;
+        const bool rendezvous_start = member[last].p2p != 0;
         for (std::uint32_t i = 0; i < ins.count; ++i) {
           const auto idx = static_cast<std::size_t>(member[i].task);
           if (rendezvous_start) start[idx] = rendezvous;
@@ -364,9 +364,12 @@ ReplayCompiler::Result ReplayCompiler::compile(const ExecutionGraph& graph,
   // instruction, which the re-sourced ordering edge places earlier.
   ReachChecker checker(order, pos, node_count);
   std::vector<TaskId> lane_last(program->lane_count_, kInvalidTask);
-  program->instrs_.reserve(node_count);
-  program->operands_.reserve(graph.edges().size() + n / 4);
-  program->members_.reserve(member_count);
+  std::vector<ReplayProgram::Instr> instrs;
+  std::vector<TaskId> operands;
+  std::vector<ReplayProgram::Member> members;
+  instrs.reserve(node_count);
+  operands.reserve(graph.edges().size() + n / 4);
+  members.reserve(member_count);
   program->collective_count_ = group_count;
   for (const std::int32_t node : topo) {
     ReplayProgram::Instr ins;
@@ -383,40 +386,46 @@ ReplayCompiler::Result ReplayCompiler::compile(const ExecutionGraph& graph,
                    : ReplayProgram::Op::kRun;
       ins.lane = meta.lane(t);
       ins.id = t;
-      ins.first = static_cast<std::uint32_t>(program->operands_.size());
+      ins.first = static_cast<std::uint32_t>(operands.size());
       for (const TaskId pred : graph.predecessors(t)) {
-        program->operands_.push_back(pred);
+        operands.push_back(pred);
       }
       for_each_sync_blocker(meta, t, [&](TaskId blocker) {
-        program->operands_.push_back(blocker);
+        operands.push_back(blocker);
       });
-      ins.count =
-          static_cast<std::uint32_t>(program->operands_.size()) - ins.first;
+      ins.count = static_cast<std::uint32_t>(operands.size()) - ins.first;
     } else {
       const auto gi = static_cast<std::size_t>(node) - n;
       ins.op = ReplayProgram::Op::kRendezvous;
       ins.id = static_cast<std::int32_t>(gi);
-      ins.first = static_cast<std::uint32_t>(program->members_.size());
+      ins.first = static_cast<std::uint32_t>(members.size());
       for (const TaskId m : groups[gi].members) {
-        program->members_.push_back({m, meta.lane(m), meta.is_p2p(m)});
+        ReplayProgram::Member member;
+        member.task = m;
+        member.lane = meta.lane(m);
+        member.p2p = meta.is_p2p(m) ? 1 : 0;
+        members.push_back(member);
       }
-      std::sort(program->members_.begin() + ins.first, program->members_.end(),
+      std::sort(members.begin() + ins.first, members.end(),
                 [&meta](const ReplayProgram::Member& a,
                         const ReplayProgram::Member& b) {
                   const std::int64_t ta = meta.ts_ns(a.task);
                   const std::int64_t tb = meta.ts_ns(b.task);
                   return ta != tb ? ta < tb : a.task < b.task;
                 });
-      ins.count =
-          static_cast<std::uint32_t>(program->members_.size()) - ins.first;
+      ins.count = static_cast<std::uint32_t>(members.size()) - ins.first;
     }
-    program->instrs_.push_back(ins);
+    instrs.push_back(ins);
   }
 
-  program->durations_.resize(n);
+  std::vector<std::int64_t> durations(n);
   for (std::size_t i = 0; i < n; ++i) {
-    program->durations_[i] = meta.duration_ns(static_cast<TaskId>(i));
+    durations[i] = meta.duration_ns(static_cast<TaskId>(i));
   }
+  program->instrs_ = std::move(instrs);
+  program->operands_ = std::move(operands);
+  program->members_ = std::move(members);
+  program->durations_ = std::move(durations);
   return Result{std::move(program), ReplayCompileStatus::kCompiled};
 }
 

@@ -38,6 +38,13 @@
 // bit-identical to Simulator::run() on the same graph and options
 // (tests/test_replay_program.cpp holds that across the fixture zoo).
 //
+// Storage: the instruction, operand, member and duration arrays are
+// io::Columns. A compiled program owns them; a program loaded from a
+// snapshot (snapshot/snapshot.h, section 5) borrows them from the mapping
+// and borrows the meta table's duration column, so a served miss runs no
+// compile. Instr and Member are padding-free with zeroed reserved bytes:
+// their bytes are written verbatim and covered by the payload checksum.
+//
 // Thread safety: ReplayProgram is immutable after compile; run() is const
 // and allocates all per-run state locally, so any number of threads may
 // replay one shared program concurrently (serve::Engine and api::Sweep do).
@@ -46,10 +53,11 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <vector>
+#include <type_traits>
 
 #include "core/simulator.h"
 #include "core/task_meta.h"
+#include "io/column.h"
 
 namespace lumos::core {
 
@@ -77,6 +85,31 @@ const char* to_string(ReplayCompileStatus status);
 /// SimResult the interpreter would.
 class ReplayProgram {
  public:
+  enum class Op : std::uint8_t {
+    kRun,        ///< start = max(preds' end, lane_free); occupy the lane
+    kArrive,     ///< collective member: record arrival, do not occupy
+    kRendezvous  ///< resolve one group: start/end all members, free lanes
+  };
+
+  struct Instr {
+    Op op = Op::kRun;
+    std::uint8_t reserved[3] = {};  ///< zero: no indeterminate bytes
+    LaneId lane = kInvalidLane;     ///< kRun/kArrive: the task's lane
+    std::int32_t id = 0;      ///< TaskId, or group ordinal for kRendezvous
+    std::uint32_t first = 0;  ///< CSR offset into operands / members
+    std::uint32_t count = 0;
+  };
+
+  /// One collective member as the rendezvous step reads it, pre-sorted by
+  /// (profiled ts, id) — the interpreter's equal-key pop order.
+  struct Member {
+    TaskId task = kInvalidTask;
+    LaneId lane = kInvalidLane;
+    /// meta is_p2p (0 or 1): rendezvous-start when last to arrive.
+    std::uint8_t p2p = 0;
+    std::uint8_t reserved[3] = {};
+  };
+
   /// Replays with the durations baked at compile time (the graph's own
   /// profiled duration column) — the lumos_serve / Sweep steady state.
   SimResult run() const;
@@ -91,45 +124,37 @@ class ReplayProgram {
   bool accepts(std::span<const std::int64_t> durations) const;
 
   std::size_t task_count() const { return task_count_; }
-  std::size_t instruction_count() const { return instrs_.size(); }
   std::size_t collective_count() const { return collective_count_; }
   bool coupled() const { return coupled_; }
 
+  /// The program itself, in execution order: one instruction per task and
+  /// per rendezvous group, with the CSR operand and member arrays they
+  /// index.
+  std::span<const Instr> instructions() const { return instrs_; }
+  std::span<const TaskId> operands() const { return operands_; }
+  std::span<const Member> members() const { return members_; }
+
  private:
   friend class ReplayCompiler;
-
-  enum class Op : std::uint8_t {
-    kRun,        ///< start = max(preds' end, lane_free); occupy the lane
-    kArrive,     ///< collective member: record arrival, do not occupy
-    kRendezvous  ///< resolve one group: start/end all members, free lanes
-  };
-
-  struct Instr {
-    Op op = Op::kRun;
-    LaneId lane = kInvalidLane;   ///< kRun/kArrive: the task's lane
-    std::int32_t id = 0;          ///< TaskId, or group ordinal for kRendezvous
-    std::uint32_t first = 0;      ///< CSR offset into operands_ / members_
-    std::uint32_t count = 0;
-  };
-
-  /// One collective member as the rendezvous step reads it, pre-sorted by
-  /// (profiled ts, id) — the interpreter's equal-key pop order.
-  struct Member {
-    TaskId task = kInvalidTask;
-    LaneId lane = kInvalidLane;
-    bool p2p = false;  ///< meta is_p2p: rendezvous-start when last to arrive
-  };
+  friend struct lumos::snapshot::Access;  // stores and maps the arrays
 
   std::size_t task_count_ = 0;
   std::size_t lane_count_ = 0;
   std::size_t collective_count_ = 0;
   bool coupled_ = false;
 
-  std::vector<Instr> instrs_;            ///< proven execution order
-  std::vector<TaskId> operands_;         ///< CSR: effective predecessors
-  std::vector<Member> members_;          ///< CSR: rendezvous member groups
-  std::vector<std::int64_t> durations_;  ///< baked column for run()
+  io::Column<Instr> instrs_;            ///< proven execution order
+  io::Column<TaskId> operands_;         ///< CSR: effective predecessors
+  io::Column<Member> members_;          ///< CSR: rendezvous member groups
+  io::Column<std::int64_t> durations_;  ///< baked column for run()
 };
+
+// Written to snapshots byte for byte: no padding, so no indeterminate bytes
+// reach the file or its checksum.
+static_assert(sizeof(ReplayProgram::Instr) == 20 &&
+              std::has_unique_object_representations_v<ReplayProgram::Instr>);
+static_assert(sizeof(ReplayProgram::Member) == 12 &&
+              std::has_unique_object_representations_v<ReplayProgram::Member>);
 
 /// Lowers a finalized graph into a ReplayProgram, or reports why it cannot.
 class ReplayCompiler {
@@ -150,7 +175,8 @@ class ReplayCompiler {
   /// Pure function of (graph, options); never throws, never fails hard —
   /// an unsupported construct is a fallback status, not an error. The
   /// returned program is self-contained (it copies the columns it reads)
-  /// and does not keep the graph alive.
+  /// and does not keep the graph alive. Its output is part of the snapshot
+  /// format: any change to it bumps snapshot::kFormatVersion.
   static Result compile(const ExecutionGraph& graph,
                         const Options& options);
   static Result compile(const ExecutionGraph& graph) {

@@ -1,6 +1,7 @@
 #include "serve/engine.h"
 
 #include <utility>
+#include <vector>
 
 #include "core/task.h"
 
@@ -24,7 +25,8 @@ std::size_t Engine::approx_bytes(const api::BaselineArtifacts& base) {
 }
 
 void Engine::insert_locked(
-    std::uint64_t hash, std::shared_ptr<const api::BaselineArtifacts> base) {
+    std::uint64_t hash, std::shared_ptr<const api::BaselineArtifacts> base,
+    std::vector<std::shared_ptr<const api::BaselineArtifacts>>& evicted) {
   const std::size_t bytes = approx_bytes(*base);
   lru_.push_front(hash);
   cache_[hash] = CacheEntry{std::move(base), bytes, lru_.begin()};
@@ -38,6 +40,7 @@ void Engine::insert_locked(
     lru_.pop_back();
     auto it = cache_.find(victim);
     stats_.cached_bytes -= it->second.bytes;
+    evicted.push_back(std::move(it->second.base));
     cache_.erase(it);
     stats_.cached_baselines = cache_.size();
     ++stats_.evictions;
@@ -47,6 +50,10 @@ void Engine::insert_locked(
 Result<std::shared_ptr<const api::BaselineArtifacts>>
 Engine::baseline_internal(const std::string& path,
                           std::uint64_t content_hash, bool& was_cached) {
+  // Declared before the lock, so destroyed after it is released: the last
+  // reference to an evicted baseline unmaps its image and frees its pools,
+  // which must not hold up every other request's entry into mu_.
+  std::vector<std::shared_ptr<const api::BaselineArtifacts>> evicted;
   MutexLock lock(mu_);
   if (auto it = cache_.find(content_hash); it != cache_.end()) {
     lru_.splice(lru_.begin(), lru_, it->second.lru);  // touch: move to MRU
@@ -71,20 +78,16 @@ Engine::baseline_internal(const std::string& path,
   load_flights_[content_hash] = flight;
   lock.unlock();
 
+  // The snapshot carries the baseline's compiled program: a miss loads it
+  // and compiles nothing.
   Result<api::BaselineArtifacts> loaded = api::load_baseline_snapshot(path);
-  if (loaded.is_ok()) {
-    // Compile outside the engine lock, once per cache entry: every
-    // prediction served from this resident baseline then replays the flat
-    // program instead of re-deriving schedule order in the interpreter.
-    api::attach_replay_program(*loaded);
-  }
 
   lock.lock();
   load_flights_.erase(content_hash);
   if (loaded.is_ok()) {
     flight->base = std::make_shared<const api::BaselineArtifacts>(
         std::move(loaded).value());
-    insert_locked(content_hash, flight->base);
+    insert_locked(content_hash, flight->base, evicted);
   } else {
     flight->status = loaded.status();
   }
@@ -186,8 +189,10 @@ Engine::Stats Engine::stats() const {
 }
 
 void Engine::clear() {
+  // Swapped out under the lock, destroyed after it (see baseline_internal).
+  std::unordered_map<std::uint64_t, CacheEntry> dropped;
   MutexLock lock(mu_);
-  cache_.clear();
+  dropped.swap(cache_);
   lru_.clear();
   stats_.cached_baselines = 0;
   stats_.cached_bytes = 0;

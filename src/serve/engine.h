@@ -10,7 +10,9 @@
 //     path.
 //   - Entries are shared_ptr<const BaselineArtifacts>: eviction only drops
 //     the cache reference, in-flight predictions keep their baseline (and
-//     its mmap) alive.
+//     its mmap) alive. The cache's references are dropped after the
+//     engine lock is released, so unmapping an evicted image never runs
+//     under it.
 //   - Single-flight: concurrent identical (baseline content, what-if
 //     fingerprint) predictions run once; followers wait and share the
 //     leader's result. Concurrent loads of one snapshot also coalesce.
@@ -36,6 +38,7 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "api/session.h"
 #include "serve/protocol.h"
@@ -123,9 +126,11 @@ class Engine {
   Result<std::shared_ptr<const api::BaselineArtifacts>> baseline_internal(
       const std::string& path, std::uint64_t content_hash, bool& was_cached)
       LUMOS_EXCLUDES(mu_);
-  /// Inserts under mu_ and evicts LRU-first down to capacity.
-  void insert_locked(std::uint64_t hash,
-                     std::shared_ptr<const api::BaselineArtifacts> base)
+  /// Inserts under mu_ and evicts LRU-first down to capacity. Victims move
+  /// into `evicted`, for the caller to drop once it has released mu_.
+  void insert_locked(
+      std::uint64_t hash, std::shared_ptr<const api::BaselineArtifacts> base,
+      std::vector<std::shared_ptr<const api::BaselineArtifacts>>& evicted)
       LUMOS_REQUIRES(mu_);
 
   Options options_;

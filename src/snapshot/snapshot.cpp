@@ -33,6 +33,7 @@ enum SectionId : std::uint32_t {
   kSectionPools = 2,  ///< canonical string pools (names / ops / groups)
   kSectionTrace = 3,  ///< per-rank event columns
   kSectionGraph = 4,  ///< edges, task payloads, meta columns, lanes, groups
+  kSectionProgram = 5,  ///< the compiled ReplayProgram, or empty
 };
 
 #pragma pack(push, 1)
@@ -86,9 +87,11 @@ class Buffer {
 
   template <class T>
   void put_array(const T* data, std::size_t n) {
-    static_assert(std::is_scalar_v<T>,
-                  "serialize scalar columns only — struct padding would make "
-                  "the payload checksum nondeterministic");
+    static_assert(std::is_scalar_v<T> ||
+                      std::has_unique_object_representations_v<T>,
+                  "serialize scalar columns or padding-free records only — "
+                  "struct padding would make the payload checksum "
+                  "nondeterministic");
     put(static_cast<std::uint64_t>(n));
     append(data, n * sizeof(T));
     pad();
@@ -313,6 +316,22 @@ struct Access {
   /// Same for the meta table's per-task columns.
   static void check_meta_lengths(const core::TaskMetaTable& t,
                                  std::size_t rows);
+  /// Rejects a meta lane id (or a resolved sync lane) outside the lane
+  /// table: the compiler, ReplayProgram::run and the simulator index
+  /// per-lane arrays with them.
+  static void check_meta_lanes(const core::TaskMetaTable& t,
+                               std::size_t lanes);
+
+  /// The program section: the instruction, operand and member records.
+  /// Writes nothing (an empty section) unless `p` is coupled and sized for
+  /// `meta`, the only program read_program() can install.
+  static void write_program(Buffer& buf, const core::ReplayProgram& p,
+                            const core::TaskMetaTable& meta);
+  /// Maps a non-empty program section over `meta`'s graph, bounds-checked
+  /// so that run() stays in range on any image; durations are borrowed
+  /// from `meta`.
+  static std::shared_ptr<const core::ReplayProgram> read_program(
+      Cursor& cur, const core::TaskMetaTable& meta);
 
   // -- raw member access for the small rebuild-at-load structures -----------
   static std::shared_ptr<trace::TracePools>& cluster_pools(
@@ -395,6 +414,119 @@ void Access::check_meta_lengths(const core::TaskMetaTable& t,
   expect_rows(rows, "graph section: meta", t.cat_, t.api_, t.flags_, t.lane_,
               t.dur_, t.ts_, t.name_, t.coll_op_, t.coll_group_,
               t.coll_instance_, t.group_idx_, t.sync_lane_, t.sync_before_);
+}
+
+namespace {
+
+/// Whether `id` indexes an array of `bound` entries.
+bool in_range(std::int64_t id, std::size_t bound) {
+  return id >= 0 && static_cast<std::uint64_t>(id) < bound;
+}
+
+}  // namespace
+
+void Access::check_meta_lanes(const core::TaskMetaTable& t,
+                              std::size_t lanes) {
+  for (const core::LaneId lane : t.lane_) {
+    if (!in_range(lane, lanes)) {
+      fail_corrupt("graph section: meta lane id out of range");
+    }
+  }
+  for (const core::LaneId lane : t.sync_lane_) {
+    if (lane != core::kInvalidLane && !in_range(lane, lanes)) {
+      fail_corrupt("graph section: meta lane id out of range");
+    }
+  }
+}
+
+void Access::write_program(Buffer& buf, const core::ReplayProgram& p,
+                           const core::TaskMetaTable& meta) {
+  if (!p.coupled_ || p.task_count_ != meta.size() ||
+      p.lane_count_ != meta.lanes().size() ||
+      p.collective_count_ != meta.collective_groups().size()) {
+    return;
+  }
+  buf.put_array(p.instrs_.data(), p.instrs_.size());
+  buf.put_array(p.operands_.data(), p.operands_.size());
+  buf.put_array(p.members_.data(), p.members_.size());
+}
+
+std::shared_ptr<const core::ReplayProgram> Access::read_program(
+    Cursor& cur, const core::TaskMetaTable& meta) {
+  using Program = core::ReplayProgram;
+  const std::size_t tasks = meta.size();
+  const std::size_t lanes = meta.lanes().size();
+  const std::size_t groups = meta.collective_groups().size();
+  auto program = std::make_shared<Program>();
+  program->task_count_ = tasks;
+  program->lane_count_ = lanes;
+  program->collective_count_ = groups;
+  program->coupled_ = true;
+  program->instrs_ = cur.get_column<Program::Instr>();
+  program->operands_ = cur.get_column<core::TaskId>();
+  program->members_ = cur.get_column<Program::Member>();
+  program->durations_ = meta.dur_;
+
+  // One instruction per task and per group: with the count equal to
+  // tasks + groups, a slot seen twice is the only way to miss one.
+  const std::span<const Program::Instr> instrs = program->instrs_;
+  if (instrs.size() != tasks + groups) {
+    fail_corrupt("program section: instruction count does not match the "
+                 "graph");
+  }
+  std::vector<bool> seen(instrs.size(), false);
+  for (const Program::Instr& ins : instrs) {
+    std::size_t slot = 0;
+    std::size_t limit = 0;
+    switch (ins.op) {
+      case Program::Op::kRun:
+      case Program::Op::kArrive:
+        if (!in_range(ins.id, tasks)) {
+          fail_corrupt("program section: task id out of range");
+        }
+        if (!in_range(ins.lane, lanes)) {
+          fail_corrupt("program section: lane id out of range");
+        }
+        slot = static_cast<std::size_t>(ins.id);
+        limit = program->operands_.size();
+        break;
+      case Program::Op::kRendezvous:
+        if (!in_range(ins.id, groups)) {
+          fail_corrupt("program section: group id out of range");
+        }
+        if (ins.count == 0) {
+          fail_corrupt("program section: empty rendezvous group");
+        }
+        slot = tasks + static_cast<std::size_t>(ins.id);
+        limit = program->members_.size();
+        break;
+      default:
+        fail_corrupt("program section: unknown op");
+    }
+    if (std::uint64_t{ins.first} + ins.count > limit) {
+      fail_corrupt("program section: operand or member range out of bounds");
+    }
+    if (seen[slot]) fail_corrupt("program section: repeated instruction");
+    seen[slot] = true;
+  }
+  for (const core::TaskId t : program->operands_) {
+    if (!in_range(t, tasks)) {
+      fail_corrupt("program section: operand task id out of range");
+    }
+  }
+  for (const Program::Member& m : program->members_) {
+    if (!in_range(m.task, tasks)) {
+      fail_corrupt("program section: member task id out of range");
+    }
+    if (!in_range(m.lane, lanes)) {
+      fail_corrupt("program section: member lane id out of range");
+    }
+    if (m.p2p > 1) fail_corrupt("program section: member p2p flag not 0/1");
+  }
+  if (!program->accepts(program->durations_)) {
+    fail_corrupt("program section: durations are not all positive");
+  }
+  return program;
 }
 
 namespace {
@@ -605,6 +737,7 @@ std::shared_ptr<const core::ExecutionGraph> read_graph(
   for (std::size_t i = 0; i < lanes.size(); ++i) {
     lanes[i] = {lane_rank[i], lane_gpu[i] != 0, lane_lane[i]};
   }
+  Access::check_meta_lanes(meta, lanes.size());
   Access::lt_sorted(lt) = cur.get_vector<std::uint32_t>();
   Access::lt_rank_index(lt) = cur.get_vector<std::int32_t>();
   Access::lt_rank_values(lt) = cur.get_vector<std::int32_t>();
@@ -668,20 +801,31 @@ void write(const std::string& path, const Bundle& bundle) {
   Buffer graph_buf;
   write_graph(graph_buf, *bundle.graph, pools);
 
+  Buffer program_buf;
+  if (bundle.program != nullptr) {
+    Access::write_program(program_buf, *bundle.program, bundle.graph->meta());
+  }
+
   Buffer pools_buf;
   write_pool(pools_buf, pools.out->names);
   write_pool(pools_buf, pools.out->ops);
   write_pool(pools_buf, pools.out->groups);
 
   // Assemble: header, section table, payload in loader order.
-  const Buffer* sections[] = {&meta_buf, &pools_buf, &trace_buf, &graph_buf};
+  const Buffer* sections[] = {&meta_buf, &pools_buf, &trace_buf, &graph_buf,
+                              &program_buf};
   const std::uint32_t ids[] = {kSectionMeta, kSectionPools, kSectionTrace,
-                               kSectionGraph};
-  constexpr std::size_t kSectionCount = 4;
+                               kSectionGraph, kSectionProgram};
+  constexpr std::size_t kSectionCount = 5;
   const std::size_t payload_start =
       sizeof(Header) + kSectionCount * sizeof(SectionEntry);
 
+  // Sized once: growing by appends would copy (and fault in) the image
+  // again each time the capacity doubles.
+  std::size_t file_size = payload_start;
+  for (const Buffer* section : sections) file_size += section->size();
   std::string file_bytes(payload_start, '\0');
+  file_bytes.reserve(file_size);
   SectionEntry table[kSectionCount];
   for (std::size_t i = 0; i < kSectionCount; ++i) {
     table[i] = {ids[i], 0, file_bytes.size(), sections[i]->size()};
@@ -788,7 +932,7 @@ Bundle load(const std::string& path) {
     fail_corrupt("'" + path + "' payload checksum mismatch");
   }
 
-  std::string_view section_views[5];  // indexed by SectionId
+  std::string_view section_views[kSectionProgram + 1];  // by SectionId
   for (std::uint32_t i = 0; i < header.section_count; ++i) {
     SectionEntry entry;
     std::memcpy(&entry, view.data() + sizeof(Header) + i * sizeof(entry),
@@ -798,13 +942,13 @@ Bundle load(const std::string& path) {
         entry.length > view.size() - entry.offset) {
       fail_corrupt("section bounds out of range");
     }
-    if (entry.id >= 1 && entry.id <= 4) {
+    if (entry.id >= kSectionMeta && entry.id <= kSectionProgram) {
       section_views[entry.id] =
           view.substr(static_cast<std::size_t>(entry.offset),
                       static_cast<std::size_t>(entry.length));
     }
   }
-  for (std::uint32_t id = 1; id <= 4; ++id) {
+  for (std::uint32_t id = kSectionMeta; id <= kSectionProgram; ++id) {
     if (section_views[id].data() == nullptr) {
       fail_corrupt("missing section " + std::to_string(id));
     }
@@ -843,6 +987,11 @@ Bundle load(const std::string& path) {
   {
     Cursor cur(section_views[kSectionGraph], file);
     bundle.graph = read_graph(cur, pools);
+  }
+
+  if (!section_views[kSectionProgram].empty()) {
+    Cursor cur(section_views[kSectionProgram], file);
+    bundle.program = Access::read_program(cur, bundle.graph->meta());
   }
   return bundle;
 }

@@ -3,20 +3,28 @@
 // A snapshot is the flat, load-ready image of everything a prediction
 // reads: the columnar ClusterTrace (trace::EventTable per rank + the shared
 // TracePools), the parsed ExecutionGraph (edges, task payloads, and the
-// fully built TaskMetaTable with its LaneTable / rendezvous groups), plus
-// an opaque api-layer metadata JSON (scenario, model, config). Loading is
-// io::MappedFile + offset fixup: every O(events) / O(tasks) column comes
-// back as an io::Column borrow straight into the mapping — no JSON, no
-// re-parse, no re-finalize, no per-event allocation. Only the small
-// structures (string pools, lane table, groups, edge list) are rebuilt
-// owning.
+// fully built TaskMetaTable with its LaneTable / rendezvous groups), the
+// graph's compiled core::ReplayProgram, plus an opaque api-layer metadata
+// JSON (scenario, model, config). Loading is io::MappedFile + offset
+// fixup: every O(events) / O(tasks) column comes back as an io::Column
+// borrow straight into the mapping — no JSON, no re-parse, no re-finalize,
+// no re-compile, no per-event allocation. Only the small structures
+// (string pools, lane table, groups, edge list) are rebuilt owning.
 //
-// Layout (format v1, little-endian, every section 8-byte aligned):
+// Layout (format v2, little-endian, every section 8-byte aligned):
 //
 //   Header   { magic "LUMOSNAP", version, section count, content hash,
 //              payload FNV, file size }
 //   Sections [ {id, offset, length} ... ]
-//   Payload  meta-JSON | pools | trace columns | graph columns
+//   Payload  meta-JSON | pools | trace columns | graph columns | program
+//
+// The program section (id 5) holds the instruction records, the operand
+// ids and the rendezvous member records as length-prefixed arrays. It
+// stores no counts (the graph's meta table has them) and no durations: the
+// loaded program borrows the meta table's duration column. A bundle
+// without a program writes an empty section and loads with
+// `program == nullptr`; the api layer compiles before it saves, so there a
+// null program means the graph does not compile.
 //
 // The header pins two digests: `content_hash` is trace::content_hash of
 // the embedded trace (the serving layer's cache key — readable via peek()
@@ -24,13 +32,29 @@
 // over the payload bytes (verified on every load, so truncation and
 // bit-flips surface as Error{kCorrupt} instead of garbage predictions).
 //
+// What load checks, and what it trusts. The checksum guards integrity, not
+// authenticity, so the loader also bounds-checks every id a consumer
+// indexes with: edge endpoints, rendezvous members and meta lane ids in
+// the graph section, and in the program section one instruction per task
+// and per group, ops, task / group / lane ids, CSR ranges, operand and
+// member ids, and positive durations. That
+// makes ReplayProgram::run memory-safe on any image. What it trusts, as it
+// trusts the stored meta table without re-classifying it, is the compiler's
+// lane-order proof: re-proving it would cost a compile. A crafted image
+// with a recomputed checksum can already steer a prediction through its
+// graph columns; a stored program adds no new class of silent error, only
+// staleness across builds. Hence the version rule: any change to the
+// bytes write() emits — including ReplayCompiler's output for a graph —
+// bumps kFormatVersion, and load() rejects every other version.
+//
 // Lifetime rule (the mmap footgun): every borrowed column aliases the
-// mapping and pins it via shared_ptr keepalive, so tables, the graph and
-// the whole Bundle may outlive the load call and the file may even be
-// unlinked afterwards — but the bytes are shared with the page cache, so
-// *overwriting* a live snapshot file in place is undefined. write() obeys
-// this itself: it lands under a temp name and rename(2)s into place, which
-// replaces the directory entry and never scribbles on mapped pages.
+// mapping and pins it via shared_ptr keepalive, so tables, the graph, the
+// program and the whole Bundle may outlive the load call and the file may
+// even be unlinked afterwards — but the bytes are shared with the page
+// cache, so *overwriting* a live snapshot file in place is undefined.
+// write() obeys this itself: it lands under a temp name and rename(2)s into
+// place, which replaces the directory entry and never scribbles on mapped
+// pages.
 //
 // Error handling: this is a core-layer component (no api:: dependency);
 // failures throw snapshot::Error with a structured kind that
@@ -43,13 +67,14 @@
 #include <string>
 
 #include "core/execution_graph.h"
+#include "core/replay_program.h"
 #include "trace/event_table.h"
 
 namespace lumos::snapshot {
 
 /// On-disk format version written by this build; load() rejects others
 /// with Error{kVersion}.
-inline constexpr std::uint32_t kFormatVersion = 1;
+inline constexpr std::uint32_t kFormatVersion = 2;
 
 enum class ErrorKind : std::uint8_t {
   kIo,       ///< file missing / unreadable / unwritable
@@ -67,14 +92,19 @@ class Error : public std::runtime_error {
   ErrorKind kind_;
 };
 
-/// What a snapshot stores: the frozen trace + graph pair and the api
-/// layer's opaque metadata. On load, trace and graph alias the mapping
-/// (see the lifetime rule above) and the graph's tasks() materialize
-/// lazily — simulation reads meta() only and never pays for them.
+/// What a snapshot stores: the frozen trace + graph pair, the graph's
+/// compiled program and the api layer's opaque metadata. On load, trace,
+/// graph and program alias the mapping (see the lifetime rule above) and
+/// the graph's tasks() materialize lazily — simulation reads meta() only
+/// and never pays for them.
 struct Bundle {
   std::string meta_json;
   std::shared_ptr<const trace::ClusterTrace> trace;
   std::shared_ptr<const core::ExecutionGraph> graph;
+  /// ReplayCompiler::compile(*graph).program, or null. write() stores it
+  /// only when it is coupled and sized for `graph` (anything else writes
+  /// an empty section); load() returns it checked, or null.
+  std::shared_ptr<const core::ReplayProgram> program;
   std::uint64_t content_hash = 0;
 };
 
@@ -89,7 +119,8 @@ struct Bundle {
 void write(const std::string& path, const Bundle& bundle);
 
 /// Maps `path` and reconstructs the bundle zero-copy. Verifies magic,
-/// version, structure and the payload checksum. Throws Error.
+/// version, structure, the payload checksum and the bounds listed above.
+/// Throws Error.
 Bundle load(const std::string& path);
 
 /// Reads just the header and returns the pinned content hash — the cheap

@@ -28,6 +28,7 @@
 #include "core/trace_parser.h"
 #include "faults/fault_plan.h"
 #include "faults/fault_spec.h"
+#include "io/fnv.h"
 #include "serve/engine.h"
 #include "serve/protocol.h"
 #include "test_util.h"
@@ -401,6 +402,45 @@ TEST(ReplayProgram, Seed123GroundTruthBitIdentical) {
   expect_identical(compiled.program->run(), reference);
 }
 
+/// FNV-1a over a program's fields, one by one. Hashing fields rather than
+/// raw records keeps the digest independent of the records' layout.
+std::uint64_t program_digest(const ReplayProgram& program) {
+  io::Fnv1a h;
+  for (const ReplayProgram::Instr& ins : program.instructions()) {
+    h.update_pod(static_cast<std::uint8_t>(ins.op));
+    h.update_pod(ins.lane);
+    h.update_pod(ins.id);
+    h.update_pod(ins.first);
+    h.update_pod(ins.count);
+  }
+  for (const TaskId t : program.operands()) h.update_pod(t);
+  for (const ReplayProgram::Member& m : program.members()) {
+    h.update_pod(m.task);
+    h.update_pod(m.lane);
+    h.update_pod(static_cast<std::uint8_t>(m.p2p));
+  }
+  return h.digest();
+}
+
+TEST(ReplayProgram, Seed123CompileOutputIsPinned) {
+  // Snapshots store compiled programs and load them without recompiling,
+  // so what compile() emits for a graph is part of the snapshot format.
+  cluster::GroundTruthEngine engine(testutil::tiny_model(),
+                                    testutil::tiny_config());
+  const cluster::GroundTruthRun run = engine.run_profiled(/*seed=*/123);
+  const ExecutionGraph graph = TraceParser().parse(run.trace);
+  ReplayCompiler::Result compiled = ReplayCompiler::compile(graph);
+  ASSERT_TRUE(compiled) << to_string(compiled.status);
+  const ReplayProgram& program = *compiled.program;
+  EXPECT_EQ(program.instructions().size(), 6697u);
+  EXPECT_EQ(program.operands().size(), 9014u);
+  EXPECT_EQ(program.members().size(), 304u);
+  EXPECT_EQ(program_digest(program), 0xf8390cc23249bf9eULL)
+      << "ReplayCompiler output changed. Snapshots store compiled programs, "
+         "so this change must bump snapshot::kFormatVersion (then re-pin "
+         "this digest).";
+}
+
 TEST(ReplayProgram, TwentyRankClusterTraceBitIdentical) {
   // The test_ingest 20-rank synthetic shape: per-rank runtime/kernel
   // streams, rank-unique CPU ops, and 4-way coupled collective groups
@@ -683,11 +723,17 @@ TEST(FacadeCompiledReplay, SweepCountsCompiledReplays) {
   }
 }
 
-TEST(FacadeCompiledReplay, ServeEngineCompilesOncePerBaseline) {
+TEST(FacadeCompiledReplay, SnapshotOfABaselineWithoutAProgramStoresOne) {
+  // Caller-built artifacts may come without their program: the save
+  // compiles it, so the engine's miss finds it in the image and the loaded
+  // baseline replays compiled without an attach_replay_program call.
   const std::string path = ::testing::TempDir() + "replay_compiled.snap";
   Result<Session> session = Session::create(tiny_scenario());
   ASSERT_TRUE(session.is_ok());
-  ASSERT_TRUE(session->save_snapshot(path).is_ok());
+  Result<BaselineArtifacts> base = session->share_baseline();
+  ASSERT_TRUE(base.is_ok()) << base.status().to_string();
+  base->program = nullptr;
+  ASSERT_TRUE(api::save_baseline_snapshot(*base, path).is_ok());
 
   serve::Request request;
   request.method = serve::Method::kPredict;
@@ -704,37 +750,18 @@ TEST(FacadeCompiledReplay, ServeEngineCompilesOncePerBaseline) {
 
   Result<BaselineArtifacts> loaded = api::load_baseline_snapshot(path);
   ASSERT_TRUE(loaded.is_ok()) << loaded.status().to_string();
+  ASSERT_NE(loaded->program, nullptr);
   expect_same_sim(first->prediction.sim, interpreted(*loaded->graph));
 }
 
-/// A one-rank trace whose middle kernel lasts zero ns. ReplayCompiler
-/// refuses the graph (kNonPositiveDuration), so a hook-free, structure-
-/// preserving what-if over it still has to run on the interpreter.
+/// Writes testutil::zero_duration_kernel_trace: a structure-preserving,
+/// hook-free what-if over its graph still has to run on the interpreter.
 std::string write_uncompilable_trace() {
-  trace::RankTrace rank;
-  rank.rank = 0;
-  trace::TraceEvent op;
-  op.name = "aten::linear";
-  op.cat = trace::EventCategory::CpuOp;
-  op.ts_ns = 0;
-  op.dur_ns = 50;
-  op.tid = 1;
-  rank.events.push_back(op);
-  const std::int64_t durations[] = {40, 0, 25};
-  for (std::size_t i = 0; i < 3; ++i) {
-    trace::TraceEvent k;
-    k.name = "gemm_" + std::to_string(i);
-    k.cat = trace::EventCategory::Kernel;
-    k.ts_ns = 100 + 100 * static_cast<std::int64_t>(i);
-    k.dur_ns = durations[i];
-    k.tid = 7;
-    k.stream = 7;
-    rank.events.push_back(k);
-  }
-  trace::ClusterTrace cluster;
-  cluster.ranks.push_back(rank);
   const std::string prefix = ::testing::TempDir() + "replay_uncompilable";
-  EXPECT_EQ(trace::write_cluster_trace_files(cluster, prefix).size(), 1u);
+  EXPECT_EQ(trace::write_cluster_trace_files(
+                testutil::zero_duration_kernel_trace(), prefix)
+                .size(),
+            1u);
   return prefix;
 }
 

@@ -252,6 +252,20 @@ TEST(ServeEngine, LruEvictionUnderBytePressure) {
   EXPECT_EQ(stats.misses, 3u);
   EXPECT_EQ(stats.hits, 0u);
   EXPECT_EQ(stats.evictions, 2u);
+
+  // With only the cache holding `a`, evicting it frees it (its mapping,
+  // pools and program) before the evicting predict returns.
+  std::weak_ptr<const api::BaselineArtifacts> evicted = *engine.baseline(a);
+  ASSERT_FALSE(evicted.expired());
+  ASSERT_TRUE(engine.predict(predict_request(b)).is_ok());
+  EXPECT_EQ(engine.stats().evictions, 3u);
+  EXPECT_TRUE(evicted.expired());
+
+  // clear() frees what it drops the same way.
+  std::weak_ptr<const api::BaselineArtifacts> cleared = *engine.baseline(b);
+  ASSERT_FALSE(cleared.expired());
+  engine.clear();
+  EXPECT_TRUE(cleared.expired());
 }
 
 TEST(ServeEngine, MissingSnapshotIsAnIsolatedFailure) {

@@ -1,6 +1,8 @@
 // Binary baseline snapshots: round-trip bit-identity against the JSON
-// path, corruption / version / truncation error mapping, the content-hash
-// cache key, and the mmap lifetime rule (artifacts outlive the file).
+// path, corruption / version / truncation error mapping, the load-side
+// bounds checks on resealed crafted images, the stored compiled program,
+// the content-hash cache key, and the mmap lifetime rule (artifacts
+// outlive the file).
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -16,8 +18,10 @@
 
 #include "api/api.h"
 #include "io/fnv.h"
+#include "serve/engine.h"
 #include "snapshot/snapshot.h"
 #include "test_util.h"
+#include "trace/chrome_trace.h"
 #include "trace/content_hash.h"
 
 namespace lumos::api {
@@ -44,6 +48,13 @@ std::uint64_t sim_digest(const core::SimResult& sim) {
   for (std::int64_t t : sim.end_ns) h.update_pod(t);
   for (core::TaskId t : sim.stuck_tasks) h.update_pod(t);
   return h.digest();
+}
+
+/// The coupled interpreter run every facade replay reproduces.
+core::SimResult coupled_replay(const core::ExecutionGraph& graph) {
+  core::SimOptions options;
+  options.couple_collectives = true;
+  return core::Simulator(graph, options).run();
 }
 
 BaselineArtifacts saved_and_loaded(const std::string& path) {
@@ -177,6 +188,10 @@ TEST(Snapshot, BaselineOutlivesTheFileAndTheLoader) {
   Result<core::SimResult> sim = replay_graph(*loaded.graph);
   ASSERT_TRUE(sim.is_ok());
   EXPECT_GT(sim->makespan_ns, 0);
+  // The stored program borrows the mapping too.
+  ASSERT_NE(loaded.program, nullptr);
+  EXPECT_EQ(sim_digest(loaded.program->run()),
+            sim_digest(coupled_replay(*loaded.graph)));
 }
 
 // ---------------------------------------------------------------------------
@@ -353,24 +368,95 @@ class CraftedSnapshot : public SnapshotCorruption {
   }
   static std::size_t align8(std::size_t n) { return (n + 7) & ~std::size_t{7}; }
 
-  /// {offset, length} of the graph section (id 4).
-  std::pair<std::size_t, std::size_t> graph_section() const {
+  /// {offset, length} of section `id`.
+  std::pair<std::size_t, std::size_t> section(std::uint32_t id) const {
     const auto count = read_at<std::uint32_t>(12);
     for (std::uint32_t i = 0; i < count; ++i) {
       const std::size_t entry = 40 + i * 24;
-      if (read_at<std::uint32_t>(entry) == 4) {
+      if (read_at<std::uint32_t>(entry) == id) {
         return {read_at<std::uint64_t>(entry + 8),
                 read_at<std::uint64_t>(entry + 16)};
       }
     }
-    ADD_FAILURE() << "no graph section";
+    ADD_FAILURE() << "no section " << id;
     return {0, 0};
+  }
+  std::pair<std::size_t, std::size_t> graph_section() const {
+    return section(4);
   }
 
   /// Position just past the length-prefixed array of `elem`-byte values
   /// starting at `pos`.
   std::size_t skip_array(std::size_t pos, std::size_t elem) const {
     return pos + 8 + align8(read_at<std::uint64_t>(pos) * elem);
+  }
+
+  /// Position of the first value of meta column `index`, in the writer's
+  /// order: cat, api, flags, lane, dur, ts, name, coll_op, coll_group,
+  /// coll_instance, group_idx, sync_lane, ... The graph section opens with
+  /// edge src/dst/type and task rank/gpu/lane, then the task event table
+  /// (a row count and 25 columns), then the meta row count.
+  std::size_t meta_column(std::size_t index) const {
+    static constexpr std::size_t kEventBytes[] = {
+        1, 1, 8, 8, 4, 4, 8, 8, 8, 4, 4, 8, 4, 4, 4, 4, 4, 4, 4, 8, 4, 8,
+        8, 8, 8};
+    static constexpr std::size_t kMetaBytes[] = {1, 1, 1, 4, 8, 8, 4, 4,
+                                                 4, 8, 4, 4, 4, 4, 4};
+    std::size_t pos = graph_section().first;
+    for (const std::size_t elem : {4, 4, 1, 4, 1, 8}) {
+      pos = skip_array(pos, elem);
+    }
+    pos += 8;
+    for (const std::size_t elem : kEventBytes) pos = skip_array(pos, elem);
+    pos += 8;
+    for (std::size_t i = 0; i < index; ++i) {
+      pos = skip_array(pos, kMetaBytes[i]);
+    }
+    return pos + 8;
+  }
+
+  /// The program section (id 5): [u64 n][n x 20-byte Instr],
+  /// [u64 n][n x i32 operand] and [u64 n][n x 12-byte Member]. Positions of
+  /// each array's first value. Instr is {u8 op, 3 reserved, i32 lane,
+  /// i32 id, u32 first, u32 count}; Member is {i32 task, i32 lane, u8 p2p,
+  /// 3 reserved}.
+  struct ProgramLayout {
+    std::size_t instrs = 0;
+    std::size_t operands = 0;
+    std::size_t members = 0;
+  };
+  ProgramLayout program_layout() const {
+    ProgramLayout l;
+    const std::size_t instr_array = section(5).first;
+    const std::size_t operand_array = skip_array(instr_array, 20);
+    const std::size_t member_array = skip_array(operand_array, 4);
+    l.instrs = instr_array + 8;
+    l.operands = operand_array + 8;
+    l.members = member_array + 8;
+    return l;
+  }
+
+  /// The saved baseline, rebuilt in memory: its graph and compiled program
+  /// are what the image stores.
+  BaselineArtifacts baseline() const {
+    Result<Session> session = Session::create(tiny_scenario());
+    EXPECT_TRUE(session.is_ok());
+    Result<BaselineArtifacts> base = session->share_baseline();
+    EXPECT_TRUE(base.is_ok());
+    EXPECT_NE(base->program, nullptr);
+    return std::move(base).value();
+  }
+
+  /// Index of the first instruction with opcode `op` (0 run, 1 arrive,
+  /// 2 rendezvous).
+  static std::size_t first_instr(const core::ReplayProgram& program,
+                                 core::ReplayProgram::Op op) {
+    const auto instrs = program.instructions();
+    for (std::size_t i = 0; i < instrs.size(); ++i) {
+      if (instrs[i].op == op) return i;
+    }
+    ADD_FAILURE() << "no instruction with op " << static_cast<int>(op);
+    return 0;
   }
 
   /// Recomputes the payload checksum the way the writer does, so only the
@@ -382,10 +468,11 @@ class CraftedSnapshot : public SnapshotCorruption {
     rewrite(bytes);
   }
 
-  void expect_rejected(const std::string& what) {
+  void expect_rejected(const std::string& what,
+                       const std::string& section = "graph section") {
     const Status status = load_baseline_snapshot(path_).status();
     EXPECT_EQ(status.code(), ErrorCode::kParseError) << status.to_string();
-    EXPECT_NE(status.message().find("graph section"), std::string::npos)
+    EXPECT_NE(status.message().find(section), std::string::npos)
         << status.to_string();
     EXPECT_NE(status.message().find(what), std::string::npos)
         << status.to_string();
@@ -443,6 +530,255 @@ TEST_F(CraftedSnapshot, ShortEventColumnIsRejected) {
   write_at<std::uint64_t>(bad, category, forged);
   reseal_and_write(bad);
   expect_rejected("event column length mismatch");
+}
+
+TEST_F(CraftedSnapshot, MetaLaneIdOutOfRangeIsRejected) {
+  const BaselineArtifacts base = baseline();
+  const std::size_t lane = meta_column(3);
+  ASSERT_EQ(read_at<std::uint64_t>(lane - 8), base.graph->size());
+  std::string bad = bytes_;
+  write_at<std::int32_t>(
+      bad, lane, static_cast<std::int32_t>(base.graph->meta().lanes().size()));
+  reseal_and_write(bad);
+  expect_rejected("meta lane id out of range");
+}
+
+TEST_F(CraftedSnapshot, MetaSyncLaneOutOfRangeIsRejected) {
+  // kInvalidLane (-1) means "unresolved" and is legal; any other negative
+  // id is not.
+  const std::size_t sync_lane = meta_column(11);
+  ASSERT_EQ(read_at<std::uint64_t>(sync_lane - 8), baseline().graph->size());
+  std::string bad = bytes_;
+  write_at<std::int32_t>(bad, sync_lane, -2);
+  reseal_and_write(bad);
+  expect_rejected("meta lane id out of range");
+}
+
+// ---------------------------------------------------------------------------
+// The program section: a saved baseline carries its compiled program
+// ---------------------------------------------------------------------------
+
+/// Whether two programs hold the same records (Instr and Member have no
+/// padding, so equal bytes are equal records).
+void expect_same_program(const core::ReplayProgram& a,
+                         const core::ReplayProgram& b) {
+  const auto same_bytes = [](auto x, auto y) {
+    return x.size() == y.size() &&
+           std::memcmp(x.data(), y.data(), x.size_bytes()) == 0;
+  };
+  EXPECT_EQ(a.task_count(), b.task_count());
+  EXPECT_EQ(a.collective_count(), b.collective_count());
+  EXPECT_EQ(a.coupled(), b.coupled());
+  EXPECT_TRUE(same_bytes(a.instructions(), b.instructions()));
+  EXPECT_TRUE(same_bytes(a.operands(), b.operands()));
+  EXPECT_TRUE(same_bytes(a.members(), b.members()));
+}
+
+TEST(SnapshotProgram, LoadedBaselineCarriesItsCompiledProgram) {
+  const std::string path = temp_path("lumos_snap_program.bin");
+  const BaselineArtifacts loaded = saved_and_loaded(path);
+  // Present straight from the load, before any attach_replay_program.
+  ASSERT_NE(loaded.program, nullptr);
+  core::ReplayCompiler::Result compiled =
+      core::ReplayCompiler::compile(*loaded.graph);
+  ASSERT_TRUE(compiled) << core::to_string(compiled.status);
+  expect_same_program(*loaded.program, *compiled.program);
+  EXPECT_GT(loaded.program->collective_count(), 0u);
+
+  // The facade runs the stored program, bit-identical to the coupled
+  // interpreter.
+  Result<Prediction> predicted = predict_on(loaded, whatif());
+  ASSERT_TRUE(predicted.is_ok()) << predicted.status().to_string();
+  EXPECT_TRUE(predicted->used_compiled_replay);
+  EXPECT_EQ(sim_digest(predicted->sim),
+            sim_digest(coupled_replay(*loaded.graph)));
+}
+
+TEST(SnapshotProgram, BaselineThatDoesNotCompileSavesAnEmptySection) {
+  const std::string prefix = temp_path("lumos_snap_uncompilable");
+  ASSERT_EQ(trace::write_cluster_trace_files(
+                testutil::zero_duration_kernel_trace(), prefix)
+                .size(),
+            1u);
+  Result<Session> session = Session::create(Scenario::from_trace(prefix, 1));
+  ASSERT_TRUE(session.is_ok()) << session.status().to_string();
+  const std::string path = temp_path("lumos_snap_uncompilable.bin");
+  ASSERT_TRUE(session->save_snapshot(path).is_ok());
+
+  // Section 5 is present and empty.
+  std::ifstream in(path, std::ios::binary);
+  const std::string bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  std::uint32_t sections = 0;
+  std::memcpy(&sections, bytes.data() + 12, sizeof(sections));
+  bool found = false;
+  for (std::uint32_t i = 0; i < sections; ++i) {
+    std::uint32_t id = 0;
+    std::uint64_t length = 1;
+    std::memcpy(&id, bytes.data() + 40 + i * 24, sizeof(id));
+    std::memcpy(&length, bytes.data() + 40 + i * 24 + 16, sizeof(length));
+    if (id == 5) {
+      found = true;
+      EXPECT_EQ(length, 0u);
+    }
+  }
+  EXPECT_TRUE(found);
+
+  Result<BaselineArtifacts> loaded = load_baseline_snapshot(path);
+  ASSERT_TRUE(loaded.is_ok()) << loaded.status().to_string();
+  EXPECT_EQ(loaded->program, nullptr);
+  Result<Prediction> predicted = predict_on(*loaded, whatif());
+  ASSERT_TRUE(predicted.is_ok()) << predicted.status().to_string();
+  EXPECT_FALSE(predicted->used_compiled_replay);
+}
+
+// Each load-side check of the program section, on a resealed image.
+
+TEST_F(CraftedSnapshot, EngineMissRunsTheStoredProgram) {
+  // A stored program that differs from compile(graph) and still passes
+  // every check: no run or arrival waits on another lane. The engine's
+  // schedule follows it, so a miss ran the stored program, not a compile.
+  const BaselineArtifacts base = baseline();
+  const auto instrs = base.program->instructions();
+  std::string crafted = bytes_;
+  for (std::size_t i = 0; i < instrs.size(); ++i) {
+    if (instrs[i].op != core::ReplayProgram::Op::kRendezvous) {
+      write_at<std::uint32_t>(crafted, program_layout().instrs + i * 20 + 16,
+                              0u);  // count
+    }
+  }
+  reseal_and_write(crafted);
+  Result<BaselineArtifacts> loaded = load_baseline_snapshot(path_);
+  ASSERT_TRUE(loaded.is_ok()) << loaded.status().to_string();
+  ASSERT_NE(loaded->program, nullptr);
+  const std::uint64_t stored = sim_digest(loaded->program->run());
+  ASSERT_NE(stored, sim_digest(coupled_replay(*base.graph)));
+
+  serve::Request request;
+  request.method = serve::Method::kPredict;
+  request.baseline = path_;
+  serve::Engine engine;
+  Result<serve::Engine::Outcome> miss = engine.predict(request);
+  ASSERT_TRUE(miss.is_ok()) << miss.status().to_string();
+  EXPECT_FALSE(miss->baseline_was_cached);
+  EXPECT_TRUE(miss->prediction.used_compiled_replay);
+  EXPECT_EQ(sim_digest(miss->prediction.sim), stored);
+}
+
+TEST_F(CraftedSnapshot, ProgramRepeatedInstructionIsRejected) {
+  // Two run instructions for one task leave another task without one.
+  const BaselineArtifacts base = baseline();
+  const auto instrs = base.program->instructions();
+  const std::size_t first = first_instr(*base.program,
+                                        core::ReplayProgram::Op::kRun);
+  std::size_t second = first + 1;
+  while (instrs[second].op != core::ReplayProgram::Op::kRun) ++second;
+  std::string bad = bytes_;
+  write_at<std::int32_t>(bad, program_layout().instrs + second * 20 + 8,
+                         instrs[first].id);
+  reseal_and_write(bad);
+  expect_rejected("repeated instruction", "program section");
+}
+
+TEST_F(CraftedSnapshot, ProgramUnknownOpIsRejected) {
+  std::string bad = bytes_;
+  write_at<std::uint8_t>(bad, program_layout().instrs, 7);
+  reseal_and_write(bad);
+  expect_rejected("unknown op", "program section");
+}
+
+TEST_F(CraftedSnapshot, ProgramTaskIdOutOfRangeIsRejected) {
+  const BaselineArtifacts base = baseline();
+  const std::size_t i = first_instr(*base.program,
+                                    core::ReplayProgram::Op::kRun);
+  std::string bad = bytes_;
+  write_at<std::int32_t>(bad, program_layout().instrs + i * 20 + 8,
+                         static_cast<std::int32_t>(base.graph->size()));
+  reseal_and_write(bad);
+  expect_rejected("task id out of range", "program section");
+}
+
+TEST_F(CraftedSnapshot, ProgramGroupIdOutOfRangeIsRejected) {
+  const BaselineArtifacts base = baseline();
+  const std::size_t i = first_instr(*base.program,
+                                    core::ReplayProgram::Op::kRendezvous);
+  std::string bad = bytes_;
+  write_at<std::int32_t>(
+      bad, program_layout().instrs + i * 20 + 8,
+      static_cast<std::int32_t>(base.program->collective_count()));
+  reseal_and_write(bad);
+  expect_rejected("group id out of range", "program section");
+}
+
+TEST_F(CraftedSnapshot, ProgramLaneIdOutOfRangeIsRejected) {
+  const BaselineArtifacts base = baseline();
+  const std::size_t i = first_instr(*base.program,
+                                    core::ReplayProgram::Op::kArrive);
+  std::string bad = bytes_;
+  write_at<std::int32_t>(
+      bad, program_layout().instrs + i * 20 + 4,
+      static_cast<std::int32_t>(base.graph->meta().lanes().size()));
+  reseal_and_write(bad);
+  expect_rejected("lane id out of range", "program section");
+}
+
+TEST_F(CraftedSnapshot, ProgramOperandRangeOutOfBoundsIsRejected) {
+  const BaselineArtifacts base = baseline();
+  const std::size_t i = first_instr(*base.program,
+                                    core::ReplayProgram::Op::kRun);
+  std::string bad = bytes_;
+  write_at<std::uint32_t>(bad, program_layout().instrs + i * 20 + 16,
+                          0xFFFFFFFFu);  // count
+  reseal_and_write(bad);
+  expect_rejected("operand or member range out of bounds", "program section");
+}
+
+TEST_F(CraftedSnapshot, ProgramEmptyRendezvousIsRejected) {
+  // run() reads the last arrival's member, so a group needs one.
+  const BaselineArtifacts base = baseline();
+  const std::size_t i = first_instr(*base.program,
+                                    core::ReplayProgram::Op::kRendezvous);
+  std::string bad = bytes_;
+  write_at<std::uint32_t>(bad, program_layout().instrs + i * 20 + 16, 0u);
+  reseal_and_write(bad);
+  expect_rejected("empty rendezvous group", "program section");
+}
+
+TEST_F(CraftedSnapshot, ProgramOperandTaskIdOutOfRangeIsRejected) {
+  std::string bad = bytes_;
+  write_at<std::int32_t>(bad, program_layout().operands, -3);
+  reseal_and_write(bad);
+  expect_rejected("operand task id out of range", "program section");
+}
+
+TEST_F(CraftedSnapshot, ProgramMemberTaskIdOutOfRangeIsRejected) {
+  std::string bad = bytes_;
+  write_at<std::int32_t>(bad, program_layout().members, 0x7FFFFFF0);
+  reseal_and_write(bad);
+  expect_rejected("member task id out of range", "program section");
+}
+
+TEST_F(CraftedSnapshot, ProgramMemberLaneIdOutOfRangeIsRejected) {
+  std::string bad = bytes_;
+  write_at<std::int32_t>(bad, program_layout().members + 4, -1);
+  reseal_and_write(bad);
+  expect_rejected("member lane id out of range", "program section");
+}
+
+TEST_F(CraftedSnapshot, ProgramMemberP2pFlagMustBeZeroOrOne) {
+  std::string bad = bytes_;
+  write_at<std::uint8_t>(bad, program_layout().members + 8, 2);
+  reseal_and_write(bad);
+  expect_rejected("member p2p flag not 0/1", "program section");
+}
+
+TEST_F(CraftedSnapshot, ProgramOverNonPositiveDurationsIsRejected) {
+  // The program borrows the meta duration column, which the graph section
+  // does not check: a zero there breaks the positivity compile() proved.
+  std::string bad = bytes_;
+  write_at<std::int64_t>(bad, meta_column(4), 0);
+  reseal_and_write(bad);
+  expect_rejected("durations are not all positive", "program section");
 }
 
 // ---------------------------------------------------------------------------

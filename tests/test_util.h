@@ -47,6 +47,35 @@ inline workload::ParallelConfig tiny_config(std::int32_t tp = 2,
   return c;
 }
 
+/// A one-rank trace whose middle kernel lasts zero ns. ReplayCompiler
+/// refuses its graph (kNonPositiveDuration), so every hook-free replay of it
+/// runs on the interpreter.
+inline trace::ClusterTrace zero_duration_kernel_trace() {
+  trace::RankTrace rank;
+  rank.rank = 0;
+  trace::TraceEvent op;
+  op.name = "aten::linear";
+  op.cat = trace::EventCategory::CpuOp;
+  op.ts_ns = 0;
+  op.dur_ns = 50;
+  op.tid = 1;
+  rank.events.push_back(op);
+  const std::int64_t durations[] = {40, 0, 25};
+  for (std::size_t i = 0; i < 3; ++i) {
+    trace::TraceEvent k;
+    k.name = "gemm_" + std::to_string(i);
+    k.cat = trace::EventCategory::Kernel;
+    k.ts_ns = 100 + 100 * static_cast<std::int64_t>(i);
+    k.dur_ns = durations[i];
+    k.tid = 7;
+    k.stream = 7;
+    rank.events.push_back(k);
+  }
+  trace::ClusterTrace cluster;
+  cluster.ranks.push_back(rank);
+  return cluster;
+}
+
 /// Hand-builds a graph the way producers do: each Task's event is interned
 /// through a scratch EventTable into pools the author owns, then appended
 /// to `graph` as one column row. Set every field before add(); the graph
