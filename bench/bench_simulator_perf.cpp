@@ -9,8 +9,8 @@
 // Besides the console output, the binary writes a BENCH_io.json trajectory
 // artifact (path override: LUMOS_BENCH_IO_OUT) covering the graph
 // producers (BM_GraphBuild, BM_TraceParse, BM_Rebuild and its costing
-// half BM_RebuildCosting), the I/O fast-path
-// benches (BM_Write*, BM_ParseFile, BM_MergeIntervals*, BM_Parse, the
+// half BM_RebuildCosting, BM_MetaBuild), the I/O fast-path
+// benches (BM_Write*, BM_ParseFile, BM_MergeIntervals, BM_Parse, the
 // snapshot A/B: BM_Snapshot* (save, load, and load plus the compile a
 // serve miss paid before images stored their program), BM_IngestBaseline,
 // plus the replay A/B:
@@ -450,8 +450,7 @@ BENCHMARK(BM_ChromeTraceDecode)->Unit(benchmark::kMillisecond);
 // ---------------------------------------------------------------------------
 
 // Streaming writer through the public to_json_string entry point — a fresh
-// JsonWriter (buffer + memo) per call, directly comparable with
-// BM_WriteDom. The ≥3x acceptance gate compares these two.
+// JsonWriter (buffer + memo) per call.
 void BM_Write(benchmark::State& state) {
   const auto& run = cached_run(static_cast<std::int32_t>(state.range(0)));
   std::size_t bytes = 0;
@@ -466,21 +465,6 @@ void BM_Write(benchmark::State& state) {
       static_cast<double>(run.trace.ranks[0].events.size());
 }
 BENCHMARK(BM_Write)->Arg(8)->Arg(32)->Unit(benchmark::kMillisecond);
-
-// The pre-PR5 emit path, kept as the executable reference: build the full
-// json::Value DOM, then print it.
-void BM_WriteDom(benchmark::State& state) {
-  const auto& run = cached_run(static_cast<std::int32_t>(state.range(0)));
-  std::size_t bytes = 0;
-  for (auto _ : state) {
-    std::string json = json::write(trace::to_json(run.trace.ranks[0]));
-    bytes = json.size();
-    benchmark::DoNotOptimize(json);
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(bytes) *
-                          state.iterations());
-}
-BENCHMARK(BM_WriteDom)->Arg(8)->Unit(benchmark::kMillisecond);
 
 // Steady-state writer reuse — the Session::write_trace_files shape: one
 // JsonWriter whose output buffer and escaped-string memo persist across
@@ -619,8 +603,8 @@ std::vector<analysis::Interval> interval_workload(std::size_t n) {
   return out;
 }
 
-// The production kernel: radix sort on the begins (std::sort below the
-// threshold) + the shared in-place merge sweep.
+// The sort-then-sweep union the trace-based breakdown and SM utilization
+// run: std::sort on the pairs + the in-place merge sweep.
 void BM_MergeIntervals(benchmark::State& state) {
   const auto master = interval_workload(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
@@ -633,21 +617,6 @@ void BM_MergeIntervals(benchmark::State& state) {
                           state.iterations());
 }
 BENCHMARK(BM_MergeIntervals)->Arg(1 << 12)->Arg(1 << 16)
-    ->Unit(benchmark::kMillisecond);
-
-// The scalar reference (std::sort + the same sweep), for the A/B.
-void BM_MergeIntervalsScalar(benchmark::State& state) {
-  const auto master = interval_workload(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    std::vector<analysis::Interval> v = master;
-    const std::int64_t u = analysis::merge_intervals_scalar(v);
-    benchmark::DoNotOptimize(u);
-    benchmark::DoNotOptimize(v);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(master.size()) *
-                          state.iterations());
-}
-BENCHMARK(BM_MergeIntervalsScalar)->Arg(1 << 12)->Arg(1 << 16)
     ->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
@@ -792,6 +761,7 @@ class TrajectoryReporter : public benchmark::ConsoleReporter {
       if (name.rfind("BM_GraphBuild", 0) != 0 &&
           name.rfind("BM_TraceParse", 0) != 0 &&
           name.rfind("BM_Rebuild", 0) != 0 &&
+          name.rfind("BM_MetaBuild", 0) != 0 &&
           name.rfind("BM_Write", 0) != 0 &&
           name.rfind("BM_ParseFile", 0) != 0 &&
           name.rfind("BM_MergeIntervals", 0) != 0 &&

@@ -7,9 +7,6 @@ namespace lumos::analysis {
 
 namespace {
 
-/// Below this size std::sort beats the radix passes' fixed histogram cost.
-constexpr std::size_t kRadixThreshold = 128;
-
 /// merge_runs picks the next interval by scanning the run heads, which
 /// pays while runs are few (one per GPU lane of a rank); past this many it
 /// sorts the concatenation instead.
@@ -19,71 +16,9 @@ bool begins_before(const Interval& a, const Interval& b) {
   return a.first < b.first;
 }
 
-/// Maps int64 keys to uint64 so unsigned digit order equals signed order.
-constexpr std::uint64_t kSignBias = 0x8000000000000000ULL;
-
-std::uint64_t biased(std::int64_t v) {
-  return static_cast<std::uint64_t>(v) ^ kSignBias;
-}
-
-/// Per-digit histograms for all 8 byte positions, built in one pass.
-struct RadixHistogram {
-  std::array<std::array<std::size_t, 256>, 8> counts{};
-
-  void add(std::int64_t key) {
-    std::uint64_t k = biased(key);
-    for (int d = 0; d < 8; ++d) {
-      ++counts[static_cast<std::size_t>(d)][k & 0xFF];
-      k >>= 8;
-    }
-  }
-
-  /// A pass whose elements all share one digit value permutes nothing —
-  /// skip it. Timestamp data typically uses ~5 of the 8 bytes.
-  bool uniform(int d, std::size_t n) const {
-    for (const std::size_t c : counts[static_cast<std::size_t>(d)]) {
-      if (c == n) return true;
-      if (c != 0) return false;
-    }
-    return n == 0;
-  }
-};
-
-/// Stable LSD radix sort of (begin, end) pairs by begin. Ties keep input
-/// order (std::sort orders them by end instead); the merge sweep collapses
-/// equal-begin runs into one interval either way, so the merged output is
-/// identical — the bit-identity the tests pin.
-void radix_sort_pairs(std::vector<Interval>& v) {
-  const std::size_t n = v.size();
-  RadixHistogram hist;
-  for (const Interval& iv : v) hist.add(iv.first);
-
-  std::vector<Interval> tmp(n);
-  Interval* src = v.data();
-  Interval* dst = tmp.data();
-  for (int d = 0; d < 8; ++d) {
-    if (hist.uniform(d, n)) continue;
-    std::array<std::size_t, 256> offset;
-    std::size_t running = 0;
-    for (std::size_t b = 0; b < 256; ++b) {
-      offset[b] = running;
-      running += hist.counts[static_cast<std::size_t>(d)][b];
-    }
-    const int shift = 8 * d;
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t digit = (biased(src[i].first) >> shift) & 0xFF;
-      dst[offset[digit]++] = src[i];
-    }
-    std::swap(src, dst);
-  }
-  if (src != v.data()) {
-    std::copy(src, src + n, v.data());
-  }
-}
-
-/// The one in-place merge sweep (shared by the scalar reference and the
-/// radix-sorted fast path): `w` is the last merged interval; each element
-/// either extends it or is appended. Returns the union length.
+/// The in-place merge sweep over intervals sorted by begin: `w` is the
+/// last merged interval; each element either extends it or is appended.
+/// Returns the union length.
 std::int64_t sweep_merge(std::vector<Interval>& intervals) {
   std::size_t w = 0;
   std::int64_t total = 0;
@@ -103,16 +38,6 @@ std::int64_t sweep_merge(std::vector<Interval>& intervals) {
 }  // namespace
 
 std::int64_t merge_intervals(std::vector<Interval>& intervals) {
-  if (intervals.empty()) return 0;
-  if (intervals.size() >= kRadixThreshold) {
-    radix_sort_pairs(intervals);
-  } else {
-    std::sort(intervals.begin(), intervals.end());
-  }
-  return sweep_merge(intervals);
-}
-
-std::int64_t merge_intervals_scalar(std::vector<Interval>& intervals) {
   if (intervals.empty()) return 0;
   std::sort(intervals.begin(), intervals.end());
   return sweep_merge(intervals);

@@ -6,15 +6,13 @@
 // header is the single definition, fed from the contiguous ts/dur columns
 // the columnar trace layer (trace::EventTable) exposes.
 //
-// The sort is an LSD radix sort on the 64-bit begins (stable, 8-bit
-// digits, uniform digit passes skipped — timestamps use ~5 of 8 bytes),
-// falling back to std::sort below a size threshold; the trace-based
-// breakdown and SM utilization run it. A simulated schedule already holds
-// each lane's intervals in order, so the schedule-based breakdown (run on
-// every prediction) unions those runs with merge_runs() instead of
-// sorting. merge_intervals_scalar() is the executable reference both must
-// match bit-for-bit (tests/test_analysis.cpp drives them over adversarial
-// inputs).
+// merge_intervals() is one sort-then-sweep (std::sort on the pairs, then
+// an in-place merge); the trace-based breakdown and SM utilization run it.
+// A simulated schedule already holds each lane's intervals in order, so
+// the schedule-based breakdown (run on every prediction) unions those runs
+// with merge_runs() instead of sorting; merge_runs() must match
+// merge_intervals() bit-for-bit (tests/test_analysis.cpp drives both over
+// adversarial inputs).
 //
 // Convention: intervals are half-open [begin, end). Touching intervals
 // ([a,b) and [b,c)) merge; an input interval *overlaps* when its begin is
@@ -33,14 +31,8 @@ namespace lumos::analysis {
 using Interval = std::pair<std::int64_t, std::int64_t>;
 
 /// Sorts `intervals` ascending and merges overlapping/touching entries in
-/// place. Returns the union length in ns. Dispatches to the radix sort for
-/// large inputs; the merged output is identical to merge_intervals_scalar.
+/// place. Returns the union length in ns.
 std::int64_t merge_intervals(std::vector<Interval>& intervals);
-
-/// Reference implementation (std::sort + in-place sweep): the executable
-/// spec of merge_intervals, kept separate so the equivalence tests and the
-/// BM_MergeIntervals A/B bench can pin the radix path against it.
-std::int64_t merge_intervals_scalar(std::vector<Interval>& intervals);
 
 /// Unions intervals that arrive as runs sorted by begin: each GPU lane's
 /// device intervals in launch order. `intervals` holds the runs end to

@@ -172,8 +172,7 @@ std::optional<Replayed> run_replay(
     std::span<const std::int64_t> durations = {}) {
   const std::span<const std::int64_t> column =
       plan != nullptr ? plan->durations() : durations;
-  if (program != nullptr && program->coupled() &&
-      compiled_engine_applies(hooks, plan) &&
+  if (program != nullptr && compiled_engine_applies(hooks, plan) &&
       (column.empty() || program->accepts(column))) {
     return Replayed{column.empty() ? program->run() : program->run(column),
                     true};

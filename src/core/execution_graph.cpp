@@ -124,14 +124,10 @@ TaskId ExecutionGraph::add_task(const Processor& processor,
   if (!columns_) {
     throw std::logic_error("ExecutionGraph: add_task on a moved-from graph");
   }
-  // Build phase, single-threaded. Columns shared with a copy or with a
-  // published meta table are cloned before the append; a materialized Task
-  // vector is a stale cache from here on.
-  if (columns_.use_count() != 1) {
-    columns_ = std::make_shared<ColumnTaskSource>(*columns_);
-  }
+  // Build phase, single-threaded. A materialized Task vector is a stale
+  // cache from here on.
   const auto id = static_cast<TaskId>(columns_->count());
-  columns_->push(processor, row);
+  owned_columns().push(processor, row);
   tasks_valid_.store(false, std::memory_order_relaxed);
   adjacency_valid_.store(false, std::memory_order_relaxed);
   meta_valid_.store(false, std::memory_order_relaxed);
@@ -152,8 +148,17 @@ void ExecutionGraph::add_edge(TaskId src, TaskId dst, DepType type) {
 }
 
 void ExecutionGraph::reserve(std::size_t tasks, std::size_t edges) {
-  if (columns_) columns_->reserve(tasks);
+  if (columns_) owned_columns().reserve(tasks);
   edges_.reserve(edges);
+}
+
+ColumnTaskSource& ExecutionGraph::owned_columns() {
+  // Rows shared with a copy or with a published meta table, which reads
+  // them in place, are cloned before they can reallocate.
+  if (columns_.use_count() != 1) {
+    columns_ = std::make_shared<ColumnTaskSource>(*columns_);
+  }
+  return *columns_;
 }
 
 void ExecutionGraph::build_adjacency() const {

@@ -125,6 +125,8 @@ class ExecutionGraph {
   void add_edge(TaskId src, TaskId dst, DepType type);
 
   /// Capacity hint: room for `tasks` rows and `edges` edges in total.
+  /// Shared rows are cloned first, as add_task does, so a published meta
+  /// table keeps reading rows that do not move.
   void reserve(std::size_t tasks, std::size_t edges);
 
   /// The Task view hooked simulation reads, materialized from the columns
@@ -195,6 +197,9 @@ class ExecutionGraph {
 
  private:
   friend struct lumos::snapshot::Access;  // installs columns + meta
+
+  /// The rows, cloned first when shared (build phase only).
+  ColumnTaskSource& owned_columns();
 
   void build_adjacency() const LUMOS_REQUIRES(adjacency_mutex_);
   /// Builds the adjacency index if missing. Safe to race from const

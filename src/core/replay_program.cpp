@@ -224,8 +224,7 @@ void for_each_sync_blocker(const TaskMetaTable& meta, TaskId t, Emit&& emit) {
 
 }  // namespace
 
-ReplayCompiler::Result ReplayCompiler::compile(const ExecutionGraph& graph,
-                                               const Options& options) {
+ReplayCompiler::Result ReplayCompiler::compile(const ExecutionGraph& graph) {
   const auto fallback = [](ReplayCompileStatus status) {
     return Result{nullptr, status};
   };
@@ -235,7 +234,6 @@ ReplayCompiler::Result ReplayCompiler::compile(const ExecutionGraph& graph,
   auto program = std::make_shared<ReplayProgram>();
   program->task_count_ = n;
   program->lane_count_ = meta.lanes().size();
-  program->coupled_ = options.couple_collectives;
   if (n == 0) {
     return Result{std::move(program), ReplayCompileStatus::kCompiled};
   }
@@ -250,33 +248,25 @@ ReplayCompiler::Result ReplayCompiler::compile(const ExecutionGraph& graph,
     }
   }
 
-  // Rendezvous-group nodes (coupled mode only). group_node[t] is the
-  // ordering-graph node representing "t's whole group has completed";
-  // out-edges of a member are re-sourced from it because every member ends
-  // at the group end.
+  // Rendezvous-group nodes. group_node[t] is the ordering-graph node
+  // representing "t's whole group has completed"; out-edges of a member are
+  // re-sourced from it because every member ends at the group end. The
+  // meta table derives group_index from the member lists, so each member
+  // is parked in exactly its own group.
   const auto& groups = meta.collective_groups();
-  const bool coupled = options.couple_collectives;
-  const std::size_t group_count = coupled ? groups.size() : 0;
+  const std::size_t group_count = groups.size();
   const std::size_t node_count = n + group_count;
   std::vector<std::int32_t> group_node(n, -1);
   std::size_t member_count = 0;
-  if (coupled) {
-    for (std::size_t gi = 0; gi < groups.size(); ++gi) {
-      if (groups[gi].members.empty()) {
-        return fallback(ReplayCompileStatus::kCyclic);
-      }
-      member_count += groups[gi].members.size();
-      for (const TaskId m : groups[gi].members) {
-        // Defensive: a member the simulator would not park (not flagged
-        // coupled) leaves the rendezvous forever incomplete — the
-        // interpreter deadlocks, which is the cyclic fallback's domain.
-        if (!meta.is_coupled_collective(m) ||
-            meta.group_index(m) != static_cast<std::int32_t>(gi)) {
-          return fallback(ReplayCompileStatus::kCyclic);
-        }
-        group_node[static_cast<std::size_t>(m)] =
-            static_cast<std::int32_t>(n + gi);
-      }
+  for (std::size_t gi = 0; gi < groups.size(); ++gi) {
+    // An empty group never completes: the cyclic fallback's domain.
+    if (groups[gi].members.empty()) {
+      return fallback(ReplayCompileStatus::kCyclic);
+    }
+    member_count += groups[gi].members.size();
+    for (const TaskId m : groups[gi].members) {
+      group_node[static_cast<std::size_t>(m)] =
+          static_cast<std::int32_t>(n + gi);
     }
   }
   const auto source_node = [&group_node](TaskId t) {

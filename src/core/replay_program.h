@@ -41,7 +41,7 @@
 // Storage: the instruction, operand, member and duration arrays are
 // io::Columns. A compiled program owns them; a program loaded from a
 // snapshot (snapshot/snapshot.h, section 5) borrows them from the mapping
-// and borrows the meta table's duration column, so a served miss runs no
+// and borrows the graph's row duration column, so a served miss runs no
 // compile. Instr and Member are padding-free with zeroed reserved bytes:
 // their bytes are written verbatim and covered by the payload checksum.
 //
@@ -125,7 +125,6 @@ class ReplayProgram {
 
   std::size_t task_count() const { return task_count_; }
   std::size_t collective_count() const { return collective_count_; }
-  bool coupled() const { return coupled_; }
 
   /// The program itself, in execution order: one instruction per task and
   /// per rendezvous group, with the CSR operand and member arrays they
@@ -141,7 +140,6 @@ class ReplayProgram {
   std::size_t task_count_ = 0;
   std::size_t lane_count_ = 0;
   std::size_t collective_count_ = 0;
-  bool coupled_ = false;
 
   io::Column<Instr> instrs_;            ///< proven execution order
   io::Column<TaskId> operands_;         ///< CSR: effective predecessors
@@ -157,14 +155,10 @@ static_assert(sizeof(ReplayProgram::Member) == 12 &&
               std::has_unique_object_representations_v<ReplayProgram::Member>);
 
 /// Lowers a finalized graph into a ReplayProgram, or reports why it cannot.
+/// The program replaces runs with SimOptions::couple_collectives on, the
+/// setting every api path replays with.
 class ReplayCompiler {
  public:
-  struct Options {
-    /// Must match the SimOptions::couple_collectives of the runs the
-    /// program will replace (api paths always couple).
-    bool couple_collectives = true;
-  };
-
   struct Result {
     /// Null unless status == kCompiled.
     std::shared_ptr<const ReplayProgram> program;
@@ -172,16 +166,12 @@ class ReplayCompiler {
     explicit operator bool() const { return program != nullptr; }
   };
 
-  /// Pure function of (graph, options); never throws, never fails hard —
-  /// an unsupported construct is a fallback status, not an error. The
+  /// Pure function of the graph; never throws, never fails hard — an
+  /// unsupported construct is a fallback status, not an error. The
   /// returned program is self-contained (it copies the columns it reads)
   /// and does not keep the graph alive. Its output is part of the snapshot
   /// format: any change to it bumps snapshot::kFormatVersion.
-  static Result compile(const ExecutionGraph& graph,
-                        const Options& options);
-  static Result compile(const ExecutionGraph& graph) {
-    return compile(graph, Options{});
-  }
+  static Result compile(const ExecutionGraph& graph);
 };
 
 }  // namespace lumos::core

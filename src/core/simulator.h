@@ -27,8 +27,8 @@
 // precomputed CudaApi / collective flags instead of per-pick string parses,
 // pre-resolved sync targets, and materialized rendezvous groups. Task
 // structs (with their heap strings) are dereferenced only to serve user
-// hooks; with no hooks installed the simulator replays the meta duration
-// column directly.
+// hooks; with no hooks installed the simulator replays the rows' duration
+// column, which the meta table reads in place.
 //
 // Thread safety: run() is const and allocates all per-run state locally, so
 // any number of Simulators — or repeated runs of one Simulator — may execute

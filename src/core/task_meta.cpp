@@ -17,21 +17,6 @@ LaneId LaneTable::id_of(const Processor& p) const {
   return static_cast<LaneId>(*it);
 }
 
-TaskMeta TaskMetaTable::row(TaskId id) const {
-  TaskMeta m;
-  m.category = category(id);
-  m.cuda_api = cuda_api(id);
-  m.lane = lane(id);
-  m.duration_ns = duration_ns(id);
-  m.ts_ns = ts_ns(id);
-  m.name = name(id);
-  m.collective_op = collective_op(id);
-  m.collective_group = collective_group(id);
-  m.collective_instance = collective_instance(id);
-  m.group_index = group_index(id);
-  return m;
-}
-
 namespace {
 
 struct ProcessorHash {
@@ -57,6 +42,96 @@ struct PairHash {
 
 }  // namespace
 
+void LaneTable::index() {
+  // Lookup index + dense rank numbering (first-appearance order).
+  sorted_.resize(lanes_.size());
+  for (std::size_t i = 0; i < sorted_.size(); ++i) {
+    sorted_[i] = static_cast<std::uint32_t>(i);
+  }
+  std::sort(sorted_.begin(), sorted_.end(),
+            [this](std::uint32_t a, std::uint32_t b) {
+              return lanes_[a] < lanes_[b];
+            });
+  rank_index_.resize(lanes_.size());
+  rank_values_.clear();
+  std::map<std::int32_t, std::int32_t> rank_of;
+  for (std::size_t i = 0; i < lanes_.size(); ++i) {
+    auto [it, inserted] = rank_of.emplace(
+        lanes_[i].rank, static_cast<std::int32_t>(rank_of.size()));
+    if (inserted) rank_values_.push_back(lanes_[i].rank);
+    rank_index_[i] = it->second;
+  }
+
+  // GPU lanes per rank, ascending by stream id (the cudaDeviceSynchronize
+  // wait set): sorted_ walks Processors ascending, so each rank's GPU lanes
+  // land in ascending stream order.
+  gpu_offsets_.assign(rank_count() + 1, 0);
+  for (std::uint32_t lane : sorted_) {
+    if (lanes_[lane].gpu) {
+      ++gpu_offsets_[static_cast<std::size_t>(rank_index_[lane]) + 1];
+    }
+  }
+  for (std::size_t i = 1; i < gpu_offsets_.size(); ++i) {
+    gpu_offsets_[i] += gpu_offsets_[i - 1];
+  }
+  gpu_lane_ids_.resize(static_cast<std::size_t>(gpu_offsets_.back()));
+  std::vector<std::int32_t> fill(gpu_offsets_.begin(), gpu_offsets_.end() - 1);
+  for (std::uint32_t lane : sorted_) {
+    if (lanes_[lane].gpu) {
+      gpu_lane_ids_[static_cast<std::size_t>(
+          fill[static_cast<std::size_t>(rank_index_[lane])]++)] =
+          static_cast<LaneId>(lane);
+    }
+  }
+}
+
+bool TaskMetaTable::index() {
+  const trace::EventTable& ev = columns_->events();
+  cat_ = ev.category_column().data();
+  api_ = ev.cuda_api_column().data();
+  dur_ = ev.dur_column().data();
+  ts_ = ev.ts_column().data();
+  name_ = ev.name_column().data();
+
+  lanes_.index();
+
+  // GPU tasks per lane in id (= launch) order. Spans, because the
+  // non-const Column operator[] would copy a borrowed column.
+  const std::span<const std::uint8_t> flags = flags_.span();
+  const std::span<const LaneId> lane = lane_.span();
+  const std::size_t n = size();
+  gpu_task_offsets_.assign(lanes_.size() + 1, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (flags[i] & kGpu) {
+      ++gpu_task_offsets_[static_cast<std::size_t>(lane[i]) + 1];
+    }
+  }
+  for (std::size_t i = 1; i < gpu_task_offsets_.size(); ++i) {
+    gpu_task_offsets_[i] += gpu_task_offsets_[i - 1];
+  }
+  gpu_task_ids_.resize(static_cast<std::size_t>(gpu_task_offsets_.back()));
+  std::vector<std::int32_t> fill(gpu_task_offsets_.begin(),
+                                 gpu_task_offsets_.end() - 1);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (flags[i] & kGpu) {
+      gpu_task_ids_[static_cast<std::size_t>(
+          fill[static_cast<std::size_t>(lane[i])]++)] = static_cast<TaskId>(i);
+    }
+  }
+
+  // Group index from the member lists, so coupling means "listed in a
+  // group" and the two can never disagree.
+  group_idx_.assign(n, -1);
+  for (std::size_t gi = 0; gi < groups_.size(); ++gi) {
+    for (const TaskId m : groups_[gi].members) {
+      std::int32_t& slot = group_idx_[static_cast<std::size_t>(m)];
+      if (slot >= 0) return false;
+      slot = static_cast<std::int32_t>(gi);
+    }
+  }
+  return true;
+}
+
 TaskMetaTable TaskMetaTable::build(
     std::shared_ptr<const ColumnTaskSource> columns) {
   TaskMetaTable t;
@@ -65,13 +140,11 @@ TaskMetaTable TaskMetaTable::build(
   const trace::EventTable& ev = cols.events();
   const std::size_t n = cols.count();
   // Columns are filled as plain vectors, then moved into the table.
-  std::vector<std::uint8_t> cat(n), api(n), flags(n, 0);
+  std::vector<std::uint8_t> flags(n, 0);
   std::vector<LaneId> task_lane(n);
-  std::vector<std::uint32_t> name(n);
   std::vector<std::uint32_t> coll_op(n, trace::OpId::kInvalidIndex);
   std::vector<std::uint32_t> coll_group(n, trace::GroupId::kInvalidIndex);
   std::vector<std::int64_t> coll_instance(n, -1);
-  std::vector<std::int32_t> group_idx(n, -1);
   std::vector<LaneId> sync_lane(n, kInvalidLane);
   std::vector<TaskId> sync_before(n, kInvalidTask);
 
@@ -105,10 +178,6 @@ TaskMetaTable TaskMetaTable::build(
     }
     task_lane[i] = cached_lane;
 
-    cat[i] = static_cast<std::uint8_t>(ev.category(i));
-    api[i] = static_cast<std::uint8_t>(ev.cuda_api(i));  // classified at ingest
-    name[i] = ev.name_id(i).index;
-
     std::uint8_t f = processor.gpu ? kGpu : 0;
     if (const trace::OpId op = ev.collective_op(i); op.valid()) {
       const std::int64_t instance = ev.collective_instance(i);
@@ -119,12 +188,10 @@ TaskMetaTable TaskMetaTable::build(
       if (processor.gpu) {
         f |= kCollectiveKernel;
         if (instance >= 0) {
-          f |= kCoupled;
           auto [git, gnew] = group_of.try_emplace(
               std::make_pair(coll_group[i], instance),
               static_cast<std::int32_t>(t.groups_.size()));
           if (gnew) t.groups_.push_back({{coll_group[i]}, instance, {}});
-          group_idx[i] = git->second;
           t.groups_[static_cast<std::size_t>(git->second)]
               .members.push_back(id);
         }
@@ -132,82 +199,21 @@ TaskMetaTable TaskMetaTable::build(
     }
     flags[i] = f;
 
-    if (static_cast<trace::CudaApi>(api[i]) == trace::CudaApi::EventRecord &&
+    if (ev.cuda_api(i) == trace::CudaApi::EventRecord &&
         ev.cuda_event(i) >= 0) {
       // Later re-records of the same event id overwrite earlier ones, the
       // same way the CUDA runtime does.
       record_task[{processor.rank, ev.cuda_event(i)}] = id;
     }
   }
-
-  // Lane lookup index + dense rank numbering (first-appearance order).
-  LaneTable& lanes = t.lanes_;
-  lanes.sorted_.resize(lanes.lanes_.size());
-  for (std::size_t i = 0; i < lanes.sorted_.size(); ++i) {
-    lanes.sorted_[i] = static_cast<std::uint32_t>(i);
-  }
-  std::sort(lanes.sorted_.begin(), lanes.sorted_.end(),
-            [&lanes](std::uint32_t a, std::uint32_t b) {
-              return lanes.lanes_[a] < lanes.lanes_[b];
-            });
-  lanes.rank_index_.resize(lanes.lanes_.size());
-  std::map<std::int32_t, std::int32_t> rank_of;
-  for (std::size_t i = 0; i < lanes.lanes_.size(); ++i) {
-    auto [it, inserted] = rank_of.emplace(
-        lanes.lanes_[i].rank, static_cast<std::int32_t>(rank_of.size()));
-    if (inserted) lanes.rank_values_.push_back(lanes.lanes_[i].rank);
-    lanes.rank_index_[i] = it->second;
-  }
-
-  // GPU lanes per rank, ascending by stream id (the cudaDeviceSynchronize
-  // wait set), and GPU tasks per lane in id (= launch) order.
-  lanes.gpu_offsets_.assign(lanes.rank_count() + 1, 0);
-  for (std::uint32_t lane : lanes.sorted_) {
-    if (lanes.lanes_[lane].gpu) {
-      ++lanes.gpu_offsets_[static_cast<std::size_t>(
-                               lanes.rank_index_[lane]) +
-                           1];
-    }
-  }
-  for (std::size_t i = 1; i < lanes.gpu_offsets_.size(); ++i) {
-    lanes.gpu_offsets_[i] += lanes.gpu_offsets_[i - 1];
-  }
-  lanes.gpu_lane_ids_.resize(
-      static_cast<std::size_t>(lanes.gpu_offsets_.back()));
-  {
-    std::vector<std::int32_t> fill(lanes.gpu_offsets_.begin(),
-                                   lanes.gpu_offsets_.end() - 1);
-    // sorted_ walks Processors ascending, so each rank's GPU lanes land in
-    // ascending stream order.
-    for (std::uint32_t lane : lanes.sorted_) {
-      if (lanes.lanes_[lane].gpu) {
-        lanes.gpu_lane_ids_[static_cast<std::size_t>(
-            fill[static_cast<std::size_t>(lanes.rank_index_[lane])]++)] =
-            static_cast<LaneId>(lane);
-      }
-    }
-  }
-
-  std::vector<std::int32_t> gpu_offsets(lanes.size() + 1, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (flags[i] & kGpu) {
-      ++gpu_offsets[static_cast<std::size_t>(task_lane[i]) + 1];
-    }
-  }
-  for (std::size_t i = 1; i < gpu_offsets.size(); ++i) {
-    gpu_offsets[i] += gpu_offsets[i - 1];
-  }
-  std::vector<TaskId> gpu_ids(static_cast<std::size_t>(gpu_offsets.back()));
-  {
-    std::vector<std::int32_t> fill(gpu_offsets.begin(), gpu_offsets.end() - 1);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (flags[i] & kGpu) {
-        gpu_ids[static_cast<std::size_t>(
-            fill[static_cast<std::size_t>(task_lane[i])]++)] =
-            static_cast<TaskId>(i);
-      }
-    }
-  }
+  t.flags_ = std::move(flags);
+  t.lane_ = std::move(task_lane);
+  t.coll_op_ = std::move(coll_op);
+  t.coll_group_ = std::move(coll_group);
+  t.coll_instance_ = std::move(coll_instance);
+  // Pass 1 lists each member once, so indexing cannot fail here; pass 2
+  // needs the lane lookup index.
+  t.index();
 
   // Pass 2: pre-resolve runtime-dependency targets, now that every lane
   // exists. Semantics mirror the simulator's former per-run lookups: a
@@ -216,9 +222,9 @@ TaskMetaTable TaskMetaTable::build(
   // stream its (rank-local) EventRecord targeted, bounded by the record's
   // id; unresolvable targets mean "no runtime blocker".
   for (std::size_t i = 0; i < n; ++i) {
-    switch (static_cast<trace::CudaApi>(api[i])) {
+    switch (ev.cuda_api(i)) {
       case trace::CudaApi::StreamSynchronize:
-        sync_lane[i] = lanes.id_of({cols.rank(i), true, ev.stream(i)});
+        sync_lane[i] = t.lanes_.id_of({cols.rank(i), true, ev.stream(i)});
         sync_before[i] = static_cast<TaskId>(i);
         break;
       case trace::CudaApi::EventSynchronize: {
@@ -226,7 +232,7 @@ TaskMetaTable TaskMetaTable::build(
         if (it == record_task.end()) break;
         const auto record = static_cast<std::size_t>(it->second);
         sync_lane[i] =
-            lanes.id_of({cols.rank(record), true, ev.stream(record)});
+            t.lanes_.id_of({cols.rank(record), true, ev.stream(record)});
         sync_before[i] = it->second;
         break;
       }
@@ -235,24 +241,8 @@ TaskMetaTable TaskMetaTable::build(
     }
   }
 
-  t.cat_ = std::move(cat);
-  t.api_ = std::move(api);
-  t.flags_ = std::move(flags);
-  t.lane_ = std::move(task_lane);
-  t.dur_ = std::vector<std::int64_t>(ev.dur_column().begin(),
-                                     ev.dur_column().end());
-  t.ts_ = std::vector<std::int64_t>(ev.ts_column().begin(),
-                                    ev.ts_column().end());
-  t.name_ = std::move(name);
-  t.coll_op_ = std::move(coll_op);
-  t.coll_group_ = std::move(coll_group);
-  t.coll_instance_ = std::move(coll_instance);
-  t.group_idx_ = std::move(group_idx);
   t.sync_lane_ = std::move(sync_lane);
   t.sync_before_ = std::move(sync_before);
-  t.gpu_task_offsets_ = std::move(gpu_offsets);
-  t.gpu_task_ids_ = std::move(gpu_ids);
-
   return t;
 }
 

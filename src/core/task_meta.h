@@ -7,31 +7,38 @@
 // would mean heap-string map keys (std::map<Processor, ...>, GroupKey{
 // std::string, ...}) and a pass over ~20 event columns per pick.
 // TaskMetaTable performs that classification once, when a graph is
-// finalized, into flat structure-of-arrays columns of PODs:
+// finalized, and keeps one copy of each fact:
 //
-//   - LaneTable maps each distinct Processor (one CPU thread or one CUDA
-//     stream of one rank) to a dense LaneId, so per-processor simulator
-//     state is a vector indexed by lane instead of an ordered map keyed by
-//     struct comparison;
-//   - event names / collective ops / communicator groups are the interned
-//     trace::StringPool handles the producers already wrote (resolve them
-//     back to text only at report boundaries) — classification copies ids,
-//     it never re-interns;
-//   - runtime-dependency targets (which stream a cudaStreamSynchronize
-//     waits on, which EventRecord a cudaEventSynchronize resolves to) are
-//     pre-resolved to LaneId / TaskId;
-//   - collective rendezvous groups (comm group x instance) are materialized
-//     as dense member lists.
+//   - read in place: category, CUDA API, duration, profiled ts and name are
+//     the rows' own event columns, viewed once when the table is indexed,
+//     so a hot-path read is one indexed load and the table copies none of
+//     them;
+//   - classified and stored: per-task flags, the task's dense LaneId,
+//     collective op / group / instance (gathered through the sparse
+//     side-table), the pre-resolved runtime-dependency targets (which lane
+//     a cudaStreamSynchronize waits on, which EventRecord a
+//     cudaEventSynchronize resolves to), the lanes themselves and the
+//     rendezvous member lists (comm group x instance);
+//   - derived by index() from those: the LaneTable's lookup, rank and
+//     GPU-lane indexes, the GPU tasks per lane, and each task's rendezvous
+//     group index. build() and the snapshot loader both end in index(), so
+//     a loaded table holds no index the file supplied.
+//
+// Event names / collective ops / communicator groups are the interned
+// trace::StringPool handles the producers already wrote (resolve them back
+// to text only at report boundaries) — classification copies ids, it never
+// re-interns.
 //
 // The table is owned by ExecutionGraph, built lazily under the same
 // double-checked locking discipline as the adjacency index (or eagerly via
 // ExecutionGraph::finalize(), which every producer calls), and shared
 // across graph copies — it depends only on the task payload, never on the
 // edge set. It keeps the column payload it was classified from (columns()),
-// so consumers that need the rest of a task's row read it there. All
-// build-order choices (lane ids, group ids) are deterministic functions of
-// the task sequence, so identical graphs yield identical tables and
-// api::Sweep's sequential-vs-parallel bit-identity is preserved.
+// which must not change while the table lives: ExecutionGraph clones shared
+// rows before it appends to or reserves them. All build-order choices (lane
+// ids, group ids) are deterministic functions of the task sequence, so
+// identical graphs yield identical tables and api::Sweep's
+// sequential-vs-parallel bit-identity is preserved.
 #pragma once
 
 #include <cstdint>
@@ -94,6 +101,9 @@ class LaneTable {
   friend class TaskMetaTable;
   friend struct lumos::snapshot::Access;
 
+  /// Derives every member below lanes_ from lanes_.
+  void index();
+
   std::vector<Processor> lanes_;          ///< by LaneId
   std::vector<std::uint32_t> sorted_;     ///< lane ids sorted by Processor
   std::vector<std::int32_t> rank_index_;  ///< per lane, dense
@@ -108,22 +118,6 @@ struct CollectiveGroupMeta {
   trace::GroupId group;
   std::int64_t instance = -1;
   std::vector<TaskId> members;
-};
-
-/// Flat per-task metadata row — every field the simulate/analyze hot paths
-/// read, gathered from the structure-of-arrays columns. Plain POD: no
-/// strings, no optionals, no pointers.
-struct TaskMeta {
-  trace::EventCategory category = trace::EventCategory::CpuOp;
-  trace::CudaApi cuda_api = trace::CudaApi::None;
-  LaneId lane = kInvalidLane;
-  std::int64_t duration_ns = 0;
-  std::int64_t ts_ns = 0;            ///< profiled start (queue tie-break key)
-  trace::NameId name;
-  trace::OpId collective_op;         ///< invalid for non-collectives
-  trace::GroupId collective_group;   ///< invalid for non-collectives
-  std::int64_t collective_instance = -1;
-  std::int32_t group_index = -1;     ///< rendezvous group, -1 when uncoupled
 };
 
 class TaskMetaTable {
@@ -168,10 +162,11 @@ class TaskMetaTable {
   bool is_collective_kernel(TaskId id) const {
     return (flags_[idx(id)] & kCollectiveKernel) != 0;
   }
-  /// Collective kernel with a known rendezvous instance — the set the
-  /// simulator couples when SimOptions::couple_collectives is on.
+  /// Listed in a rendezvous group: a collective kernel with a known
+  /// instance — the set the simulator couples when
+  /// SimOptions::couple_collectives is on.
   bool is_coupled_collective(TaskId id) const {
-    return (flags_[idx(id)] & kCoupled) != 0;
+    return group_idx_[idx(id)] >= 0;
   }
   /// Pipeline point-to-point transfer (op "send"/"recv"): starts at the
   /// rendezvous rather than at its own arrival.
@@ -188,9 +183,6 @@ class TaskMetaTable {
   /// The "launched before" bound for the sync search: the task's own id for
   /// StreamSynchronize, the EventRecord's id for EventSynchronize.
   TaskId sync_before(TaskId id) const { return sync_before_[idx(id)]; }
-
-  /// Gathers one row (tests, debugging; hot paths read columns directly).
-  TaskMeta row(TaskId id) const;
 
   // -- derived tables --------------------------------------------------------
   const LaneTable& lanes() const { return lanes_; }
@@ -234,6 +226,13 @@ class TaskMetaTable {
   friend struct lumos::snapshot::Access;
 
   static std::size_t idx(TaskId id) { return static_cast<std::size_t>(id); }
+
+  /// Derives everything below the stored columns from them: the views of
+  /// the rows' event columns, the lane table's indexes, the GPU-task CSR
+  /// and the group index. Member ids must index the rows. Returns false
+  /// when a task is listed in more than one rendezvous slot.
+  bool index();
+
   static std::string_view view(const trace::StringPool& pool,
                                std::uint32_t id) {
     return id == trace::NameId::kInvalidIndex ? std::string_view{}
@@ -243,32 +242,33 @@ class TaskMetaTable {
   enum Flag : std::uint8_t {
     kGpu = 1u << 0,
     kCollectiveKernel = 1u << 1,
-    kCoupled = 1u << 2,
-    kP2p = 1u << 3,
+    kP2p = 1u << 2,
   };
 
-  // Structure-of-arrays columns, indexed by TaskId. io::Column: owned on
-  // the build path, zero-copy views of the mapping on the snapshot path.
-  io::Column<std::uint8_t> cat_;
-  io::Column<std::uint8_t> api_;
+  // Stored: what build() classifies and snapshots keep. io::Column: owned
+  // on the build path, zero-copy views of the mapping on the snapshot path.
   io::Column<std::uint8_t> flags_;
   io::Column<LaneId> lane_;
-  io::Column<std::int64_t> dur_;
-  io::Column<std::int64_t> ts_;
-  io::Column<std::uint32_t> name_;
   io::Column<std::uint32_t> coll_op_;
   io::Column<std::uint32_t> coll_group_;
   io::Column<std::int64_t> coll_instance_;
-  io::Column<std::int32_t> group_idx_;
   io::Column<LaneId> sync_lane_;
   io::Column<TaskId> sync_before_;
-
   LaneTable lanes_;
-  io::Column<std::int32_t> gpu_task_offsets_;  ///< CSR over lanes
-  io::Column<TaskId> gpu_task_ids_;
   std::vector<CollectiveGroupMeta> groups_;
-
   std::shared_ptr<const ColumnTaskSource> columns_;
+
+  // Read in place: columns_'s event columns, viewed by index().
+  const std::uint8_t* cat_ = nullptr;
+  const std::uint8_t* api_ = nullptr;
+  const std::int64_t* dur_ = nullptr;
+  const std::int64_t* ts_ = nullptr;
+  const std::uint32_t* name_ = nullptr;
+
+  // Derived by index().
+  std::vector<std::int32_t> group_idx_;         ///< -1 when uncoupled
+  std::vector<std::int32_t> gpu_task_offsets_;  ///< CSR over lanes
+  std::vector<TaskId> gpu_task_ids_;
 };
 
 }  // namespace lumos::core

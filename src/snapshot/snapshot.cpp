@@ -67,8 +67,11 @@ std::size_t align8(std::size_t n) { return (n + 7u) & ~std::size_t{7}; }
 /// 8-aligned and the reader can view columns in place without fixup.
 class Buffer {
  public:
+  /// Starts with `prefix` zero bytes (room for the header and table).
+  explicit Buffer(std::size_t prefix) : bytes_(prefix, '\0') {}
+
   std::size_t size() const { return bytes_.size(); }
-  const std::string& bytes() const { return bytes_; }
+  std::string& bytes() { return bytes_; }
 
   template <class T>
   void put(T v) {
@@ -157,13 +160,6 @@ class Cursor {
     const std::span<const T> s = get_span<T>();
     if (s.empty()) return {};
     return io::Column<T>::borrow(s.data(), s.size(), keepalive_);
-  }
-
-  /// Owned copy (for the small rebuild-at-load structures).
-  template <class T>
-  std::vector<T> get_vector() {
-    const std::span<const T> s = get_span<T>();
-    return {s.begin(), s.end()};
   }
 
   std::string_view get_bytes() {
@@ -290,23 +286,18 @@ struct Access {
     f(t.gemm_.k, Domain::kNone);
   }
 
+  /// The meta table's stored columns. What it reads in place (the rows'
+  /// event columns) and what it derives (TaskMetaTable::index) are not
+  /// written.
   template <class Table, class F>
   static void visit_meta_columns(Table& t, F&& f) {
-    f(t.cat_, Domain::kNone);
-    f(t.api_, Domain::kNone);
     f(t.flags_, Domain::kNone);
     f(t.lane_, Domain::kNone);
-    f(t.dur_, Domain::kNone);
-    f(t.ts_, Domain::kNone);
-    f(t.name_, Domain::kName);
     f(t.coll_op_, Domain::kOp);
     f(t.coll_group_, Domain::kGroup);
     f(t.coll_instance_, Domain::kNone);
-    f(t.group_idx_, Domain::kNone);
     f(t.sync_lane_, Domain::kNone);
     f(t.sync_before_, Domain::kNone);
-    f(t.gpu_task_offsets_, Domain::kNone);
-    f(t.gpu_task_ids_, Domain::kNone);
   }
 
   /// Rejects an event table whose per-event columns disagree with `rows`
@@ -323,13 +314,13 @@ struct Access {
                                std::size_t lanes);
 
   /// The program section: the instruction, operand and member records.
-  /// Writes nothing (an empty section) unless `p` is coupled and sized for
-  /// `meta`, the only program read_program() can install.
+  /// Writes nothing (an empty section) unless `p` is sized for `meta`, the
+  /// only program read_program() can install.
   static void write_program(Buffer& buf, const core::ReplayProgram& p,
                             const core::TaskMetaTable& meta);
   /// Maps a non-empty program section over `meta`'s graph, bounds-checked
   /// so that run() stays in range on any image; durations are borrowed
-  /// from `meta`.
+  /// from the graph's row `dur` column.
   static std::shared_ptr<const core::ReplayProgram> read_program(
       Cursor& cur, const core::TaskMetaTable& meta);
 
@@ -338,25 +329,18 @@ struct Access {
       trace::ClusterTrace& t) {
     return t.pools_;
   }
-  template <class LT>
-  static auto& lt_lanes(LT& t) { return t.lanes_; }
-  template <class LT>
-  static auto& lt_sorted(LT& t) { return t.sorted_; }
-  template <class LT>
-  static auto& lt_rank_index(LT& t) { return t.rank_index_; }
-  template <class LT>
-  static auto& lt_rank_values(LT& t) { return t.rank_values_; }
-  template <class LT>
-  static auto& lt_gpu_offsets(LT& t) { return t.gpu_offsets_; }
-  template <class LT>
-  static auto& lt_gpu_lane_ids(LT& t) { return t.gpu_lane_ids_; }
   template <class MT>
-  static auto& meta_lane_table(MT& t) { return t.lanes_; }
+  static auto& meta_lanes(MT& t) { return t.lanes_.lanes_; }
   template <class MT>
   static auto& meta_groups(MT& t) { return t.groups_; }
-  static std::shared_ptr<const core::ColumnTaskSource>& meta_columns(
-      core::TaskMetaTable& t) {
-    return t.columns_;
+  /// Installs the rows and derives the indexes (TaskMetaTable::index)
+  /// over the checked stored columns.
+  static void index_meta(core::TaskMetaTable& t,
+                         std::shared_ptr<const core::ColumnTaskSource> rows) {
+    t.columns_ = std::move(rows);
+    if (!t.index()) {
+      fail_corrupt("graph section: rendezvous member listed twice");
+    }
   }
   static std::vector<core::Edge>& graph_edges(core::ExecutionGraph& g) {
     return g.edges_;
@@ -411,9 +395,8 @@ void Access::check_event_lengths(const trace::EventTable& t, std::size_t rows,
 
 void Access::check_meta_lengths(const core::TaskMetaTable& t,
                                 std::size_t rows) {
-  expect_rows(rows, "graph section: meta", t.cat_, t.api_, t.flags_, t.lane_,
-              t.dur_, t.ts_, t.name_, t.coll_op_, t.coll_group_,
-              t.coll_instance_, t.group_idx_, t.sync_lane_, t.sync_before_);
+  expect_rows(rows, "graph section: meta", t.flags_, t.lane_, t.coll_op_,
+              t.coll_group_, t.coll_instance_, t.sync_lane_, t.sync_before_);
 }
 
 namespace {
@@ -441,7 +424,7 @@ void Access::check_meta_lanes(const core::TaskMetaTable& t,
 
 void Access::write_program(Buffer& buf, const core::ReplayProgram& p,
                            const core::TaskMetaTable& meta) {
-  if (!p.coupled_ || p.task_count_ != meta.size() ||
+  if (p.task_count_ != meta.size() ||
       p.lane_count_ != meta.lanes().size() ||
       p.collective_count_ != meta.collective_groups().size()) {
     return;
@@ -461,11 +444,10 @@ std::shared_ptr<const core::ReplayProgram> Access::read_program(
   program->task_count_ = tasks;
   program->lane_count_ = lanes;
   program->collective_count_ = groups;
-  program->coupled_ = true;
   program->instrs_ = cur.get_column<Program::Instr>();
   program->operands_ = cur.get_column<core::TaskId>();
   program->members_ = cur.get_column<Program::Member>();
-  program->durations_ = meta.dur_;
+  program->durations_ = meta.columns().events().dur_;
 
   // One instruction per task and per group: with the count equal to
   // tasks + groups, a slot seen twice is the only way to miss one.
@@ -633,14 +615,13 @@ void write_graph(Buffer& buf, const core::ExecutionGraph& graph,
   buf.put_array(cols.lane_column().data(), cols.count());
   write_event_table(buf, cols.events(), pools);
 
-  // The finalized meta table: per-task columns, the lane table, and the
-  // collective rendezvous groups.
+  // The finalized meta table's stored columns, its lanes and the
+  // collective rendezvous groups; the loader re-derives the rest.
   buf.put(static_cast<std::uint64_t>(meta.size()));
   Access::visit_meta_columns(meta,
                              ColumnWriter{buf, pools.remap_for(*meta.pools())});
 
-  const core::LaneTable& lt = meta.lanes();
-  const std::vector<core::Processor>& lanes = Access::lt_lanes(lt);
+  const std::vector<core::Processor>& lanes = Access::meta_lanes(meta);
   std::vector<std::int32_t> lane_rank(lanes.size());
   std::vector<std::uint8_t> lane_gpu(lanes.size());
   std::vector<std::int64_t> lane_lane(lanes.size());
@@ -652,11 +633,6 @@ void write_graph(Buffer& buf, const core::ExecutionGraph& graph,
   buf.put_array(lane_rank);
   buf.put_array(lane_gpu);
   buf.put_array(lane_lane);
-  buf.put_array(Access::lt_sorted(lt));
-  buf.put_array(Access::lt_rank_index(lt));
-  buf.put_array(Access::lt_rank_values(lt));
-  buf.put_array(Access::lt_gpu_offsets(lt));
-  buf.put_array(Access::lt_gpu_lane_ids(lt));
 
   const PoolsRemap& remap = pools.remap_for(*meta.pools());
   const std::vector<core::CollectiveGroupMeta>& groups =
@@ -724,7 +700,6 @@ std::shared_ptr<const core::ExecutionGraph> read_graph(
   Access::visit_meta_columns(meta, ColumnReader{cur});
   Access::check_meta_lengths(meta, tasks);
 
-  core::LaneTable& lt = Access::meta_lane_table(meta);
   const std::span<const std::int32_t> lane_rank = cur.get_span<std::int32_t>();
   const std::span<const std::uint8_t> lane_gpu = cur.get_span<std::uint8_t>();
   const std::span<const std::int64_t> lane_lane = cur.get_span<std::int64_t>();
@@ -732,17 +707,12 @@ std::shared_ptr<const core::ExecutionGraph> read_graph(
       lane_rank.size() != lane_lane.size()) {
     fail_corrupt("graph section: lane column length mismatch");
   }
-  std::vector<core::Processor>& lanes = Access::lt_lanes(lt);
+  std::vector<core::Processor>& lanes = Access::meta_lanes(meta);
   lanes.resize(lane_rank.size());
   for (std::size_t i = 0; i < lanes.size(); ++i) {
     lanes[i] = {lane_rank[i], lane_gpu[i] != 0, lane_lane[i]};
   }
   Access::check_meta_lanes(meta, lanes.size());
-  Access::lt_sorted(lt) = cur.get_vector<std::uint32_t>();
-  Access::lt_rank_index(lt) = cur.get_vector<std::int32_t>();
-  Access::lt_rank_values(lt) = cur.get_vector<std::int32_t>();
-  Access::lt_gpu_offsets(lt) = cur.get_vector<std::int32_t>();
-  Access::lt_gpu_lane_ids(lt) = cur.get_vector<core::LaneId>();
 
   const std::span<const std::uint32_t> group_id =
       cur.get_span<std::uint32_t>();
@@ -772,7 +742,8 @@ std::shared_ptr<const core::ExecutionGraph> read_graph(
     groups[i].members.assign(members.begin() + static_cast<std::ptrdiff_t>(lo),
                              members.begin() + static_cast<std::ptrdiff_t>(hi));
   }
-  Access::meta_columns(meta) = std::move(columns);
+  // Lane and member ids are in range now, so every derived index is too.
+  Access::index_meta(meta, std::move(columns));
 
   Access::install_meta(
       *graph, std::make_shared<const core::TaskMetaTable>(std::move(meta)));
@@ -784,54 +755,44 @@ std::shared_ptr<const core::ExecutionGraph> read_graph(
 void write(const std::string& path, const Bundle& bundle) {
   WriterPools pools;
 
-  // Section payloads. Build order matters: trace and graph intern into the
-  // canonical pools, which are serialized last (complete), but placed
-  // before them in the file so the loader rebuilds pools first.
-  Buffer meta_buf;
-  meta_buf.put_bytes(bundle.meta_json);
-
-  Buffer trace_buf;
-  const trace::ClusterTrace& trace = *bundle.trace;
-  trace_buf.put(static_cast<std::uint64_t>(trace.ranks.size()));
-  for (const trace::RankTrace& rank : trace.ranks) {
-    trace_buf.put(rank.rank);
-    write_event_table(trace_buf, rank.events, pools);
-  }
-
-  Buffer graph_buf;
-  write_graph(graph_buf, *bundle.graph, pools);
-
-  Buffer program_buf;
-  if (bundle.program != nullptr) {
-    Access::write_program(program_buf, *bundle.program, bundle.graph->meta());
-  }
-
-  Buffer pools_buf;
-  write_pool(pools_buf, pools.out->names);
-  write_pool(pools_buf, pools.out->ops);
-  write_pool(pools_buf, pools.out->groups);
-
-  // Assemble: header, section table, payload in loader order.
-  const Buffer* sections[] = {&meta_buf, &pools_buf, &trace_buf, &graph_buf,
-                              &program_buf};
-  const std::uint32_t ids[] = {kSectionMeta, kSectionPools, kSectionTrace,
-                               kSectionGraph, kSectionProgram};
+  // One image, sections in the order they are produced: trace and graph
+  // intern into the canonical pools, so the pools are serialized last
+  // (complete). The loader finds each section through the table and
+  // rebuilds the pools first. Header and table fill the zeroed prefix once
+  // the payload is complete.
   constexpr std::size_t kSectionCount = 5;
   const std::size_t payload_start =
       sizeof(Header) + kSectionCount * sizeof(SectionEntry);
-
-  // Sized once: growing by appends would copy (and fault in) the image
-  // again each time the capacity doubles.
-  std::size_t file_size = payload_start;
-  for (const Buffer* section : sections) file_size += section->size();
-  std::string file_bytes(payload_start, '\0');
-  file_bytes.reserve(file_size);
+  Buffer image(payload_start);
   SectionEntry table[kSectionCount];
-  for (std::size_t i = 0; i < kSectionCount; ++i) {
-    table[i] = {ids[i], 0, file_bytes.size(), sections[i]->size()};
-    file_bytes += sections[i]->bytes();
-  }
+  std::size_t sections = 0;
+  const auto section = [&](std::uint32_t id, auto&& emit) {
+    const std::size_t offset = image.size();
+    emit();
+    table[sections++] = {id, 0, offset, image.size() - offset};
+  };
+  section(kSectionMeta, [&] { image.put_bytes(bundle.meta_json); });
+  section(kSectionTrace, [&] {
+    const trace::ClusterTrace& trace = *bundle.trace;
+    image.put(static_cast<std::uint64_t>(trace.ranks.size()));
+    for (const trace::RankTrace& rank : trace.ranks) {
+      image.put(rank.rank);
+      write_event_table(image, rank.events, pools);
+    }
+  });
+  section(kSectionGraph, [&] { write_graph(image, *bundle.graph, pools); });
+  section(kSectionProgram, [&] {
+    if (bundle.program != nullptr) {
+      Access::write_program(image, *bundle.program, bundle.graph->meta());
+    }
+  });
+  section(kSectionPools, [&] {
+    write_pool(image, pools.out->names);
+    write_pool(image, pools.out->ops);
+    write_pool(image, pools.out->groups);
+  });
 
+  std::string& file_bytes = image.bytes();
   Header header{};
   std::memcpy(header.magic, kMagic, sizeof(kMagic));
   header.version = kFormatVersion;

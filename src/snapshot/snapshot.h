@@ -2,29 +2,36 @@
 //
 // A snapshot is the flat, load-ready image of everything a prediction
 // reads: the columnar ClusterTrace (trace::EventTable per rank + the shared
-// TracePools), the parsed ExecutionGraph (edges, task payloads, and the
-// fully built TaskMetaTable with its LaneTable / rendezvous groups), the
-// graph's compiled core::ReplayProgram, plus an opaque api-layer metadata
-// JSON (scenario, model, config). Loading is io::MappedFile + offset
-// fixup: every O(events) / O(tasks) column comes back as an io::Column
-// borrow straight into the mapping — no JSON, no re-parse, no re-finalize,
-// no re-compile, no per-event allocation. Only the small structures
-// (string pools, lane table, groups, edge list) are rebuilt owning.
+// TracePools), the parsed ExecutionGraph (edges, task rows, and the stored
+// columns of its TaskMetaTable: flags, lanes, collective ids, sync targets,
+// the lane list and the rendezvous member lists), the graph's compiled
+// core::ReplayProgram, plus an opaque api-layer metadata JSON (scenario,
+// model, config). Loading is io::MappedFile + offset fixup: every
+// O(events) / O(tasks) column comes back as an io::Column borrow straight
+// into the mapping — no JSON, no re-parse, no re-classification, no
+// re-compile, no per-event allocation. The small structures (string pools,
+// lanes, groups, edge list) are rebuilt owning, and the meta table's
+// indexes are re-derived (below).
 //
-// Layout (format v2, little-endian, every section 8-byte aligned):
+// Layout (format v3, little-endian, every section 8-byte aligned):
 //
 //   Header   { magic "LUMOSNAP", version, section count, content hash,
 //              payload FNV, file size }
 //   Sections [ {id, offset, length} ... ]
-//   Payload  meta-JSON | pools | trace columns | graph columns | program
+//   Payload  meta-JSON | trace columns | graph columns | program | pools
 //
-// The program section (id 5) holds the instruction records, the operand
-// ids and the rendezvous member records as length-prefixed arrays. It
-// stores no counts (the graph's meta table has them) and no durations: the
-// loaded program borrows the meta table's duration column. A bundle
-// without a program writes an empty section and loads with
-// `program == nullptr`; the api layer compiles before it saves, so there a
-// null program means the graph does not compile.
+// Sections appear in the order write() produces them; the loader finds
+// each through the table and rebuilds the pools first. The graph section
+// stores what TaskMetaTable classifies, not what it reads in place
+// (category, CUDA API, duration, ts and name are the rows' event columns)
+// nor what it derives (the lane lookup / rank / GPU-lane indexes, the GPU
+// tasks per lane and the group index). The program section (id 5) holds the
+// instruction records, the operand ids and the rendezvous member records as
+// length-prefixed arrays. It stores no counts (the graph's meta table has
+// them) and no durations: the loaded program borrows the graph's row `dur`
+// column. A bundle without a program writes an empty section and loads
+// with `program == nullptr`; the api layer compiles before it saves, so
+// there a null program means the graph does not compile.
 //
 // The header pins two digests: `content_hash` is trace::content_hash of
 // the embedded trace (the serving layer's cache key — readable via peek()
@@ -32,20 +39,28 @@
 // over the payload bytes (verified on every load, so truncation and
 // bit-flips surface as Error{kCorrupt} instead of garbage predictions).
 //
-// What load checks, and what it trusts. The checksum guards integrity, not
-// authenticity, so the loader also bounds-checks every id a consumer
-// indexes with: edge endpoints, rendezvous members and meta lane ids in
-// the graph section, and in the program section one instruction per task
-// and per group, ops, task / group / lane ids, CSR ranges, operand and
-// member ids, and positive durations. That
-// makes ReplayProgram::run memory-safe on any image. What it trusts, as it
-// trusts the stored meta table without re-classifying it, is the compiler's
-// lane-order proof: re-proving it would cost a compile. A crafted image
-// with a recomputed checksum can already steer a prediction through its
-// graph columns; a stored program adds no new class of silent error, only
-// staleness across builds. Hence the version rule: any change to the
-// bytes write() emits — including ReplayCompiler's output for a graph —
-// bumps kFormatVersion, and load() rejects every other version.
+// What load re-derives, checks and trusts. The checksum guards integrity,
+// not authenticity, so the loader
+//   - checks every stored id a consumer indexes with: edge endpoints,
+//     meta lane ids (and resolved sync lanes), rendezvous member ids, and
+//     in the program section one instruction per task and per group, ops,
+//     task / group / lane ids, CSR ranges, operand and member ids, and
+//     positive durations;
+//   - re-derives every index after those checks (TaskMetaTable::index, the
+//     code build() runs), so the lane table, the GPU-task CSR and the group
+//     index are in range by construction, and a task listed in two
+//     rendezvous slots is rejected;
+//   - trusts the classification itself (flags, collective ids, sync
+//     targets: re-classifying would rebuild the hash maps build() uses)
+//     and the compiler's lane-order proof (re-proving it would cost a
+//     compile). Still unchecked: pool ids in the id columns and the event
+//     side-table indices.
+// ReplayProgram::run is memory-safe on any image. A crafted image with a
+// recomputed checksum can already steer a prediction through its graph
+// columns; a stored program adds no new class of silent error, only
+// staleness across builds. Hence the version rule: any change to the bytes
+// write() emits — including ReplayCompiler's output for a graph — bumps
+// kFormatVersion, and load() rejects every other version.
 //
 // Lifetime rule (the mmap footgun): every borrowed column aliases the
 // mapping and pins it via shared_ptr keepalive, so tables, the graph, the
@@ -74,7 +89,7 @@ namespace lumos::snapshot {
 
 /// On-disk format version written by this build; load() rejects others
 /// with Error{kVersion}.
-inline constexpr std::uint32_t kFormatVersion = 2;
+inline constexpr std::uint32_t kFormatVersion = 3;
 
 enum class ErrorKind : std::uint8_t {
   kIo,       ///< file missing / unreadable / unwritable
@@ -102,8 +117,8 @@ struct Bundle {
   std::shared_ptr<const trace::ClusterTrace> trace;
   std::shared_ptr<const core::ExecutionGraph> graph;
   /// ReplayCompiler::compile(*graph).program, or null. write() stores it
-  /// only when it is coupled and sized for `graph` (anything else writes
-  /// an empty section); load() returns it checked, or null.
+  /// only when it is sized for `graph` (anything else writes an empty
+  /// section); load() returns it checked, or null.
   std::shared_ptr<const core::ReplayProgram> program;
   std::uint64_t content_hash = 0;
 };
@@ -119,8 +134,8 @@ struct Bundle {
 void write(const std::string& path, const Bundle& bundle);
 
 /// Maps `path` and reconstructs the bundle zero-copy. Verifies magic,
-/// version, structure, the payload checksum and the bounds listed above.
-/// Throws Error.
+/// version, structure, the payload checksum and the bounds listed above,
+/// and re-derives the meta table's indexes. Throws Error.
 Bundle load(const std::string& path);
 
 /// Reads just the header and returns the pinned content hash — the cheap

@@ -10,7 +10,6 @@
 #include <string_view>
 #include <vector>
 
-#include "json/json.h"
 #include "trace/event.h"
 
 namespace lumos::trace {
@@ -30,22 +29,14 @@ struct IoOptions {
   std::size_t ingest_workers = 0;
 };
 
-/// Serializes a rank trace to a Chrome-trace JSON value (DOM form). The
-/// hot emit path is to_json_string / JsonWriter (src/trace/json_writer.h),
-/// which streams the EventTable columns without building this tree; the
-/// two are byte-identical when serialized and golden-tested to stay so.
-json::Value to_json(const RankTrace& trace);
-
-/// Parses a Chrome-trace JSON value into a rank trace. Unknown categories
-/// are skipped (real Kineto traces contain many auxiliary event types).
-/// Throws json::TypeError / std::out_of_range on structurally invalid input.
-RankTrace rank_trace_from_json(const json::Value& root);
-
 /// Serializes to a JSON string (compact by default). Streams the table
 /// columns through trace::JsonWriter — no JSON DOM is materialized.
 std::string to_json_string(const RankTrace& trace, int indent = -1);
 
-/// Parses a JSON string.
+/// Parses a JSON string through the SAX fast path. Unknown categories are
+/// skipped (real Kineto traces contain many auxiliary event types). Throws
+/// json::ParseError / json::TypeError / std::out_of_range on structurally
+/// invalid input.
 RankTrace rank_trace_from_json_string(std::string_view text);
 
 /// Parses Chrome-trace JSON into `trace` in place via the SAX fast path,

@@ -66,6 +66,9 @@ class EventTable {
   // -- hot-path column access (no strings, no per-event structs) ------------
   std::span<const std::int64_t> ts_column() const { return ts_; }
   std::span<const std::int64_t> dur_column() const { return dur_; }
+  std::span<const std::uint8_t> category_column() const { return cat_; }
+  std::span<const std::uint8_t> cuda_api_column() const { return api_; }
+  std::span<const std::uint32_t> name_column() const { return name_; }
 
   EventCategory category(std::size_t i) const {
     return static_cast<EventCategory>(cat_[i]);

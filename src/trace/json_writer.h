@@ -11,13 +11,14 @@
 // ops/groups) are escaped+quoted once per distinct id and memoized, so an
 // event name repeated ten thousand times costs one memcpy per occurrence.
 //
-// Output contract: byte-identical to json::write(to_json(trace), {indent})
-// in every indent mode — the DOM writer remains the executable reference,
-// and golden tests (tests/test_io.cpp, tests/test_data_layer.cpp) pin the
-// equality. Doubles (the µs ts/dur fields) use the same format: integral
-// values < 1e15 print as "<int>.0" (grisu-free integer fast path), the
-// rest via std::to_chars(chars_format::general, 17), which is specified to
-// match the DOM writer's snprintf("%.17g") byte-for-byte.
+// Output contract: byte-identical to json::write(trace_to_json(trace),
+// {indent}) in every indent mode, where trace_to_json is the DOM reference
+// writer in tests/trace_dom_oracle.h; golden tests (tests/test_io.cpp,
+// tests/test_data_layer.cpp) pin the equality. Doubles (the µs ts/dur
+// fields) use the same format: integral values < 1e15 print as "<int>.0"
+// (grisu-free integer fast path), the rest via
+// std::to_chars(chars_format::general, 17), which is specified to match
+// the DOM writer's snprintf("%.17g") byte-for-byte.
 //
 // Buffer reuse contract: write() clears and refills the internal buffer
 // and returns a view of it — valid until the next write() or destruction.

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <vector>
 
 #include "analysis/breakdown.h"
 #include "cluster/ground_truth.h"
@@ -17,6 +19,7 @@
 #include "test_util.h"
 #include "trace/chrome_trace.h"
 #include "trace/string_pool.h"
+#include "trace_dom_oracle.h"
 
 namespace lumos {
 namespace {
@@ -177,7 +180,7 @@ TEST(TaskMetaTable, ColumnsMatchTaskReclassification) {
   }
 }
 
-TEST(TaskMetaTable, RendezvousGroupsAndRow) {
+TEST(TaskMetaTable, RendezvousGroups) {
   ExecutionGraph g = mixed_graph();
   const TaskMetaTable& meta = g.meta();
   ASSERT_EQ(meta.collective_groups().size(), 1u);
@@ -189,13 +192,34 @@ TEST(TaskMetaTable, RendezvousGroupsAndRow) {
   EXPECT_EQ(meta.group_index(5), 0);
   EXPECT_EQ(meta.group_index(0), -1);
   EXPECT_TRUE(meta.is_coupled_collective(5));
+  EXPECT_FALSE(meta.is_coupled_collective(0));
   EXPECT_FALSE(meta.is_p2p(5));
+  EXPECT_EQ(meta.category(5), trace::EventCategory::Kernel);
+  EXPECT_EQ(meta.duration_ns(5), 50);
+  EXPECT_EQ(meta.group_view(meta.collective_group(5)), "tp_0");
+}
 
-  const core::TaskMeta row = meta.row(5);
-  EXPECT_EQ(row.category, trace::EventCategory::Kernel);
-  EXPECT_EQ(row.duration_ns, 50);
-  EXPECT_EQ(row.group_index, 0);
-  EXPECT_EQ(meta.group_view(row.collective_group), "tp_0");
+TEST(ExecutionGraph, ReserveOnAFinalizedGraphKeepsItsMetaTableValid) {
+  // The published meta table reads the rows in place, so reserve() must
+  // clone rows it shares rather than reallocate them under the table (ASan
+  // reports the read of the freed rows below if it does not).
+  ExecutionGraph g = mixed_graph();
+  g.finalize();
+  const TaskMetaTable& meta = g.meta();
+  std::vector<std::int64_t> durations;
+  std::vector<std::string> names;
+  for (std::size_t i = 0; i < meta.size(); ++i) {
+    durations.push_back(meta.duration_ns(static_cast<TaskId>(i)));
+    names.emplace_back(meta.name_view(static_cast<TaskId>(i)));
+  }
+  g.reserve(1u << 16, 1u << 16);
+  ASSERT_EQ(&g.meta(), &meta) << "reserve changes no row, so the table stays";
+  for (std::size_t i = 0; i < meta.size(); ++i) {
+    EXPECT_EQ(meta.duration_ns(static_cast<TaskId>(i)), durations[i]);
+    EXPECT_EQ(meta.name_view(static_cast<TaskId>(i)), names[i]);
+  }
+  g.add_task({0, false, 1}, {});
+  EXPECT_EQ(g.meta().size(), durations.size() + 1);
 }
 
 TEST(TaskMetaTable, GpuTasksPerLaneInLaunchOrder) {
@@ -473,7 +497,7 @@ TEST(ParsePathGolden, StreamingWriterMatchesDomOnSeedFixture) {
   for (const trace::RankTrace& rank : run.trace.ranks) {
     for (const int indent : {-1, 1, 2}) {
       const std::string dom =
-          json::write(trace::to_json(rank), {.indent = indent});
+          json::write(testutil::trace_to_json(rank), {.indent = indent});
       const std::string streamed = trace::to_json_string(rank, indent);
       ASSERT_EQ(streamed, dom)
           << "rank " << rank.rank << " indent " << indent;

@@ -24,6 +24,7 @@
 #include "core/simulator.h"
 #include "core/trace_parser.h"
 #include "io/parallel_for.h"
+#include "json/json.h"
 #include "trace/chrome_trace.h"
 #include "trace/content_hash.h"
 #include "trace/ingest.h"

@@ -20,6 +20,7 @@
 #include "trace/chrome_trace.h"
 #include "trace/json_writer.h"
 #include "test_util.h"
+#include "trace_dom_oracle.h"
 
 namespace lumos {
 namespace {
@@ -164,7 +165,8 @@ TEST(JsonWriterGolden, StreamEqualsDomInEveryIndentMode) {
   const RankTrace r = adversarial_rank_trace();
   for (const int indent : {-1, 0, 1, 2, 4}) {
     SCOPED_TRACE("indent=" + std::to_string(indent));
-    const std::string dom = json::write(trace::to_json(r), {.indent = indent});
+    const std::string dom =
+        json::write(testutil::trace_to_json(r), {.indent = indent});
     const std::string stream = trace::to_json_string(r, indent);
     EXPECT_EQ(stream, dom);
   }
@@ -175,7 +177,7 @@ TEST(JsonWriterGolden, EmptyAndMetadataOnlyTraces) {
   empty.rank = 3;
   for (const int indent : {-1, 2}) {
     EXPECT_EQ(trace::to_json_string(empty, indent),
-              json::write(trace::to_json(empty), {.indent = indent}));
+              json::write(testutil::trace_to_json(empty), {.indent = indent}));
   }
 }
 

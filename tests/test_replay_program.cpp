@@ -46,15 +46,13 @@ void expect_identical(const SimResult& compiled, const SimResult& reference) {
 }
 
 /// Compiles `graph` (expecting success) and checks run() against the
-/// interpreter with matching coupling.
-void expect_compiles_identical(const ExecutionGraph& graph, bool coupled) {
-  ReplayCompiler::Options opts;
-  opts.couple_collectives = coupled;
-  ReplayCompiler::Result compiled = ReplayCompiler::compile(graph, opts);
+/// coupled interpreter.
+void expect_compiles_identical(const ExecutionGraph& graph) {
+  ReplayCompiler::Result compiled = ReplayCompiler::compile(graph);
   ASSERT_TRUE(compiled) << "compile fell back: "
                         << to_string(compiled.status);
   SimOptions sim_opts;
-  sim_opts.couple_collectives = coupled;
+  sim_opts.couple_collectives = true;
   const SimResult reference = Simulator(graph, sim_opts).run();
   ASSERT_TRUE(reference.complete());
   expect_identical(compiled.program->run(), reference);
@@ -127,7 +125,7 @@ TEST(ReplayProgram, ChainBitIdentical) {
   TaskId c = f.cpu(0, 1, 30);
   f.graph.add_edge(a, b, DepType::IntraThread);
   f.graph.add_edge(b, c, DepType::IntraThread);
-  expect_compiles_identical(f.graph, /*coupled=*/false);
+  expect_compiles_identical(f.graph);
 }
 
 TEST(ReplayProgram, StreamSynchronizeBitIdentical) {
@@ -139,7 +137,7 @@ TEST(ReplayProgram, StreamSynchronizeBitIdentical) {
   f.graph.add_edge(launch, k, DepType::CpuToGpu);
   f.graph.add_edge(launch, sync, DepType::IntraThread);
   f.graph.add_edge(sync, after, DepType::IntraThread);
-  expect_compiles_identical(f.graph, /*coupled=*/false);
+  expect_compiles_identical(f.graph);
 }
 
 TEST(ReplayProgram, SyncIgnoresLaterKernelsBitIdentical) {
@@ -149,7 +147,7 @@ TEST(ReplayProgram, SyncIgnoresLaterKernelsBitIdentical) {
   TaskId k = f.kernel(0, 7, 1000);  // launched AFTER the sync (higher id)
   f.graph.add_edge(sync, launch, DepType::IntraThread);
   f.graph.add_edge(launch, k, DepType::CpuToGpu);
-  expect_compiles_identical(f.graph, /*coupled=*/false);
+  expect_compiles_identical(f.graph);
 }
 
 TEST(ReplayProgram, DeviceSynchronizeBitIdentical) {
@@ -163,7 +161,7 @@ TEST(ReplayProgram, DeviceSynchronizeBitIdentical) {
   f.graph.add_edge(l2, k2, DepType::CpuToGpu);
   f.graph.add_edge(l1, l2, DepType::IntraThread);
   f.graph.add_edge(l2, sync, DepType::IntraThread);
-  expect_compiles_identical(f.graph, /*coupled=*/false);
+  expect_compiles_identical(f.graph);
 }
 
 TEST(ReplayProgram, EventSynchronizeBitIdentical) {
@@ -179,7 +177,7 @@ TEST(ReplayProgram, EventSynchronizeBitIdentical) {
   f.graph.add_edge(record, l2, DepType::IntraThread);
   f.graph.add_edge(l2, k2, DepType::CpuToGpu);
   f.graph.add_edge(k1, k2, DepType::IntraStream);
-  expect_compiles_identical(f.graph, /*coupled=*/false);
+  expect_compiles_identical(f.graph);
 }
 
 TEST(ReplayProgram, CoupledRendezvousBitIdentical) {
@@ -190,7 +188,7 @@ TEST(ReplayProgram, CoupledRendezvousBitIdentical) {
   TaskId c1 = f.collective(1, 13, 50, "tp_0", 0);
   f.graph.add_edge(pre0, c0, DepType::InterStream);
   f.graph.add_edge(pre1, c1, DepType::InterStream);
-  expect_compiles_identical(f.graph, /*coupled=*/true);
+  expect_compiles_identical(f.graph);
 }
 
 TEST(ReplayProgram, CoupledP2pStartsAtRendezvousBitIdentical) {
@@ -201,7 +199,7 @@ TEST(ReplayProgram, CoupledP2pStartsAtRendezvousBitIdentical) {
   TaskId recv = f.collective(1, 22, 30, "pp_fwd_s0to1", 0, "recv");
   f.graph.add_edge(pre0, send, DepType::IntraStream);
   f.graph.add_edge(pre1, recv, DepType::IntraStream);
-  expect_compiles_identical(f.graph, /*coupled=*/true);
+  expect_compiles_identical(f.graph);
 }
 
 TEST(ReplayProgram, LastArrivalDurationBitIdentical) {
@@ -212,14 +210,7 @@ TEST(ReplayProgram, LastArrivalDurationBitIdentical) {
   TaskId pre1 = f.kernel(1, 7, 400);
   f.graph.add_edge(pre0, c0, DepType::InterStream);
   f.graph.add_edge(pre1, c1, DepType::InterStream);
-  expect_compiles_identical(f.graph, /*coupled=*/true);
-}
-
-TEST(ReplayProgram, UncoupledCollectivesBitIdentical) {
-  GraphFixture f;
-  f.collective(0, 13, 500, "tp_0", 0);
-  f.collective(1, 13, 700, "tp_0", 0);
-  expect_compiles_identical(f.graph, /*coupled=*/false);
+  expect_compiles_identical(f.graph);
 }
 
 TEST(ReplayProgram, EmptyGraphCompiles) {
@@ -294,12 +285,7 @@ class ReplayProgramProperty : public ::testing::TestWithParam<std::uint64_t> {
 TEST_P(ReplayProgramProperty, CoupledBitIdentical) {
   RandomGraph random(GetParam());
   ASSERT_TRUE(random.graph().is_acyclic());
-  expect_compiles_identical(random.graph(), /*coupled=*/true);
-}
-
-TEST_P(ReplayProgramProperty, UncoupledBitIdentical) {
-  RandomGraph random(GetParam());
-  expect_compiles_identical(random.graph(), /*coupled=*/false);
+  expect_compiles_identical(random.graph());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ReplayProgramProperty,
@@ -489,8 +475,7 @@ TEST(ReplayProgram, TwentyRankClusterTraceBitIdentical) {
     }
   }
   ExecutionGraph graph = TraceParser().parse(cluster);
-  expect_compiles_identical(graph, /*coupled=*/true);
-  expect_compiles_identical(graph, /*coupled=*/false);
+  expect_compiles_identical(graph);
 }
 
 // ---------------------------------------------------------------------------

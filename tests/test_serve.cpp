@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "api/api.h"
+#include "json/json.h"
 #include "serve/engine.h"
 #include "serve/protocol.h"
 #include "serve/server.h"

@@ -11,12 +11,15 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <memory>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "api/api.h"
+#include "faults/fault_spec.h"
 #include "io/fnv.h"
 #include "serve/engine.h"
 #include "snapshot/snapshot.h"
@@ -57,13 +60,22 @@ core::SimResult coupled_replay(const core::ExecutionGraph& graph) {
   return core::Simulator(graph, options).run();
 }
 
-BaselineArtifacts saved_and_loaded(const std::string& path) {
-  Result<Session> session = Session::create(tiny_scenario());
+/// A session's baseline and the same baseline saved and loaded back.
+struct SavedBaseline {
+  BaselineArtifacts built;
+  BaselineArtifacts loaded;
+};
+
+SavedBaseline save_and_load(const Scenario& scenario,
+                            const std::string& path) {
+  Result<Session> session = Session::create(scenario);
   EXPECT_TRUE(session.is_ok()) << session.status().to_string();
+  Result<BaselineArtifacts> built = session->share_baseline();
+  EXPECT_TRUE(built.is_ok()) << built.status().to_string();
   EXPECT_TRUE(session->save_snapshot(path).is_ok());
   Result<BaselineArtifacts> loaded = load_baseline_snapshot(path);
   EXPECT_TRUE(loaded.is_ok()) << loaded.status().to_string();
-  return std::move(loaded).value();
+  return {std::move(built).value(), std::move(loaded).value()};
 }
 
 // ---------------------------------------------------------------------------
@@ -120,7 +132,7 @@ TEST(Snapshot, PredictionOverLoadedBaselineMatchesTheOriginal) {
 
 TEST(Snapshot, ScenarioMetadataSurvivesTheRoundTrip) {
   const std::string path = temp_path("lumos_snap_meta.bin");
-  const BaselineArtifacts loaded = saved_and_loaded(path);
+  const BaselineArtifacts loaded = save_and_load(tiny_scenario(), path).loaded;
   ASSERT_TRUE(loaded.model.has_value());
   EXPECT_EQ(*loaded.model, testutil::tiny_model());
   ASSERT_TRUE(loaded.config.has_value());
@@ -134,7 +146,7 @@ TEST(Snapshot, ScenarioMetadataSurvivesTheRoundTrip) {
 
 TEST(Snapshot, LoadedTraceAndGraphShareOnePoolSet) {
   const std::string path = temp_path("lumos_snap_pools.bin");
-  const BaselineArtifacts loaded = saved_and_loaded(path);
+  const BaselineArtifacts loaded = save_and_load(tiny_scenario(), path).loaded;
   // The "one pool per trace" invariant holds on the snapshot path too: the
   // graph's meta table resolves strings through the trace's own pools.
   ASSERT_NE(loaded.trace->shared_pools(), nullptr);
@@ -173,12 +185,118 @@ TEST(Snapshot, LazyTasksMaterializeIdenticalToTheOriginal) {
 }
 
 // ---------------------------------------------------------------------------
+// Indexes the loader re-derives instead of reading them from the file
+// ---------------------------------------------------------------------------
+
+/// The GPT-3 15B 2x2x4 baseline (~36k tasks, 16 ranks).
+Scenario gpt3_15b_scenario() {
+  return Scenario::synthetic()
+      .with_model("15b")
+      .with_parallelism("2x2x4")
+      .with_seed(7);
+}
+
+/// Every index TaskMetaTable derives, gathered through the accessors.
+struct DerivedIndexes {
+  std::vector<core::Processor> lanes;         ///< lane order
+  std::vector<core::LaneId> lookup;           ///< id_of(lane's processor)
+  std::vector<std::int32_t> rank_index;       ///< per lane
+  std::vector<std::int32_t> rank_values;      ///< per dense rank
+  std::vector<std::vector<core::LaneId>> gpu_lanes;  ///< per dense rank
+  std::vector<std::vector<core::TaskId>> gpu_tasks;  ///< per lane
+  std::vector<std::int32_t> group_index;      ///< per task
+  std::vector<bool> coupled;                  ///< per task
+};
+
+DerivedIndexes derived_indexes(const core::TaskMetaTable& meta) {
+  DerivedIndexes d;
+  const core::LaneTable& lanes = meta.lanes();
+  for (std::size_t l = 0; l < lanes.size(); ++l) {
+    const auto lane = static_cast<core::LaneId>(l);
+    d.lanes.push_back(lanes.processor(lane));
+    d.lookup.push_back(lanes.id_of(lanes.processor(lane)));
+    d.rank_index.push_back(lanes.rank_index(lane));
+    const auto tasks = meta.gpu_tasks(lane);
+    d.gpu_tasks.emplace_back(tasks.begin(), tasks.end());
+  }
+  for (std::size_t r = 0; r < lanes.rank_count(); ++r) {
+    const auto rank = static_cast<std::int32_t>(r);
+    d.rank_values.push_back(lanes.rank_value(rank));
+    const auto gpu = lanes.gpu_lanes(rank);
+    d.gpu_lanes.emplace_back(gpu.begin(), gpu.end());
+  }
+  for (std::size_t i = 0; i < meta.size(); ++i) {
+    const auto id = static_cast<core::TaskId>(i);
+    d.group_index.push_back(meta.group_index(id));
+    d.coupled.push_back(meta.is_coupled_collective(id));
+  }
+  return d;
+}
+
+TEST(Snapshot, LoadedIndexesEqualTheBuiltOnes) {
+  for (const Scenario& scenario : {tiny_scenario(), gpt3_15b_scenario()}) {
+    const SavedBaseline b =
+        save_and_load(scenario, temp_path("lumos_snap_indexes.bin"));
+    ASSERT_NE(b.loaded.graph, nullptr);
+    const DerivedIndexes built = derived_indexes(b.built.graph->meta());
+    const DerivedIndexes loaded = derived_indexes(b.loaded.graph->meta());
+    ASSERT_GT(built.lanes.size(), 0u);
+    EXPECT_EQ(built.lanes, loaded.lanes);
+    EXPECT_EQ(built.lookup, loaded.lookup);
+    EXPECT_EQ(built.rank_index, loaded.rank_index);
+    EXPECT_EQ(built.rank_values, loaded.rank_values);
+    EXPECT_EQ(built.gpu_lanes, loaded.gpu_lanes);
+    EXPECT_EQ(built.gpu_tasks, loaded.gpu_tasks);
+    EXPECT_EQ(built.group_index, loaded.group_index);
+    EXPECT_EQ(built.coupled, loaded.coupled);
+  }
+}
+
+/// Doubles every non-collective duration: a hooked what-if, which only the
+/// interpreter runs.
+class SlowerTasksHooks final : public core::SimulatorHooks {
+ public:
+  std::int64_t task_duration_ns(const core::Task& task) override {
+    return 2 * task.event.dur_ns;
+  }
+};
+
+TEST(Snapshot, InterpreterOverALoadedBaselineMatchesTheBuiltOne) {
+  // Hooks and contention run the interpreter, which indexes its per-group
+  // and per-rank state with the indexes the loader re-derived.
+  ASSERT_TRUE(Session::register_hooks("snapshot_slower_tasks", [] {
+                return std::make_unique<SlowerTasksHooks>();
+              }).is_ok());
+  const Scenario hooked = whatif().with_hooks("snapshot_slower_tasks");
+  const faults::FaultSpec contention = faults::FaultSpec().with_contention(0.5);
+  for (const Scenario& scenario : {tiny_scenario(), gpt3_15b_scenario()}) {
+    const SavedBaseline b =
+        save_and_load(scenario, temp_path("lumos_snap_interpreter.bin"));
+    ASSERT_NE(b.loaded.graph, nullptr);
+    Result<Prediction> built = predict_on(b.built, hooked);
+    Result<Prediction> loaded = predict_on(b.loaded, hooked);
+    ASSERT_TRUE(built.is_ok()) << built.status().to_string();
+    ASSERT_TRUE(loaded.is_ok()) << loaded.status().to_string();
+    EXPECT_FALSE(loaded->used_compiled_replay);
+    EXPECT_EQ(sim_digest(built->sim), sim_digest(loaded->sim));
+
+    Result<core::SimResult> built_faulted = replay_faulted(b.built, contention);
+    Result<core::SimResult> loaded_faulted =
+        replay_faulted(b.loaded, contention);
+    ASSERT_TRUE(built_faulted.is_ok()) << built_faulted.status().to_string();
+    ASSERT_TRUE(loaded_faulted.is_ok()) << loaded_faulted.status().to_string();
+    EXPECT_TRUE(loaded_faulted->complete());
+    EXPECT_EQ(sim_digest(*built_faulted), sim_digest(*loaded_faulted));
+  }
+}
+
+// ---------------------------------------------------------------------------
 // The mmap lifetime rule
 // ---------------------------------------------------------------------------
 
 TEST(Snapshot, BaselineOutlivesTheFileAndTheLoader) {
   const std::string path = temp_path("lumos_snap_unlink.bin");
-  BaselineArtifacts loaded = saved_and_loaded(path);
+  BaselineArtifacts loaded = save_and_load(tiny_scenario(), path).loaded;
   // Unlink the file while the artifacts live: the mapping is pinned by
   // shared_ptr keepalives inside every borrowed column, so reads and even
   // a full replay still work.
@@ -200,7 +318,7 @@ TEST(Snapshot, BaselineOutlivesTheFileAndTheLoader) {
 
 TEST(Snapshot, PeekedContentHashMatchesTheTrace) {
   const std::string path = temp_path("lumos_snap_peek.bin");
-  const BaselineArtifacts loaded = saved_and_loaded(path);
+  const BaselineArtifacts loaded = save_and_load(tiny_scenario(), path).loaded;
   Result<std::uint64_t> peeked = peek_snapshot_content_hash(path);
   ASSERT_TRUE(peeked.is_ok());
   EXPECT_EQ(*peeked, trace::content_hash(*loaded.trace));
@@ -314,13 +432,16 @@ TEST_F(SnapshotCorruption, BadMagicIsAParseError) {
 }
 
 TEST_F(SnapshotCorruption, WrongVersionIsUnsupported) {
-  std::string bad = bytes_;
-  bad[8] = static_cast<char>(0x7F);  // version u32 follows the magic
-  rewrite(bad);
-  EXPECT_EQ(load_baseline_snapshot(path_).status().code(),
-            ErrorCode::kUnsupported);
-  EXPECT_EQ(peek_snapshot_content_hash(path_).status().code(),
-            ErrorCode::kUnsupported);
+  // v2 stored the meta table's row copies and indexes; v3 reads neither.
+  for (const char version : {'\x02', '\x7F'}) {
+    std::string bad = bytes_;
+    bad[8] = version;  // version u32 follows the magic
+    rewrite(bad);
+    EXPECT_EQ(load_baseline_snapshot(path_).status().code(),
+              ErrorCode::kUnsupported);
+    EXPECT_EQ(peek_snapshot_content_hash(path_).status().code(),
+              ErrorCode::kUnsupported);
+  }
 }
 
 TEST_F(SnapshotCorruption, TruncationIsAParseError) {
@@ -391,24 +512,35 @@ class CraftedSnapshot : public SnapshotCorruption {
     return pos + 8 + align8(read_at<std::uint64_t>(pos) * elem);
   }
 
-  /// Position of the first value of meta column `index`, in the writer's
-  /// order: cat, api, flags, lane, dur, ts, name, coll_op, coll_group,
-  /// coll_instance, group_idx, sync_lane, ... The graph section opens with
-  /// edge src/dst/type and task rank/gpu/lane, then the task event table
-  /// (a row count and 25 columns), then the meta row count.
-  std::size_t meta_column(std::size_t index) const {
-    static constexpr std::size_t kEventBytes[] = {
-        1, 1, 8, 8, 4, 4, 8, 8, 8, 4, 4, 8, 4, 4, 4, 4, 4, 4, 4, 8, 4, 8,
-        8, 8, 8};
-    static constexpr std::size_t kMetaBytes[] = {1, 1, 1, 4, 8, 8, 4, 4,
-                                                 4, 8, 4, 4, 4, 4, 4};
+  /// Element sizes of the task event table's 25 columns (cat, api, ts,
+  /// dur, ...: trace::EventTable's order) and of the meta table's stored
+  /// columns (flags, lane, coll_op, coll_group, coll_instance, sync_lane,
+  /// sync_before).
+  static constexpr std::size_t kEventBytes[] = {
+      1, 1, 8, 8, 4, 4, 8, 8, 8, 4, 4, 8, 4, 4, 4, 4, 4, 4, 4, 8, 4, 8,
+      8, 8, 8};
+  static constexpr std::size_t kMetaBytes[] = {1, 4, 4, 4, 8, 4, 4};
+
+  /// Position of the first value of the graph's task event column `index`.
+  /// The graph section opens with edge src/dst/type and task rank/gpu/lane,
+  /// then the task event table (a row count and 25 columns).
+  std::size_t event_column(std::size_t index) const {
     std::size_t pos = graph_section().first;
     for (const std::size_t elem : {4, 4, 1, 4, 1, 8}) {
       pos = skip_array(pos, elem);
     }
     pos += 8;
-    for (const std::size_t elem : kEventBytes) pos = skip_array(pos, elem);
-    pos += 8;
+    for (std::size_t i = 0; i < index; ++i) {
+      pos = skip_array(pos, kEventBytes[i]);
+    }
+    return pos + 8;
+  }
+
+  /// Position of the first value of stored meta column `index`. The meta
+  /// row count follows the event table, so event_column past the last
+  /// event column is the first meta length prefix.
+  std::size_t meta_column(std::size_t index) const {
+    std::size_t pos = event_column(std::size(kEventBytes));
     for (std::size_t i = 0; i < index; ++i) {
       pos = skip_array(pos, kMetaBytes[i]);
     }
@@ -514,6 +646,25 @@ TEST_F(CraftedSnapshot, RendezvousMemberOutOfRangeIsRejected) {
   expect_rejected("rendezvous member id out of range");
 }
 
+TEST_F(CraftedSnapshot, RendezvousMemberListedTwiceIsRejected) {
+  // The loader derives each task's group index from the member lists, so a
+  // task may appear in one rendezvous slot only.
+  const BaselineArtifacts base = baseline();
+  std::size_t members = 0;
+  for (const core::CollectiveGroupMeta& g :
+       base.graph->meta().collective_groups()) {
+    members += g.members.size();
+  }
+  ASSERT_GT(members, 1u);
+  const auto [offset, length] = graph_section();
+  const std::size_t column = offset + length - align8(members * 4);
+  ASSERT_EQ(read_at<std::uint64_t>(column - 8), members);
+  std::string bad = bytes_;
+  write_at<std::int32_t>(bad, column + 4, read_at<std::int32_t>(column));
+  reseal_and_write(bad);
+  expect_rejected("rendezvous member listed twice");
+}
+
 TEST_F(CraftedSnapshot, ShortEventColumnIsRejected) {
   // Graph section: edge src/dst/type, task rank/gpu/lane, then the task
   // event table — a u64 row count followed by its u8 category column.
@@ -534,7 +685,7 @@ TEST_F(CraftedSnapshot, ShortEventColumnIsRejected) {
 
 TEST_F(CraftedSnapshot, MetaLaneIdOutOfRangeIsRejected) {
   const BaselineArtifacts base = baseline();
-  const std::size_t lane = meta_column(3);
+  const std::size_t lane = meta_column(1);
   ASSERT_EQ(read_at<std::uint64_t>(lane - 8), base.graph->size());
   std::string bad = bytes_;
   write_at<std::int32_t>(
@@ -546,12 +697,33 @@ TEST_F(CraftedSnapshot, MetaLaneIdOutOfRangeIsRejected) {
 TEST_F(CraftedSnapshot, MetaSyncLaneOutOfRangeIsRejected) {
   // kInvalidLane (-1) means "unresolved" and is legal; any other negative
   // id is not.
-  const std::size_t sync_lane = meta_column(11);
+  const std::size_t sync_lane = meta_column(5);
   ASSERT_EQ(read_at<std::uint64_t>(sync_lane - 8), baseline().graph->size());
   std::string bad = bytes_;
   write_at<std::int32_t>(bad, sync_lane, -2);
   reseal_and_write(bad);
   expect_rejected("meta lane id out of range");
+}
+
+TEST_F(CraftedSnapshot, MetaAndProgramReadTheRowDurations) {
+  // The image stores each task's duration once, in the graph's row dur
+  // column: the meta table and the loaded program both read it there.
+  const std::size_t dur = event_column(3);
+  const auto profiled = read_at<std::int64_t>(dur);
+  std::string edited = bytes_;
+  write_at<std::int64_t>(edited, dur, profiled + 777);
+  reseal_and_write(edited);
+  Result<BaselineArtifacts> loaded = load_baseline_snapshot(path_);
+  ASSERT_TRUE(loaded.is_ok()) << loaded.status().to_string();
+  const core::TaskMetaTable& meta = loaded->graph->meta();
+  EXPECT_EQ(meta.columns().events().dur_ns(0), profiled + 777);
+  EXPECT_EQ(meta.duration_ns(0), profiled + 777);
+  ASSERT_NE(loaded->program, nullptr);
+  const core::SimResult baked = loaded->program->run();
+  EXPECT_EQ(baked.end_ns[0] - baked.start_ns[0], profiled + 777);
+  EXPECT_EQ(sim_digest(baked),
+            sim_digest(loaded->program->run(
+                meta.columns().events().dur_column())));
 }
 
 // ---------------------------------------------------------------------------
@@ -568,7 +740,6 @@ void expect_same_program(const core::ReplayProgram& a,
   };
   EXPECT_EQ(a.task_count(), b.task_count());
   EXPECT_EQ(a.collective_count(), b.collective_count());
-  EXPECT_EQ(a.coupled(), b.coupled());
   EXPECT_TRUE(same_bytes(a.instructions(), b.instructions()));
   EXPECT_TRUE(same_bytes(a.operands(), b.operands()));
   EXPECT_TRUE(same_bytes(a.members(), b.members()));
@@ -576,7 +747,7 @@ void expect_same_program(const core::ReplayProgram& a,
 
 TEST(SnapshotProgram, LoadedBaselineCarriesItsCompiledProgram) {
   const std::string path = temp_path("lumos_snap_program.bin");
-  const BaselineArtifacts loaded = saved_and_loaded(path);
+  const BaselineArtifacts loaded = save_and_load(tiny_scenario(), path).loaded;
   // Present straight from the load, before any attach_replay_program.
   ASSERT_NE(loaded.program, nullptr);
   core::ReplayCompiler::Result compiled =
@@ -773,10 +944,12 @@ TEST_F(CraftedSnapshot, ProgramMemberP2pFlagMustBeZeroOrOne) {
 }
 
 TEST_F(CraftedSnapshot, ProgramOverNonPositiveDurationsIsRejected) {
-  // The program borrows the meta duration column, which the graph section
+  // The program borrows the graph's row dur column, which the graph section
   // does not check: a zero there breaks the positivity compile() proved.
+  const std::size_t dur = event_column(3);
+  ASSERT_EQ(read_at<std::uint64_t>(dur - 8), baseline().graph->size());
   std::string bad = bytes_;
-  write_at<std::int64_t>(bad, meta_column(4), 0);
+  write_at<std::int64_t>(bad, dur, 0);
   reseal_and_write(bad);
   expect_rejected("durations are not all positive", "program section");
 }

@@ -10,6 +10,7 @@
 #include "trace/chrome_trace.h"
 #include "trace/event.h"
 #include "trace/validate.h"
+#include "trace_dom_oracle.h"
 
 namespace lumos::trace {
 namespace {
@@ -419,7 +420,7 @@ TEST(EventTable, SaxAndDomPathsProduceIdenticalJson) {
   EXPECT_EQ(to_json_string(via_sax), json);
 
   // DOM (Value) path produces the same document and the same events.
-  RankTrace via_dom = rank_trace_from_json(json::parse(json));
+  RankTrace via_dom = testutil::rank_trace_from_json(json::parse(json));
   EXPECT_EQ(to_json_string(via_dom), json);
   ASSERT_EQ(via_sax.events.size(), via_dom.events.size());
   for (std::size_t i = 0; i < via_sax.events.size(); ++i) {
