@@ -41,7 +41,6 @@
 #include "json/json.h"
 #include "snapshot/snapshot.h"
 #include "trace/chrome_trace.h"
-#include "trace/content_hash.h"
 #include "trace/json_writer.h"
 #include "workload/analytical_provider.h"
 #include "workload/graph_builder.h"
@@ -636,8 +635,9 @@ const cluster::GroundTruthRun& snapshot_run() {
   return run;
 }
 
-/// The finalized baseline bundle (trace + parsed graph with built meta)
-/// snapshot benches serialize, plus the on-disk snapshot written once.
+/// The finalized baseline bundle (parsed graph with built meta + program;
+/// images store no trace) snapshot benches serialize, plus the on-disk
+/// snapshot written once.
 struct SnapshotFixture {
   snapshot::Bundle bundle;
   std::string snapshot_path;   ///< written once at fixture build
@@ -649,26 +649,21 @@ struct SnapshotFixture {
 const SnapshotFixture& snapshot_fixture() {
   static const SnapshotFixture fixture = [] {
     SnapshotFixture f;
-    const auto& run = snapshot_run();
-    auto cluster = std::make_shared<trace::ClusterTrace>(run.trace);
+    const trace::ClusterTrace& cluster = snapshot_run().trace;
     auto graph = std::make_shared<core::ExecutionGraph>(
-        core::TraceParser().parse(*cluster));
+        core::TraceParser().parse(cluster));
     graph->meta();  // finalize: the snapshot stores the built meta columns
     // Saved baselines carry their compiled program (Session::save_snapshot).
     f.bundle.program = core::ReplayCompiler::compile(*graph).program;
     f.bundle.meta_json = "{}";
-    f.bundle.content_hash = trace::content_hash(*cluster);
-    f.bundle.trace = std::move(cluster);
     f.bundle.graph = std::move(graph);
 
     const auto tmp = std::filesystem::temp_directory_path();
     f.snapshot_path = (tmp / "lumos_bench_baseline.snap").string();
     snapshot::write(f.snapshot_path, f.bundle);
     f.trace_prefix = (tmp / "lumos_bench_snapcmp").string();
-    f.ranks =
-        trace::write_cluster_trace_files(*f.bundle.trace, f.trace_prefix)
-            .size();
-    f.events = f.bundle.trace->total_events();
+    f.ranks = trace::write_cluster_trace_files(cluster, f.trace_prefix).size();
+    f.events = cluster.total_events();
     return f;
   }();
   return fixture;
@@ -685,14 +680,14 @@ void BM_SnapshotSave(benchmark::State& state) {
   state.SetBytesProcessed(
       static_cast<std::int64_t>(std::filesystem::file_size(path)) *
       state.iterations());
-  state.counters["events"] = static_cast<double>(f.events);
+  state.counters["tasks"] = static_cast<double>(f.bundle.graph->size());
   std::filesystem::remove(path);
 }
 BENCHMARK(BM_SnapshotSave)->Unit(benchmark::kMillisecond);
 
 // Snapshot → ready-to-predict baseline. Everything heavy is a borrowed
-// column view into the mapping; the dominant cost is the payload-checksum
-// sweep and pool re-interning.
+// column view into the mapping; the dominant costs are the payload-checksum
+// sweep, the id checks, pool re-interning and the re-derived meta indexes.
 void BM_SnapshotLoad(benchmark::State& state) {
   const SnapshotFixture& f = snapshot_fixture();
   const auto bytes =
@@ -702,7 +697,7 @@ void BM_SnapshotLoad(benchmark::State& state) {
     benchmark::DoNotOptimize(bundle);
   }
   state.SetBytesProcessed(bytes * state.iterations());
-  state.counters["events"] = static_cast<double>(f.events);
+  state.counters["tasks"] = static_cast<double>(f.bundle.graph->size());
 }
 BENCHMARK(BM_SnapshotLoad)->Unit(benchmark::kMillisecond);
 
@@ -726,7 +721,7 @@ BENCHMARK(BM_SnapshotLoadCompile)->Unit(benchmark::kMillisecond);
 void BM_IngestBaseline(benchmark::State& state) {
   const SnapshotFixture& f = snapshot_fixture();
   std::int64_t bytes = 0;
-  for (const trace::RankTrace& rank : f.bundle.trace->ranks) {
+  for (const trace::RankTrace& rank : snapshot_run().trace.ranks) {
     bytes += static_cast<std::int64_t>(std::filesystem::file_size(
         f.trace_prefix + "_rank" + std::to_string(rank.rank) + ".json"));
   }

@@ -375,11 +375,13 @@ int cmd_snapshot(int argc, char** argv) {
   if (Status status = session->save_snapshot(path); !status.is_ok()) {
     return fail(status);
   }
+  // The image holds the graph (no trace); its payload checksum is the
+  // key lumos_serve caches it under.
   Result<std::uint64_t> hash = api::peek_snapshot_content_hash(path);
   if (!hash.is_ok()) return fail(hash.status());
-  const trace::ClusterTrace& trace = **session->trace();
-  std::printf("wrote %s (%zu events, %zu ranks), content hash %016llx\n",
-              path.c_str(), trace.total_events(), trace.ranks.size(),
+  const core::ExecutionGraph& graph = **session->graph();
+  std::printf("wrote %s (%zu tasks, %zu ranks), cache key %016llx\n",
+              path.c_str(), graph.size(), graph.meta().lanes().rank_count(),
               static_cast<unsigned long long>(*hash));
   return 0;
 }

@@ -363,7 +363,6 @@ Result<BaselineArtifacts> Session::share_baseline() {
   out.scenario = scenario_;
   out.model = model_;
   out.config = config_;
-  out.trace = trace_;
   out.graph = graph_;
   out.program = program_;
   return out;

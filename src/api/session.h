@@ -86,15 +86,15 @@ struct Prediction {
 
 /// Immutable snapshot of a session's baseline — everything a what-if
 /// prediction reads: the scenario (hardware, build/parser options), the
-/// resolved (model, config) pair when known, the profiled trace and the
-/// parsed execution graph. The trace and graph are shared, never copied;
-/// once handed out they are frozen, so any number of threads may predict
-/// over one BaselineArtifacts concurrently (api::Sweep does exactly that).
+/// resolved (model, config) pair when known and the parsed execution
+/// graph. The profiled trace is not part of it (no prediction reads the
+/// trace; Session::trace() has it). The graph is shared, never copied;
+/// once handed out it is frozen, so any number of threads may predict over
+/// one BaselineArtifacts concurrently (api::Sweep does exactly that).
 struct BaselineArtifacts {
   Scenario scenario;
   std::optional<workload::ModelSpec> model;
   std::optional<workload::ParallelConfig> config;
-  std::shared_ptr<const trace::ClusterTrace> trace;
   std::shared_ptr<const core::ExecutionGraph> graph;
   /// The graph lowered by core::ReplayCompiler, when the graph compiles;
   /// null otherwise (structure-preserving predictions then use the
@@ -164,16 +164,16 @@ class Session {
   Result<const trace::ClusterTrace*> trace();
   /// The execution graph parsed from the baseline trace.
   Result<const core::ExecutionGraph*> graph();
-  /// Snapshots the baseline into an immutable, shareable handle (collecting
-  /// the trace and parsing the graph first if needed). The snapshot aliases
-  /// the session's own caches — no copies — and stays valid after the
-  /// Session is destroyed. This is the hand-off point to api::Sweep.
+  /// Hands out the baseline as an immutable, shareable handle (collecting
+  /// the trace and parsing the graph first if needed). The handle aliases
+  /// the session's graph and program — no copies — and stays valid after
+  /// the Session is destroyed. This is the hand-off point to api::Sweep.
   Result<BaselineArtifacts> share_baseline();
-  /// Serializes the finalized baseline (trace + parsed graph + its
-  /// compiled program + scenario metadata) as a versioned binary snapshot
-  /// at `path` (snapshot/snapshot.h). load_baseline_snapshot() brings it
-  /// back by mmap — no JSON, no re-parse, no re-finalize, no re-compile.
-  /// kIoError on filesystem failure.
+  /// Serializes the finalized baseline (parsed graph + its compiled
+  /// program + scenario metadata) as a versioned binary snapshot at `path`
+  /// (snapshot/snapshot.h). load_baseline_snapshot() brings it back by
+  /// mmap — no JSON, no re-parse, no re-finalize, no re-compile. The
+  /// profiled trace is not stored. kIoError on filesystem failure.
   Status save_snapshot(const std::string& path);
   /// Lumos replay of the graph (Algorithm 1 with collective coupling and
   /// this scenario's hooks, if any). kDeadlock when the simulation sticks.
@@ -320,8 +320,8 @@ Status save_baseline_snapshot(const BaselineArtifacts& base,
                               const std::string& path);
 
 /// Loads a snapshot written by save_snapshot() back into an immutable
-/// baseline ready for predict_on / api::Sweep. The trace and graph columns
-/// and the stored program (null when the saved graph did not compile) are
+/// baseline ready for predict_on / api::Sweep. The graph columns and the
+/// stored program (null when the saved graph did not compile) are
 /// zero-copy views of the file mapping; the returned artifacts pin the
 /// mapping alive (shared_ptr aliasing), so they may outlive any loader
 /// state and the file may even be unlinked while they live — see the
@@ -332,10 +332,10 @@ Status save_baseline_snapshot(const BaselineArtifacts& base,
 /// kUnsupported (format version from a different build).
 Result<BaselineArtifacts> load_baseline_snapshot(const std::string& path);
 
-/// Reads just the snapshot header and returns the content hash pinned at
-/// save time (trace::content_hash of the embedded trace) — the cheap
-/// cache-key probe the serving layer uses. Same error mapping as
-/// load_baseline_snapshot.
+/// Reads just the snapshot header and returns its payload checksum, which
+/// covers the scenario metadata, graph, program and pools and which
+/// load_baseline_snapshot verifies — the cheap cache-key probe the serving
+/// layer uses. Same error mapping as load_baseline_snapshot.
 Result<std::uint64_t> peek_snapshot_content_hash(const std::string& path);
 
 /// Replays a caller-built execution graph through the facade's error

@@ -1,14 +1,14 @@
 // Baseline snapshot save/load at the api layer: wraps snapshot::write /
 // snapshot::load (the core binary format) with the Scenario/model/config
 // metadata JSON and the facade's Status mapping. The baseline's compiled
-// program travels in the image, so a loaded baseline needs no compile.
+// program travels in the image, so a loaded baseline needs no compile; the
+// profiled trace does not, since no prediction reads it.
 #include <utility>
 
 #include "api/session.h"
 #include "core/replay_program.h"
 #include "json/json.h"
 #include "snapshot/snapshot.h"
-#include "trace/content_hash.h"
 
 namespace lumos::api {
 
@@ -174,7 +174,7 @@ Status parse_meta_json(const std::string& meta_json, BaselineArtifacts& out) {
     options.dp_rank =
         static_cast<std::int32_t>(bo->get_int("dp_rank", options.dp_rank));
     options.include_optimizer =
-        bo->get_int("include_optimizer", 1) != 0;
+        bo->get_bool("include_optimizer", options.include_optimizer);
     scenario.with_build_options(options);
   }
   if (const json::Value* po = obj.find("parser_options")) {
@@ -183,8 +183,10 @@ Status parse_meta_json(const std::string& meta_json, BaselineArtifacts& out) {
         po->get_int("sync_duration_clamp_ns", options.sync_duration_clamp_ns);
     options.interthread_gap_ns =
         po->get_int("interthread_gap_ns", options.interthread_gap_ns);
-    options.infer_interthread = po->get_int("infer_interthread", 1) != 0;
-    options.infer_interstream = po->get_int("infer_interstream", 1) != 0;
+    options.infer_interthread =
+        po->get_bool("infer_interthread", options.infer_interthread);
+    options.infer_interstream =
+        po->get_bool("infer_interstream", options.infer_interstream);
     scenario.with_parser_options(options);
   }
   if (const json::Value* model = obj.find("model")) {
@@ -214,7 +216,6 @@ Status save_baseline_snapshot(const BaselineArtifacts& base,
                               const std::string& path) {
   snapshot::Bundle bundle;
   bundle.meta_json = build_meta_json(base);
-  bundle.trace = base.trace;
   bundle.graph = base.graph;
   bundle.program = base.program;
   try {
@@ -223,7 +224,6 @@ Status save_baseline_snapshot(const BaselineArtifacts& base,
     if (bundle.program == nullptr) {
       bundle.program = core::ReplayCompiler::compile(*base.graph).program;
     }
-    bundle.content_hash = trace::content_hash(*base.trace);
     snapshot::write(path, bundle);
   } catch (const snapshot::Error& e) {
     return map_snapshot_error(e);
@@ -253,7 +253,6 @@ Result<BaselineArtifacts> load_baseline_snapshot(const std::string& path) {
       !status.is_ok()) {
     return status;
   }
-  out.trace = std::move(bundle.trace);
   out.graph = std::move(bundle.graph);
   out.program = std::move(bundle.program);
   return out;

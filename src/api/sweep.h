@@ -3,8 +3,8 @@
 // The paper's core promise is cheap what-if exploration — predicting many
 // parallelism/architecture variants from one profiled trace. A Session
 // evaluates one Scenario at a time; a Sweep evaluates N of them: the base
-// artifacts (trace, parsed ExecutionGraph, resolved model/config) are
-// collected exactly once into an immutable BaselineArtifacts snapshot, the
+// artifacts (parsed ExecutionGraph, its compiled program, resolved
+// model/config) are built exactly once into an immutable BaselineArtifacts, the
 // variants fan out across a worker pool, and the per-scenario results
 // gather into one ranked SweepReport.
 //
@@ -131,7 +131,8 @@ class Sweep {
   /// when the shared baseline is ready for concurrent use.
   static Result<Sweep> create(Scenario base, SweepOptions options = {});
   /// Builds a Sweep over an existing session's baseline (shares the
-  /// session's cached trace/graph; collects them first if needed).
+  /// session's cached graph; collects and parses the trace first if
+  /// needed).
   static Result<Sweep> over(Session& session, SweepOptions options = {});
 
   Sweep(Sweep&&) = default;

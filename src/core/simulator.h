@@ -13,9 +13,13 @@
 // makes it possible to support *collective coupling*: NCCL kernels of one
 // collective instance start together once every participating rank arrives,
 // the way real NCCL rendezvous behaves. Coupling is used by the ground-truth
-// cluster engine and by manipulated multi-rank graph prediction; plain trace
-// replay leaves it off because profiled kernel durations already include
-// peer-wait time.
+// cluster engine and by every replay the library runs: core::replay, the
+// dPRO baseline, the facade's run_replay (Session, predict_on, Sweep,
+// serve) and compiled programs all couple, with the profiled duration of
+// the last-arriving member as the transfer time, so peer-wait skew is
+// re-derived at the rendezvous rather than double-counted. The
+// SimOptions default stays uncoupled for caller-built runs
+// (api::replay_graph with default options, ablation studies).
 //
 // Determinism: a run is a pure function of (graph, options, hooks). Queue
 // ties are broken by profiled timestamp and then by task id, and

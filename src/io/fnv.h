@@ -1,8 +1,7 @@
 // io::Fnv1a: the one FNV-1a implementation shared by every fingerprinting
 // consumer — the ground-truth engine's deterministic duration jitter, the
-// trace content hash that keys the serve-layer baseline cache
-// (trace/content_hash.h), and the snapshot payload checksum
-// (snapshot/snapshot.h).
+// fault-spec fingerprint, and the snapshot payload checksum
+// (snapshot/snapshot.h) that keys the serve-layer baseline cache.
 //
 // Two variants with distinct, pinned domains:
 //   - Fnv1a / fnv1a(): the canonical byte-at-a-time FNV-1a. Golden tests

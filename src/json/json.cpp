@@ -130,6 +130,14 @@ std::int64_t Value::get_int(std::string_view key,
   return (v != nullptr && v->is_number()) ? v->as_int() : fallback;
 }
 
+bool Value::get_bool(std::string_view key, bool fallback) const {
+  if (!is_object()) return fallback;
+  const Value* v = as_object().find(key);
+  if (v == nullptr) return fallback;
+  if (v->is_bool()) return v->as_bool();
+  return v->is_number() ? v->as_int() != 0 : fallback;
+}
+
 double Value::get_double(std::string_view key, double fallback) const {
   if (!is_object()) return fallback;
   const Value* v = as_object().find(key);
@@ -376,7 +384,8 @@ class ScannerBase {
 /// The one grammar implementation: recursive descent over ScannerBase
 /// tokens, driving SaxHandler callbacks. The DOM path (parse()) is a
 /// SaxHandler that builds the Value tree, so accept/reject behavior and
-/// diagnostics cannot diverge between the two APIs.
+/// diagnostics cannot diverge between the two APIs. Each level recurses
+/// with the count of open containers, which stops at kMaxDepth.
 class SaxParser : ScannerBase {
  public:
   SaxParser(std::string_view text, SaxHandler& handler)
@@ -384,17 +393,18 @@ class SaxParser : ScannerBase {
 
   void parse_document() {
     skip_whitespace();
-    parse_value();
+    parse_value(0);
     skip_whitespace();
     if (pos_ != text_.size()) fail("trailing characters after JSON document");
   }
 
  private:
-  void parse_value() {
+  /// `depth` counts the containers enclosing the value.
+  void parse_value(std::size_t depth) {
     if (pos_ >= text_.size()) fail("unexpected end of input");
     switch (text_[pos_]) {
-      case '{': parse_object(); return;
-      case '[': parse_array(); return;
+      case '{': parse_object(nested(depth)); return;
+      case '[': parse_array(nested(depth)); return;
       case '"': handler_.string_value(scan_string()); return;
       case 't': expect_literal("true"); handler_.bool_value(true); return;
       case 'f': expect_literal("false"); handler_.bool_value(false); return;
@@ -411,7 +421,15 @@ class SaxParser : ScannerBase {
     }
   }
 
-  void parse_object() {
+  /// The depth inside one more container, or a ParseError past kMaxDepth.
+  std::size_t nested(std::size_t depth) const {
+    if (depth == kMaxDepth) {
+      fail("nesting deeper than " + std::to_string(kMaxDepth) + " levels");
+    }
+    return depth + 1;
+  }
+
+  void parse_object(std::size_t depth) {
     expect('{');
     handler_.begin_object();
     skip_whitespace();
@@ -427,7 +445,7 @@ class SaxParser : ScannerBase {
       skip_whitespace();
       expect(':');
       skip_whitespace();
-      parse_value();
+      parse_value(depth);
       skip_whitespace();
       char c = peek();
       if (c == ',') {
@@ -443,7 +461,7 @@ class SaxParser : ScannerBase {
     }
   }
 
-  void parse_array() {
+  void parse_array(std::size_t depth) {
     expect('[');
     handler_.begin_array();
     skip_whitespace();
@@ -454,7 +472,7 @@ class SaxParser : ScannerBase {
     }
     while (true) {
       skip_whitespace();
-      parse_value();
+      parse_value(depth);
       skip_whitespace();
       char c = peek();
       if (c == ',') {

@@ -127,6 +127,8 @@ class Value {
 
   /// Convenience typed getters with defaults (object-member style access).
   std::int64_t get_int(std::string_view key, std::int64_t fallback) const;
+  /// A bool member, or a number read as nonzero; `fallback` otherwise.
+  bool get_bool(std::string_view key, bool fallback) const;
   double get_double(std::string_view key, double fallback) const;
   std::string get_string(std::string_view key, std::string fallback) const;
 
@@ -138,8 +140,14 @@ class Value {
       data_;
 };
 
+/// Deepest array / object nesting parse() and sax_parse() accept; deeper
+/// input is a ParseError. The grammar recurses once per level, so the
+/// limit bounds its stack use on hostile input. Kineto traces and serve
+/// requests nest fewer than 10 levels.
+inline constexpr std::size_t kMaxDepth = 512;
+
 /// Parses `text` as a single JSON document. Throws ParseError on malformed
-/// input (including trailing garbage).
+/// input (including trailing garbage and nesting deeper than kMaxDepth).
 Value parse(std::string_view text);
 
 /// Event-stream (SAX) parsing interface: sax_parse() walks the document and

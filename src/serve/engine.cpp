@@ -12,14 +12,19 @@ Engine::Engine() : Engine(Options{}) {}
 Engine::Engine(Options options) : options_(options) {}
 
 std::size_t Engine::approx_bytes(const api::BaselineArtifacts& base) {
-  // Per-event: the EventTable's ~23 columns (mostly 8-byte, some 4/1-byte)
-  // land near 96 bytes/event; per meta row ~64; strings ride the pools,
-  // amortized into the per-event constant.
+  // Per task: the row's event and processor columns (~20, mostly 8-byte)
+  // land near 100 bytes, the meta table's stored and derived columns near
+  // 40; strings ride the pools and the sparse side-tables are amortized
+  // into the row constant. The program adds its records.
   std::size_t bytes = 4096;  // scenario + pools + bookkeeping floor
-  if (base.trace) bytes += base.trace->total_events() * 96;
   if (base.graph) {
-    bytes += base.graph->size() * 64;
+    bytes += base.graph->size() * (100 + 40);
     bytes += base.graph->edges().size() * sizeof(core::Edge);
+  }
+  if (base.program) {
+    bytes += base.program->instructions().size_bytes() +
+             base.program->operands().size_bytes() +
+             base.program->members().size_bytes();
   }
   return bytes;
 }

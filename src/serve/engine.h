@@ -3,11 +3,13 @@
 // snapshots, see snapshot/snapshot.h) and answers what-if predictions over
 // them with single-flight coalescing.
 //
-//   - Cache key = the trace content hash pinned in the snapshot header
-//     (trace::content_hash), probed with a 40-byte header read — two paths
-//     to byte-identical baseline content share one cache entry, and a
-//     re-collected trace with different content misses even at the same
-//     path.
+//   - Cache key = the snapshot's payload checksum, probed with a 32-byte
+//     header read. It covers everything a prediction reads (scenario
+//     metadata with its build and parser options, graph, program, pools)
+//     and load verifies it, so two snapshots of one trace saved with
+//     different options get different keys, two paths to byte-identical
+//     images share one cache entry, and a re-saved baseline with different
+//     content misses even at the same path.
 //   - Entries are shared_ptr<const BaselineArtifacts>: eviction only drops
 //     the cache reference, in-flight predictions keep their baseline (and
 //     its mmap) alive. The cache's references are dropped after the
@@ -71,7 +73,7 @@ class Engine {
   /// One answered prediction plus its cache provenance.
   struct Outcome {
     api::Prediction prediction;
-    std::uint64_t content_hash = 0;
+    std::uint64_t content_hash = 0;  ///< the snapshot's payload checksum
     bool baseline_was_cached = false;  ///< hit (false for the loading miss)
     bool coalesced = false;            ///< joined another request's flight
   };
@@ -85,7 +87,7 @@ class Engine {
   Result<std::shared_ptr<const api::BaselineArtifacts>> baseline(
       const std::string& path) LUMOS_EXCLUDES(mu_);
 
-  /// Answers one predict request: resolve the snapshot's content hash,
+  /// Answers one predict request: peek the snapshot's payload checksum,
   /// fetch the baseline (cache → single-flight load → disk), then run
   /// api::predict_on under predict-level single-flight.
   Result<Outcome> predict(const Request& request) LUMOS_EXCLUDES(mu_);
@@ -95,9 +97,9 @@ class Engine {
   /// Drops every cache entry (in-flight users keep theirs alive).
   void clear() LUMOS_EXCLUDES(mu_);
 
-  /// Cache-accounting estimate of a baseline's resident size: column bytes
-  /// of the trace's events, the graph's meta rows and edges. An estimate —
-  /// capacity tuning, not an allocator audit.
+  /// Cache-accounting estimate of a baseline's resident size, from the
+  /// graph alone: its rows, meta table and edges, and the program's
+  /// records. An estimate — capacity tuning, not an allocator audit.
   static std::size_t approx_bytes(const api::BaselineArtifacts& base);
 
  private:

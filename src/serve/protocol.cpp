@@ -40,17 +40,6 @@ std::string WhatIf::fingerprint() const {
 
 namespace {
 
-/// get_int-style lookup for booleans (get_int treats Bool as absent);
-/// accepts 0/1 numbers too, so hand-written clients can send either.
-bool get_bool(const json::Value& v, std::string_view key, bool fallback) {
-  if (!v.is_object()) return fallback;
-  const json::Value* p = v.as_object().find(key);
-  if (p == nullptr) return fallback;
-  if (p->is_bool()) return p->as_bool();
-  if (p->is_number()) return p->as_int() != 0;
-  return fallback;
-}
-
 const char* method_name(Method m) {
   switch (m) {
     case Method::kPredict: return "predict";
@@ -117,7 +106,7 @@ Status decode_request(std::string_view line, Request& out) {
     o.num_layers = static_cast<std::int32_t>(w->get_int("num_layers", 0));
     o.d_model = w->get_int("d_model", 0);
     o.d_ff = w->get_int("d_ff", 0);
-    o.fusion = get_bool(*w, "fusion", false);
+    o.fusion = w->get_bool("fusion", false);  // hand-written clients send 0/1
     o.cost_model = w->get_string("cost_model", "");
     o.hooks = w->get_string("hooks", "");
   }
@@ -165,7 +154,7 @@ Status decode_reply(std::string_view line, Reply& out) {
   }
   if (!v.is_object()) return parse_error("reply: not a JSON object");
   out.id = v.get_int("id", 0);
-  out.ok = get_bool(v, "ok", false);
+  out.ok = v.get_bool("ok", false);
   out.error = out.ok ? Status::ok()
                      : status_from_wire(
                            v.get_int("error_code",

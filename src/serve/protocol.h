@@ -14,7 +14,8 @@
 //                 "exposed_comm_ns":...,"other_ns":...},
 //    "baseline_cached":true,"coalesced":false,"content_hash":"<hex>"}
 // The breakdown is the predicted schedule's per-rank average (see
-// analysis/breakdown.h), in ns.
+// analysis/breakdown.h), in ns. "content_hash" is the baseline snapshot's
+// payload checksum, the engine's cache key (see serve/engine.h).
 // Reply line (error):
 //   {"id":7,"ok":false,"error_code":5,"error":"deadlock: ..."}
 //
@@ -53,7 +54,7 @@ struct WhatIf {
 
   /// Canonical textual form — identical requests produce identical
   /// fingerprints, so this is the single-flight coalescing key (paired
-  /// with the baseline content hash). Field-order and formatting are
+  /// with the baseline's cache key). Field-order and formatting are
   /// fixed; do not derive it from client JSON text.
   std::string fingerprint() const;
 };

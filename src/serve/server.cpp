@@ -273,6 +273,16 @@ void Server::serve_connection_loop(int fd) {
         if (stopping_) return;
       }
     }
+    if (buffer.size() > kMaxRequestLineBytes) {
+      // The rest of an oversized line cannot be answered in order, so the
+      // connection ends with the refusal.
+      send_all(fd, error_reply(0, invalid_argument_error(
+                                      "request line longer than " +
+                                      std::to_string(kMaxRequestLineBytes) +
+                                      " bytes")) +
+                       "\n");
+      return;
+    }
     const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
     if (n < 0 && errno == EINTR) continue;
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {

@@ -6,7 +6,8 @@
 //     connection is answered immediately with a busy error and closed
 //     instead of growing an unbounded backlog.
 //   - Each worker owns one connection until EOF, answering one NDJSON
-//     request per line (serve/protocol.h), in order.
+//     request per line (serve/protocol.h), in order. A line longer than
+//     kMaxRequestLineBytes is refused and its connection closed.
 //   - A request that fails is answered with its Status and the connection
 //     lives on — per-request isolation, a deadlocked what-if cannot wedge
 //     the daemon.
@@ -28,6 +29,12 @@
 #include "support/thread_annotations.h"
 
 namespace lumos::serve {
+
+/// Longest request line a connection may send. A connection whose pending
+/// line passes it without a '\n' gets a kInvalidArgument reply and is
+/// closed, so no client grows a worker's buffer without bound. Requests
+/// are well under 1 KiB.
+inline constexpr std::size_t kMaxRequestLineBytes = std::size_t{1} << 20;
 
 struct ServerOptions {
   std::string socket_path;      ///< AF_UNIX path; stale files are replaced

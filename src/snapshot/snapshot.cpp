@@ -3,12 +3,13 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <bit>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -16,6 +17,7 @@
 #include "io/fnv.h"
 #include "io/mapped_file.h"
 #include "support/thread_annotations.h"
+#include "trace/event_table.h"
 
 namespace lumos::snapshot {
 
@@ -28,20 +30,22 @@ namespace {
 
 constexpr char kMagic[8] = {'L', 'U', 'M', 'O', 'S', 'N', 'A', 'P'};
 
+/// Id 3 held v3's per-rank trace columns and stays unused.
 enum SectionId : std::uint32_t {
   kSectionMeta = 1,   ///< opaque api-layer JSON
-  kSectionPools = 2,  ///< canonical string pools (names / ops / groups)
-  kSectionTrace = 3,  ///< per-rank event columns
+  kSectionPools = 2,  ///< the graph's string pools (names / ops / groups)
   kSectionGraph = 4,  ///< edges, task payloads, meta columns, lanes, groups
   kSectionProgram = 5,  ///< the compiled ReplayProgram, or empty
 };
+/// Every section of an image, in the order write() emits them.
+constexpr SectionId kSections[] = {kSectionMeta, kSectionPools, kSectionGraph,
+                                   kSectionProgram};
 
 #pragma pack(push, 1)
 struct Header {
   char magic[8];
   std::uint32_t version;
   std::uint32_t section_count;
-  std::uint64_t content_hash;      ///< trace::content_hash of the payload trace
   std::uint64_t payload_checksum;  ///< io::fnv1a_words over the payload bytes
   std::uint64_t file_size;         ///< total file length (truncation check)
 };
@@ -52,7 +56,7 @@ struct SectionEntry {
   std::uint64_t length;
 };
 #pragma pack(pop)
-static_assert(sizeof(Header) == 40, "header layout is part of the format");
+static_assert(sizeof(Header) == 32, "header layout is part of the format");
 static_assert(sizeof(SectionEntry) == 24,
               "section entry layout is part of the format");
 
@@ -190,35 +194,6 @@ class Cursor {
   std::shared_ptr<const void> keepalive_;
 };
 
-/// Id translation from one source StringPool into the canonical output
-/// pool, interning on first sight. Identity when the source was already
-/// the canonical pool (the common "one pool per trace" case) — the writer
-/// then streams columns without rewriting them.
-class PoolRemap {
- public:
-  PoolRemap() = default;
-  PoolRemap(const trace::StringPool& src, trace::StringPool& dst) {
-    map_.resize(src.size());
-    for (std::size_t id = 0; id < src.size(); ++id) {
-      map_[id] = dst.intern(src.view(static_cast<std::uint32_t>(id)));
-      identity_ &= (map_[id] == id);
-    }
-  }
-
-  bool identity() const { return identity_; }
-  std::uint32_t operator[](std::uint32_t id) const {
-    return id == trace::NameId::kInvalidIndex ? id : map_[id];
-  }
-
- private:
-  std::vector<std::uint32_t> map_;
-  bool identity_ = true;
-};
-
-struct PoolsRemap {
-  PoolRemap names, ops, groups;
-};
-
 void write_pool(Buffer& buf, const trace::StringPool& pool) {
   std::vector<std::uint64_t> offsets(pool.size() + 1, 0);
   std::string blob;
@@ -255,6 +230,8 @@ void read_pool(Cursor& cur, trace::StringPool& pool) {
 /// column by column. The visit_* functions define the on-disk column order
 /// — writer and reader share them, so the two can never disagree.
 struct Access {
+  /// The pool a string-id column indexes (kNone: not an id column). The
+  /// reader checks each id column against its pool.
   enum class Domain : std::uint8_t { kNone, kName, kOp, kGroup };
 
   template <class Table, class F>
@@ -303,7 +280,10 @@ struct Access {
   /// Rejects an event table whose per-event columns disagree with `rows`
   /// or whose side-table columns disagree with each other.
   static void check_event_lengths(const trace::EventTable& t,
-                                  std::size_t rows, const char* section);
+                                  std::size_t rows);
+  /// Rejects a collective or GEMM side-table index outside
+  /// [-1, side-table length): the event accessors read through them.
+  static void check_side_table_indices(const trace::EventTable& t);
   /// Same for the meta table's per-task columns.
   static void check_meta_lengths(const core::TaskMetaTable& t,
                                  std::size_t rows);
@@ -325,10 +305,6 @@ struct Access {
       Cursor& cur, const core::TaskMetaTable& meta);
 
   // -- raw member access for the small rebuild-at-load structures -----------
-  static std::shared_ptr<trace::TracePools>& cluster_pools(
-      trace::ClusterTrace& t) {
-    return t.pools_;
-  }
   template <class MT>
   static auto& meta_lanes(MT& t) { return t.lanes_.lanes_; }
   template <class MT>
@@ -379,17 +355,16 @@ void expect_rows(std::size_t rows, const std::string& what,
 
 }  // namespace
 
-void Access::check_event_lengths(const trace::EventTable& t, std::size_t rows,
-                                 const char* section) {
-  const std::string where = std::string(section) + " section: ";
-  expect_rows(rows, where + "event", t.cat_, t.api_, t.ts_, t.dur_, t.pid_,
-              t.tid_, t.correlation_, t.stream_, t.cuda_event_, t.layer_,
-              t.microbatch_, t.bytes_moved_, t.name_, t.phase_, t.block_,
-              t.coll_idx_, t.gemm_idx_);
-  expect_rows(t.coll_.op.size(), where + "collective side-table",
+void Access::check_event_lengths(const trace::EventTable& t,
+                                 std::size_t rows) {
+  expect_rows(rows, "graph section: event", t.cat_, t.api_, t.ts_, t.dur_,
+              t.pid_, t.tid_, t.correlation_, t.stream_, t.cuda_event_,
+              t.layer_, t.microbatch_, t.bytes_moved_, t.name_, t.phase_,
+              t.block_, t.coll_idx_, t.gemm_idx_);
+  expect_rows(t.coll_.op.size(), "graph section: collective side-table",
               t.coll_.group, t.coll_.bytes, t.coll_.group_size,
               t.coll_.instance);
-  expect_rows(t.gemm_.m.size(), where + "gemm side-table", t.gemm_.n,
+  expect_rows(t.gemm_.m.size(), "graph section: gemm side-table", t.gemm_.n,
               t.gemm_.k);
 }
 
@@ -406,7 +381,28 @@ bool in_range(std::int64_t id, std::size_t bound) {
   return id >= 0 && static_cast<std::uint64_t>(id) < bound;
 }
 
+/// Whether every 32-bit id in `ids` is -1 (a pool's kInvalidIndex, or "no
+/// side-table row") or below `bound`. As unsigned, id + 1 wraps -1 to 0 and
+/// takes every other id to id + 1, so one max-reduction decides.
+template <class Ids>
+bool ids_in_range(const Ids& ids, std::size_t bound) {
+  std::uint32_t top = 0;
+  for (const auto id : ids) {
+    top = std::max(top, static_cast<std::uint32_t>(id) + 1u);
+  }
+  return top <= bound;
+}
+
 }  // namespace
+
+void Access::check_side_table_indices(const trace::EventTable& t) {
+  if (!ids_in_range(t.coll_idx_, t.coll_.op.size())) {
+    fail_corrupt("graph section: collective side-table index out of range");
+  }
+  if (!ids_in_range(t.gemm_idx_, t.gemm_.m.size())) {
+    fail_corrupt("graph section: gemm side-table index out of range");
+  }
+}
 
 void Access::check_meta_lanes(const core::TaskMetaTable& t,
                               std::size_t lanes) {
@@ -513,85 +509,61 @@ std::shared_ptr<const core::ReplayProgram> Access::read_program(
 
 namespace {
 
-/// Canonical output pools + memoized per-source-pool id remaps. The writer
-/// funnels every string domain of the bundle (per-rank trace pools, the
-/// graph's meta pools — usually all one shared instance) through this, so
-/// the snapshot carries exactly one pool set.
-struct WriterPools {
-  std::shared_ptr<trace::TracePools> out =
-      std::make_shared<trace::TracePools>();
-  std::unordered_map<const trace::TracePools*, PoolsRemap> memo;
-
-  const PoolsRemap& remap_for(const trace::TracePools& src) {
-    auto it = memo.find(&src);
-    if (it != memo.end()) return it->second;
-    PoolsRemap r;
-    r.names = PoolRemap(src.names, out->names);
-    r.ops = PoolRemap(src.ops, out->ops);
-    r.groups = PoolRemap(src.groups, out->groups);
-    return memo.emplace(&src, std::move(r)).first->second;
-  }
-};
-
-const PoolRemap& domain_remap(const PoolsRemap& r, Access::Domain d) {
+/// The pool a string-id column of domain `d` indexes.
+const trace::StringPool& domain_pool(const trace::TracePools& pools,
+                                     Access::Domain d) {
   switch (d) {
-    case Access::Domain::kOp: return r.ops;
-    case Access::Domain::kGroup: return r.groups;
-    default: return r.names;
+    case Access::Domain::kOp: return pools.ops;
+    case Access::Domain::kGroup: return pools.groups;
+    default: return pools.names;
   }
 }
 
-/// Writes one column, translating string-id columns into canonical pool
-/// ids. Non-string columns (and identity remaps — the shared-pool fast
-/// path) stream straight from the column's storage.
+/// Writes each column as stored: the image carries the graph's own pools,
+/// so string ids need no translation.
 struct ColumnWriter {
   Buffer& buf;
-  const PoolsRemap& remap;
 
   template <class T>
-  void operator()(const io::Column<T>& col, Access::Domain d) const {
-    if constexpr (std::is_same_v<T, std::uint32_t>) {
-      if (d != Access::Domain::kNone) {
-        const PoolRemap& r = domain_remap(remap, d);
-        if (!r.identity()) {
-          std::vector<std::uint32_t> translated(col.size());
-          for (std::size_t i = 0; i < col.size(); ++i) translated[i] = r[col[i]];
-          buf.put_array(translated);
-          return;
-        }
-      }
-    }
+  void operator()(const io::Column<T>& col, Access::Domain) const {
     buf.put_array(col.data(), col.size());
   }
 };
 
+/// Borrows each column from the mapping and rejects a string id outside
+/// its pool: views resolve ids through StringPool::view unchecked.
 struct ColumnReader {
   Cursor& cur;
+  const trace::TracePools& pools;
 
   template <class T>
-  void operator()(io::Column<T>& col, Access::Domain) const {
+  void operator()(io::Column<T>& col, Access::Domain d) const {
     col = cur.get_column<T>();
+    if constexpr (std::is_same_v<T, std::uint32_t>) {
+      if (d != Access::Domain::kNone &&
+          !ids_in_range(col, domain_pool(pools, d).size())) {
+        fail_corrupt("graph section: string pool id out of range");
+      }
+    }
   }
 };
 
-void write_event_table(Buffer& buf, const trace::EventTable& t,
-                       WriterPools& pools) {
+void write_event_table(Buffer& buf, const trace::EventTable& t) {
   buf.put(static_cast<std::uint64_t>(t.size()));
-  Access::visit_event_columns(t, ColumnWriter{buf, pools.remap_for(*t.pools())});
+  Access::visit_event_columns(t, ColumnWriter{buf});
 }
 
 trace::EventTable read_event_table(Cursor& cur,
-                                   std::shared_ptr<trace::TracePools> pools,
-                                   const char* section) {
+                                   std::shared_ptr<trace::TracePools> pools) {
   const auto size = cur.get<std::uint64_t>();
   trace::EventTable t(std::move(pools));
-  Access::visit_event_columns(t, ColumnReader{cur});
-  Access::check_event_lengths(t, static_cast<std::size_t>(size), section);
+  Access::visit_event_columns(t, ColumnReader{cur, *t.pools()});
+  Access::check_event_lengths(t, static_cast<std::size_t>(size));
+  Access::check_side_table_indices(t);
   return t;
 }
 
-void write_graph(Buffer& buf, const core::ExecutionGraph& graph,
-                 WriterPools& pools) {
+void write_graph(Buffer& buf, const core::ExecutionGraph& graph) {
   // Edges as three scalar columns — Edge itself has padding bytes that
   // would poison the payload checksum.
   const std::vector<core::Edge>& edges = Access::graph_edges(graph);
@@ -607,19 +579,18 @@ void write_graph(Buffer& buf, const core::ExecutionGraph& graph,
   buf.put_array(type);
 
   // Task payloads: the graph's column payload — processors as scalar
-  // columns + the event rows, translated into the canonical pools.
+  // columns + the event rows.
   const core::TaskMetaTable& meta = graph.meta();
   const core::ColumnTaskSource& cols = meta.columns();
   buf.put_array(cols.rank_column().data(), cols.count());
   buf.put_array(cols.gpu_column().data(), cols.count());
   buf.put_array(cols.lane_column().data(), cols.count());
-  write_event_table(buf, cols.events(), pools);
+  write_event_table(buf, cols.events());
 
   // The finalized meta table's stored columns, its lanes and the
   // collective rendezvous groups; the loader re-derives the rest.
   buf.put(static_cast<std::uint64_t>(meta.size()));
-  Access::visit_meta_columns(meta,
-                             ColumnWriter{buf, pools.remap_for(*meta.pools())});
+  Access::visit_meta_columns(meta, ColumnWriter{buf});
 
   const std::vector<core::Processor>& lanes = Access::meta_lanes(meta);
   std::vector<std::int32_t> lane_rank(lanes.size());
@@ -634,7 +605,6 @@ void write_graph(Buffer& buf, const core::ExecutionGraph& graph,
   buf.put_array(lane_gpu);
   buf.put_array(lane_lane);
 
-  const PoolsRemap& remap = pools.remap_for(*meta.pools());
   const std::vector<core::CollectiveGroupMeta>& groups =
       meta.collective_groups();
   std::vector<std::uint32_t> group_id(groups.size());
@@ -642,7 +612,7 @@ void write_graph(Buffer& buf, const core::ExecutionGraph& graph,
   std::vector<std::uint64_t> member_offsets(groups.size() + 1, 0);
   std::vector<core::TaskId> members;
   for (std::size_t i = 0; i < groups.size(); ++i) {
-    group_id[i] = remap.groups[groups[i].group.index];
+    group_id[i] = groups[i].group.index;
     group_instance[i] = groups[i].instance;
     members.insert(members.end(), groups[i].members.begin(),
                    groups[i].members.end());
@@ -668,7 +638,7 @@ std::shared_ptr<const core::ExecutionGraph> read_graph(
   io::Column<std::int32_t> rank = cur.get_column<std::int32_t>();
   io::Column<std::uint8_t> gpu = cur.get_column<std::uint8_t>();
   io::Column<std::int64_t> lane = cur.get_column<std::int64_t>();
-  trace::EventTable events = read_event_table(cur, pools, "graph");
+  trace::EventTable events = read_event_table(cur, pools);
   const std::size_t tasks = events.size();
   if (rank.size() != tasks || gpu.size() != tasks || lane.size() != tasks) {
     fail_corrupt("graph section: task column length mismatch");
@@ -697,7 +667,7 @@ std::shared_ptr<const core::ExecutionGraph> read_graph(
   if (meta_size != tasks) {
     fail_corrupt("graph section: meta row count does not match task count");
   }
-  Access::visit_meta_columns(meta, ColumnReader{cur});
+  Access::visit_meta_columns(meta, ColumnReader{cur, *pools});
   Access::check_meta_lengths(meta, tasks);
 
   const std::span<const std::int32_t> lane_rank = cur.get_span<std::int32_t>();
@@ -724,6 +694,9 @@ std::shared_ptr<const core::ExecutionGraph> read_graph(
   if (group_id.size() != group_instance.size() ||
       member_offsets.size() != group_id.size() + 1) {
     fail_corrupt("graph section: group column length mismatch");
+  }
+  if (!ids_in_range(group_id, pools->groups.size())) {
+    fail_corrupt("graph section: string pool id out of range");
   }
   for (const core::TaskId m : members) {
     if (m < 0 || static_cast<std::size_t>(m) >= tasks) {
@@ -753,14 +726,9 @@ std::shared_ptr<const core::ExecutionGraph> read_graph(
 }  // namespace
 
 void write(const std::string& path, const Bundle& bundle) {
-  WriterPools pools;
-
-  // One image, sections in the order they are produced: trace and graph
-  // intern into the canonical pools, so the pools are serialized last
-  // (complete). The loader finds each section through the table and
-  // rebuilds the pools first. Header and table fill the zeroed prefix once
-  // the payload is complete.
-  constexpr std::size_t kSectionCount = 5;
+  // One image, sections in id order. Header and table fill the zeroed
+  // prefix once the payload is complete.
+  constexpr std::size_t kSectionCount = std::size(kSections);
   const std::size_t payload_start =
       sizeof(Header) + kSectionCount * sizeof(SectionEntry);
   Buffer image(payload_start);
@@ -771,25 +739,18 @@ void write(const std::string& path, const Bundle& bundle) {
     emit();
     table[sections++] = {id, 0, offset, image.size() - offset};
   };
+  const core::TaskMetaTable& meta = bundle.graph->meta();
   section(kSectionMeta, [&] { image.put_bytes(bundle.meta_json); });
-  section(kSectionTrace, [&] {
-    const trace::ClusterTrace& trace = *bundle.trace;
-    image.put(static_cast<std::uint64_t>(trace.ranks.size()));
-    for (const trace::RankTrace& rank : trace.ranks) {
-      image.put(rank.rank);
-      write_event_table(image, rank.events, pools);
-    }
+  section(kSectionPools, [&] {
+    write_pool(image, meta.names());
+    write_pool(image, meta.ops());
+    write_pool(image, meta.groups());
   });
-  section(kSectionGraph, [&] { write_graph(image, *bundle.graph, pools); });
+  section(kSectionGraph, [&] { write_graph(image, *bundle.graph); });
   section(kSectionProgram, [&] {
     if (bundle.program != nullptr) {
-      Access::write_program(image, *bundle.program, bundle.graph->meta());
+      Access::write_program(image, *bundle.program, meta);
     }
-  });
-  section(kSectionPools, [&] {
-    write_pool(image, pools.out->names);
-    write_pool(image, pools.out->ops);
-    write_pool(image, pools.out->groups);
   });
 
   std::string& file_bytes = image.bytes();
@@ -797,7 +758,6 @@ void write(const std::string& path, const Bundle& bundle) {
   std::memcpy(header.magic, kMagic, sizeof(kMagic));
   header.version = kFormatVersion;
   header.section_count = kSectionCount;
-  header.content_hash = bundle.content_hash;
   header.payload_checksum = io::fnv1a_words(
       file_bytes.data() + payload_start, file_bytes.size() - payload_start);
   header.file_size = file_bytes.size();
@@ -903,20 +863,19 @@ Bundle load(const std::string& path) {
         entry.length > view.size() - entry.offset) {
       fail_corrupt("section bounds out of range");
     }
-    if (entry.id >= kSectionMeta && entry.id <= kSectionProgram) {
+    if (entry.id < std::size(section_views)) {
       section_views[entry.id] =
           view.substr(static_cast<std::size_t>(entry.offset),
                       static_cast<std::size_t>(entry.length));
     }
   }
-  for (std::uint32_t id = kSectionMeta; id <= kSectionProgram; ++id) {
+  for (const SectionId id : kSections) {
     if (section_views[id].data() == nullptr) {
       fail_corrupt("missing section " + std::to_string(id));
     }
   }
 
   Bundle bundle;
-  bundle.content_hash = header.content_hash;
   {
     Cursor cur(section_views[kSectionMeta], file);
     bundle.meta_json = std::string(cur.get_bytes());
@@ -928,21 +887,6 @@ Bundle load(const std::string& path) {
     read_pool(cur, pools->names);
     read_pool(cur, pools->ops);
     read_pool(cur, pools->groups);
-  }
-
-  {
-    Cursor cur(section_views[kSectionTrace], file);
-    const auto rank_count = cur.get<std::uint64_t>();
-    trace::ClusterTrace trace;
-    Access::cluster_pools(trace) = pools;
-    trace.ranks.reserve(static_cast<std::size_t>(rank_count));
-    for (std::uint64_t i = 0; i < rank_count; ++i) {
-      const auto rank = cur.get<std::int32_t>();
-      trace.ranks.push_back(
-          trace::RankTrace{rank, read_event_table(cur, pools, "trace")});
-    }
-    bundle.trace =
-        std::make_shared<const trace::ClusterTrace>(std::move(trace));
   }
 
   {
@@ -968,7 +912,7 @@ std::uint64_t peek_content_hash(const std::string& path) {
   std::fclose(f);
   const Header header =
       checked_header(std::string_view(bytes, got), path);
-  return header.content_hash;
+  return header.payload_checksum;
 }
 
 }  // namespace lumos::snapshot

@@ -1,60 +1,65 @@
 // Versioned, mmap-able binary snapshots of a finalized baseline.
 //
 // A snapshot is the flat, load-ready image of everything a prediction
-// reads: the columnar ClusterTrace (trace::EventTable per rank + the shared
-// TracePools), the parsed ExecutionGraph (edges, task rows, and the stored
+// reads: the parsed ExecutionGraph (edges, task rows, and the stored
 // columns of its TaskMetaTable: flags, lanes, collective ids, sync targets,
-// the lane list and the rendezvous member lists), the graph's compiled
-// core::ReplayProgram, plus an opaque api-layer metadata JSON (scenario,
-// model, config). Loading is io::MappedFile + offset fixup: every
-// O(events) / O(tasks) column comes back as an io::Column borrow straight
-// into the mapping — no JSON, no re-parse, no re-classification, no
-// re-compile, no per-event allocation. The small structures (string pools,
-// lanes, groups, edge list) are rebuilt owning, and the meta table's
-// indexes are re-derived (below).
+// the lane list and the rendezvous member lists), the graph's string pools,
+// its compiled core::ReplayProgram, plus an opaque api-layer metadata JSON
+// (scenario, model, config). The graph rows are the image's only event
+// table: the profiled trace the graph was parsed from is not stored, since
+// no prediction reads it. Loading is io::MappedFile + offset fixup: every
+// O(tasks) column comes back as an io::Column borrow straight into the
+// mapping — no JSON, no re-parse, no re-classification, no re-compile, no
+// per-event allocation. The small structures (string pools, lanes, groups,
+// edge list) are rebuilt owning, and the meta table's indexes are
+// re-derived (below).
 //
-// Layout (format v3, little-endian, every section 8-byte aligned):
+// Layout (format v4, little-endian, every section 8-byte aligned):
 //
-//   Header   { magic "LUMOSNAP", version, section count, content hash,
-//              payload FNV, file size }
+//   Header   { magic "LUMOSNAP", version, section count, payload FNV,
+//              file size }                                   (32 bytes)
 //   Sections [ {id, offset, length} ... ]
-//   Payload  meta-JSON | trace columns | graph columns | program | pools
+//   Payload  meta-JSON (1) | pools (2) | graph columns (4) | program (5)
 //
-// Sections appear in the order write() produces them; the loader finds
-// each through the table and rebuilds the pools first. The graph section
-// stores what TaskMetaTable classifies, not what it reads in place
-// (category, CUDA API, duration, ts and name are the rows' event columns)
-// nor what it derives (the lane lookup / rank / GPU-lane indexes, the GPU
-// tasks per lane and the group index). The program section (id 5) holds the
-// instruction records, the operand ids and the rendezvous member records as
-// length-prefixed arrays. It stores no counts (the graph's meta table has
-// them) and no durations: the loaded program borrows the graph's row `dur`
-// column. A bundle without a program writes an empty section and loads
-// with `program == nullptr`; the api layer compiles before it saves, so
-// there a null program means the graph does not compile.
+// write() emits the sections in id order; the loader finds each through
+// the table and rebuilds the pools first. Id 3 (the v3 trace section) is
+// retired. The graph section stores what TaskMetaTable
+// classifies, not what it reads in place (category, CUDA API, duration, ts
+// and name are the rows' event columns) nor what it derives (the lane
+// lookup / rank / GPU-lane indexes, the GPU tasks per lane and the group
+// index). The program section holds the instruction records, the operand
+// ids and the rendezvous member records as length-prefixed arrays. It
+// stores no counts (the graph's meta table has them) and no durations: the
+// loaded program borrows the graph's row `dur` column. A bundle without a
+// program writes an empty section and loads with `program == nullptr`; the
+// api layer compiles before it saves, so there a null program means the
+// graph does not compile.
 //
-// The header pins two digests: `content_hash` is trace::content_hash of
-// the embedded trace (the serving layer's cache key — readable via peek()
-// without touching the payload), and `payload_checksum` is io::fnv1a_words
-// over the payload bytes (verified on every load, so truncation and
-// bit-flips surface as Error{kCorrupt} instead of garbage predictions).
+// The header pins one digest, `payload_checksum`: io::fnv1a_words over the
+// payload bytes, verified on every load (truncation and bit-flips surface
+// as Error{kCorrupt} instead of garbage predictions). It covers the meta
+// JSON (scenario, build and parser options), the graph, the program and
+// the pools — everything a prediction reads — so it is also the serving
+// layer's cache key, readable via peek_content_hash() without touching the
+// payload. write() is deterministic, so equal content shares one key.
 //
 // What load re-derives, checks and trusts. The checksum guards integrity,
 // not authenticity, so the loader
 //   - checks every stored id a consumer indexes with: edge endpoints,
-//     meta lane ids (and resolved sync lanes), rendezvous member ids, and
-//     in the program section one instruction per task and per group, ops,
-//     task / group / lane ids, CSR ranges, operand and member ids, and
-//     positive durations;
+//     string pool ids (every id column of the rows, the meta table and the
+//     rendezvous groups is invalid or below its pool's size), the rows'
+//     collective / GEMM side-table indices, meta lane ids (and resolved
+//     sync lanes), rendezvous member ids, and in the program section one
+//     instruction per task and per group, ops, task / group / lane ids,
+//     CSR ranges, operand and member ids, and positive durations;
 //   - re-derives every index after those checks (TaskMetaTable::index, the
 //     code build() runs), so the lane table, the GPU-task CSR and the group
 //     index are in range by construction, and a task listed in two
 //     rendezvous slots is rejected;
-//   - trusts the classification itself (flags, collective ids, sync
-//     targets: re-classifying would rebuild the hash maps build() uses)
-//     and the compiler's lane-order proof (re-proving it would cost a
-//     compile). Still unchecked: pool ids in the id columns and the event
-//     side-table indices.
+//   - trusts the classification itself (flags, which collective a task
+//     belongs to, sync targets: re-classifying would rebuild the hash maps
+//     build() uses) and the compiler's lane-order proof (re-proving it
+//     would cost a compile).
 // ReplayProgram::run is memory-safe on any image. A crafted image with a
 // recomputed checksum can already steer a prediction through its graph
 // columns; a stored program adds no new class of silent error, only
@@ -83,13 +88,12 @@
 
 #include "core/execution_graph.h"
 #include "core/replay_program.h"
-#include "trace/event_table.h"
 
 namespace lumos::snapshot {
 
 /// On-disk format version written by this build; load() rejects others
 /// with Error{kVersion}.
-inline constexpr std::uint32_t kFormatVersion = 3;
+inline constexpr std::uint32_t kFormatVersion = 4;
 
 enum class ErrorKind : std::uint8_t {
   kIo,       ///< file missing / unreadable / unwritable
@@ -107,20 +111,18 @@ class Error : public std::runtime_error {
   ErrorKind kind_;
 };
 
-/// What a snapshot stores: the frozen trace + graph pair, the graph's
-/// compiled program and the api layer's opaque metadata. On load, trace,
-/// graph and program alias the mapping (see the lifetime rule above) and
-/// the graph's tasks() materialize lazily — simulation reads meta() only
-/// and never pays for them.
+/// What a snapshot stores: the frozen graph, its compiled program and the
+/// api layer's opaque metadata. On load, graph and program alias the
+/// mapping (see the lifetime rule above) and the graph's tasks()
+/// materialize lazily — simulation reads meta() only and never pays for
+/// them.
 struct Bundle {
   std::string meta_json;
-  std::shared_ptr<const trace::ClusterTrace> trace;
   std::shared_ptr<const core::ExecutionGraph> graph;
   /// ReplayCompiler::compile(*graph).program, or null. write() stores it
   /// only when it is sized for `graph` (anything else writes an empty
   /// section); load() returns it checked, or null.
   std::shared_ptr<const core::ReplayProgram> program;
-  std::uint64_t content_hash = 0;
 };
 
 /// Serializes `bundle` to `path` crash-safely: the bytes are written to a
@@ -128,9 +130,9 @@ struct Bundle {
 /// atomically renamed over `path` — a killed process leaves either the
 /// previous image or a stray temp file, never a torn snapshot, and a
 /// concurrently mmap'ed old image is never rewritten in place. The graph
-/// must be finalized (meta built); string ids are re-interned into one
-/// canonical pool set shared by trace and graph. Throws Error{kIo} on
-/// filesystem failure (the temp file is unlinked on the error paths).
+/// must be finalized (meta built); its rows and meta table share one pool
+/// set, which the image stores as is. Throws Error{kIo} on filesystem
+/// failure (the temp file is unlinked on the error paths).
 void write(const std::string& path, const Bundle& bundle);
 
 /// Maps `path` and reconstructs the bundle zero-copy. Verifies magic,
@@ -138,9 +140,9 @@ void write(const std::string& path, const Bundle& bundle);
 /// and re-derives the meta table's indexes. Throws Error.
 Bundle load(const std::string& path);
 
-/// Reads just the header and returns the pinned content hash — the cheap
-/// cache-key probe the serving layer uses before deciding to map the
-/// payload. Throws Error.
+/// Reads just the 32-byte header and returns its payload checksum — the
+/// cheap cache-key probe the serving layer uses before deciding to map the
+/// payload (load() verifies the same checksum). Throws Error.
 std::uint64_t peek_content_hash(const std::string& path);
 
 }  // namespace lumos::snapshot

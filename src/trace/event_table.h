@@ -370,8 +370,6 @@ struct ClusterTrace {
   std::size_t total_events() const;
 
  private:
-  friend struct lumos::snapshot::Access;  // installs the loaded shared pools
-
   std::shared_ptr<TracePools> pools_;
 };
 

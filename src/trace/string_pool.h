@@ -107,7 +107,7 @@ class StringPool {
 /// hands the same instance to ExecutionGraph::finalize(), so the graph's
 /// TaskMetaTable re-uses the trace's ids instead of re-interning. After the
 /// build/parse phase the pools are read-only and safe to share across
-/// threads (api::Sweep workers read the baseline trace/graph concurrently).
+/// threads (api::Sweep workers read the baseline graph concurrently).
 struct TracePools {
   StringPool names;
   StringPool ops;

@@ -4,11 +4,10 @@
 // (serial), N, more workers than files, 0 (auto) — produces a bit-identical
 // ClusterTrace, because workers parse into private pools and a
 // deterministic merge re-interns them in sorted-rank order. Identity is
-// pinned three ways, per the acceptance criteria: trace::content_hash,
-// golden FNV byte-identity of the re-serialized JSON (ParsePathGolden
-// style), and SimResult equality after graph finalize + replay. The whole
-// suite runs under the thread-sanitizer CI job, so the fan-out is raced for
-// real.
+// pinned three ways: the content_hash test oracle, golden FNV byte-identity
+// of the re-serialized JSON (ParsePathGolden style), and SimResult equality
+// after graph finalize + replay. The whole suite runs under the
+// thread-sanitizer CI job, so the fan-out is raced for real.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -26,9 +25,9 @@
 #include "io/parallel_for.h"
 #include "json/json.h"
 #include "trace/chrome_trace.h"
-#include "trace/content_hash.h"
 #include "trace/ingest.h"
 #include "test_util.h"
+#include "trace_content_hash_oracle.h"
 
 namespace {
 
@@ -241,7 +240,8 @@ class ParallelIngest : public ::testing::Test {
 
   static void expect_bit_identical(const trace::ClusterTrace& parallel) {
     const trace::ClusterTrace& serial = *serial_;
-    EXPECT_EQ(trace::content_hash(parallel), trace::content_hash(serial));
+    EXPECT_EQ(testutil::content_hash(parallel),
+              testutil::content_hash(serial));
     ASSERT_EQ(parallel.ranks.size(), serial.ranks.size());
     // Pool-merge id stability: not just equal text — equal *ids*. The
     // deterministic merge must reproduce the serial first-intern order
@@ -336,8 +336,10 @@ TEST(ParallelIngestGolden, Seed123FixtureAcrossWorkerCounts) {
             11453389673110840838ULL);
   EXPECT_EQ(fnv1a(trace::to_json_string(parallel.ranks[0])),
             11453389673110840838ULL);
-  EXPECT_EQ(trace::content_hash(parallel), trace::content_hash(serial));
-  EXPECT_EQ(trace::content_hash(parallel), trace::content_hash(run.trace));
+  EXPECT_EQ(testutil::content_hash(parallel),
+            testutil::content_hash(serial));
+  EXPECT_EQ(testutil::content_hash(parallel),
+            testutil::content_hash(run.trace));
 
   // SimResult equality after finalize + replay, with the golden constants
   // the string-round-trip path (test_data_layer ParsePathGolden) pins.
@@ -453,6 +455,21 @@ TEST(ParallelFor, RethrowsLowestIndexError) {
       EXPECT_STREQ(e.what(), "3");
     }
   }
+}
+
+TEST(ParallelIngestErrors, TooDeepRankFileIsAParseError) {
+  // A rank file nested past json::kMaxDepth is rejected by the grammar
+  // instead of recursing until the stack runs out.
+  const std::string prefix = fixture_dir("too_deep") + "/trace";
+  std::ofstream(prefix + "_rank0.json")
+      << R"({"traceEvents":[{"args":)" << std::string(100'000, '[');
+  Result<api::Session> session =
+      api::Session::create(api::Scenario::from_trace(prefix, 1));
+  ASSERT_TRUE(session.is_ok()) << session.status().to_string();
+  const Status status = session->trace().status();
+  EXPECT_EQ(status.code(), ErrorCode::kParseError) << status.to_string();
+  EXPECT_NE(status.message().find("nesting deeper than"), std::string::npos)
+      << status.to_string();
 }
 
 TEST(ParallelIngestErrors, CorruptFileFailsLikeSerial) {

@@ -162,6 +162,26 @@ TEST(JsonParse, RejectsMalformedInput) {
   EXPECT_THROW(parse("\"\\ud800\""), ParseError);  // unpaired surrogate
 }
 
+/// `depth` arrays nested inside each other, innermost empty.
+std::string nested_arrays(std::size_t depth) {
+  return std::string(depth, '[') + std::string(depth, ']');
+}
+
+TEST(JsonParse, NestingIsBoundedByMaxDepth) {
+  // kMaxDepth levels parse; one more is a ParseError, and so is a hostile
+  // million, which would otherwise overflow the recursion's stack.
+  EXPECT_TRUE(parse(nested_arrays(kMaxDepth)).is_array());
+  EXPECT_THROW(parse(nested_arrays(kMaxDepth + 1)), ParseError);
+  EXPECT_THROW(parse(std::string(1'000'000, '[')), ParseError);
+  std::string objects;
+  for (std::size_t i = 0; i <= kMaxDepth; ++i) objects += "{\"a\":";
+  objects += "1" + std::string(kMaxDepth + 1, '}');
+  EXPECT_THROW(parse(objects), ParseError);
+  SaxHandler ignore;
+  EXPECT_THROW(sax_parse(nested_arrays(kMaxDepth + 1), ignore), ParseError);
+  EXPECT_NO_THROW(sax_parse(nested_arrays(kMaxDepth), ignore));
+}
+
 TEST(JsonParse, ErrorCarriesLineNumber) {
   try {
     parse("{\n\"a\": 1,\n bad\n}");

@@ -5,15 +5,19 @@
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -36,18 +40,26 @@ std::string temp_path(const std::string& name) {
   return ::testing::TempDir() + name;
 }
 
-/// Writes a tiny synthetic baseline snapshot and returns its path. Distinct
-/// seeds produce distinct traces, so distinct content hashes.
-std::string make_snapshot(const std::string& name, std::uint64_t seed = 123) {
+Scenario tiny_scenario(std::uint64_t seed = 123) {
+  return Scenario::synthetic()
+      .with_model(testutil::tiny_model())
+      .with_parallelism(testutil::tiny_config())
+      .with_seed(seed);
+}
+
+/// Saves `scenario`'s baseline as a snapshot and returns its path.
+std::string save_snapshot(const std::string& name, const Scenario& scenario) {
   const std::string path = temp_path(name);
-  Result<Session> session =
-      Session::create(Scenario::synthetic()
-                          .with_model(testutil::tiny_model())
-                          .with_parallelism(testutil::tiny_config())
-                          .with_seed(seed));
+  Result<Session> session = Session::create(scenario);
   EXPECT_TRUE(session.is_ok()) << session.status().to_string();
   EXPECT_TRUE(session->save_snapshot(path).is_ok());
   return path;
+}
+
+/// Writes a tiny synthetic baseline snapshot and returns its path. Distinct
+/// seeds produce distinct images, so distinct cache keys.
+std::string make_snapshot(const std::string& name, std::uint64_t seed = 123) {
+  return save_snapshot(name, tiny_scenario(seed));
 }
 
 /// A trace whose coupled replay deadlocks (two kernels of one rendezvous
@@ -102,6 +114,22 @@ Request predict_request(const std::string& baseline, std::int64_t id = 1) {
   r.id = id;
   r.baseline = baseline;
   return r;
+}
+
+/// Connects a raw client to `socket_path`; -1 on failure.
+int connect_raw(const std::string& socket_path) {
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::snprintf(addr.sun_path, sizeof(addr.sun_path), "%s",
+                socket_path.c_str());
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
 }
 
 /// Polls `cond` for up to ~5s; the tests only wait on conditions another
@@ -167,6 +195,16 @@ TEST(ServeProtocol, MalformedRequestsAreRejected) {
             ErrorCode::kInvalidArgument);
 }
 
+TEST(ServeProtocol, TooDeepRequestDecodesToAnError) {
+  // A million nested arrays on one line: the grammar stops at
+  // json::kMaxDepth instead of recursing off the end of the stack.
+  Request out;
+  const Status status = decode_request(std::string(1'000'000, '['), out);
+  EXPECT_EQ(status.code(), ErrorCode::kParseError);
+  EXPECT_NE(status.message().find("nesting deeper than"), std::string::npos)
+      << status.to_string();
+}
+
 TEST(ServeProtocol, ErrorRepliesCarryTheStatusCodeAcrossTheWire) {
   const std::string line =
       error_reply(9, deadlock_error("simulation stuck at t=10"));
@@ -222,6 +260,55 @@ TEST(ServeEngine, CacheIsContentAddressedNotPathAddressed) {
   ASSERT_TRUE(second.is_ok());
   EXPECT_TRUE(second->baseline_was_cached);
   EXPECT_EQ(engine.stats().cached_baselines, 1u);
+}
+
+TEST(ServeEngine, SnapshotsOfOneTraceWithOtherOptionsGetTheirOwnKeys) {
+  // One profiled trace (the synthetic seed fixes it) saved three ways: the
+  // default options, inter-stream inference off in the parser (a different
+  // graph), and no optimizer step in what-if rebuilds (the same graph,
+  // different rebuilt predictions). A key of the trace alone would answer
+  // the second and third from the first one's cache entry.
+  core::ParserOptions no_interstream;
+  no_interstream.infer_interstream = false;
+  workload::BuildOptions no_optimizer;
+  no_optimizer.include_optimizer = false;
+  Scenario parser_variant = tiny_scenario();
+  parser_variant.with_parser_options(no_interstream);
+  Scenario build_variant = tiny_scenario();
+  build_variant.with_build_options(no_optimizer);
+  const std::string snaps[] = {
+      save_snapshot("serve_opts_default.snap", tiny_scenario()),
+      save_snapshot("serve_opts_parser.snap", parser_variant),
+      save_snapshot("serve_opts_build.snap", build_variant)};
+
+  Engine engine;
+  std::set<std::uint64_t> keys;
+  // makespans[w][k]: what-if w (no-op, dp=4) over snapshot k.
+  std::vector<std::int64_t> makespans[2];
+  for (const std::string& snap : snaps) {
+    Result<api::BaselineArtifacts> loaded = api::load_baseline_snapshot(snap);
+    ASSERT_TRUE(loaded.is_ok()) << loaded.status().to_string();
+    for (const std::int32_t dp : {0, 4}) {
+      Request request = predict_request(snap);
+      request.whatif.dp = dp;  // dp=4 rebuilds, which reads build options
+      Result<api::Prediction> want =
+          api::predict_on(*loaded, request.whatif.to_scenario());
+      ASSERT_TRUE(want.is_ok()) << want.status().to_string();
+      Result<Engine::Outcome> got = engine.predict(request);
+      ASSERT_TRUE(got.is_ok()) << got.status().to_string();
+      EXPECT_EQ(got->baseline_was_cached, dp != 0) << snap;
+      EXPECT_EQ(got->prediction.sim.start_ns, want->sim.start_ns) << snap;
+      EXPECT_EQ(got->prediction.sim.makespan_ns, want->sim.makespan_ns)
+          << snap;
+      keys.insert(got->content_hash);
+      makespans[dp != 0].push_back(want->sim.makespan_ns);
+    }
+  }
+  EXPECT_EQ(keys.size(), 3u);
+  EXPECT_EQ(engine.stats().misses, 3u);
+  // The options change what is predicted, so aliasing would be visible.
+  EXPECT_NE(makespans[0][0], makespans[0][1]) << "parser options";
+  EXPECT_NE(makespans[1][0], makespans[1][2]) << "build options";
 }
 
 TEST(ServeEngine, LruEvictionUnderBytePressure) {
@@ -604,15 +691,8 @@ TEST(ServeServer, SlowLorisClientGetsDeadlineExceededAndIsCounted) {
 
   // A raw client that drips half a request and then stalls — without the
   // deadline this connection would pin its worker in recv() forever.
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  const int fd = connect_raw(options.socket_path);
   ASSERT_GE(fd, 0);
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  std::snprintf(addr.sun_path, sizeof(addr.sun_path), "%s",
-                options.socket_path.c_str());
-  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                      sizeof(addr)),
-            0);
   const char partial[] = "{\"method\":\"ping\",";  // no terminating newline
   ASSERT_EQ(::send(fd, partial, sizeof(partial) - 1, 0),
             static_cast<ssize_t>(sizeof(partial) - 1));
@@ -649,6 +729,57 @@ TEST(ServeServer, SlowLorisClientGetsDeadlineExceededAndIsCounted) {
   ASSERT_TRUE(decode_reply(*ok_line, reply).is_ok());
   EXPECT_TRUE(reply.ok);
   EXPECT_EQ(reply.body.get_int("timeouts", -1), 1);
+  (*server)->shutdown();
+}
+
+TEST(ServeServer, OverlongLineGetsAnErrorAndTheConnectionCloses) {
+  ServerOptions options;
+  options.socket_path = temp_path("lumos_serve_overlong.sock");
+  options.workers = 1;
+  Result<std::unique_ptr<Server>> server = Server::start(options);
+  ASSERT_TRUE(server.is_ok()) << server.status().to_string();
+
+  // One byte past the cap and no newline. The server reads every byte
+  // before the buffer passes the cap, so it closes a drained connection.
+  const int fd = connect_raw(options.socket_path);
+  ASSERT_GE(fd, 0);
+  timeval deadline{};
+  deadline.tv_sec = 10;  // a server without the cap fails, not hangs
+  ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &deadline,
+                         sizeof(deadline)),
+            0);
+  const std::string line(kMaxRequestLineBytes + 1, 'x');
+  std::size_t sent = 0;
+  while (sent < line.size()) {
+    const ssize_t n = ::send(fd, line.data() + sent, line.size() - sent,
+                             MSG_NOSIGNAL);
+    ASSERT_GT(n, 0) << std::strerror(errno);
+    sent += static_cast<std::size_t>(n);
+  }
+  std::string received;
+  char chunk[512];
+  ssize_t n = 0;
+  while ((n = ::recv(fd, chunk, sizeof(chunk), 0)) > 0) {
+    received.append(chunk, static_cast<std::size_t>(n));
+  }
+  ::close(fd);
+  EXPECT_EQ(n, 0) << "the server closes the connection";
+  ASSERT_EQ(received.find('\n'), received.size() - 1) << received;
+  Reply reply;
+  ASSERT_TRUE(decode_reply(received.substr(0, received.size() - 1), reply)
+                  .is_ok());
+  EXPECT_FALSE(reply.ok);
+  EXPECT_EQ(reply.error.code(), ErrorCode::kInvalidArgument);
+  EXPECT_NE(reply.error.message().find("request line longer than"),
+            std::string::npos)
+      << reply.error.to_string();
+
+  // The worker is free for the next connection.
+  Result<std::string> pong = request_over_socket(
+      options.socket_path, encode(Request{Method::kPing, 3, "", {}}));
+  ASSERT_TRUE(pong.is_ok()) << pong.status().to_string();
+  ASSERT_TRUE(decode_reply(*pong, reply).is_ok());
+  EXPECT_TRUE(reply.ok);
   (*server)->shutdown();
 }
 

@@ -1,12 +1,13 @@
 // Binary baseline snapshots: round-trip bit-identity against the JSON
 // path, corruption / version / truncation error mapping, the load-side
 // bounds checks on resealed crafted images, the stored compiled program,
-// the content-hash cache key, and the mmap lifetime rule (artifacts
-// outlive the file).
+// the payload-checksum cache key, the content-hash test oracle's golden,
+// and the mmap lifetime rule (artifacts outlive the file).
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -25,7 +26,7 @@
 #include "snapshot/snapshot.h"
 #include "test_util.h"
 #include "trace/chrome_trace.h"
-#include "trace/content_hash.h"
+#include "trace_content_hash_oracle.h"
 
 namespace lumos::api {
 namespace {
@@ -93,10 +94,18 @@ TEST(Snapshot, RoundTripReplayIsBitIdenticalToTheJsonPath) {
   Result<BaselineArtifacts> loaded = load_baseline_snapshot(path);
   ASSERT_TRUE(loaded.is_ok()) << loaded.status().to_string();
 
-  // The traces are content-identical (ids may be re-canonicalized; text,
-  // times and order may not change).
-  EXPECT_EQ(trace::content_hash(*base->trace),
-            trace::content_hash(*loaded->trace));
+  // The graph rows are content-identical (text, times and order may not
+  // change), processors included.
+  const core::ColumnTaskSource& built_rows = base->graph->meta().columns();
+  const core::ColumnTaskSource& loaded_rows = loaded->graph->meta().columns();
+  EXPECT_EQ(testutil::content_hash(built_rows.events()),
+            testutil::content_hash(loaded_rows.events()));
+  EXPECT_TRUE(std::ranges::equal(built_rows.rank_column(),
+                                 loaded_rows.rank_column()));
+  EXPECT_TRUE(std::ranges::equal(built_rows.gpu_column(),
+                                 loaded_rows.gpu_column()));
+  EXPECT_TRUE(std::ranges::equal(built_rows.lane_column(),
+                                 loaded_rows.lane_column()));
 
   // Replaying the loaded graph is bit-identical to replaying the original:
   // same schedule, same makespan, same materialized trace.
@@ -106,8 +115,8 @@ TEST(Snapshot, RoundTripReplayIsBitIdenticalToTheJsonPath) {
   ASSERT_TRUE(sim_b.is_ok());
   EXPECT_EQ(sim_digest(*sim_a), sim_digest(*sim_b));
   EXPECT_GT(sim_a->makespan_ns, 0);
-  EXPECT_EQ(trace::content_hash(sim_a->to_trace(*base->graph)),
-            trace::content_hash(sim_b->to_trace(*loaded->graph)));
+  EXPECT_EQ(testutil::content_hash(sim_a->to_trace(*base->graph)),
+            testutil::content_hash(sim_b->to_trace(*loaded->graph)));
 }
 
 TEST(Snapshot, PredictionOverLoadedBaselineMatchesTheOriginal) {
@@ -144,16 +153,44 @@ TEST(Snapshot, ScenarioMetadataSurvivesTheRoundTrip) {
                    cost::HardwareSpec::h100_cluster().peak_flops_bf16);
 }
 
-TEST(Snapshot, LoadedTraceAndGraphShareOnePoolSet) {
-  const std::string path = temp_path("lumos_snap_pools.bin");
-  const BaselineArtifacts loaded = save_and_load(tiny_scenario(), path).loaded;
-  // The "one pool per trace" invariant holds on the snapshot path too: the
-  // graph's meta table resolves strings through the trace's own pools.
-  ASSERT_NE(loaded.trace->shared_pools(), nullptr);
-  EXPECT_EQ(loaded.trace->shared_pools(), loaded.graph->meta().pools());
-  for (const trace::RankTrace& rank : loaded.trace->ranks) {
-    EXPECT_EQ(rank.events.pools(), loaded.trace->shared_pools());
-  }
+TEST(Snapshot, BuildAndParserFlagsSurviveTheRoundTrip) {
+  // The metadata stores these flags as JSON bools; a rebuilt what-if over
+  // the loaded baseline reads them back from there.
+  workload::BuildOptions build;
+  build.include_optimizer = false;
+  core::ParserOptions parser;
+  parser.infer_interthread = false;
+  parser.infer_interstream = false;
+  Scenario scenario = tiny_scenario();
+  scenario.with_build_options(build).with_parser_options(parser);
+  const BaselineArtifacts loaded =
+      save_and_load(scenario, temp_path("lumos_snap_flags.bin")).loaded;
+  EXPECT_FALSE(loaded.scenario.build_options().include_optimizer);
+  EXPECT_FALSE(loaded.scenario.parser_options().infer_interthread);
+  EXPECT_FALSE(loaded.scenario.parser_options().infer_interstream);
+}
+
+TEST(Snapshot, LoadedPoolsKeepTheBuiltIds) {
+  const SavedBaseline b =
+      save_and_load(tiny_scenario(), temp_path("lumos_snap_pools.bin"));
+  // The image stores the graph's own pools and re-interns them in id
+  // order, so every id column resolves to the text it had when built.
+  const core::TaskMetaTable& built = b.built.graph->meta();
+  const core::TaskMetaTable& loaded = b.loaded.graph->meta();
+  ASSERT_NE(loaded.pools(), nullptr);
+  EXPECT_EQ(loaded.pools(), loaded.columns().events().pools());
+  const auto same_pool = [](const trace::StringPool& x,
+                            const trace::StringPool& y) {
+    if (x.size() != y.size()) return false;
+    for (std::uint32_t id = 0; id < x.size(); ++id) {
+      if (x.view(id) != y.view(id)) return false;
+    }
+    return true;
+  };
+  EXPECT_GT(built.names().size(), 0u);
+  EXPECT_TRUE(same_pool(built.names(), loaded.names()));
+  EXPECT_TRUE(same_pool(built.ops(), loaded.ops()));
+  EXPECT_TRUE(same_pool(built.groups(), loaded.groups()));
 }
 
 TEST(Snapshot, LazyTasksMaterializeIdenticalToTheOriginal) {
@@ -301,8 +338,9 @@ TEST(Snapshot, BaselineOutlivesTheFileAndTheLoader) {
   // shared_ptr keepalives inside every borrowed column, so reads and even
   // a full replay still work.
   ASSERT_EQ(::unlink(path.c_str()), 0);
-  EXPECT_GT(loaded.trace->total_events(), 0u);
-  EXPECT_GT(loaded.trace->iteration_ns(), 0);
+  const trace::EventTable& rows = loaded.graph->meta().columns().events();
+  EXPECT_GT(rows.size(), 0u);
+  EXPECT_GT(rows.end_ns(), rows.begin_ns());
   Result<core::SimResult> sim = replay_graph(*loaded.graph);
   ASSERT_TRUE(sim.is_ok());
   EXPECT_GT(sim->makespan_ns, 0);
@@ -313,16 +351,72 @@ TEST(Snapshot, BaselineOutlivesTheFileAndTheLoader) {
 }
 
 // ---------------------------------------------------------------------------
-// Content hash
+// The cache key: the payload checksum
 // ---------------------------------------------------------------------------
 
-TEST(Snapshot, PeekedContentHashMatchesTheTrace) {
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
+}
+
+/// The image's section ids, in table order. The table follows the 32-byte
+/// header: {u32 id, u32 reserved, u64 offset, u64 length} per section, the
+/// count at byte 12.
+std::vector<std::uint32_t> section_ids(const std::string& bytes) {
+  std::uint32_t count = 0;
+  std::memcpy(&count, bytes.data() + 12, sizeof(count));
+  std::vector<std::uint32_t> ids(count);
+  for (std::uint32_t i = 0; i < count; ++i) {
+    std::memcpy(&ids[i], bytes.data() + 32 + i * 24, sizeof(ids[i]));
+  }
+  return ids;
+}
+
+TEST(Snapshot, PeekedContentHashIsThePayloadChecksum) {
   const std::string path = temp_path("lumos_snap_peek.bin");
-  const BaselineArtifacts loaded = save_and_load(tiny_scenario(), path).loaded;
+  save_and_load(tiny_scenario(), path);
+  const std::string bytes = read_file(path);
+  const std::size_t payload = 32 + section_ids(bytes).size() * 24;
   Result<std::uint64_t> peeked = peek_snapshot_content_hash(path);
   ASSERT_TRUE(peeked.is_ok());
-  EXPECT_EQ(*peeked, trace::content_hash(*loaded.trace));
+  EXPECT_EQ(*peeked, io::fnv1a_words(bytes.data() + payload,
+                                     bytes.size() - payload));
 }
+
+TEST(Snapshot, TwoSessionsSaveByteIdenticalImages) {
+  // The cache key is a checksum of the bytes, so equal content shares a
+  // key only because write() is deterministic.
+  for (const Scenario& scenario : {tiny_scenario(), gpt3_15b_scenario()}) {
+    const std::string a = temp_path("lumos_snap_same_a.bin");
+    const std::string b = temp_path("lumos_snap_same_b.bin");
+    for (const std::string& path : {a, b}) {
+      Result<Session> session = Session::create(scenario);
+      ASSERT_TRUE(session.is_ok()) << session.status().to_string();
+      ASSERT_TRUE(session->save_snapshot(path).is_ok());
+    }
+    const std::string bytes = read_file(a);
+    ASSERT_GT(bytes.size(), 256u);
+    EXPECT_TRUE(bytes == read_file(b));
+    EXPECT_EQ(*peek_snapshot_content_hash(a), *peek_snapshot_content_hash(b));
+  }
+}
+
+TEST(Snapshot, V4ImageHasNoTraceSection) {
+  // Meta, pools, graph and program; id 3 held v3's copy of every event.
+  const std::string path = temp_path("lumos_snap_sections.bin");
+  save_and_load(tiny_scenario(), path);
+  const std::string bytes = read_file(path);
+  std::uint32_t version = 0;
+  std::memcpy(&version, bytes.data() + 8, sizeof(version));
+  EXPECT_EQ(version, 4u);
+  EXPECT_EQ(snapshot::kFormatVersion, 4u);
+  EXPECT_EQ(section_ids(bytes), (std::vector<std::uint32_t>{1, 2, 4, 5}));
+}
+
+// ---------------------------------------------------------------------------
+// The content-hash test oracle
+// ---------------------------------------------------------------------------
 
 TEST(Snapshot, ContentHashIsAFunctionOfContentNotOfPoolIds) {
   // Two traces with the same events but different intern orders (and so
@@ -351,7 +445,7 @@ TEST(Snapshot, ContentHashIsAFunctionOfContentNotOfPoolIds) {
     r.events.push_back(a);
     r.events.push_back(b);
   }
-  EXPECT_EQ(trace::content_hash(first), trace::content_hash(second));
+  EXPECT_EQ(testutil::content_hash(first), testutil::content_hash(second));
 
   // And the hash is order-sensitive: swapped events differ.
   trace::ClusterTrace swapped;
@@ -360,13 +454,12 @@ TEST(Snapshot, ContentHashIsAFunctionOfContentNotOfPoolIds) {
     r.events.push_back(b);
     r.events.push_back(a);
   }
-  EXPECT_NE(trace::content_hash(second), trace::content_hash(swapped));
+  EXPECT_NE(testutil::content_hash(second), testutil::content_hash(swapped));
 }
 
 TEST(Snapshot, GoldenContentHashIsPinned) {
-  // Golden: pins the digest algorithm itself. If this changes, every
-  // serve-layer cache key and every snapshot header changes with it —
-  // that must be a deliberate format decision, not an accident.
+  // Golden: pins the digest algorithm itself, so the tests that compare
+  // traces through it keep comparing what they compared before.
   trace::TraceEvent e;
   e.name = "ncclDevKernel_AllReduce";
   e.cat = trace::EventCategory::Kernel;
@@ -382,7 +475,7 @@ TEST(Snapshot, GoldenContentHashIsPinned) {
   e.collective.instance = 0;
   trace::ClusterTrace cluster;
   cluster.add_rank(0).events.push_back(e);
-  EXPECT_EQ(trace::content_hash(cluster), 0x71c8b0cb70c13c13ULL);
+  EXPECT_EQ(testutil::content_hash(cluster), 0x71c8b0cb70c13c13ULL);
 }
 
 // ---------------------------------------------------------------------------
@@ -396,9 +489,7 @@ class SnapshotCorruption : public ::testing::Test {
     Result<Session> session = Session::create(tiny_scenario());
     ASSERT_TRUE(session.is_ok());
     ASSERT_TRUE(session->save_snapshot(path_).is_ok());
-    std::ifstream in(path_, std::ios::binary);
-    bytes_.assign(std::istreambuf_iterator<char>(in),
-                  std::istreambuf_iterator<char>());
+    bytes_ = read_file(path_);
     ASSERT_GT(bytes_.size(), 256u);
   }
 
@@ -432,8 +523,9 @@ TEST_F(SnapshotCorruption, BadMagicIsAParseError) {
 }
 
 TEST_F(SnapshotCorruption, WrongVersionIsUnsupported) {
-  // v2 stored the meta table's row copies and indexes; v3 reads neither.
-  for (const char version : {'\x02', '\x7F'}) {
+  // v2 stored the meta table's row copies and indexes, v3 a trace section
+  // and a 40-byte header; v4 reads none of them.
+  for (const char version : {'\x02', '\x03', '\x7F'}) {
     std::string bad = bytes_;
     bad[8] = version;  // version u32 follows the magic
     rewrite(bad);
@@ -472,9 +564,10 @@ TEST_F(SnapshotCorruption, EmptyFileIsAParseError) {
 
 // Crafted images: a payload rewrite with the checksum recomputed passes the
 // integrity check, so the loader's semantic bounds checks must catch it.
-// Image layout: a 40-byte header (payload checksum at byte 24), a table of
-// 24-byte section entries {u32 id, u32 reserved, u64 offset, u64 length},
-// then sections of length-prefixed, 8-aligned columns.
+// Image layout: a 32-byte header (section count at byte 12, payload
+// checksum at byte 16), a table of 24-byte section entries {u32 id,
+// u32 reserved, u64 offset, u64 length}, then sections of length-prefixed,
+// 8-aligned columns.
 class CraftedSnapshot : public SnapshotCorruption {
  protected:
   template <class T>
@@ -493,7 +586,7 @@ class CraftedSnapshot : public SnapshotCorruption {
   std::pair<std::size_t, std::size_t> section(std::uint32_t id) const {
     const auto count = read_at<std::uint32_t>(12);
     for (std::uint32_t i = 0; i < count; ++i) {
-      const std::size_t entry = 40 + i * 24;
+      const std::size_t entry = 32 + i * 24;
       if (read_at<std::uint32_t>(entry) == id) {
         return {read_at<std::uint64_t>(entry + 8),
                 read_at<std::uint64_t>(entry + 16)};
@@ -547,6 +640,26 @@ class CraftedSnapshot : public SnapshotCorruption {
     return pos + 8;
   }
 
+  /// Position of the first rendezvous group id: the lane rank / gpu / lane
+  /// columns follow the meta columns, then the u32 group id column.
+  std::size_t group_id_column() const {
+    std::size_t pos = meta_column(std::size(kMetaBytes)) - 8;
+    for (const std::size_t elem : {4, 1, 8}) pos = skip_array(pos, elem);
+    return pos + 8;
+  }
+
+  /// Writes `value` over the first entry of the 32-bit column at `column`,
+  /// reseals the image and expects the load to fail naming `what`.
+  template <class T>
+  void expect_first_entry_rejected(std::size_t column, T value,
+                                   const std::string& what) {
+    ASSERT_GT(read_at<std::uint64_t>(column - 8), 0u);
+    std::string bad = bytes_;
+    write_at<T>(bad, column, value);
+    reseal_and_write(bad);
+    expect_rejected(what);
+  }
+
   /// The program section (id 5): [u64 n][n x 20-byte Instr],
   /// [u64 n][n x i32 operand] and [u64 n][n x 12-byte Member]. Positions of
   /// each array's first value. Instr is {u8 op, 3 reserved, i32 lane,
@@ -594,8 +707,8 @@ class CraftedSnapshot : public SnapshotCorruption {
   /// Recomputes the payload checksum the way the writer does, so only the
   /// loader's semantic checks stand between the image and the consumers.
   void reseal_and_write(std::string bytes) {
-    const std::size_t payload = 40 + read_at<std::uint32_t>(12) * 24;
-    write_at(bytes, 24,
+    const std::size_t payload = 32 + read_at<std::uint32_t>(12) * 24;
+    write_at(bytes, 16,
              io::fnv1a_words(bytes.data() + payload, bytes.size() - payload));
     rewrite(bytes);
   }
@@ -705,6 +818,65 @@ TEST_F(CraftedSnapshot, MetaSyncLaneOutOfRangeIsRejected) {
   expect_rejected("meta lane id out of range");
 }
 
+// String pool ids: every id column of the rows, the meta table and the
+// rendezvous groups must be kInvalidIndex or below its pool's size.
+
+TEST_F(CraftedSnapshot, RowNameIdOutOfRangeIsRejected) {
+  const auto names =
+      static_cast<std::uint32_t>(baseline().graph->meta().names().size());
+  expect_first_entry_rejected(event_column(12), names,
+                              "string pool id out of range");
+}
+
+TEST_F(CraftedSnapshot, RowCollectiveOpIdOutOfRangeIsRejected) {
+  const auto ops =
+      static_cast<std::uint32_t>(baseline().graph->meta().ops().size());
+  expect_first_entry_rejected(event_column(17), ops,
+                              "string pool id out of range");
+}
+
+TEST_F(CraftedSnapshot, RowCollectiveGroupIdOutOfRangeIsRejected) {
+  const auto groups =
+      static_cast<std::uint32_t>(baseline().graph->meta().groups().size());
+  expect_first_entry_rejected(event_column(18), groups,
+                              "string pool id out of range");
+}
+
+TEST_F(CraftedSnapshot, MetaCollectiveOpIdOutOfRangeIsRejected) {
+  const auto ops =
+      static_cast<std::uint32_t>(baseline().graph->meta().ops().size());
+  expect_first_entry_rejected(meta_column(2), ops,
+                              "string pool id out of range");
+}
+
+TEST_F(CraftedSnapshot, MetaCollectiveGroupIdOutOfRangeIsRejected) {
+  // kInvalidIndex - 1: the largest id that is neither valid nor invalid.
+  expect_first_entry_rejected(meta_column(3), 0xFFFFFFFEu,
+                              "string pool id out of range");
+}
+
+TEST_F(CraftedSnapshot, RendezvousGroupIdOutOfRangeIsRejected) {
+  const auto groups =
+      static_cast<std::uint32_t>(baseline().graph->meta().groups().size());
+  expect_first_entry_rejected(group_id_column(), groups,
+                              "string pool id out of range");
+}
+
+// Side-table indices: each row's collective / GEMM index is -1 or below
+// its side-table's length.
+
+TEST_F(CraftedSnapshot, CollectiveSideTableIndexOutOfRangeIsRejected) {
+  expect_first_entry_rejected<std::int32_t>(
+      event_column(15), -2, "collective side-table index out of range");
+}
+
+TEST_F(CraftedSnapshot, GemmSideTableIndexOutOfRangeIsRejected) {
+  const auto gemms =
+      static_cast<std::int32_t>(read_at<std::uint64_t>(event_column(22) - 8));
+  expect_first_entry_rejected(event_column(16), gemms,
+                              "gemm side-table index out of range");
+}
+
 TEST_F(CraftedSnapshot, MetaAndProgramReadTheRowDurations) {
   // The image stores each task's duration once, in the graph's row dur
   // column: the meta table and the loaded program both read it there.
@@ -777,18 +949,13 @@ TEST(SnapshotProgram, BaselineThatDoesNotCompileSavesAnEmptySection) {
   ASSERT_TRUE(session->save_snapshot(path).is_ok());
 
   // Section 5 is present and empty.
-  std::ifstream in(path, std::ios::binary);
-  const std::string bytes((std::istreambuf_iterator<char>(in)),
-                          std::istreambuf_iterator<char>());
-  std::uint32_t sections = 0;
-  std::memcpy(&sections, bytes.data() + 12, sizeof(sections));
+  const std::string bytes = read_file(path);
+  const std::vector<std::uint32_t> ids = section_ids(bytes);
   bool found = false;
-  for (std::uint32_t i = 0; i < sections; ++i) {
-    std::uint32_t id = 0;
+  for (std::size_t i = 0; i < ids.size(); ++i) {
     std::uint64_t length = 1;
-    std::memcpy(&id, bytes.data() + 40 + i * 24, sizeof(id));
-    std::memcpy(&length, bytes.data() + 40 + i * 24 + 16, sizeof(length));
-    if (id == 5) {
+    std::memcpy(&length, bytes.data() + 32 + i * 24 + 16, sizeof(length));
+    if (ids[i] == 5) {
       found = true;
       EXPECT_EQ(length, 0u);
     }
@@ -970,7 +1137,7 @@ TEST(SnapshotAtomicSave, KillMidWriteNeverTearsTheTargetImage) {
   ASSERT_TRUE(session->save_snapshot(path).is_ok());
   Result<BaselineArtifacts> first = load_baseline_snapshot(path);
   ASSERT_TRUE(first.is_ok()) << first.status().to_string();
-  const std::uint64_t good_hash = trace::content_hash(*first->trace);
+  const std::uint64_t good_key = *peek_snapshot_content_hash(path);
 
   // A successful save leaves exactly the image — no ".tmp." staging litter.
   for (const auto& entry : std::filesystem::directory_iterator(dir)) {
@@ -981,12 +1148,7 @@ TEST(SnapshotAtomicSave, KillMidWriteNeverTearsTheTargetImage) {
   // staging temp exists and is truncated mid-image. The write sequence is
   // temp → fsync → rename, so the target name still holds the previous
   // complete image.
-  std::string bytes;
-  {
-    std::ifstream in(path, std::ios::binary);
-    bytes.assign(std::istreambuf_iterator<char>(in),
-                 std::istreambuf_iterator<char>());
-  }
+  const std::string bytes = read_file(path);
   ASSERT_GT(bytes.size(), 256u);
   const std::string torn_tmp = path + ".tmp.12345";
   {
@@ -995,7 +1157,8 @@ TEST(SnapshotAtomicSave, KillMidWriteNeverTearsTheTargetImage) {
   }
   Result<BaselineArtifacts> survived = load_baseline_snapshot(path);
   ASSERT_TRUE(survived.is_ok()) << survived.status().to_string();
-  EXPECT_EQ(trace::content_hash(*survived->trace), good_hash);
+  EXPECT_EQ(*peek_snapshot_content_hash(path), good_key);
+  EXPECT_EQ(survived->graph->size(), first->graph->size());
   // The torn temp itself is structurally invalid — exactly what load would
   // have reported had the old non-atomic writer been killed mid-write.
   EXPECT_EQ(load_baseline_snapshot(torn_tmp).status().code(),
@@ -1003,13 +1166,16 @@ TEST(SnapshotAtomicSave, KillMidWriteNeverTearsTheTargetImage) {
   std::filesystem::remove(torn_tmp);
 
   // Overwriting a live image goes through the same dance: a re-save over
-  // the existing path succeeds and loads identically.
+  // the existing path succeeds and loads identically (same bytes, so the
+  // same key).
   Result<Session> again = Session::create(tiny_scenario());
   ASSERT_TRUE(again.is_ok());
   ASSERT_TRUE(again->save_snapshot(path).is_ok());
   Result<BaselineArtifacts> second = load_baseline_snapshot(path);
   ASSERT_TRUE(second.is_ok()) << second.status().to_string();
-  EXPECT_EQ(trace::content_hash(*second->trace), good_hash);
+  EXPECT_EQ(*peek_snapshot_content_hash(path), good_key);
+  EXPECT_EQ(sim_digest(second->program->run()),
+            sim_digest(first->program->run()));
 }
 
 TEST(SnapshotAtomicSave, UnwritableTempPathIsAnIoError) {

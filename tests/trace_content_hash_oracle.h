@@ -1,17 +1,34 @@
-#include "trace/content_hash.h"
+// Content-addressed trace identity, the test oracle for "same trace".
+//
+// content_hash() folds every semantic field of a trace — timestamps,
+// durations, thread/stream placement, event names, collective metadata —
+// into one 64-bit FNV-1a digest. Pooled string ids are resolved to the
+// *text* they intern before hashing, so the digest is a function of trace
+// content alone: two traces with identical events hash identically no
+// matter how their StringPools happened to assign ids (per-rank pools vs.
+// one shared pool, different intern order). The digest is order-sensitive
+// over events and ranks — the canonical (ts, tid)-sorted order the parser
+// establishes — because event order *is* semantic for replay.
+//
+// The tests compare traces with it (parallel vs. serial ingest, replayed
+// schedules); test_snapshot pins its golden. Nothing in the library keys
+// on it: the serve cache keys on the snapshot payload checksum.
+#pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "io/fnv.h"
+#include "trace/event_table.h"
 
-namespace lumos::trace {
+namespace lumos::testutil {
 
-namespace {
+namespace content_hash_detail {
 
 /// Per-id text digests of one pool, computed once per table instead of
 /// re-hashing "cudaLaunchKernel" a hundred thousand times. The invalid id
 /// encodes the empty string, whose digest is the FNV offset basis.
-std::vector<std::uint64_t> pool_hashes(const StringPool& pool) {
+inline std::vector<std::uint64_t> pool_hashes(const trace::StringPool& pool) {
   std::vector<std::uint64_t> hashes(pool.size());
   for (std::size_t id = 0; id < pool.size(); ++id) {
     hashes[id] = io::fnv1a(pool.view(static_cast<std::uint32_t>(id)));
@@ -19,15 +36,21 @@ std::vector<std::uint64_t> pool_hashes(const StringPool& pool) {
   return hashes;
 }
 
-std::uint64_t resolve(const std::vector<std::uint64_t>& hashes,
-                      std::uint32_t id) {
-  return id == NameId::kInvalidIndex ? io::kFnvOffsetBasis : hashes[id];
+inline std::uint64_t resolve(const std::vector<std::uint64_t>& hashes,
+                             std::uint32_t id) {
+  return id == trace::NameId::kInvalidIndex ? io::kFnvOffsetBasis
+                                            : hashes[id];
 }
 
-}  // namespace
+}  // namespace content_hash_detail
 
-std::uint64_t content_hash(const EventTable& events, std::uint64_t seed) {
-  const TracePools& pools = *events.pools();
+/// Digest of one rank's events (order-sensitive), seeded with `seed` so
+/// rank digests chain. Strings are hashed by text, not by pool id.
+inline std::uint64_t content_hash(const trace::EventTable& events,
+                                  std::uint64_t seed = 0) {
+  using content_hash_detail::pool_hashes;
+  using content_hash_detail::resolve;
+  const trace::TracePools& pools = *events.pools();
   const std::vector<std::uint64_t> names = pool_hashes(pools.names);
   const std::vector<std::uint64_t> ops = pool_hashes(pools.ops);
   const std::vector<std::uint64_t> groups = pool_hashes(pools.groups);
@@ -60,7 +83,7 @@ std::uint64_t content_hash(const EventTable& events, std::uint64_t seed) {
     }
     h.update_pod(events.has_gemm(i));
     if (events.has_gemm(i)) {
-      const GemmShape g = events.gemm(i);
+      const trace::GemmShape g = events.gemm(i);
       h.update_pod(g.m);
       h.update_pod(g.n);
       h.update_pod(g.k);
@@ -69,9 +92,11 @@ std::uint64_t content_hash(const EventTable& events, std::uint64_t seed) {
   return h.digest();
 }
 
-std::uint64_t content_hash(const ClusterTrace& trace) {
+/// Digest of a whole cluster trace: rank ids + per-rank event digests,
+/// chained in rank order.
+inline std::uint64_t content_hash(const trace::ClusterTrace& trace) {
   std::uint64_t digest = io::kFnvOffsetBasis;
-  for (const RankTrace& rank : trace.ranks) {
+  for (const trace::RankTrace& rank : trace.ranks) {
     io::Fnv1a h;
     h.update_pod(digest);
     h.update_pod(rank.rank);
@@ -80,4 +105,4 @@ std::uint64_t content_hash(const ClusterTrace& trace) {
   return digest;
 }
 
-}  // namespace lumos::trace
+}  // namespace lumos::testutil
