@@ -140,13 +140,9 @@ std::string build_meta_json(const BaselineArtifacts& base) {
   return json::write(json::Value(std::move(meta)));
 }
 
-Status parse_meta_json(const std::string& meta_json, BaselineArtifacts& out) {
-  json::Value meta;
-  try {
-    meta = json::parse(meta_json);
-  } catch (const std::exception& e) {
-    return parse_error(std::string("snapshot metadata: ") + e.what());
-  }
+Status parse_meta_json(const std::string& meta_json,
+                       BaselineArtifacts& out) try {
+  const json::Value meta = json::parse(meta_json);
   if (!meta.is_object() ||
       meta.get_int("lumos_snapshot_meta", 0) != 1) {
     return parse_error("snapshot metadata: unrecognized layout");
@@ -199,6 +195,9 @@ Status parse_meta_json(const std::string& meta_json, BaselineArtifacts& out) {
   }
   out.scenario = std::move(scenario);
   return Status::ok();
+} catch (const std::exception& e) {
+  // Malformed JSON, or a number an integer field cannot hold.
+  return parse_error(std::string("snapshot metadata: ") + e.what());
 }
 
 Status map_snapshot_error(const snapshot::Error& e) {

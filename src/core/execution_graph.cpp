@@ -24,68 +24,8 @@ ExecutionGraph::ExecutionGraph()
 ExecutionGraph::ExecutionGraph(std::shared_ptr<trace::TracePools> pools)
     : columns_(std::make_shared<ColumnTaskSource>(std::move(pools))) {}
 
-ExecutionGraph::ExecutionGraph(const ExecutionGraph& other)
-    : columns_(other.columns_), edges_(other.edges_) {
-  // Carry valid caches over (the copy is often simulated immediately);
-  // take the source's locks so a concurrent lazy build on `other` cannot be
-  // observed half-written. The meta table is immutable once built and
-  // depends only on the rows, so the copy *shares* it instead of
-  // re-deriving.
-  {
-    MutexLock lock(other.tasks_mutex_);
-    if (other.tasks_valid_.load(std::memory_order_relaxed)) {
-      tasks_ = other.tasks_;
-      tasks_valid_.store(true, std::memory_order_relaxed);
-    }
-  }
-  {
-    MutexLock lock(other.adjacency_mutex_);
-    if (other.adjacency_valid_.load(std::memory_order_relaxed)) {
-      succ_offsets_ = other.succ_offsets_;
-      pred_offsets_ = other.pred_offsets_;
-      succ_ids_ = other.succ_ids_;
-      pred_ids_ = other.pred_ids_;
-      adjacency_valid_.store(true, std::memory_order_relaxed);
-    }
-  }
-  {
-    MutexLock lock(other.meta_mutex_);
-    if (other.meta_valid_.load(std::memory_order_relaxed)) {
-      meta_ = other.meta_;
-      meta_valid_.store(true, std::memory_order_relaxed);
-    }
-  }
-}
-
-ExecutionGraph& ExecutionGraph::operator=(const ExecutionGraph& other) {
-  if (this == &other) return *this;
-  ExecutionGraph copy(other);
-  *this = std::move(copy);
-  return *this;
-}
-
-ExecutionGraph::ExecutionGraph(ExecutionGraph&& other) noexcept
-    : columns_(std::move(other.columns_)),
-      tasks_(std::move(other.tasks_)),
-      edges_(std::move(other.edges_)),
-      succ_offsets_(std::move(other.succ_offsets_)),
-      pred_offsets_(std::move(other.pred_offsets_)),
-      succ_ids_(std::move(other.succ_ids_)),
-      pred_ids_(std::move(other.pred_ids_)),
-      meta_(std::move(other.meta_)) {
-  // Moving from a graph that is concurrently read is a caller bug (a move
-  // mutates); no lock taken here. The source is left without columns, and
-  // its caches rebuild lazily as those of an empty graph.
-  tasks_valid_.store(other.tasks_valid_.load(std::memory_order_relaxed),
-                     std::memory_order_relaxed);
-  other.tasks_valid_.store(false, std::memory_order_relaxed);
-  adjacency_valid_.store(
-      other.adjacency_valid_.load(std::memory_order_relaxed),
-      std::memory_order_relaxed);
-  other.adjacency_valid_.store(false, std::memory_order_relaxed);
-  meta_valid_.store(other.meta_valid_.load(std::memory_order_relaxed),
-                    std::memory_order_relaxed);
-  other.meta_valid_.store(false, std::memory_order_relaxed);
+ExecutionGraph::ExecutionGraph(ExecutionGraph&& other) noexcept {
+  *this = std::move(other);
 }
 
 ExecutionGraph& ExecutionGraph::operator=(ExecutionGraph&& other) noexcept {
@@ -95,7 +35,9 @@ ExecutionGraph& ExecutionGraph::operator=(ExecutionGraph&& other) noexcept {
   tasks_valid_.store(other.tasks_valid_.load(std::memory_order_relaxed),
                      std::memory_order_relaxed);
   other.tasks_valid_.store(false, std::memory_order_relaxed);
-  edges_ = std::move(other.edges_);
+  edge_src_ = std::move(other.edge_src_);
+  edge_dst_ = std::move(other.edge_dst_);
+  edge_type_ = std::move(other.edge_type_);
   succ_offsets_ = std::move(other.succ_offsets_);
   pred_offsets_ = std::move(other.pred_offsets_);
   succ_ids_ = std::move(other.succ_ids_);
@@ -143,13 +85,21 @@ void ExecutionGraph::add_edge(TaskId src, TaskId dst, DepType type) {
   if (src < 0 || dst < 0 || src >= n || dst >= n) {
     throw std::invalid_argument("ExecutionGraph: edge references invalid task");
   }
-  edges_.push_back({src, dst, type});
+  push_edge({src, dst, type});
+}
+
+void ExecutionGraph::push_edge(const Edge& e) {
+  edge_src_.push_back(e.src);
+  edge_dst_.push_back(e.dst);
+  edge_type_.push_back(static_cast<std::uint8_t>(e.type));
   adjacency_valid_.store(false, std::memory_order_relaxed);
 }
 
 void ExecutionGraph::reserve(std::size_t tasks, std::size_t edges) {
   if (columns_) owned_columns().reserve(tasks);
-  edges_.reserve(edges);
+  edge_src_.reserve(edges);
+  edge_dst_.reserve(edges);
+  edge_type_.reserve(edges);
 }
 
 ColumnTaskSource& ExecutionGraph::owned_columns() {
@@ -165,25 +115,26 @@ void ExecutionGraph::build_adjacency() const {
   const std::size_t n = size();
   succ_offsets_.assign(n + 1, 0);
   pred_offsets_.assign(n + 1, 0);
-  for (const Edge& e : edges_) {
-    ++succ_offsets_[static_cast<std::size_t>(e.src) + 1];
-    ++pred_offsets_[static_cast<std::size_t>(e.dst) + 1];
+  const std::span<const TaskId> src = edge_src_, dst = edge_dst_;
+  for (std::size_t i = 0; i < src.size(); ++i) {
+    ++succ_offsets_[static_cast<std::size_t>(src[i]) + 1];
+    ++pred_offsets_[static_cast<std::size_t>(dst[i]) + 1];
   }
   for (std::size_t i = 1; i <= n; ++i) {
     succ_offsets_[i] += succ_offsets_[i - 1];
     pred_offsets_[i] += pred_offsets_[i - 1];
   }
-  succ_ids_.assign(edges_.size(), kInvalidTask);
-  pred_ids_.assign(edges_.size(), kInvalidTask);
+  succ_ids_.assign(src.size(), kInvalidTask);
+  pred_ids_.assign(src.size(), kInvalidTask);
   std::vector<std::int32_t> succ_fill(succ_offsets_.begin(),
                                       succ_offsets_.end() - 1);
   std::vector<std::int32_t> pred_fill(pred_offsets_.begin(),
                                       pred_offsets_.end() - 1);
-  for (const Edge& e : edges_) {
+  for (std::size_t i = 0; i < src.size(); ++i) {
     succ_ids_[static_cast<std::size_t>(
-        succ_fill[static_cast<std::size_t>(e.src)]++)] = e.dst;
+        succ_fill[static_cast<std::size_t>(src[i])]++)] = dst[i];
     pred_ids_[static_cast<std::size_t>(
-        pred_fill[static_cast<std::size_t>(e.dst)]++)] = e.src;
+        pred_fill[static_cast<std::size_t>(dst[i])]++)] = src[i];
   }
 }
 
@@ -234,7 +185,7 @@ std::span<const TaskId> ExecutionGraph::predecessors(TaskId id) const {
 
 std::vector<std::int32_t> ExecutionGraph::in_degrees() const {
   std::vector<std::int32_t> deg(size(), 0);
-  for (const Edge& e : edges_) ++deg[static_cast<std::size_t>(e.dst)];
+  for (const TaskId dst : edge_dst_) ++deg[static_cast<std::size_t>(dst)];
   return deg;
 }
 
@@ -253,7 +204,9 @@ std::size_t EdgeTypeHistogram::total() const {
 
 EdgeTypeHistogram ExecutionGraph::edge_type_histogram() const {
   EdgeTypeHistogram hist;
-  for (const Edge& e : edges_) ++hist[e.type];
+  for (const std::uint8_t type : edge_type_) {
+    ++hist[static_cast<DepType>(type)];
+  }
   return hist;
 }
 
@@ -289,9 +242,11 @@ ExecutionGraph ExecutionGraph::with_edges_if(
     const std::function<bool(const Edge&)>& keep) const {
   ExecutionGraph out;
   out.columns_ = columns_;
-  out.edges_.reserve(edges_.size());
-  for (const Edge& e : edges_) {
-    if (keep(e)) out.edges_.push_back(e);
+  out.edge_src_.reserve(edge_src_.size());
+  out.edge_dst_.reserve(edge_src_.size());
+  out.edge_type_.reserve(edge_src_.size());
+  for (const Edge& e : edges()) {
+    if (keep(e)) out.push_edge(e);
   }
   // The rows are identical, so the derived graph shares this one's meta
   // table (building it here if needed keeps derived replays off the lazy

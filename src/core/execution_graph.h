@@ -2,7 +2,8 @@
 //
 // A graph may span one rank (replay of a single trace) or many ranks (the
 // ground-truth engine and manipulated-graph prediction). Edges are stored
-// flat and indexed into CSR adjacency on demand.
+// flat, as src / dst / type columns, and indexed into CSR adjacency on
+// demand.
 //
 // Data layer: a graph's tasks are columns — one row of interned ids plus
 // scalars per task, in a ColumnTaskSource (core/task_columns.h) over the
@@ -11,7 +12,7 @@
 // graph owns a columnar TaskMetaTable (core/task_meta.h) — per-task
 // CudaApi/category/flags, dense LaneIds and collective rendezvous groups,
 // all classified once (finalize(), or lazily in meta()) and shared by
-// copies and derivations. tasks() / task(id) are a const Task view for
+// those derivations too. tasks() / task(id) are a const Task view for
 // SimulatorHooks, materialized from the columns once per graph.
 //
 // Thread safety: mutation (add_task / add_edge) is not
@@ -28,6 +29,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <ranges>
 #include <span>
 #include <string>
 #include <vector>
@@ -35,6 +37,7 @@
 #include "core/task.h"
 #include "core/task_columns.h"
 #include "core/task_meta.h"
+#include "io/column.h"
 #include "support/mutex.h"
 #include "support/thread_annotations.h"
 
@@ -99,13 +102,13 @@ class ExecutionGraph {
   /// An empty graph whose add_task rows carry string ids interned into
   /// `pools` — the producer path.
   explicit ExecutionGraph(std::shared_ptr<trace::TracePools> pools);
-  // The caches hold mutexes/atomics, so copies and moves are spelled out:
-  // payload (columns, edges) transfers, cache state of the source is
-  // carried over where cheap (copy shares the immutable meta table) or
-  // rebuilt lazily (move). A moved-from graph is empty: size(), meta(),
+  // A graph is not copied: share a frozen one (shared_ptr<const>) or derive
+  // one (with_edges_if). The caches hold mutexes/atomics, so moves are
+  // spelled out: payload (columns, edges) transfers, cache state of the
+  // source is carried over. A moved-from graph is empty: size(), meta(),
   // tasks() and the edge accessors work on it; add_task throws.
-  ExecutionGraph(const ExecutionGraph& other);
-  ExecutionGraph& operator=(const ExecutionGraph& other);
+  ExecutionGraph(const ExecutionGraph&) = delete;
+  ExecutionGraph& operator=(const ExecutionGraph&) = delete;
   ExecutionGraph(ExecutionGraph&& other) noexcept;
   /// Analysis escape: a move writes every cache member of both sides
   /// without locks — moving a graph that is concurrently read is a caller
@@ -143,7 +146,16 @@ class ExecutionGraph {
   std::size_t size() const { return columns_ ? columns_->count() : 0; }
   bool empty() const { return size() == 0; }
 
-  const std::vector<Edge>& edges() const { return edges_; }
+  /// The edges as Edge values, read from the src / dst / type columns: the
+  /// layout snapshots store, so a loaded graph borrows them.
+  auto edges() const {
+    return std::views::iota(std::size_t{0}, edge_src_.size()) |
+           std::views::transform([src = edge_src_.data(),
+                                  dst = edge_dst_.data(),
+                                  type = edge_type_.data()](std::size_t i) {
+             return Edge{src[i], dst[i], static_cast<DepType>(type[i])};
+           });
+  }
 
   /// The columnar per-task metadata (core/task_meta.h): lanes, interned
   /// names/ops/groups, CudaApi, durations, rendezvous groups. Built lazily
@@ -187,9 +199,9 @@ class ExecutionGraph {
   /// fills `cycle_hint` with a task on a cycle otherwise.
   bool is_acyclic(TaskId* cycle_hint = nullptr) const;
 
-  /// Returns a copy keeping only the edges `keep` accepts (how the dPRO
-  /// baseline graph is derived). The copy shares this graph's columns and
-  /// meta table: both depend only on the rows, which are identical.
+  /// Returns a graph keeping only the edges `keep` accepts (how the dPRO
+  /// baseline graph is derived). It shares this graph's columns and meta
+  /// table: both depend only on the rows, which are identical.
   ExecutionGraph with_edges_if(
       const std::function<bool(const Edge&)>& keep) const;
   /// with_edges_if dropping every edge of type `drop` (ablation support).
@@ -200,6 +212,9 @@ class ExecutionGraph {
 
   /// The rows, cloned first when shared (build phase only).
   ColumnTaskSource& owned_columns();
+  /// Appends an edge unchecked: add_edge validates first, with_edges_if
+  /// copies edges this graph already holds.
+  void push_edge(const Edge& e);
 
   void build_adjacency() const LUMOS_REQUIRES(adjacency_mutex_);
   /// Builds the adjacency index if missing. Safe to race from const
@@ -223,9 +238,9 @@ class ExecutionGraph {
     return tasks_;
   }
 
-  // The task rows; null only in a moved-from graph. Copies and
-  // edge-filtered derivations share them; a graph that appends to shared
-  // columns clones them first.
+  // The task rows; null only in a moved-from graph. Edge-filtered
+  // derivations share them; a graph that appends to shared columns clones
+  // them first.
   std::shared_ptr<ColumnTaskSource> columns_;
 
   // The Task view, materialized from columns_ on first demand (mutable
@@ -235,7 +250,9 @@ class ExecutionGraph {
   mutable std::vector<Task> tasks_ LUMOS_GUARDED_BY(tasks_mutex_);
   mutable std::atomic<bool> tasks_valid_{false};
 
-  std::vector<Edge> edges_;
+  io::Column<TaskId> edge_src_;
+  io::Column<TaskId> edge_dst_;
+  io::Column<std::uint8_t> edge_type_;  ///< a DepType
 
   // Lazily built CSR adjacency (mutable cache). `adjacency_valid_` is an
   // acquire/release flag: readers that observe `true` see the fully built
@@ -250,7 +267,7 @@ class ExecutionGraph {
   mutable std::vector<TaskId> pred_ids_ LUMOS_GUARDED_BY(adjacency_mutex_);
 
   // Lazily built columnar metadata (mutable cache, same discipline). Held
-  // behind a shared_ptr so copies / with_edges_if share the immutable table.
+  // behind a shared_ptr so with_edges_if shares the immutable table.
   mutable std::atomic<bool> meta_valid_{false};
   mutable Mutex meta_mutex_;
   mutable std::shared_ptr<const TaskMetaTable> meta_

@@ -253,18 +253,18 @@ ReplayCompiler::Result ReplayCompiler::compile(const ExecutionGraph& graph) {
   // re-sourced from it because every member ends at the group end. The
   // meta table derives group_index from the member lists, so each member
   // is parked in exactly its own group.
-  const auto& groups = meta.collective_groups();
-  const std::size_t group_count = groups.size();
+  const std::size_t group_count = meta.rendezvous_group_count();
   const std::size_t node_count = n + group_count;
   std::vector<std::int32_t> group_node(n, -1);
   std::size_t member_count = 0;
-  for (std::size_t gi = 0; gi < groups.size(); ++gi) {
+  for (std::size_t gi = 0; gi < group_count; ++gi) {
+    const std::span<const TaskId> members = meta.rendezvous_group(gi).members;
     // An empty group never completes: the cyclic fallback's domain.
-    if (groups[gi].members.empty()) {
+    if (members.empty()) {
       return fallback(ReplayCompileStatus::kCyclic);
     }
-    member_count += groups[gi].members.size();
-    for (const TaskId m : groups[gi].members) {
+    member_count += members.size();
+    for (const TaskId m : members) {
       group_node[static_cast<std::size_t>(m)] =
           static_cast<std::int32_t>(n + gi);
     }
@@ -389,7 +389,7 @@ ReplayCompiler::Result ReplayCompiler::compile(const ExecutionGraph& graph) {
       ins.op = ReplayProgram::Op::kRendezvous;
       ins.id = static_cast<std::int32_t>(gi);
       ins.first = static_cast<std::uint32_t>(members.size());
-      for (const TaskId m : groups[gi].members) {
+      for (const TaskId m : meta.rendezvous_group(gi).members) {
         ReplayProgram::Member member;
         member.task = m;
         member.lane = meta.lane(m);

@@ -161,7 +161,7 @@ class Run {
     waiters_.clear();
     lane_free_.assign(lanes_.size(), 0);
     if (options_.couple_collectives) {
-      arrivals_.assign(meta_.collective_groups().size(), {});
+      arrivals_.assign(meta_.rendezvous_group_count(), {});
       active_per_rank_.assign(lanes_.rank_count(), 0);
     }
     for (std::size_t i = 0; i < n; ++i) {
@@ -233,7 +233,7 @@ class Run {
     auto& arrived = arrivals_[gi];
     parked_[static_cast<std::size_t>(id)] = true;
     arrived.emplace_back(id, ready_at);
-    if (arrived.size() < meta_.collective_groups()[gi].members.size()) return;
+    if (arrived.size() < meta_.rendezvous_group(gi).members.size()) return;
 
     // Rendezvous complete. Each member's kernel occupies its stream from
     // its own arrival (real NCCL kernels spin while waiting for peers); the
@@ -347,7 +347,7 @@ class Run {
   std::size_t executed_ = 0;
 
   /// Per-rendezvous-group (TaskId, ready time) arrivals, indexed like
-  /// TaskMetaTable::collective_groups().
+  /// TaskMetaTable::rendezvous_group().
   std::vector<std::vector<std::pair<TaskId, std::int64_t>>> arrivals_;
   std::vector<int> active_per_rank_;  ///< indexed by dense rank index
   std::priority_queue<std::pair<std::int64_t, std::vector<std::int32_t>>,

@@ -11,10 +11,19 @@ namespace lumos::core {
 LaneId LaneTable::id_of(const Processor& p) const {
   auto it = std::lower_bound(sorted_.begin(), sorted_.end(), p,
                              [this](std::uint32_t lane, const Processor& key) {
-                               return lanes_[lane] < key;
+                               return processor(static_cast<LaneId>(lane)) <
+                                      key;
                              });
-  if (it == sorted_.end() || !(lanes_[*it] == p)) return kInvalidLane;
+  if (it == sorted_.end() || !(processor(static_cast<LaneId>(*it)) == p)) {
+    return kInvalidLane;
+  }
   return static_cast<LaneId>(*it);
+}
+
+void LaneTable::push_back(const Processor& p) {
+  rank_.push_back(p.rank);
+  gpu_.push_back(p.gpu ? 1 : 0);
+  lane_.push_back(p.lane);
 }
 
 namespace {
@@ -43,22 +52,26 @@ struct PairHash {
 }  // namespace
 
 void LaneTable::index() {
-  // Lookup index + dense rank numbering (first-appearance order).
-  sorted_.resize(lanes_.size());
+  // Lookup index + dense rank numbering (first-appearance order). The
+  // columns are read through spans and the const accessors: the non-const
+  // Column operator[] would copy a borrowed column.
+  const std::span<const std::int32_t> rank = rank_;
+  sorted_.resize(size());
   for (std::size_t i = 0; i < sorted_.size(); ++i) {
     sorted_[i] = static_cast<std::uint32_t>(i);
   }
   std::sort(sorted_.begin(), sorted_.end(),
             [this](std::uint32_t a, std::uint32_t b) {
-              return lanes_[a] < lanes_[b];
+              return processor(static_cast<LaneId>(a)) <
+                     processor(static_cast<LaneId>(b));
             });
-  rank_index_.resize(lanes_.size());
+  rank_index_.resize(size());
   rank_values_.clear();
   std::map<std::int32_t, std::int32_t> rank_of;
-  for (std::size_t i = 0; i < lanes_.size(); ++i) {
-    auto [it, inserted] = rank_of.emplace(
-        lanes_[i].rank, static_cast<std::int32_t>(rank_of.size()));
-    if (inserted) rank_values_.push_back(lanes_[i].rank);
+  for (std::size_t i = 0; i < rank.size(); ++i) {
+    auto [it, inserted] =
+        rank_of.emplace(rank[i], static_cast<std::int32_t>(rank_of.size()));
+    if (inserted) rank_values_.push_back(rank[i]);
     rank_index_[i] = it->second;
   }
 
@@ -67,7 +80,7 @@ void LaneTable::index() {
   // land in ascending stream order.
   gpu_offsets_.assign(rank_count() + 1, 0);
   for (std::uint32_t lane : sorted_) {
-    if (lanes_[lane].gpu) {
+    if (is_gpu(static_cast<LaneId>(lane))) {
       ++gpu_offsets_[static_cast<std::size_t>(rank_index_[lane]) + 1];
     }
   }
@@ -77,7 +90,7 @@ void LaneTable::index() {
   gpu_lane_ids_.resize(static_cast<std::size_t>(gpu_offsets_.back()));
   std::vector<std::int32_t> fill(gpu_offsets_.begin(), gpu_offsets_.end() - 1);
   for (std::uint32_t lane : sorted_) {
-    if (lanes_[lane].gpu) {
+    if (is_gpu(static_cast<LaneId>(lane))) {
       gpu_lane_ids_[static_cast<std::size_t>(
           fill[static_cast<std::size_t>(rank_index_[lane])]++)] =
           static_cast<LaneId>(lane);
@@ -122,8 +135,8 @@ bool TaskMetaTable::index() {
   // Group index from the member lists, so coupling means "listed in a
   // group" and the two can never disagree.
   group_idx_.assign(n, -1);
-  for (std::size_t gi = 0; gi < groups_.size(); ++gi) {
-    for (const TaskId m : groups_[gi].members) {
+  for (std::size_t gi = 0; gi < rendezvous_group_count(); ++gi) {
+    for (const TaskId m : rendezvous_group(gi).members) {
       std::int32_t& slot = group_idx_[static_cast<std::size_t>(m)];
       if (slot >= 0) return false;
       slot = static_cast<std::int32_t>(gi);
@@ -147,6 +160,9 @@ TaskMetaTable TaskMetaTable::build(
   std::vector<std::int64_t> coll_instance(n, -1);
   std::vector<LaneId> sync_lane(n, kInvalidLane);
   std::vector<TaskId> sync_before(n, kInvalidTask);
+  std::vector<std::uint32_t> group_id;
+  std::vector<std::int64_t> group_instance;
+  std::vector<std::pair<std::int32_t, TaskId>> membership;  ///< (group, task)
 
   // Point-to-point ops by id: a collective is p2p iff its op id is one of
   // these (find() never interns — the pools may be a shared trace's).
@@ -172,7 +188,7 @@ TaskMetaTable TaskMetaTable::build(
     if (cached_lane == kInvalidLane || !(cached == processor)) {
       auto [it, inserted] =
           lane_of.try_emplace(processor, static_cast<LaneId>(lane_of.size()));
-      if (inserted) t.lanes_.lanes_.push_back(processor);
+      if (inserted) t.lanes_.push_back(processor);
       cached = processor;
       cached_lane = it->second;
     }
@@ -190,10 +206,12 @@ TaskMetaTable TaskMetaTable::build(
         if (instance >= 0) {
           auto [git, gnew] = group_of.try_emplace(
               std::make_pair(coll_group[i], instance),
-              static_cast<std::int32_t>(t.groups_.size()));
-          if (gnew) t.groups_.push_back({{coll_group[i]}, instance, {}});
-          t.groups_[static_cast<std::size_t>(git->second)]
-              .members.push_back(id);
+              static_cast<std::int32_t>(group_id.size()));
+          if (gnew) {
+            group_id.push_back(coll_group[i]);
+            group_instance.push_back(instance);
+          }
+          membership.emplace_back(git->second, id);
         }
       }
     }
@@ -211,8 +229,27 @@ TaskMetaTable TaskMetaTable::build(
   t.coll_op_ = std::move(coll_op);
   t.coll_group_ = std::move(coll_group);
   t.coll_instance_ = std::move(coll_instance);
-  // Pass 1 lists each member once, so indexing cannot fail here; pass 2
-  // needs the lane lookup index.
+
+  // The rendezvous CSR: each group's members in task id order.
+  std::vector<std::uint64_t> member_offsets(group_id.size() + 1, 0);
+  for (const auto& [g, task] : membership) {
+    ++member_offsets[static_cast<std::size_t>(g) + 1];
+  }
+  for (std::size_t g = 1; g < member_offsets.size(); ++g) {
+    member_offsets[g] += member_offsets[g - 1];
+  }
+  std::vector<TaskId> members(membership.size());
+  std::vector<std::uint64_t> fill(member_offsets.begin(),
+                                  member_offsets.end() - 1);
+  for (const auto& [g, task] : membership) {
+    members[fill[static_cast<std::size_t>(g)]++] = task;
+  }
+  t.group_id_ = std::move(group_id);
+  t.group_instance_ = std::move(group_instance);
+  t.member_offsets_ = std::move(member_offsets);
+  t.members_ = std::move(members);
+  // Each task is a member of one group at most, so indexing cannot fail
+  // here; pass 2 needs the lane lookup index.
   t.index();
 
   // Pass 2: pre-resolve runtime-dependency targets, now that every lane

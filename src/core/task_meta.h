@@ -17,8 +17,9 @@
 //     collective op / group / instance (gathered through the sparse
 //     side-table), the pre-resolved runtime-dependency targets (which lane
 //     a cudaStreamSynchronize waits on, which EventRecord a
-//     cudaEventSynchronize resolves to), the lanes themselves and the
-//     rendezvous member lists (comm group x instance);
+//     cudaEventSynchronize resolves to), the lanes themselves (rank / gpu /
+//     lane columns) and the rendezvous groups (comm group x instance, one
+//     CSR of member lists);
 //   - derived by index() from those: the LaneTable's lookup, rank and
 //     GPU-lane indexes, the GPU tasks per lane, and each task's rendezvous
 //     group index. build() and the snapshot loader both end in index(), so
@@ -32,8 +33,8 @@
 // The table is owned by ExecutionGraph, built lazily under the same
 // double-checked locking discipline as the adjacency index (or eagerly via
 // ExecutionGraph::finalize(), which every producer calls), and shared
-// across graph copies — it depends only on the task payload, never on the
-// edge set. It keeps the column payload it was classified from (columns()),
+// with edge-filtered derivations — it depends only on the task payload,
+// never on the edge set. It keeps the column payload it was classified from (columns()),
 // which must not change while the table lives: ExecutionGraph clones shared
 // rows before it appends to or reserves them. All build-order choices (lane
 // ids, group ids) are deterministic functions of the task sequence, so
@@ -71,12 +72,13 @@ class LaneTable {
   /// Lane of `p`, or kInvalidLane when no task runs on it.
   LaneId id_of(const Processor& p) const;
 
-  const Processor& processor(LaneId lane) const {
-    return lanes_[static_cast<std::size_t>(lane)];
+  Processor processor(LaneId lane) const {
+    const auto i = static_cast<std::size_t>(lane);
+    return {rank_[i], gpu_[i] != 0, lane_[i]};
   }
-  std::size_t size() const { return lanes_.size(); }
+  std::size_t size() const { return rank_.size(); }
   bool is_gpu(LaneId lane) const {
-    return lanes_[static_cast<std::size_t>(lane)].gpu;
+    return gpu_[static_cast<std::size_t>(lane)] != 0;
   }
 
   /// Dense rank index of a lane (0..rank_count()-1).
@@ -101,10 +103,15 @@ class LaneTable {
   friend class TaskMetaTable;
   friend struct lumos::snapshot::Access;
 
-  /// Derives every member below lanes_ from lanes_.
+  /// Appends the next lane (build only).
+  void push_back(const Processor& p);
+  /// Derives every member below the Processor columns from them.
   void index();
 
-  std::vector<Processor> lanes_;          ///< by LaneId
+  // Each lane's Processor, by LaneId.
+  io::Column<std::int32_t> rank_;
+  io::Column<std::uint8_t> gpu_;
+  io::Column<std::int64_t> lane_;  ///< thread (CPU) or stream (GPU) id
   std::vector<std::uint32_t> sorted_;     ///< lane ids sorted by Processor
   std::vector<std::int32_t> rank_index_;  ///< per lane, dense
   std::vector<std::int32_t> rank_values_; ///< dense rank index -> rank id
@@ -113,11 +120,12 @@ class LaneTable {
 };
 
 /// One collective rendezvous: all coupled kernels of one (communicator
-/// group, instance) pair, members in task-id order.
-struct CollectiveGroupMeta {
+/// group, instance) pair, members in task-id order — a view into the
+/// TaskMetaTable that holds it.
+struct RendezvousGroup {
   trace::GroupId group;
   std::int64_t instance = -1;
-  std::vector<TaskId> members;
+  std::span<const TaskId> members;
 };
 
 class TaskMetaTable {
@@ -193,8 +201,14 @@ class TaskMetaTable {
             static_cast<std::size_t>(gpu_task_offsets_[i + 1] -
                                      gpu_task_offsets_[i])};
   }
-  const std::vector<CollectiveGroupMeta>& collective_groups() const {
-    return groups_;
+  /// Rendezvous groups, numbered in first-appearance (task id) order.
+  std::size_t rendezvous_group_count() const { return group_id_.size(); }
+  RendezvousGroup rendezvous_group(std::size_t gi) const {
+    const std::uint64_t lo = member_offsets_[gi];
+    const std::uint64_t hi = member_offsets_[gi + 1];
+    return {{group_id_[gi]},
+            group_instance_[gi],
+            {members_.data() + lo, static_cast<std::size_t>(hi - lo)}};
   }
 
   // -- the classified payload ----------------------------------------------
@@ -255,7 +269,12 @@ class TaskMetaTable {
   io::Column<LaneId> sync_lane_;
   io::Column<TaskId> sync_before_;
   LaneTable lanes_;
-  std::vector<CollectiveGroupMeta> groups_;
+  // Rendezvous groups as one CSR: by group index, the comm group id, the
+  // instance and the offsets of its members in members_.
+  io::Column<std::uint32_t> group_id_;
+  io::Column<std::int64_t> group_instance_;
+  io::Column<std::uint64_t> member_offsets_;
+  io::Column<TaskId> members_;
   std::shared_ptr<const ColumnTaskSource> columns_;
 
   // Read in place: columns_'s event columns, viewed by index().

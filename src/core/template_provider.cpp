@@ -68,10 +68,10 @@ void TemplateProvider::extract(const ExecutionGraph& profiled) {
   // table already materializes the rendezvous groups, so this is one pass
   // over dense member lists instead of a string-keyed map fill.
   const TaskMetaTable& meta = profiled.meta();
-  std::vector<std::int64_t> group_min(meta.collective_groups().size());
-  for (std::size_t g = 0; g < meta.collective_groups().size(); ++g) {
+  std::vector<std::int64_t> group_min(meta.rendezvous_group_count());
+  for (std::size_t g = 0; g < group_min.size(); ++g) {
     std::int64_t lo = std::numeric_limits<std::int64_t>::max();
-    for (TaskId member : meta.collective_groups()[g].members) {
+    for (TaskId member : meta.rendezvous_group(g).members) {
       lo = std::min(lo, meta.duration_ns(member));
     }
     group_min[g] = lo;

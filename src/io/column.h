@@ -41,6 +41,16 @@ class Column {
 
   Column() = default;
   Column(std::vector<T> values) : own_(std::move(values)) {}
+  Column(const Column&) = default;
+  Column& operator=(const Column&) = default;
+  /// A moved-from column is empty, whether it owned or borrowed.
+  Column(Column&& other) noexcept { *this = std::move(other); }
+  Column& operator=(Column&& other) noexcept {
+    own_ = std::exchange(other.own_, {});
+    view_ = std::exchange(other.view_, {});
+    keepalive_ = std::move(other.keepalive_);
+    return *this;
+  }
 
   /// A column viewing `size` elements at `data`, kept alive by `keepalive`
   /// (aliased to the mapping / buffer that owns the bytes).
@@ -119,8 +129,8 @@ class Column {
   }
 
   // Invariant: borrowed() (view_ non-null) means view_/keepalive_ are the
-  // truth and own_ is empty; otherwise own_ is the truth. Default copy /
-  // move preserve it: copying a borrowed column copies the view + keepalive
+  // truth and own_ is empty; otherwise own_ is the truth. Copy and move
+  // preserve it: copying a borrowed column copies the view + keepalive
   // (shares the borrow), copying an owned column deep-copies the vector.
   std::vector<T> own_;
   std::span<const T> view_;

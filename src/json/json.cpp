@@ -79,6 +79,14 @@ namespace {
 }
 }  // namespace
 
+std::int64_t to_int64(double d) {
+  // -2^63 and 2^63 are exact doubles; NaN fails both compares.
+  if (!(d >= -0x1p63 && d < 0x1p63)) {
+    throw TypeError("json: number outside the int64 range");
+  }
+  return static_cast<std::int64_t>(d);
+}
+
 bool Value::as_bool() const {
   if (const bool* b = std::get_if<bool>(&data_)) return *b;
   type_error("bool", kind());
@@ -86,8 +94,7 @@ bool Value::as_bool() const {
 
 std::int64_t Value::as_int() const {
   if (const auto* i = std::get_if<std::int64_t>(&data_)) return *i;
-  if (const auto* d = std::get_if<double>(&data_))
-    return static_cast<std::int64_t>(*d);
+  if (const auto* d = std::get_if<double>(&data_)) return to_int64(*d);
   type_error("number", kind());
 }
 
@@ -584,9 +591,10 @@ void write_double(std::string& out, double d) {
     out += "null";
     return;
   }
-  if (d == static_cast<double>(static_cast<std::int64_t>(d)) &&
-      std::abs(d) < 1e15) {
+  if (std::abs(d) < 1e15 &&
+      d == static_cast<double>(static_cast<std::int64_t>(d))) {
     // Keep integral doubles readable ("5.0" -> "5.0" preserves doubleness).
+    // The range test comes first: the cast is undefined past int64.
     out += std::to_string(static_cast<std::int64_t>(d));
     out += ".0";
     return;

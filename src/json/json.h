@@ -86,6 +86,10 @@ class TypeError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+/// `d` truncated to an int64; TypeError when it is NaN or outside the
+/// int64 range, where a plain cast is undefined behaviour.
+std::int64_t to_int64(double d);
+
 enum class Kind { Null, Bool, Int, Double, String, ArrayKind, ObjectKind };
 
 /// A JSON value. Cheap to move; copies deep-copy the tree.
@@ -117,7 +121,7 @@ class Value {
   bool is_object() const { return std::holds_alternative<Object>(data_); }
 
   bool as_bool() const;
-  std::int64_t as_int() const;      ///< exact for Int; truncating for Double
+  std::int64_t as_int() const;      ///< exact for Int; to_int64 for Double
   double as_double() const;         ///< widens Int to double
   const std::string& as_string() const;
   const Array& as_array() const;

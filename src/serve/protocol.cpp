@@ -73,13 +73,8 @@ std::string encode(const Request& request) {
   return json::write(json::Value(std::move(obj)));
 }
 
-Status decode_request(std::string_view line, Request& out) {
-  json::Value v;
-  try {
-    v = json::parse(line);
-  } catch (const std::exception& e) {
-    return parse_error(std::string("request: ") + e.what());
-  }
+Status decode_request(std::string_view line, Request& out) try {
+  const json::Value v = json::parse(line);
   if (!v.is_object()) return parse_error("request: not a JSON object");
   out.id = v.get_int("id", 0);  // before validation, so errors echo the id
 
@@ -114,6 +109,9 @@ Status decode_request(std::string_view line, Request& out) {
     return invalid_argument_error("request: predict without a baseline path");
   }
   return Status::ok();
+} catch (const std::exception& e) {
+  // Malformed JSON, or a number an integer field cannot hold.
+  return parse_error(std::string("request: ") + e.what());
 }
 
 namespace {
@@ -145,13 +143,8 @@ Status status_from_wire(std::int64_t code, std::string message) {
 
 }  // namespace
 
-Status decode_reply(std::string_view line, Reply& out) {
-  json::Value v;
-  try {
-    v = json::parse(line);
-  } catch (const std::exception& e) {
-    return parse_error(std::string("reply: ") + e.what());
-  }
+Status decode_reply(std::string_view line, Reply& out) try {
+  json::Value v = json::parse(line);
   if (!v.is_object()) return parse_error("reply: not a JSON object");
   out.id = v.get_int("id", 0);
   out.ok = v.get_bool("ok", false);
@@ -163,6 +156,8 @@ Status decode_reply(std::string_view line, Reply& out) {
                            v.get_string("error", "unknown server error"));
   out.body = std::move(v);
   return Status::ok();
+} catch (const std::exception& e) {
+  return parse_error(std::string("reply: ") + e.what());
 }
 
 std::string error_reply(std::int64_t id, const Status& status) {

@@ -210,7 +210,10 @@ void read_pool(Cursor& cur, trace::StringPool& pool) {
   const auto count = cur.get<std::uint64_t>();
   const std::span<const std::uint64_t> offsets = cur.get_span<std::uint64_t>();
   const std::string_view blob = cur.get_bytes();
-  if (offsets.size() != count + 1) fail_corrupt("pool offset table size");
+  // offsets.size() - 1 cannot wrap: count + 1 would, for a count of 2^64-1.
+  if (offsets.empty() || offsets.size() - 1 != count) {
+    fail_corrupt("pool offset table size");
+  }
   for (std::uint64_t id = 0; id < count; ++id) {
     const std::uint64_t lo = offsets[id], hi = offsets[id + 1];
     if (lo > hi || hi > blob.size()) fail_corrupt("pool offsets out of range");
@@ -263,9 +266,17 @@ struct Access {
     f(t.gemm_.k, Domain::kNone);
   }
 
-  /// The meta table's stored columns. What it reads in place (the rows'
-  /// event columns) and what it derives (TaskMetaTable::index) are not
-  /// written.
+  /// The graph's edges: src, dst, type.
+  template <class Graph, class F>
+  static void visit_edge_columns(Graph& g, F&& f) {
+    f(g.edge_src_, Domain::kNone);
+    f(g.edge_dst_, Domain::kNone);
+    f(g.edge_type_, Domain::kNone);
+  }
+
+  /// The meta table's stored columns: per task, then the lanes, then the
+  /// rendezvous CSR. What it reads in place (the rows' event columns) and
+  /// what it derives (TaskMetaTable::index) are not written.
   template <class Table, class F>
   static void visit_meta_columns(Table& t, F&& f) {
     f(t.flags_, Domain::kNone);
@@ -275,6 +286,13 @@ struct Access {
     f(t.coll_instance_, Domain::kNone);
     f(t.sync_lane_, Domain::kNone);
     f(t.sync_before_, Domain::kNone);
+    f(t.lanes_.rank_, Domain::kNone);
+    f(t.lanes_.gpu_, Domain::kNone);
+    f(t.lanes_.lane_, Domain::kNone);
+    f(t.group_id_, Domain::kGroup);
+    f(t.group_instance_, Domain::kNone);
+    f(t.member_offsets_, Domain::kNone);
+    f(t.members_, Domain::kNone);
   }
 
   /// Rejects an event table whose per-event columns disagree with `rows`
@@ -284,14 +302,21 @@ struct Access {
   /// Rejects a collective or GEMM side-table index outside
   /// [-1, side-table length): the event accessors read through them.
   static void check_side_table_indices(const trace::EventTable& t);
-  /// Same for the meta table's per-task columns.
+  /// Rejects edge columns of unequal length, an edge type outside DepType
+  /// or an endpoint outside [0, tasks): the CSR adjacency build indexes
+  /// with them.
+  static void check_edges(const core::ExecutionGraph& g, std::size_t tasks);
+  /// Rejects a meta per-task column not `rows` long, lane columns of
+  /// unequal length, or group columns that disagree on the group count.
   static void check_meta_lengths(const core::TaskMetaTable& t,
                                  std::size_t rows);
   /// Rejects a meta lane id (or a resolved sync lane) outside the lane
   /// table: the compiler, ReplayProgram::run and the simulator index
   /// per-lane arrays with them.
-  static void check_meta_lanes(const core::TaskMetaTable& t,
-                               std::size_t lanes);
+  static void check_meta_lanes(const core::TaskMetaTable& t);
+  /// Rejects a rendezvous member outside [0, tasks) or a group whose
+  /// member range is reversed or past the member column.
+  static void check_groups(const core::TaskMetaTable& t, std::size_t tasks);
 
   /// The program section: the instruction, operand and member records.
   /// Writes nothing (an empty section) unless `p` is sized for `meta`, the
@@ -304,11 +329,6 @@ struct Access {
   static std::shared_ptr<const core::ReplayProgram> read_program(
       Cursor& cur, const core::TaskMetaTable& meta);
 
-  // -- raw member access for the small rebuild-at-load structures -----------
-  template <class MT>
-  static auto& meta_lanes(MT& t) { return t.lanes_.lanes_; }
-  template <class MT>
-  static auto& meta_groups(MT& t) { return t.groups_; }
   /// Installs the rows and derives the indexes (TaskMetaTable::index)
   /// over the checked stored columns.
   static void index_meta(core::TaskMetaTable& t,
@@ -317,13 +337,6 @@ struct Access {
     if (!t.index()) {
       fail_corrupt("graph section: rendezvous member listed twice");
     }
-  }
-  static std::vector<core::Edge>& graph_edges(core::ExecutionGraph& g) {
-    return g.edges_;
-  }
-  static const std::vector<core::Edge>& graph_edges(
-      const core::ExecutionGraph& g) {
-    return g.edges_;
   }
   /// Replaces a fresh graph's (empty) rows.
   static void install_columns(core::ExecutionGraph& g,
@@ -372,6 +385,12 @@ void Access::check_meta_lengths(const core::TaskMetaTable& t,
                                 std::size_t rows) {
   expect_rows(rows, "graph section: meta", t.flags_, t.lane_, t.coll_op_,
               t.coll_group_, t.coll_instance_, t.sync_lane_, t.sync_before_);
+  expect_rows(t.lanes_.rank_.size(), "graph section: lane", t.lanes_.gpu_,
+              t.lanes_.lane_);
+  if (t.group_instance_.size() != t.group_id_.size() ||
+      t.member_offsets_.size() != t.group_id_.size() + 1) {
+    fail_corrupt("graph section: group column length mismatch");
+  }
 }
 
 namespace {
@@ -395,6 +414,19 @@ bool ids_in_range(const Ids& ids, std::size_t bound) {
 
 }  // namespace
 
+void Access::check_edges(const core::ExecutionGraph& g, std::size_t tasks) {
+  expect_rows(g.edge_src_.size(), "graph section: edge", g.edge_dst_,
+              g.edge_type_);
+  for (const core::Edge& e : g.edges()) {
+    if (static_cast<std::size_t>(e.type) >= core::kDepTypeCount) {
+      fail_corrupt("graph section: edge type out of range");
+    }
+    if (!in_range(e.src, tasks) || !in_range(e.dst, tasks)) {
+      fail_corrupt("graph section: edge endpoint out of range");
+    }
+  }
+}
+
 void Access::check_side_table_indices(const trace::EventTable& t) {
   if (!ids_in_range(t.coll_idx_, t.coll_.op.size())) {
     fail_corrupt("graph section: collective side-table index out of range");
@@ -404,8 +436,8 @@ void Access::check_side_table_indices(const trace::EventTable& t) {
   }
 }
 
-void Access::check_meta_lanes(const core::TaskMetaTable& t,
-                              std::size_t lanes) {
+void Access::check_meta_lanes(const core::TaskMetaTable& t) {
+  const std::size_t lanes = t.lanes_.size();
   for (const core::LaneId lane : t.lane_) {
     if (!in_range(lane, lanes)) {
       fail_corrupt("graph section: meta lane id out of range");
@@ -418,11 +450,25 @@ void Access::check_meta_lanes(const core::TaskMetaTable& t,
   }
 }
 
+void Access::check_groups(const core::TaskMetaTable& t, std::size_t tasks) {
+  for (const core::TaskId m : t.members_) {
+    if (!in_range(m, tasks)) {
+      fail_corrupt("graph section: rendezvous member id out of range");
+    }
+  }
+  const std::span<const std::uint64_t> offsets = t.member_offsets_;
+  for (std::size_t i = 0; i + 1 < offsets.size(); ++i) {
+    if (offsets[i] > offsets[i + 1] || offsets[i + 1] > t.members_.size()) {
+      fail_corrupt("graph section: group member offsets out of range");
+    }
+  }
+}
+
 void Access::write_program(Buffer& buf, const core::ReplayProgram& p,
                            const core::TaskMetaTable& meta) {
   if (p.task_count_ != meta.size() ||
       p.lane_count_ != meta.lanes().size() ||
-      p.collective_count_ != meta.collective_groups().size()) {
+      p.collective_count_ != meta.rendezvous_group_count()) {
     return;
   }
   buf.put_array(p.instrs_.data(), p.instrs_.size());
@@ -435,7 +481,7 @@ std::shared_ptr<const core::ReplayProgram> Access::read_program(
   using Program = core::ReplayProgram;
   const std::size_t tasks = meta.size();
   const std::size_t lanes = meta.lanes().size();
-  const std::size_t groups = meta.collective_groups().size();
+  const std::size_t groups = meta.rendezvous_group_count();
   auto program = std::make_shared<Program>();
   program->task_count_ = tasks;
   program->lane_count_ = lanes;
@@ -564,19 +610,7 @@ trace::EventTable read_event_table(Cursor& cur,
 }
 
 void write_graph(Buffer& buf, const core::ExecutionGraph& graph) {
-  // Edges as three scalar columns — Edge itself has padding bytes that
-  // would poison the payload checksum.
-  const std::vector<core::Edge>& edges = Access::graph_edges(graph);
-  std::vector<std::int32_t> src(edges.size()), dst(edges.size());
-  std::vector<std::uint8_t> type(edges.size());
-  for (std::size_t i = 0; i < edges.size(); ++i) {
-    src[i] = edges[i].src;
-    dst[i] = edges[i].dst;
-    type[i] = static_cast<std::uint8_t>(edges[i].type);
-  }
-  buf.put_array(src);
-  buf.put_array(dst);
-  buf.put_array(type);
+  Access::visit_edge_columns(graph, ColumnWriter{buf});
 
   // Task payloads: the graph's column payload — processors as scalar
   // columns + the event rows.
@@ -587,53 +621,16 @@ void write_graph(Buffer& buf, const core::ExecutionGraph& graph) {
   buf.put_array(cols.lane_column().data(), cols.count());
   write_event_table(buf, cols.events());
 
-  // The finalized meta table's stored columns, its lanes and the
-  // collective rendezvous groups; the loader re-derives the rest.
+  // The finalized meta table's stored columns, lanes and rendezvous groups
+  // included; the loader re-derives the rest.
   buf.put(static_cast<std::uint64_t>(meta.size()));
   Access::visit_meta_columns(meta, ColumnWriter{buf});
-
-  const std::vector<core::Processor>& lanes = Access::meta_lanes(meta);
-  std::vector<std::int32_t> lane_rank(lanes.size());
-  std::vector<std::uint8_t> lane_gpu(lanes.size());
-  std::vector<std::int64_t> lane_lane(lanes.size());
-  for (std::size_t i = 0; i < lanes.size(); ++i) {
-    lane_rank[i] = lanes[i].rank;
-    lane_gpu[i] = lanes[i].gpu ? 1 : 0;
-    lane_lane[i] = lanes[i].lane;
-  }
-  buf.put_array(lane_rank);
-  buf.put_array(lane_gpu);
-  buf.put_array(lane_lane);
-
-  const std::vector<core::CollectiveGroupMeta>& groups =
-      meta.collective_groups();
-  std::vector<std::uint32_t> group_id(groups.size());
-  std::vector<std::int64_t> group_instance(groups.size());
-  std::vector<std::uint64_t> member_offsets(groups.size() + 1, 0);
-  std::vector<core::TaskId> members;
-  for (std::size_t i = 0; i < groups.size(); ++i) {
-    group_id[i] = groups[i].group.index;
-    group_instance[i] = groups[i].instance;
-    members.insert(members.end(), groups[i].members.begin(),
-                   groups[i].members.end());
-    member_offsets[i + 1] = members.size();
-  }
-  buf.put_array(group_id);
-  buf.put_array(group_instance);
-  buf.put_array(member_offsets);
-  buf.put_array(members);
 }
 
 std::shared_ptr<const core::ExecutionGraph> read_graph(
     Cursor& cur, std::shared_ptr<trace::TracePools> pools) {
   auto graph = std::make_shared<core::ExecutionGraph>();
-
-  const std::span<const std::int32_t> src = cur.get_span<std::int32_t>();
-  const std::span<const std::int32_t> dst = cur.get_span<std::int32_t>();
-  const std::span<const std::uint8_t> type = cur.get_span<std::uint8_t>();
-  if (src.size() != dst.size() || src.size() != type.size()) {
-    fail_corrupt("graph section: edge column length mismatch");
-  }
+  Access::visit_edge_columns(*graph, ColumnReader{cur, *pools});
 
   io::Column<std::int32_t> rank = cur.get_column<std::int32_t>();
   io::Column<std::uint8_t> gpu = cur.get_column<std::uint8_t>();
@@ -643,21 +640,7 @@ std::shared_ptr<const core::ExecutionGraph> read_graph(
   if (rank.size() != tasks || gpu.size() != tasks || lane.size() != tasks) {
     fail_corrupt("graph section: task column length mismatch");
   }
-
-  // Edge endpoints index the CSR adjacency build: validate them against
-  // the task count before the graph exists.
-  std::vector<core::Edge>& edges = Access::graph_edges(*graph);
-  edges.resize(src.size());
-  for (std::size_t i = 0; i < src.size(); ++i) {
-    if (type[i] >= core::kDepTypeCount) {
-      fail_corrupt("graph section: edge type out of range");
-    }
-    if (src[i] < 0 || dst[i] < 0 || static_cast<std::size_t>(src[i]) >= tasks ||
-        static_cast<std::size_t>(dst[i]) >= tasks) {
-      fail_corrupt("graph section: edge endpoint out of range");
-    }
-    edges[i] = {src[i], dst[i], static_cast<core::DepType>(type[i])};
-  }
+  Access::check_edges(*graph, tasks);
   auto columns = std::make_shared<core::ColumnTaskSource>(
       std::move(events), std::move(rank), std::move(gpu), std::move(lane));
   Access::install_columns(*graph, columns);
@@ -669,52 +652,8 @@ std::shared_ptr<const core::ExecutionGraph> read_graph(
   }
   Access::visit_meta_columns(meta, ColumnReader{cur, *pools});
   Access::check_meta_lengths(meta, tasks);
-
-  const std::span<const std::int32_t> lane_rank = cur.get_span<std::int32_t>();
-  const std::span<const std::uint8_t> lane_gpu = cur.get_span<std::uint8_t>();
-  const std::span<const std::int64_t> lane_lane = cur.get_span<std::int64_t>();
-  if (lane_rank.size() != lane_gpu.size() ||
-      lane_rank.size() != lane_lane.size()) {
-    fail_corrupt("graph section: lane column length mismatch");
-  }
-  std::vector<core::Processor>& lanes = Access::meta_lanes(meta);
-  lanes.resize(lane_rank.size());
-  for (std::size_t i = 0; i < lanes.size(); ++i) {
-    lanes[i] = {lane_rank[i], lane_gpu[i] != 0, lane_lane[i]};
-  }
-  Access::check_meta_lanes(meta, lanes.size());
-
-  const std::span<const std::uint32_t> group_id =
-      cur.get_span<std::uint32_t>();
-  const std::span<const std::int64_t> group_instance =
-      cur.get_span<std::int64_t>();
-  const std::span<const std::uint64_t> member_offsets =
-      cur.get_span<std::uint64_t>();
-  const std::span<const core::TaskId> members = cur.get_span<core::TaskId>();
-  if (group_id.size() != group_instance.size() ||
-      member_offsets.size() != group_id.size() + 1) {
-    fail_corrupt("graph section: group column length mismatch");
-  }
-  if (!ids_in_range(group_id, pools->groups.size())) {
-    fail_corrupt("graph section: string pool id out of range");
-  }
-  for (const core::TaskId m : members) {
-    if (m < 0 || static_cast<std::size_t>(m) >= tasks) {
-      fail_corrupt("graph section: rendezvous member id out of range");
-    }
-  }
-  std::vector<core::CollectiveGroupMeta>& groups = Access::meta_groups(meta);
-  groups.resize(group_id.size());
-  for (std::size_t i = 0; i < groups.size(); ++i) {
-    const std::uint64_t lo = member_offsets[i], hi = member_offsets[i + 1];
-    if (lo > hi || hi > members.size()) {
-      fail_corrupt("graph section: group member offsets out of range");
-    }
-    groups[i].group = {group_id[i]};
-    groups[i].instance = group_instance[i];
-    groups[i].members.assign(members.begin() + static_cast<std::ptrdiff_t>(lo),
-                             members.begin() + static_cast<std::ptrdiff_t>(hi));
-  }
+  Access::check_meta_lanes(meta);
+  Access::check_groups(meta, tasks);
   // Lane and member ids are in range now, so every derived index is too.
   Access::index_meta(meta, std::move(columns));
 

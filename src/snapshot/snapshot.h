@@ -1,18 +1,20 @@
 // Versioned, mmap-able binary snapshots of a finalized baseline.
 //
 // A snapshot is the flat, load-ready image of everything a prediction
-// reads: the parsed ExecutionGraph (edges, task rows, and the stored
+// reads: the parsed ExecutionGraph (edge columns, task rows, and the stored
 // columns of its TaskMetaTable: flags, lanes, collective ids, sync targets,
-// the lane list and the rendezvous member lists), the graph's string pools,
-// its compiled core::ReplayProgram, plus an opaque api-layer metadata JSON
+// the lane columns and the rendezvous CSR), the graph's string pools, its
+// compiled core::ReplayProgram, plus an opaque api-layer metadata JSON
 // (scenario, model, config). The graph rows are the image's only event
 // table: the profiled trace the graph was parsed from is not stored, since
-// no prediction reads it. Loading is io::MappedFile + offset fixup: every
-// O(tasks) column comes back as an io::Column borrow straight into the
-// mapping — no JSON, no re-parse, no re-classification, no re-compile, no
-// per-event allocation. The small structures (string pools, lanes, groups,
-// edge list) are rebuilt owning, and the meta table's indexes are
-// re-derived (below).
+// no prediction reads it. Every array is stored in the element types and
+// order the in-memory structure holds it, so write() emits each column as
+// it is and loading is io::MappedFile + offset fixup: every column — edges,
+// lanes and rendezvous groups included — comes back as an io::Column
+// borrow straight into the mapping. No JSON, no re-parse, no
+// re-classification, no re-compile, no per-element copy. Only the string
+// pools are rebuilt owning, and the meta table's indexes are re-derived
+// (below).
 //
 // Layout (format v4, little-endian, every section 8-byte aligned):
 //
@@ -45,13 +47,14 @@
 //
 // What load re-derives, checks and trusts. The checksum guards integrity,
 // not authenticity, so the loader
-//   - checks every stored id a consumer indexes with: edge endpoints,
-//     string pool ids (every id column of the rows, the meta table and the
-//     rendezvous groups is invalid or below its pool's size), the rows'
-//     collective / GEMM side-table indices, meta lane ids (and resolved
-//     sync lanes), rendezvous member ids, and in the program section one
-//     instruction per task and per group, ops, task / group / lane ids,
-//     CSR ranges, operand and member ids, and positive durations;
+//   - checks every stored id a consumer indexes with: edge endpoints and
+//     types, string pool ids (every id column of the rows, the meta table
+//     and the rendezvous groups is invalid or below its pool's size), the
+//     rows' collective / GEMM side-table indices, meta lane ids (and
+//     resolved sync lanes), rendezvous member ids and member offsets, and
+//     in the program section one instruction per task and per group, ops,
+//     task / group / lane ids, CSR ranges, operand and member ids, and
+//     positive durations;
 //   - re-derives every index after those checks (TaskMetaTable::index, the
 //     code build() runs), so the lane table, the GPU-task CSR and the group
 //     index are in range by construction, and a task listed in two

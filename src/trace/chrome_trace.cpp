@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <optional>
 #include <stdexcept>
 #include <vector>
 
@@ -153,9 +154,7 @@ class KinetoSaxHandler final : public json::SaxHandler {
 
   void int_value(std::int64_t i) override { number(static_cast<double>(i), i); }
 
-  void double_value(double d) override {
-    number(d, static_cast<std::int64_t>(d));
-  }
+  void double_value(double d) override { number(d, std::nullopt); }
 
  private:
   enum class Scope : std::uint8_t {
@@ -220,66 +219,69 @@ class KinetoSaxHandler final : public json::SaxHandler {
                      : out_.events.pools()->names.intern(s);
   }
 
-  /// Numeric field dispatch. `d` carries the value double-widened, `i`
-  /// truncated — mirroring get_double()/get_int() of the DOM path exactly.
-  void number(double d, std::int64_t i) {
+  /// Numeric field dispatch, mirroring get_double()/get_int() of the DOM
+  /// path exactly: `d` carries the value double-widened; a key read as an
+  /// integer takes `exact` (an integer literal's value) or converts `d`
+  /// through json::to_int64, which rejects a value outside the int64 range.
+  void number(double d, std::optional<std::int64_t> exact) {
+    const auto i = [&] { return exact ? *exact : json::to_int64(d); };
     switch (scope()) {
       case Scope::DistInfo:
-        if (dist_rank_key_) out_.rank = static_cast<std::int32_t>(i);
+        if (dist_rank_key_) out_.rank = static_cast<std::int32_t>(i());
         break;
       case Scope::Event:
         switch (event_key_) {
           case EventKey::Pid:
-            staged_.pid = static_cast<std::int32_t>(i);
+            staged_.pid = static_cast<std::int32_t>(i());
             break;
           case EventKey::Tid:
-            staged_.tid = static_cast<std::int32_t>(i);
+            staged_.tid = static_cast<std::int32_t>(i());
             break;
           case EventKey::Ts:
-            staged_.ts_ns = static_cast<std::int64_t>(d * kNsPerUs + 0.5);
+            staged_.ts_ns = json::to_int64(d * kNsPerUs + 0.5);
             break;
           case EventKey::Dur:
-            staged_.dur_ns = static_cast<std::int64_t>(d * kNsPerUs + 0.5);
+            staged_.dur_ns = json::to_int64(d * kNsPerUs + 0.5);
             break;
           default: break;
         }
         break;
       case Scope::Args:
         switch (args_key_) {
-          case ArgsKey::Correlation: staged_.correlation = i; break;
-          case ArgsKey::Stream: staged_.stream = i; break;
-          case ArgsKey::CudaEvent: staged_.cuda_event = i; break;
+          case ArgsKey::Correlation: staged_.correlation = i(); break;
+          case ArgsKey::Stream: staged_.stream = i(); break;
+          case ArgsKey::CudaEvent: staged_.cuda_event = i(); break;
           case ArgsKey::Layer:
-            staged_.layer = static_cast<std::int32_t>(i);
+            staged_.layer = static_cast<std::int32_t>(i());
             break;
           case ArgsKey::Microbatch:
-            staged_.microbatch = static_cast<std::int32_t>(i);
+            staged_.microbatch = static_cast<std::int32_t>(i());
             break;
           case ArgsKey::CommBytes:
             staged_.has_collective = true;
-            staged_.coll_bytes = i;
+            staged_.coll_bytes = i();
             break;
           case ArgsKey::CommGroupSize:
             staged_.has_collective = true;
-            staged_.coll_group_size = static_cast<std::int32_t>(i);
+            staged_.coll_group_size = static_cast<std::int32_t>(i());
             break;
           case ArgsKey::CommInstance:
             staged_.has_collective = true;
-            staged_.coll_instance = i;
+            staged_.coll_instance = i();
             break;
           case ArgsKey::GemmM:
             staged_.has_gemm = true;
-            staged_.gemm_m = i;
+            staged_.gemm_m = i();
             break;
           case ArgsKey::GemmN:
             staged_.has_gemm = true;
-            staged_.gemm_n = i;
+            staged_.gemm_n = i();
             break;
           case ArgsKey::GemmK:
             staged_.has_gemm = true;
-            staged_.gemm_k = i;
+            staged_.gemm_k = i();
             break;
-          case ArgsKey::BytesMoved: staged_.bytes_moved = i; break;
+          case ArgsKey::BytesMoved: staged_.bytes_moved = i(); break;
           default: break;
         }
         break;

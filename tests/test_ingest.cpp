@@ -472,6 +472,21 @@ TEST(ParallelIngestErrors, TooDeepRankFileIsAParseError) {
       << status.to_string();
 }
 
+TEST(ParallelIngestErrors, OutOfRangeTimestampIsAParseError) {
+  // "ts" becomes integer nanoseconds: a value past int64 is rejected
+  // instead of cast (undefined behaviour).
+  const std::string prefix = fixture_dir("ts_out_of_range") + "/trace";
+  std::ofstream(prefix + "_rank0.json")
+      << R"({"traceEvents":[{"name":"op","ph":"X","ts":1e300,"dur":1}]})";
+  Result<api::Session> session =
+      api::Session::create(api::Scenario::from_trace(prefix, 1));
+  ASSERT_TRUE(session.is_ok()) << session.status().to_string();
+  const Status status = session->trace().status();
+  EXPECT_EQ(status.code(), ErrorCode::kParseError) << status.to_string();
+  EXPECT_NE(status.message().find("int64"), std::string::npos)
+      << status.to_string();
+}
+
 TEST(ParallelIngestErrors, CorruptFileFailsLikeSerial) {
   // A corrupt rank file must surface the same exception type from the
   // parallel path as from the serial one (Session maps it to kParseError).

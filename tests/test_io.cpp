@@ -9,12 +9,14 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <random>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "api/api.h"
+#include "io/column.h"
 #include "io/mapped_file.h"
 #include "json/json.h"
 #include "trace/chrome_trace.h"
@@ -78,6 +80,26 @@ TEST(MappedFile, MoveTransfersTheMapping) {
   io::MappedFile c;
   c = std::move(b);
   EXPECT_EQ(c.view(), "payload");
+}
+
+TEST(Column, MovedFromColumnIsEmptyWhetherItOwnedOrBorrowed) {
+  // A moved-from borrow must not keep viewing bytes whose keepalive left
+  // with the move.
+  auto bytes = std::make_shared<std::vector<std::int32_t>>(
+      std::vector<std::int32_t>{1, 2, 3});
+  auto borrowed =
+      io::Column<std::int32_t>::borrow(bytes->data(), bytes->size(), bytes);
+  io::Column<std::int32_t> taken = std::move(borrowed);
+  EXPECT_TRUE(borrowed.empty());
+  EXPECT_FALSE(borrowed.borrowed());
+  EXPECT_TRUE(taken.borrowed());
+  EXPECT_EQ(taken.size(), 3u);
+
+  io::Column<std::int32_t> owned(std::vector<std::int32_t>{4, 5});
+  taken = std::move(owned);
+  EXPECT_TRUE(owned.empty());
+  EXPECT_FALSE(taken.borrowed());
+  EXPECT_EQ(taken.size(), 2u);
 }
 
 // ---------------------------------------------------------------------------

@@ -39,6 +39,15 @@ TEST(JsonValue, IntTruncatesFromDouble) {
   EXPECT_EQ(v.as_int(), 3);
 }
 
+TEST(JsonValue, IntRejectsADoubleOutsideInt64) {
+  // The cast is undefined past int64, so reading one is an error.
+  EXPECT_EQ(Value(-0x1p63).as_int(), std::numeric_limits<std::int64_t>::min());
+  EXPECT_THROW(Value(0x1p63).as_int(), TypeError);
+  EXPECT_THROW(Value(-1e300).as_int(), TypeError);
+  EXPECT_THROW(Value(std::nan("")).as_int(), TypeError);
+  EXPECT_THROW(parse("123456789012345678901234567890").as_int(), TypeError);
+}
+
 TEST(JsonValue, TypeErrorOnMismatch) {
   Value v("text");
   EXPECT_THROW(v.as_bool(), TypeError);
@@ -214,6 +223,8 @@ TEST(JsonWrite, DoubleFormatting) {
   EXPECT_EQ(write(Value(5.0)), "5.0");  // preserves doubleness
   EXPECT_EQ(write(Value(std::numeric_limits<double>::quiet_NaN())), "null");
   EXPECT_EQ(write(Value(std::numeric_limits<double>::infinity())), "null");
+  // Past int64, where the integral fast path's cast would be undefined.
+  EXPECT_EQ(write(Value(-1e300)), "-1.0000000000000001e+300");
 }
 
 TEST(JsonRoundTrip, ComplexDocumentIsStable) {

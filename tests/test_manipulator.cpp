@@ -376,7 +376,8 @@ std::uint64_t graph_fingerprint(const ExecutionGraph& g) {
     h.update_pod(p.lane);
     h.update_pod(lanes.rank_index(static_cast<LaneId>(l)));
   }
-  for (const CollectiveGroupMeta& group : meta.collective_groups()) {
+  for (std::size_t g = 0; g < meta.rendezvous_group_count(); ++g) {
+    const RendezvousGroup group = meta.rendezvous_group(g);
     hash_string(h, meta.group_view(group.group));
     h.update_pod(group.instance);
     for (const TaskId m : group.members) h.update_pod(m);

@@ -205,6 +205,17 @@ TEST(ServeProtocol, TooDeepRequestDecodesToAnError) {
       << status.to_string();
 }
 
+TEST(ServeProtocol, OutOfRangeIntegerDecodesToAnError) {
+  // The id is read as an integer: a number past int64 is a parse error
+  // instead of an undefined double-to-integer cast.
+  Request out;
+  const Status status =
+      decode_request(R"({"method":"ping","id":1e300})", out);
+  EXPECT_EQ(status.code(), ErrorCode::kParseError) << status.to_string();
+  EXPECT_NE(status.message().find("int64"), std::string::npos)
+      << status.to_string();
+}
+
 TEST(ServeProtocol, ErrorRepliesCarryTheStatusCodeAcrossTheWire) {
   const std::string line =
       error_reply(9, deadlock_error("simulation stuck at t=10"));

@@ -218,7 +218,22 @@ TEST(Snapshot, LazyTasksMaterializeIdenticalToTheOriginal) {
     EXPECT_EQ(original[i].event.collective.group,
               rebuilt[i].event.collective.group);
   }
-  EXPECT_EQ(base->graph->edges(), loaded->graph->edges());
+  EXPECT_TRUE(
+      std::ranges::equal(base->graph->edges(), loaded->graph->edges()));
+
+  // The rendezvous groups the loader borrows: same ids, instances and
+  // members, in the same order.
+  const core::TaskMetaTable& built = base->graph->meta();
+  const core::TaskMetaTable& mapped = loaded->graph->meta();
+  ASSERT_GT(built.rendezvous_group_count(), 0u);
+  ASSERT_EQ(built.rendezvous_group_count(), mapped.rendezvous_group_count());
+  for (std::size_t g = 0; g < built.rendezvous_group_count(); ++g) {
+    const core::RendezvousGroup a = built.rendezvous_group(g);
+    const core::RendezvousGroup b = mapped.rendezvous_group(g);
+    EXPECT_EQ(a.group.index, b.group.index);
+    EXPECT_EQ(a.instance, b.instance);
+    EXPECT_TRUE(std::ranges::equal(a.members, b.members));
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -412,6 +427,19 @@ TEST(Snapshot, V4ImageHasNoTraceSection) {
   EXPECT_EQ(version, 4u);
   EXPECT_EQ(snapshot::kFormatVersion, 4u);
   EXPECT_EQ(section_ids(bytes), (std::vector<std::uint32_t>{1, 2, 4, 5}));
+}
+
+TEST(Snapshot, GoldenPayloadChecksumIsPinned) {
+  // Golden: pins the bytes write() emits for one scenario, so a change to
+  // them fails here until kFormatVersion moves (and this value with it).
+  const std::string path = temp_path("lumos_snap_golden.bin");
+  Result<Session> session = Session::create(tiny_scenario());
+  ASSERT_TRUE(session.is_ok()) << session.status().to_string();
+  ASSERT_TRUE(session->save_snapshot(path).is_ok());
+  Result<std::uint64_t> key = peek_snapshot_content_hash(path);
+  ASSERT_TRUE(key.is_ok()) << key.status().to_string();
+  EXPECT_EQ(snapshot::kFormatVersion, 4u);
+  EXPECT_EQ(*key, 0x0ad7945ec4604447ULL);
 }
 
 // ---------------------------------------------------------------------------
@@ -737,6 +765,18 @@ TEST_F(CraftedSnapshot, EdgeEndpointOutOfRangeIsRejected) {
   expect_rejected("edge endpoint out of range");
 }
 
+TEST_F(CraftedSnapshot, EdgeTypeOutOfRangeIsRejected) {
+  // Edge src, edge dst, then the u8 edge type column.
+  std::size_t pos = graph_section().first;
+  for (const std::size_t elem : {4, 4}) pos = skip_array(pos, elem);
+  ASSERT_GT(read_at<std::uint64_t>(pos), 0u);
+  std::string bad = bytes_;
+  write_at<std::uint8_t>(bad, pos + 8,
+                         static_cast<std::uint8_t>(core::kDepTypeCount));
+  reseal_and_write(bad);
+  expect_rejected("edge type out of range");
+}
+
 TEST_F(CraftedSnapshot, RendezvousMemberOutOfRangeIsRejected) {
   // The member id column closes the graph section; its length is the
   // baseline graph's total rendezvous membership.
@@ -745,9 +785,9 @@ TEST_F(CraftedSnapshot, RendezvousMemberOutOfRangeIsRejected) {
   Result<BaselineArtifacts> base = session->share_baseline();
   ASSERT_TRUE(base.is_ok());
   std::size_t members = 0;
-  for (const core::CollectiveGroupMeta& g :
-       base->graph->meta().collective_groups()) {
-    members += g.members.size();
+  const core::TaskMetaTable& meta = base->graph->meta();
+  for (std::size_t g = 0; g < meta.rendezvous_group_count(); ++g) {
+    members += meta.rendezvous_group(g).members.size();
   }
   ASSERT_GT(members, 0u);
   const auto [offset, length] = graph_section();
@@ -764,9 +804,9 @@ TEST_F(CraftedSnapshot, RendezvousMemberListedTwiceIsRejected) {
   // task may appear in one rendezvous slot only.
   const BaselineArtifacts base = baseline();
   std::size_t members = 0;
-  for (const core::CollectiveGroupMeta& g :
-       base.graph->meta().collective_groups()) {
-    members += g.members.size();
+  const core::TaskMetaTable& meta = base.graph->meta();
+  for (std::size_t g = 0; g < meta.rendezvous_group_count(); ++g) {
+    members += meta.rendezvous_group(g).members.size();
   }
   ASSERT_GT(members, 1u);
   const auto [offset, length] = graph_section();
@@ -860,6 +900,41 @@ TEST_F(CraftedSnapshot, RendezvousGroupIdOutOfRangeIsRejected) {
       static_cast<std::uint32_t>(baseline().graph->meta().groups().size());
   expect_first_entry_rejected(group_id_column(), groups,
                               "string pool id out of range");
+}
+
+TEST_F(CraftedSnapshot, GroupMemberOffsetsOutOfRangeIsRejected) {
+  // Group ids, group instances, then the u64 member offsets: the first
+  // group's member range may not end past the member column.
+  std::size_t offsets = group_id_column() - 8;
+  for (const std::size_t elem : {4, 8}) offsets = skip_array(offsets, elem);
+  ASSERT_GT(read_at<std::uint64_t>(offsets), 1u);
+  std::string bad = bytes_;
+  write_at<std::uint64_t>(bad, offsets + 16, std::uint64_t{1} << 40);
+  reseal_and_write(bad);
+  expect_rejected("group member offsets out of range");
+}
+
+TEST_F(CraftedSnapshot, PoolCountOverflowIsRejected) {
+  // The pools section opens with the names pool: [u64 count][u64 n][n x
+  // u64 offsets]. A count of 2^64-1 over an empty offset table must not
+  // pass as count + 1 == 0.
+  const std::size_t pools = section(2).first;
+  std::string bad = bytes_;
+  write_at<std::uint64_t>(bad, pools, ~std::uint64_t{0});
+  write_at<std::uint64_t>(bad, pools + 8, 0);
+  reseal_and_write(bad);
+  expect_rejected("pool offset table size", "snapshot: ");
+}
+
+TEST_F(CraftedSnapshot, MetadataIntegerOutOfRangeIsRejected) {
+  // The metadata JSON reads d_model as an integer. 9e99, as long as the
+  // 1024 it replaces so no offset moves, lies past int64.
+  std::string bad = bytes_;
+  const std::size_t at = bad.find(R"("d_model":1024)");
+  ASSERT_NE(at, std::string::npos);
+  bad.replace(at, 14, R"("d_model":9e99)");
+  reseal_and_write(bad);
+  expect_rejected("int64", "snapshot metadata");
 }
 
 // Side-table indices: each row's collective / GEMM index is -1 or below
