@@ -16,8 +16,9 @@
 // plus the replay A/B:
 // BM_Replay*, BM_ReplayCompiled, BM_CompileProgram, and on rebuilt graphs
 // BM_ReplayRebuilt vs BM_CompileReplayRebuilt, and BM_Breakdown over a
-// compiled schedule), so CI runs leave a machine-readable record future PRs
-// can diff against.
+// compiled schedule, and the replayed-trace emit: BM_EmitRank (one rank to
+// JSON) and BM_ToTrace (every rank)), so CI runs leave a machine-readable
+// record future PRs can diff against.
 #include <benchmark/benchmark.h>
 
 #include <array>
@@ -527,16 +528,25 @@ struct ClusterFixture {
   std::int64_t bytes = 0;
 };
 
-const ClusterFixture& cluster_fixture() {
-  static const ClusterFixture fixture = [] {
-    ClusterFixture f;
+/// The seed-123 ground-truth run of the bench model on 2x8x2 (16 ranks,
+/// microbatch-4): the cluster-ingest and emit fixtures' input.
+const cluster::GroundTruthRun& cluster16_run() {
+  static const cluster::GroundTruthRun run = [] {
     workload::ParallelConfig config;
     config.tp = 2;
     config.pp = 8;
     config.dp = 2;
     config.num_microbatches = 4;
     cluster::GroundTruthEngine engine(bench_model(), config);
-    const cluster::GroundTruthRun run = engine.run_profiled(123);
+    return engine.run_profiled(123);
+  }();
+  return run;
+}
+
+const ClusterFixture& cluster_fixture() {
+  static const ClusterFixture fixture = [] {
+    ClusterFixture f;
+    const cluster::GroundTruthRun& run = cluster16_run();
     f.prefix =
         (std::filesystem::temp_directory_path() / "lumos_bench_cluster16")
             .string();
@@ -579,6 +589,56 @@ void BM_ParseCluster(benchmark::State& state) {
 // rates would be nonsense for the multi-worker points.
 BENCHMARK(BM_ParseCluster)->Arg(1)->Arg(2)->Arg(4)->Arg(0)
     ->UseRealTime()->Unit(benchmark::kMillisecond);
+
+/// The 16-rank cluster trace parsed and replayed: the graph and schedule
+/// a trace-directory Session emits its Chrome trace from.
+struct EmitFixture {
+  core::ExecutionGraph graph;
+  core::SimResult result;
+};
+
+const EmitFixture& emit_fixture() {
+  static const EmitFixture fixture = [] {
+    EmitFixture f{core::TraceParser().parse(cluster16_run().trace), {}};
+    f.result = core::replay(f.graph);
+    return f;
+  }();
+  return fixture;
+}
+
+// One rank of the replayed trace as Chrome-trace JSON, the way
+// Session::chrome_trace_json builds it: SimResult::emit_rank gathers rank
+// 0's rows (one pass over the rank column, a sort, one column gather),
+// then the streaming writer prints them.
+void BM_EmitRank(benchmark::State& state) {
+  const EmitFixture& f = emit_fixture();
+  std::size_t bytes = 0;
+  std::size_t events = 0;
+  for (auto _ : state) {
+    trace::RankTrace rank{0, trace::EventTable{}};
+    f.result.emit_rank(f.graph, rank);
+    std::string json = trace::to_json_string(rank);
+    bytes = json.size();
+    events = rank.events.size();
+    benchmark::DoNotOptimize(json);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(bytes) *
+                          state.iterations());
+  state.counters["events"] = static_cast<double>(events);
+}
+BENCHMARK(BM_EmitRank)->Unit(benchmark::kMillisecond);
+
+// The whole replayed trace: SimResult::to_trace over all 16 ranks, what
+// chrome_trace_json ran before it built one rank.
+void BM_ToTrace(benchmark::State& state) {
+  const EmitFixture& f = emit_fixture();
+  for (auto _ : state) {
+    trace::ClusterTrace replayed = f.result.to_trace(f.graph);
+    benchmark::DoNotOptimize(replayed);
+  }
+  state.counters["tasks"] = static_cast<double>(f.graph.size());
+}
+BENCHMARK(BM_ToTrace)->Unit(benchmark::kMillisecond);
 
 /// Deterministic interval workload: `lanes` interleaved streams of mostly
 /// back-to-back kernels with occasional gaps and overlaps — the shape the
@@ -767,7 +827,9 @@ class TrajectoryReporter : public benchmark::ConsoleReporter {
           name.rfind("BM_CompileReplayRebuilt", 0) != 0 &&
           name.rfind("BM_FaultedReplay", 0) != 0 &&
           name.rfind("BM_CompileProgram", 0) != 0 &&
-          name.rfind("BM_Breakdown", 0) != 0) {
+          name.rfind("BM_Breakdown", 0) != 0 &&
+          name.rfind("BM_EmitRank", 0) != 0 &&
+          name.rfind("BM_ToTrace", 0) != 0) {
         continue;
       }
       json::Object entry;

@@ -795,15 +795,16 @@ Result<std::vector<std::string>> Session::write_trace_files(
 
 Result<std::string> Session::chrome_trace_json(std::int32_t rank,
                                                int indent) {
-  Result<const trace::ClusterTrace*> replayed = replayed_trace();
-  if (!replayed.is_ok()) return replayed.status();
-  const trace::RankTrace* rank_trace = find_rank(**replayed, rank);
-  if (rank_trace == nullptr) {
+  if (Status status = ensure_replay(); !status.is_ok()) return status;
+  // Only this rank's rows are gathered; replayed_trace() stays unbuilt.
+  trace::RankTrace rank_trace{rank, trace::EventTable{}};
+  replay_->emit_rank(*graph_, rank_trace);
+  if (rank_trace.events.empty()) {
     return invalid_argument_error("rank " + std::to_string(rank) +
                                   " not present in the replayed trace");
   }
   try {
-    return trace::to_json_string(*rank_trace, indent);
+    return trace::to_json_string(rank_trace, indent);
   } catch (const std::exception& e) {
     return internal_error(std::string("trace serialization: ") + e.what());
   }

@@ -180,7 +180,9 @@ class Session {
   Result<const core::SimResult*> replay();
   /// dPRO-baseline replay (inter-stream dependencies dropped).
   Result<const core::SimResult*> replay_dpro();
-  /// The replayed trace materialized from replay().
+  /// The replayed trace materialized from replay(): every rank, built once
+  /// (SimResult::to_trace) and cached for the Session's lifetime.
+  /// chrome_trace_json does not use or fill it.
   Result<const trace::ClusterTrace*> replayed_trace();
   /// The dPRO-replayed trace.
   Result<const trace::ClusterTrace*> dpro_trace();
@@ -238,7 +240,11 @@ class Session {
   /// rebuilding.
   Result<std::vector<std::string>> write_trace_files(const std::string& prefix);
   /// Chrome-trace JSON of one rank of the *replayed* trace (for
-  /// chrome://tracing / Perfetto).
+  /// chrome://tracing / Perfetto), byte-identical to
+  /// trace::to_json_string(replayed_trace()->ranks[k], indent). Only that
+  /// rank's rows are gathered (SimResult::emit_rank) and nothing is cached,
+  /// so a call costs one rank, not the whole trace. kInvalidArgument when
+  /// no task runs on `rank`.
   Result<std::string> chrome_trace_json(std::int32_t rank, int indent = -1);
 
   // -- pluggable registries -------------------------------------------------

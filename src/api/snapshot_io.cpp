@@ -28,10 +28,10 @@ json::Object model_to_json(const workload::ModelSpec& m) {
 workload::ModelSpec model_from_json(const json::Value& v) {
   workload::ModelSpec m;
   m.name = v.get_string("name", "");
-  m.num_layers = static_cast<std::int32_t>(v.get_int("num_layers", 0));
+  m.num_layers = v.get_int32("num_layers", 0);
   m.d_model = v.get_int("d_model", 0);
   m.d_ff = v.get_int("d_ff", 0);
-  m.num_heads = static_cast<std::int32_t>(v.get_int("num_heads", 0));
+  m.num_heads = v.get_int32("num_heads", 0);
   m.head_dim = v.get_int("head_dim", 0);
   m.vocab_size = v.get_int("vocab_size", 51200);
   m.seq_len = v.get_int("seq_len", 2048);
@@ -49,14 +49,12 @@ json::Object config_to_json(const workload::ParallelConfig& c) {
 
 workload::ParallelConfig config_from_json(const json::Value& v) {
   workload::ParallelConfig c;
-  c.tp = static_cast<std::int32_t>(v.get_int("tp", 1));
-  c.pp = static_cast<std::int32_t>(v.get_int("pp", 1));
-  c.dp = static_cast<std::int32_t>(v.get_int("dp", 1));
-  c.microbatch_size =
-      static_cast<std::int32_t>(v.get_int("microbatch_size", 1));
-  c.num_microbatches =
-      static_cast<std::int32_t>(v.get_int("num_microbatches", 0));
-  c.gpus_per_node = static_cast<std::int32_t>(v.get_int("gpus_per_node", 8));
+  c.tp = v.get_int32("tp", 1);
+  c.pp = v.get_int32("pp", 1);
+  c.dp = v.get_int32("dp", 1);
+  c.microbatch_size = v.get_int32("microbatch_size", 1);
+  c.num_microbatches = v.get_int32("num_microbatches", 0);
+  c.gpus_per_node = v.get_int32("gpus_per_node", 8);
   return c;
 }
 
@@ -87,8 +85,7 @@ cost::HardwareSpec hardware_from_json(const json::Value& v) {
   hw.hbm_bandwidth = v.get_double("hbm_bandwidth", hw.hbm_bandwidth);
   hw.nvlink_bandwidth = v.get_double("nvlink_bandwidth", hw.nvlink_bandwidth);
   hw.nic_bandwidth = v.get_double("nic_bandwidth", hw.nic_bandwidth);
-  hw.gpus_per_node =
-      static_cast<int>(v.get_int("gpus_per_node", hw.gpus_per_node));
+  hw.gpus_per_node = v.get_int32("gpus_per_node", hw.gpus_per_node);
   hw.kernel_launch_overhead_ns =
       v.get_double("kernel_launch_overhead_ns", hw.kernel_launch_overhead_ns);
   hw.cuda_launch_cpu_ns =
@@ -149,11 +146,14 @@ Status parse_meta_json(const std::string& meta_json,
   }
 
   const bool synthetic = meta.get_string("source", "synthetic") == "synthetic";
+  const std::int64_t num_ranks = meta.get_int("num_ranks", 0);
+  if (num_ranks < 0) {
+    return parse_error("snapshot metadata: num_ranks out of range");
+  }
   Scenario scenario =
       synthetic ? Scenario::synthetic()
-                : Scenario::from_trace(
-                      meta.get_string("trace_prefix", ""),
-                      static_cast<std::size_t>(meta.get_int("num_ranks", 0)));
+                : Scenario::from_trace(meta.get_string("trace_prefix", ""),
+                                       static_cast<std::size_t>(num_ranks));
   scenario.with_seed(static_cast<std::uint64_t>(meta.get_int("seed", 1)))
       .with_actual_seed(
           static_cast<std::uint64_t>(meta.get_int("actual_seed", 2)));
@@ -163,12 +163,15 @@ Status parse_meta_json(const std::string& meta_json,
   }
   if (const json::Value* bo = obj.find("build_options")) {
     workload::BuildOptions options;
-    options.policy = static_cast<workload::SchedulePolicy>(
-        bo->get_int("policy", 0));
-    options.bucket_layers = static_cast<std::int32_t>(
-        bo->get_int("bucket_layers", options.bucket_layers));
-    options.dp_rank =
-        static_cast<std::int32_t>(bo->get_int("dp_rank", options.dp_rank));
+    const std::int64_t policy = bo->get_int("policy", 0);
+    if (policy < 0 ||
+        policy > static_cast<std::int64_t>(workload::SchedulePolicy::GPipe)) {
+      return parse_error("snapshot metadata: policy out of range");
+    }
+    options.policy = static_cast<workload::SchedulePolicy>(policy);
+    options.bucket_layers =
+        bo->get_int32("bucket_layers", options.bucket_layers);
+    options.dp_rank = bo->get_int32("dp_rank", options.dp_rank);
     options.include_optimizer =
         bo->get_bool("include_optimizer", options.include_optimizer);
     scenario.with_build_options(options);

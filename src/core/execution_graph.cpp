@@ -63,17 +63,34 @@ void ExecutionGraph::ensure_tasks() const {
 
 TaskId ExecutionGraph::add_task(const Processor& processor,
                                 const trace::EventTable::Row& row) {
+  const TaskId id = next_task_id();
+  owned_columns().push(processor, row);
+  return id;
+}
+
+TaskId ExecutionGraph::add_tasks(const trace::EventTable& events,
+                                 std::span<const std::uint32_t> order) {
+  const TaskId first = next_task_id();
+  owned_columns().append(events, order);
+  return first;
+}
+
+void ExecutionGraph::set_duration(TaskId id, std::int64_t dur_ns) {
+  owned_columns().set_duration(static_cast<std::size_t>(id), dur_ns);
+  tasks_valid_.store(false, std::memory_order_relaxed);
+  meta_valid_.store(false, std::memory_order_relaxed);
+}
+
+TaskId ExecutionGraph::next_task_id() {
   if (!columns_) {
     throw std::logic_error("ExecutionGraph: add_task on a moved-from graph");
   }
   // Build phase, single-threaded. A materialized Task vector is a stale
   // cache from here on.
-  const auto id = static_cast<TaskId>(columns_->count());
-  owned_columns().push(processor, row);
   tasks_valid_.store(false, std::memory_order_relaxed);
   adjacency_valid_.store(false, std::memory_order_relaxed);
   meta_valid_.store(false, std::memory_order_relaxed);
-  return id;
+  return static_cast<TaskId>(columns_->count());
 }
 
 void ExecutionGraph::add_edge(TaskId src, TaskId dst, DepType type) {

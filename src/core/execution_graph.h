@@ -122,6 +122,15 @@ class ExecutionGraph {
   /// std::logic_error on a moved-from graph.
   TaskId add_task(const Processor& processor,
                   const trace::EventTable::Row& row);
+  /// Appends rows order[k] of `events` as tasks, in that order, each on
+  /// the processor its row names (rank pid, gpu for device categories,
+  /// lane tid): the parser's batch form of add_task, one column gather.
+  /// Returns the first new id. std::logic_error on a moved-from graph.
+  TaskId add_tasks(const trace::EventTable& events,
+                   std::span<const std::uint32_t> order);
+  /// Build phase: overrides the duration of task `id`'s row, an id
+  /// add_task or add_tasks returned.
+  void set_duration(TaskId id, std::int64_t dur_ns);
 
   /// Adds a fixed dependency edge. Self-edges and invalid ids are rejected
   /// with std::invalid_argument.
@@ -212,6 +221,9 @@ class ExecutionGraph {
 
   /// The rows, cloned first when shared (build phase only).
   ColumnTaskSource& owned_columns();
+  /// The id the next appended task gets; invalidates the caches a new row
+  /// makes stale. std::logic_error on a moved-from graph.
+  TaskId next_task_id();
   /// Appends an edge unchecked: add_edge validates first, with_edges_if
   /// copies edges this graph already holds.
   void push_edge(const Edge& e);

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
-#include <map>
-#include <optional>
 #include <queue>
 
 #include "core/task_meta.h"
@@ -23,36 +21,46 @@ std::int64_t SimResult::rank_end_ns(const ExecutionGraph& graph,
 }
 
 trace::ClusterTrace SimResult::to_trace(const ExecutionGraph& graph) const {
-  // Gather each rank's task rows (ascending rank, then id) and re-time them.
   // All ranks intern into one fresh TracePools (the one-pool-per-trace
-  // rule). The pools are fresh rather than the graph's: to_trace() may run
+  // rule), ascending rank by ascending rank.
+  trace::ClusterTrace out;
+  const std::vector<std::int32_t> ranks = graph.ranks();
+  out.ranks.reserve(ranks.size());
+  for (const std::int32_t rank : ranks) emit_rank(graph, out.add_rank(rank));
+  return out;
+}
+
+void SimResult::emit_rank(const ExecutionGraph& graph,
+                          trace::RankTrace& out) const {
+  // The pools are `out`'s rather than the graph's: this may run
   // concurrently over a shared frozen graph, and interning into a shared
-  // pool would race. RowRemap interns in first-appearance order, so the
-  // trace's ids are those a push_back of every materialized event would
-  // assign.
+  // pool would race. Strings are interned in task-id order before the rows
+  // are sorted, so the trace's ids are those a push_back of every
+  // materialized event in (rank, id) order would assign.
   const ColumnTaskSource& cols = graph.meta().columns();
   const trace::EventTable& events = cols.events();
-  std::map<std::int32_t, std::vector<std::size_t>> by_rank;
-  for (std::size_t i = 0; i < cols.count(); ++i) {
-    by_rank[cols.rank(i)].push_back(i);
+  const std::span<const std::int32_t> ranks = cols.rank_column();
+  std::vector<std::uint32_t> ids;
+  for (std::size_t i = 0; i < ranks.size(); ++i) {
+    if (ranks[i] == out.rank) ids.push_back(static_cast<std::uint32_t>(i));
   }
-  trace::ClusterTrace out;
-  out.ranks.reserve(by_rank.size());
-  std::optional<trace::RowRemap> remap;
-  for (const auto& [rank_id, rank_tasks] : by_rank) {
-    trace::RankTrace& rank = out.add_rank(rank_id);
-    if (!remap) remap.emplace(*events.pools(), *out.shared_pools());
-    rank.events.reserve(rank_tasks.size());
-    for (const std::size_t i : rank_tasks) {
-      trace::EventTable::Row row = (*remap)(events.row(i));
-      row.ts_ns = start_ns[i];
-      row.dur_ns = end_ns[i] - start_ns[i];
-      row.pid = rank_id;
-      rank.events.push_row(row);
-    }
-    rank.sort_by_time();
+  trace::RowRemap remap(*events.pools(), *out.events.pools());
+  remap.intern_rows(events, ids);
+  std::stable_sort(ids.begin(), ids.end(),
+                   [this, &events](std::uint32_t a, std::uint32_t b) {
+                     if (start_ns[a] != start_ns[b]) {
+                       return start_ns[a] < start_ns[b];
+                     }
+                     return events.tid(a) < events.tid(b);
+                   });
+  const std::size_t base = out.events.size();
+  out.events.append_rows(events, ids, &remap);
+  for (std::size_t k = 0; k < ids.size(); ++k) {
+    const std::uint32_t i = ids[k];
+    out.events.set_ts_ns(base + k, start_ns[i]);
+    out.events.set_dur_ns(base + k, end_ns[i] - start_ns[i]);
+    out.events.set_pid(base + k, out.rank);
   }
-  return out;
 }
 
 namespace {

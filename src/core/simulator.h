@@ -109,8 +109,16 @@ struct SimResult {
 
   /// Materializes the replayed trace (paper §3.5: "the simulation generates
   /// a trace similar to the input trace initially profiled from the real
-  /// run"). Event ts/dur reflect simulated times.
+  /// run"). Event ts/dur reflect simulated times. emit_rank() over every
+  /// rank of the graph, ascending, into one fresh TracePools.
   trace::ClusterTrace to_trace(const ExecutionGraph& graph) const;
+
+  /// One rank of to_trace(): appends the tasks of rank `out.rank`, re-timed
+  /// (ts = start, dur = end - start, pid = rank) and in (ts, tid) order,
+  /// to `out.events` through one column gather, interning their strings
+  /// into its pools in task-id order. Reads no other rank's rows beyond
+  /// one pass over the rank column; appends nothing for an absent rank.
+  void emit_rank(const ExecutionGraph& graph, trace::RankTrace& out) const;
 };
 
 class Simulator {

@@ -33,6 +33,16 @@ void ColumnTaskSource::push(const Processor& processor,
   lane_.push_back(processor.lane);
 }
 
+void ColumnTaskSource::append(const trace::EventTable& events,
+                              std::span<const std::uint32_t> order) {
+  events_.append_rows(events, order);
+  for (const std::uint32_t i : order) {
+    rank_.push_back(events.pid(i));
+    gpu_.push_back(events.is_gpu(i) ? 1 : 0);
+    lane_.push_back(events.tid(i));
+  }
+}
+
 void ColumnTaskSource::reserve(std::size_t n) {
   events_.reserve(n);
   rank_.reserve(n);

@@ -39,6 +39,15 @@ class ColumnTaskSource {
 
   /// Appends one task. String ids in `row` must be ids of pools().
   void push(const Processor& processor, const trace::EventTable::Row& row);
+  /// Appends rows order[k] of `events` as tasks, each on the processor its
+  /// row names — rank pid, the device flag of its category, lane tid —
+  /// through one column gather (trace::EventTable::append_rows).
+  void append(const trace::EventTable& events,
+              std::span<const std::uint32_t> order);
+  /// Build phase: overrides task `i`'s duration.
+  void set_duration(std::size_t i, std::int64_t dur_ns) {
+    events_.set_dur_ns(i, dur_ns);
+  }
   void reserve(std::size_t n);
 
   const trace::EventTable& events() const { return events_; }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -40,7 +39,7 @@ std::shared_ptr<trace::TracePools> graph_pools(
 
 ExecutionGraph TraceParser::parse(const trace::RankTrace& trace) const {
   ExecutionGraph graph(trace.events.pools());
-  parse_rank_into(trace, *trace.events.pools(), graph);
+  parse_rank_into(trace, graph);
   // Classify the columnar task metadata now, at parse time, so the graph is
   // published classification-complete.
   graph.finalize();
@@ -52,53 +51,52 @@ ExecutionGraph TraceParser::parse(const trace::ClusterTrace& trace) const {
   ExecutionGraph graph(pools);
   graph.reserve(trace.total_events(), 0);
   for (const trace::RankTrace& rank : trace.ranks) {
-    parse_rank_into(rank, *pools, graph);
+    parse_rank_into(rank, graph);
   }
   graph.finalize();
   return graph;
 }
 
 void TraceParser::parse_rank_into(const trace::RankTrace& trace,
-                                  trace::TracePools& pools,
                                   ExecutionGraph& graph) const {
   const trace::EventTable& t = trace.events;
 
   // 1. Append task rows in timestamp order; ids then encode launch order,
-  //    the invariant the simulator's runtime-dependency rules need. Rows
-  //    carry the trace's interned ids (re-homed only when this rank's pools
-  //    are not the graph's), so no event string is copied.
+  //    the invariant the simulator's runtime-dependency rules need. One
+  //    gather copies the rows with the trace's interned ids (re-homed only
+  //    when this rank's pools are not the graph's), so no event string is
+  //    copied. Ingested ranks are already in (ts, tid) order, which the
+  //    sort then leaves alone.
   std::vector<std::uint32_t> ordered;
   ordered.reserve(t.size());
   for (std::size_t i = 0; i < t.size(); ++i) {
     if (t.category(i) == trace::EventCategory::UserAnnotation) continue;
     ordered.push_back(static_cast<std::uint32_t>(i));
   }
-  std::stable_sort(ordered.begin(), ordered.end(),
-                   [&t](std::uint32_t a, std::uint32_t b) {
-                     if (t.ts_ns(a) != t.ts_ns(b)) {
-                       return t.ts_ns(a) < t.ts_ns(b);
-                     }
-                     return t.tid(a) < t.tid(b);
-                   });
+  const auto launch_order = [&t](std::uint32_t a, std::uint32_t b) {
+    if (t.ts_ns(a) != t.ts_ns(b)) return t.ts_ns(a) < t.ts_ns(b);
+    return t.tid(a) < t.tid(b);
+  };
+  if (!std::is_sorted(ordered.begin(), ordered.end(), launch_order)) {
+    std::stable_sort(ordered.begin(), ordered.end(), launch_order);
+  }
 
   const std::size_t n = ordered.size();
-  std::vector<TaskId> ids;
-  ids.reserve(n);
+  const TaskId first = graph.add_tasks(t, ordered);
+  const auto id_of = [first](std::size_t j) {
+    return first + static_cast<TaskId>(j);
+  };
   // Clamped durations (blocking CUDA APIs): the value the task row carries
   // and every pass below uses for end times.
-  std::vector<std::int64_t> dur;
-  dur.reserve(n);
-  std::optional<trace::RowRemap> remap;
-  if (t.pools().get() != &pools) remap.emplace(*t.pools(), pools);
-  for (const std::uint32_t i : ordered) {
-    trace::EventTable::Row row = t.row(i);
-    if (trace::blocks_cpu(t.cuda_api(i))) {
-      row.dur_ns = std::min(row.dur_ns, options_.sync_duration_clamp_ns);
+  std::vector<std::int64_t> dur(n);
+  for (std::size_t j = 0; j < n; ++j) {
+    const std::uint32_t i = ordered[j];
+    dur[j] = t.dur_ns(i);
+    if (trace::blocks_cpu(t.cuda_api(i)) &&
+        dur[j] > options_.sync_duration_clamp_ns) {
+      dur[j] = options_.sync_duration_clamp_ns;
+      graph.set_duration(id_of(j), dur[j]);
     }
-    if (remap) row = (*remap)(row);
-    dur.push_back(row.dur_ns);
-    ids.push_back(graph.add_task(
-        {t.pid(i), t.is_gpu(i), static_cast<std::int64_t>(t.tid(i))}, row));
   }
   auto end_of = [&t, &ordered, &dur](std::size_t j) {
     return t.ts_ns(ordered[j]) + dur[j];
@@ -112,15 +110,15 @@ void TraceParser::parse_rank_into(const trace::RankTrace& trace,
     if (t.is_gpu(i)) {
       const auto stream = static_cast<std::int64_t>(t.tid(i));
       if (auto it = last_gpu.find(stream); it != last_gpu.end()) {
-        graph.add_edge(it->second, ids[j], DepType::IntraStream);
+        graph.add_edge(it->second, id_of(j), DepType::IntraStream);
       }
-      last_gpu[stream] = ids[j];
+      last_gpu[stream] = id_of(j);
     } else {
       const std::int32_t tid = t.tid(i);
       if (auto it = last_cpu.find(tid); it != last_cpu.end()) {
-        graph.add_edge(it->second, ids[j], DepType::IntraThread);
+        graph.add_edge(it->second, id_of(j), DepType::IntraThread);
       }
-      last_cpu[tid] = ids[j];
+      last_cpu[tid] = id_of(j);
     }
   }
 
@@ -130,17 +128,17 @@ void TraceParser::parse_rank_into(const trace::RankTrace& trace,
     const std::uint32_t i = ordered[j];
     if (!t.is_gpu(i) && trace::launches_device_work(t.cuda_api(i)) &&
         t.correlation(i) >= 0) {
-      launch_by_corr[t.correlation(i)] = ids[j];
+      launch_by_corr[t.correlation(i)] = id_of(j);
     }
   }
   std::unordered_map<std::int64_t, TaskId> kernel_by_corr;
   for (std::size_t j = 0; j < n; ++j) {
     const std::uint32_t i = ordered[j];
     if (t.is_gpu(i) && t.correlation(i) >= 0) {
-      kernel_by_corr[t.correlation(i)] = ids[j];
+      kernel_by_corr[t.correlation(i)] = id_of(j);
       if (auto it = launch_by_corr.find(t.correlation(i));
           it != launch_by_corr.end()) {
-        graph.add_edge(it->second, ids[j], DepType::CpuToGpu);
+        graph.add_edge(it->second, id_of(j), DepType::CpuToGpu);
       }
     }
   }
@@ -204,7 +202,7 @@ void TraceParser::parse_rank_into(const trace::RankTrace& trace,
     for (std::size_t j = 0; j < n; ++j) {
       const std::uint32_t i = ordered[j];
       if (t.is_gpu(i)) continue;
-      by_end.push_back({end_of(j), ids[j], t.tid(i)});
+      by_end.push_back({end_of(j), id_of(j), t.tid(i)});
       per_thread[t.tid(i)].push_back(j);
     }
     std::sort(by_end.begin(), by_end.end(),
@@ -243,7 +241,7 @@ void TraceParser::parse_rank_into(const trace::RankTrace& trace,
           }
         }
         if (candidate != kInvalidTask) {
-          graph.add_edge(candidate, ids[j], DepType::InterThread);
+          graph.add_edge(candidate, id_of(j), DepType::InterThread);
         } else if (first_on_thread) {
           continue;  // thread simply starts first; no dependency
         }

@@ -55,8 +55,8 @@ class TraceParser {
   ExecutionGraph parse(const trace::ClusterTrace& trace) const;
 
  private:
-  /// Appends one rank's tasks and edges; `pools` are the graph's pools.
-  void parse_rank_into(const trace::RankTrace& trace, trace::TracePools& pools,
+  /// Appends one rank's tasks and edges.
+  void parse_rank_into(const trace::RankTrace& trace,
                        ExecutionGraph& graph) const;
 
   ParserOptions options_;

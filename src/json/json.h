@@ -11,7 +11,8 @@
 //    tests possible).
 //  - The parser is a straightforward recursive-descent parser with
 //    position-annotated errors; it accepts the full JSON grammar (RFC 8259)
-//    and rejects everything else.
+//    and rejects everything else. The grammar is json/sax.h's template,
+//    which parse() drives with a DOM-building handler.
 #pragma once
 
 #include <cstdint>
@@ -131,6 +132,9 @@ class Value {
 
   /// Convenience typed getters with defaults (object-member style access).
   std::int64_t get_int(std::string_view key, std::int64_t fallback) const;
+  /// get_int for a 32-bit field: TypeError when the member lies outside
+  /// the int32 range, where a narrowing cast would silently wrap.
+  std::int32_t get_int32(std::string_view key, std::int32_t fallback) const;
   /// A bool member, or a number read as nonzero; `fallback` otherwise.
   bool get_bool(std::string_view key, bool fallback) const;
   double get_double(std::string_view key, double fallback) const;
@@ -154,38 +158,8 @@ inline constexpr std::size_t kMaxDepth = 512;
 /// input (including trailing garbage and nesting deeper than kMaxDepth).
 Value parse(std::string_view text);
 
-/// Event-stream (SAX) parsing interface: sax_parse() walks the document and
-/// invokes one callback per token instead of materializing a Value tree.
-/// This is the zero-copy ingest path the columnar trace reader uses — a
-/// 350KB Kineto file parses without allocating a DOM or an owning
-/// std::string per event name.
-///
-/// String lifetimes: the views passed to key()/string_value() are either
-/// slices of the input text (strings without escape sequences — the
-/// overwhelming case for trace files) or a reference into an internal
-/// unescape scratch buffer that is overwritten by the next string token.
-/// Either way they are valid only for the duration of the callback; copy or
-/// intern what you keep.
-class SaxHandler {
- public:
-  virtual ~SaxHandler() = default;
-  virtual void null_value() {}
-  virtual void bool_value(bool /*b*/) {}
-  virtual void int_value(std::int64_t /*i*/) {}
-  virtual void double_value(double /*d*/) {}
-  virtual void string_value(std::string_view /*s*/) {}
-  /// Object member key; the matching value callback (or container begin)
-  /// follows immediately.
-  virtual void key(std::string_view /*k*/) {}
-  virtual void begin_object() {}
-  virtual void end_object() {}
-  virtual void begin_array() {}
-  virtual void end_array() {}
-};
-
-/// Parses `text`, driving `handler`. Accepts/rejects exactly the same
-/// documents as parse() and throws the same ParseError diagnostics.
-void sax_parse(std::string_view text, SaxHandler& handler);
+// Event-stream (SAX) parsing — json::SaxHandler and the template
+// json::sax_parse(text, handler) — lives in json/sax.h.
 
 /// Serialization options.
 struct WriteOptions {

@@ -95,10 +95,10 @@ Status decode_request(std::string_view line, Request& out) try {
   if (const json::Value* w = v.as_object().find("whatif");
       w != nullptr && w->is_object()) {
     WhatIf& o = out.whatif;
-    o.dp = static_cast<std::int32_t>(w->get_int("dp", 0));
-    o.pp = static_cast<std::int32_t>(w->get_int("pp", 0));
-    o.tp = static_cast<std::int32_t>(w->get_int("tp", 0));
-    o.num_layers = static_cast<std::int32_t>(w->get_int("num_layers", 0));
+    o.dp = w->get_int32("dp", 0);
+    o.pp = w->get_int32("pp", 0);
+    o.tp = w->get_int32("tp", 0);
+    o.num_layers = w->get_int32("num_layers", 0);
     o.d_model = w->get_int("d_model", 0);
     o.d_ff = w->get_int("d_ff", 0);
     o.fusion = w->get_bool("fusion", false);  // hand-written clients send 0/1

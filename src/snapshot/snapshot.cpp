@@ -302,6 +302,8 @@ struct Access {
   /// Rejects a collective or GEMM side-table index outside
   /// [-1, side-table length): the event accessors read through them.
   static void check_side_table_indices(const trace::EventTable& t);
+  /// Category and CUDA-API bytes against their enums' last values.
+  static void check_event_enums(const trace::EventTable& t);
   /// Rejects edge columns of unequal length, an edge type outside DepType
   /// or an endpoint outside [0, tasks): the CSR adjacency build indexes
   /// with them.
@@ -433,6 +435,22 @@ void Access::check_side_table_indices(const trace::EventTable& t) {
   }
   if (!ids_in_range(t.gemm_idx_, t.gemm_.m.size())) {
     fail_corrupt("graph section: gemm side-table index out of range");
+  }
+}
+
+void Access::check_event_enums(const trace::EventTable& t) {
+  const auto max_byte = [](std::span<const std::uint8_t> column) {
+    std::uint8_t top = 0;
+    for (const std::uint8_t b : column) top = std::max(top, b);
+    return top;
+  };
+  if (max_byte(t.cat_) >
+      static_cast<std::uint8_t>(trace::EventCategory::UserAnnotation)) {
+    fail_corrupt("graph section: event cat column value out of range");
+  }
+  if (max_byte(t.api_) >
+      static_cast<std::uint8_t>(trace::CudaApi::EventSynchronize)) {
+    fail_corrupt("graph section: event api column value out of range");
   }
 }
 
@@ -606,6 +624,7 @@ trace::EventTable read_event_table(Cursor& cur,
   Access::visit_event_columns(t, ColumnReader{cur, *t.pools()});
   Access::check_event_lengths(t, static_cast<std::size_t>(size));
   Access::check_side_table_indices(t);
+  Access::check_event_enums(t);
   return t;
 }
 

@@ -50,7 +50,8 @@
 //   - checks every stored id a consumer indexes with: edge endpoints and
 //     types, string pool ids (every id column of the rows, the meta table
 //     and the rendezvous groups is invalid or below its pool's size), the
-//     rows' collective / GEMM side-table indices, meta lane ids (and
+//     rows' collective / GEMM side-table indices, the rows' category and
+//     CUDA-API bytes (each an enumerator), meta lane ids (and
 //     resolved sync lanes), rendezvous member ids and member offsets, and
 //     in the program section one instruction per task and per group, ops,
 //     task / group / lane ids, CSR ranges, operand and member ids, and

@@ -8,6 +8,7 @@
 
 #include "io/mapped_file.h"
 #include "json/json.h"
+#include "json/sax.h"
 #include "trace/json_writer.h"
 
 namespace lumos::trace {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <numeric>
+#include <optional>
 #include <set>
 
 namespace lumos::trace {
@@ -178,6 +179,104 @@ EventTable::Row RowRemap::operator()(EventTable::Row row) {
   return row;
 }
 
+void RowRemap::intern_rows(const EventTable& t,
+                           std::span<const std::uint32_t> rows) {
+  for (const std::uint32_t i : rows) {
+    names_.map(t.name_id(i).index);
+    names_.map(t.phase_id(i).index);
+    names_.map(t.block_id(i).index);
+    if (t.has_collective(i)) {
+      ops_.map(t.collective_op(i).index);
+      groups_.map(t.collective_group(i).index);
+    }
+  }
+}
+
+namespace {
+
+/// Grows `column` by `n` entries and returns the first new one.
+template <class T>
+T* grow(io::Column<T>& column, std::size_t n) {
+  const std::size_t base = column.size();
+  column.resize(base + n);
+  return column.begin() + base;
+}
+
+/// dst += src[order[k]] for every k, each value passed through `map`.
+template <class T, class Map>
+void gather(io::Column<T>& dst, const io::Column<T>& src,
+            std::span<const std::uint32_t> order, Map map) {
+  T* out = grow(dst, order.size());
+  const T* in = src.data();  // const read: no detach of a borrowed column
+  for (std::size_t k = 0; k < order.size(); ++k) out[k] = map(in[order[k]]);
+}
+
+template <class T>
+void gather(io::Column<T>& dst, const io::Column<T>& src,
+            std::span<const std::uint32_t> order) {
+  gather(dst, src, order, [](T v) { return v; });
+}
+
+}  // namespace
+
+void EventTable::append_rows(const EventTable& src,
+                             std::span<const std::uint32_t> order,
+                             RowRemap* remap) {
+  std::optional<RowRemap> own;
+  if (remap == nullptr && src.pools_ != pools_) {
+    remap = &own.emplace(*src.pools_, *pools_);
+    remap->intern_rows(src, order);
+  }
+  const auto name = [remap](std::uint32_t id) {
+    return remap != nullptr ? remap->names_.map(id) : id;
+  };
+  const auto op = [remap](std::uint32_t id) {
+    return remap != nullptr ? remap->ops_.map(id) : id;
+  };
+  const auto group = [remap](std::uint32_t id) {
+    return remap != nullptr ? remap->groups_.map(id) : id;
+  };
+  gather(cat_, src.cat_, order);
+  gather(api_, src.api_, order);
+  gather(ts_, src.ts_, order);
+  gather(dur_, src.dur_, order);
+  gather(pid_, src.pid_, order);
+  gather(tid_, src.tid_, order);
+  gather(correlation_, src.correlation_, order);
+  gather(stream_, src.stream_, order);
+  gather(cuda_event_, src.cuda_event_, order);
+  gather(layer_, src.layer_, order);
+  gather(microbatch_, src.microbatch_, order);
+  gather(bytes_moved_, src.bytes_moved_, order);
+  gather(name_, src.name_, order, name);
+  gather(phase_, src.phase_, order, name);
+  gather(block_, src.block_, order, name);
+  // Side tables: a row with a payload gets the next dense side-table row.
+  std::int32_t* coll_idx = grow(coll_idx_, order.size());
+  std::int32_t* gemm_idx = grow(gemm_idx_, order.size());
+  for (std::size_t k = 0; k < order.size(); ++k) {
+    const std::uint32_t i = order[k];
+    coll_idx[k] = -1;
+    if (const std::int32_t r = src.coll_idx_[i]; r >= 0) {
+      const auto u = static_cast<std::size_t>(r);
+      coll_idx[k] = static_cast<std::int32_t>(coll_.op.size());
+      coll_.op.push_back(op(src.coll_.op[u]));
+      coll_.group.push_back(group(src.coll_.group[u]));
+      coll_.bytes.push_back(src.coll_.bytes[u]);
+      coll_.group_size.push_back(src.coll_.group_size[u]);
+      coll_.instance.push_back(src.coll_.instance[u]);
+    }
+    gemm_idx[k] = -1;
+    if (const std::int32_t r = src.gemm_idx_[i]; r >= 0) {
+      const auto u = static_cast<std::size_t>(r);
+      gemm_idx[k] = static_cast<std::int32_t>(gemm_.m.size());
+      gemm_.m.push_back(src.gemm_.m[u]);
+      gemm_.n.push_back(src.gemm_.n[u]);
+      gemm_.k.push_back(src.gemm_.k[u]);
+    }
+  }
+}
+
 namespace {
 
 template <class T>
@@ -193,13 +292,17 @@ void apply_permutation(io::Column<T>& column,
 
 void EventTable::sort_by_time() {
   const std::size_t n = size();
+  const auto before = [this](std::size_t a, std::size_t b) {
+    if (ts_[a] != ts_[b]) return ts_[a] < ts_[b];
+    return tid_[a] < tid_[b];
+  };
+  // A stable sort of sorted rows is the identity: skip the permutation.
+  std::size_t i = 1;
+  while (i < n && !before(i, i - 1)) ++i;
+  if (i >= n) return;
   std::vector<std::uint32_t> order(n);
   std::iota(order.begin(), order.end(), 0u);
-  std::stable_sort(order.begin(), order.end(),
-                   [this](std::uint32_t a, std::uint32_t b) {
-                     if (ts_[a] != ts_[b]) return ts_[a] < ts_[b];
-                     return tid_[a] < tid_[b];
-                   });
+  std::stable_sort(order.begin(), order.end(), before);
   apply_permutation(cat_, order);
   apply_permutation(api_, order);
   apply_permutation(ts_, order);

@@ -17,8 +17,8 @@
 // used to mutate events in place must use the explicit set_*() column
 // mutators (assigning through a temporary would silently no-op).
 //
-// Thread safety: building (push_back / push_row / set_* / sort_by_time)
-// is single-threaded, like every other build phase in Lumos. A table that
+// Thread safety: building (push_back / push_row / append_rows / set_* /
+// sort_by_time) is single-threaded, like every other build phase in Lumos. A table that
 // is no longer mutated is safe to read from any number of threads; note
 // that tables sharing one TracePools must all be frozen before concurrent
 // reads start, since interning into any of them mutates the shared pools.
@@ -40,6 +40,8 @@ struct Access;  // raw column access for the binary snapshot reader/writer
 }
 
 namespace lumos::trace {
+
+class RowRemap;
 
 class EventTable {
  public:
@@ -190,13 +192,27 @@ class EventTable {
   /// Gathers event `i` back into a staging row (ids of this table's pools).
   Row row(std::size_t i) const;
 
+  /// Appends rows order[k] of `src` (another table), side tables included:
+  /// one gather per column, the batch form of push_row(src.row(order[k])).
+  /// Pooled ids are copied when `src` shares this table's pools; otherwise
+  /// they are interned here row by row in push_back()'s order (name, phase,
+  /// block, op, group), so the ids come out as a RowRemap would assign them.
+  /// A caller-supplied `remap` (src's pools to this table's) translates
+  /// them instead: one that ran intern_rows() over another order first has
+  /// fixed the ids' first-appearance order.
+  void append_rows(const EventTable& src, std::span<const std::uint32_t> order,
+                   RowRemap* remap = nullptr);
+
   // -- explicit column mutation (no mutable event views exist) --------------
   void set_ts_ns(std::size_t i, std::int64_t v) { ts_[i] = v; }
   void set_dur_ns(std::size_t i, std::int64_t v) { dur_[i] = v; }
+  void set_pid(std::size_t i, std::int32_t v) { pid_[i] = v; }
   void set_stream(std::size_t i, std::int64_t v) { stream_[i] = v; }
   void set_correlation(std::size_t i, std::int64_t v) { correlation_[i] = v; }
 
   /// Stable sort of all columns by (ts, tid) — the canonical trace order.
+  /// Rows already in that order (every trace this repo writes) cost one
+  /// compare pass and are not moved.
   void sort_by_time();
 
   /// Re-homes this table onto `pools`, rewriting every pooled id column
@@ -316,12 +332,20 @@ class EventTable {
 /// in the order push_back() interns a materialized event (name, phase,
 /// block, op, group) — so destination ids come out exactly as
 /// push_back(materialize(i)) would assign them, without owning strings.
+/// EventTable::append_rows gathers pooled id columns through one.
 class RowRemap {
  public:
   RowRemap(const TracePools& from, TracePools& to);
   EventTable::Row operator()(EventTable::Row row);
 
+  /// Interns the strings of rows `rows` of `t` (a table over the source
+  /// pools) in push_back()'s order, row by row, so later lookups of those
+  /// ids are memo hits and the destination ids follow this order.
+  void intern_rows(const EventTable& t, std::span<const std::uint32_t> rows);
+
  private:
+  friend class EventTable;  // append_rows gathers through the memos
+
   struct Domain {
     const StringPool* from;
     StringPool* to;

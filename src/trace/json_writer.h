@@ -25,8 +25,11 @@
 // The escaped-string memo is keyed on the trace's TracePools instance, so
 // reusing one writer across the ranks of one ClusterTrace (which share
 // pools) pays each distinct string once per cluster, not once per rank.
-// A JsonWriter is single-threaded; concurrent emitters (e.g. sweep workers
-// calling Session::chrome_trace_json) each use their own.
+// Session::chrome_trace_json writes one rank that SimResult::emit_rank
+// gathered into fresh pools, so its memo covers that rank's strings only;
+// SimResult::to_trace puts every rank in one pools, which a reused writer
+// pays once. A JsonWriter is single-threaded; concurrent emitters (e.g.
+// sweep workers calling Session::chrome_trace_json) each use their own.
 #pragma once
 
 #include <cstdint>

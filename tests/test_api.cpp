@@ -7,6 +7,7 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "api/api.h"
 #include "test_util.h"
@@ -352,6 +353,36 @@ TEST(Session, AnalysisSurfaceWorks) {
   Result<std::vector<analysis::DiffEntry>> diff = session->diff(*other);
   ASSERT_TRUE(diff.is_ok());
   EXPECT_FALSE(diff->empty());
+}
+
+TEST(Session, ChromeTraceJsonMatchesReplayedTraceForEveryRank) {
+  // chrome_trace_json builds only the requested rank; its bytes equal the
+  // serialization of that rank of the full replayed trace.
+  // The seed-123 tiny fixture (TP 2 x PP 2 ranks) and a 4-stage pipeline.
+  for (const auto& [parallelism, ranks] :
+       {std::pair{"2x2x2", 4u}, std::pair{"1x4x2", 4u}}) {
+    Result<Session> session = Session::create(Scenario::synthetic()
+                                                  .with_model(tiny_model())
+                                                  .with_parallelism(parallelism)
+                                                  .with_seed(123));
+    ASSERT_TRUE(session.is_ok()) << parallelism;
+    Result<const trace::ClusterTrace*> replayed = session->replayed_trace();
+    ASSERT_TRUE(replayed.is_ok());
+    ASSERT_EQ((*replayed)->ranks.size(), ranks);
+    for (const trace::RankTrace& rank : (*replayed)->ranks) {
+      for (const int indent : {-1, 1, 2}) {
+        Result<std::string> json =
+            session->chrome_trace_json(rank.rank, indent);
+        ASSERT_TRUE(json.is_ok()) << json.status().to_string();
+        EXPECT_EQ(*json, trace::to_json_string(rank, indent))
+            << parallelism << " rank " << rank.rank << " indent " << indent;
+      }
+    }
+    Result<std::string> absent = session->chrome_trace_json(1000);
+    EXPECT_EQ(absent.status().code(), ErrorCode::kInvalidArgument);
+    EXPECT_EQ(absent.status().message(),
+              "rank 1000 not present in the replayed trace");
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 // Unit tests for the JSON substrate (lumos::json).
 #include "json/json.h"
+#include "json/sax.h"
 
 #include <gtest/gtest.h>
 

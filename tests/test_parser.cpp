@@ -4,6 +4,8 @@
 // construction.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "cluster/ground_truth.h"
 #include "core/trace_parser.h"
 #include "test_util.h"
@@ -249,6 +251,30 @@ TEST(TraceParser, DropsUserAnnotations) {
   ExecutionGraph g = TraceParser().parse(t);
   EXPECT_EQ(g.size(), 1u);
   EXPECT_EQ(g.task(0).event.name, "op");
+}
+
+TEST(TraceParser, ShuffledRankParsesLikeItsSortedCopy) {
+  // The parser orders rows itself: a rank whose events arrive shuffled
+  // (pushed in reverse, ties included) gives the rows and edges of its
+  // (ts, tid)-sorted copy, which the parser takes without re-sorting.
+  cluster::GroundTruthEngine engine(tiny_model(), tiny_config(1, 1, 1));
+  const cluster::GroundTruthRun run = engine.run_profiled(3);
+  const trace::EventTable& events = run.trace.ranks.front().events;
+  ASSERT_GT(events.size(), 100u);
+  trace::RankTrace shuffled;
+  for (std::size_t i = events.size(); i-- > 0;) {
+    shuffled.events.push_back(events[i]);
+  }
+  trace::RankTrace sorted = shuffled;
+  sorted.sort_by_time();
+  const ExecutionGraph a = TraceParser().parse(shuffled);
+  const ExecutionGraph b = TraceParser().parse(sorted);
+  ASSERT_EQ(a.size(), b.size());
+  for (TaskId id = 0; id < static_cast<TaskId>(a.size()); ++id) {
+    ASSERT_EQ(a.task(id).event, b.task(id).event) << id;
+    ASSERT_EQ(a.task(id).processor, b.task(id).processor) << id;
+  }
+  EXPECT_TRUE(std::ranges::equal(a.edges(), b.edges()));
 }
 
 // ---------------------------------------------------------------------------

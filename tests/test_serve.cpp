@@ -216,6 +216,30 @@ TEST(ServeProtocol, OutOfRangeIntegerDecodesToAnError) {
       << status.to_string();
 }
 
+TEST(ServeProtocol, Int32FieldOutOfRangeDecodesToAnError) {
+  // The what-if knobs are 32-bit: a value inside int64 but outside int32
+  // is a parse error, not a wrapped setup (dp 2^32+2 would read as dp 2).
+  Request out;
+  const Status status = decode_request(
+      R"({"method":"predict","baseline":"b.snap",)"
+      R"("whatif":{"dp":4294967298,"tp":-4294967295}})",
+      out);
+  EXPECT_EQ(status.code(), ErrorCode::kParseError) << status.to_string();
+  EXPECT_NE(status.message().find("int32"), std::string::npos)
+      << status.to_string();
+  const Status tp = decode_request(
+      R"({"method":"predict","baseline":"b.snap","whatif":{"tp":-4294967295}})",
+      out);
+  EXPECT_EQ(tp.code(), ErrorCode::kParseError) << tp.to_string();
+  ASSERT_TRUE(decode_request(
+                  R"({"method":"predict","baseline":"b.snap",)"
+                  R"("whatif":{"dp":2147483647,"tp":-2147483648}})",
+                  out)
+                  .is_ok());
+  EXPECT_EQ(out.whatif.dp, 2147483647);
+  EXPECT_EQ(out.whatif.tp, -2147483647 - 1);
+}
+
 TEST(ServeProtocol, ErrorRepliesCarryTheStatusCodeAcrossTheWire) {
   const std::string line =
       error_reply(9, deadlock_error("simulation stuck at t=10"));

@@ -937,6 +937,39 @@ TEST_F(CraftedSnapshot, MetadataIntegerOutOfRangeIsRejected) {
   expect_rejected("int64", "snapshot metadata");
 }
 
+TEST_F(CraftedSnapshot, MetadataInt32FieldOutOfRangeIsRejected) {
+  // tp is a 32-bit field: 2^32+1 must not narrow to 1. The config's
+  // `"tp":2,"pp":2,"dp":2,` becomes tp alone plus padding, so no offset
+  // moves (pp and dp fall back to their defaults).
+  std::string bad = bytes_;
+  const std::string from = R"("tp":2,"pp":2,"dp":2,)";
+  const std::string to = R"("tp":4294967297,     )";
+  ASSERT_EQ(from.size(), to.size());
+  const std::size_t at = bad.find(from);
+  ASSERT_NE(at, std::string::npos);
+  bad.replace(at, from.size(), to);
+  reseal_and_write(bad);
+  expect_rejected("int32", "snapshot metadata");
+}
+
+// Enum bytes: each row's category and CUDA API byte names an enumerator.
+
+TEST_F(CraftedSnapshot, EventCategoryOutOfRangeIsRejected) {
+  expect_first_entry_rejected(
+      event_column(0),
+      static_cast<std::uint8_t>(
+          static_cast<int>(trace::EventCategory::UserAnnotation) + 1),
+      "cat column value out of range");
+}
+
+TEST_F(CraftedSnapshot, EventCudaApiOutOfRangeIsRejected) {
+  expect_first_entry_rejected(
+      event_column(1),
+      static_cast<std::uint8_t>(
+          static_cast<int>(trace::CudaApi::EventSynchronize) + 1),
+      "api column value out of range");
+}
+
 // Side-table indices: each row's collective / GEMM index is -1 or below
 // its side-table's length.
 

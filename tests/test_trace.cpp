@@ -3,6 +3,9 @@
 // (lumos::trace).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "cluster/ground_truth.h"
 #include "core/trace_parser.h"
 #include "io/fnv.h"
@@ -394,6 +397,128 @@ TEST(EventTable, SortPermutesSideTablesConsistently) {
   EXPECT_FALSE(t.has_collective(0));
   EXPECT_EQ(t.collective_group_view(1), "tp_0");
   EXPECT_EQ(t.gemm(1), (GemmShape{32, 64, 128}));
+}
+
+/// Every row of `t`, materialized.
+std::vector<TraceEvent> events_of(const EventTable& t) {
+  return {t.begin(), t.end()};
+}
+
+/// The pooled-string ids of every row, in push_back()'s interning order.
+std::vector<std::uint32_t> pooled_ids(const EventTable& t) {
+  std::vector<std::uint32_t> out;
+  for (std::size_t i = 0; i < t.size(); ++i) {
+    out.insert(out.end(), {t.name_id(i).index, t.phase_id(i).index,
+                           t.block_id(i).index, t.collective_op(i).index,
+                           t.collective_group(i).index});
+  }
+  return out;
+}
+
+EventTable gather_source() {
+  EventTable t;
+  t.push_back(make_event("zeta", EventCategory::CpuOp, 30, 5, 1));
+  t.push_back(full_event());
+  TraceEvent other = full_event();
+  other.name = "alpha";
+  other.collective = {"allgather", "dp_1", 4096, 2, 3};
+  other.gemm = {};
+  t.push_back(other);
+  t.push_back(make_event("cudaStreamSynchronize", EventCategory::CudaRuntime,
+                         10, 7, 2));
+  return t;
+}
+
+TEST(EventTable, AppendRowsWithSharedPoolsCopiesIds) {
+  const EventTable src = gather_source();
+  EventTable dst(src.pools());
+  const std::vector<std::uint32_t> order = {2, 0, 3, 1};
+  dst.append_rows(src, order);
+  ASSERT_EQ(dst.size(), order.size());
+  for (std::size_t k = 0; k < order.size(); ++k) {
+    EXPECT_EQ(dst[k], src[order[k]]) << k;
+    EXPECT_EQ(dst.name_id(k), src.name_id(order[k]));
+    EXPECT_EQ(dst.cuda_api(k), src.cuda_api(order[k]));
+  }
+  EXPECT_EQ(dst.cuda_api(2), CudaApi::StreamSynchronize);
+  // The collective and GEMM side tables follow their rows.
+  EXPECT_EQ(dst.collective_op_view(0), "allgather");
+  EXPECT_EQ(dst.collective_instance(0), 3);
+  EXPECT_FALSE(dst.has_gemm(0));
+  EXPECT_FALSE(dst.has_collective(1));
+  EXPECT_EQ(dst.collective_group_view(3), "tp_0");
+  EXPECT_EQ(dst.gemm(3), (GemmShape{32, 64, 128}));
+}
+
+TEST(EventTable, AppendRowsAcrossPoolsInternsInFirstAppearanceOrder) {
+  // Into fresh pools, the ids are those a push_back of each materialized
+  // row in gather order assigns.
+  const EventTable src = gather_source();
+  const std::vector<std::uint32_t> order = {3, 2, 0, 1};
+  EventTable gathered;
+  gathered.append_rows(src, order);
+  EventTable pushed;
+  for (const std::uint32_t i : order) pushed.push_back(src[i]);
+  EXPECT_EQ(events_of(gathered), events_of(pushed));
+  EXPECT_EQ(pooled_ids(gathered), pooled_ids(pushed));
+  EXPECT_EQ(gathered.names().size(), pushed.names().size());
+  // A remap that interned another order first fixes the ids to that order.
+  EventTable fixed;
+  RowRemap remap(*src.pools(), *fixed.pools());
+  const std::vector<std::uint32_t> ascending = {0, 1, 2, 3};
+  remap.intern_rows(src, ascending);
+  fixed.append_rows(src, order, &remap);
+  EventTable reference;
+  for (const std::uint32_t i : ascending) reference.push_back(src[i]);
+  EXPECT_EQ(events_of(fixed), events_of(pushed));
+  for (std::size_t k = 0; k < order.size(); ++k) {
+    EXPECT_EQ(fixed.name_id(k), reference.name_id(order[k])) << k;
+    EXPECT_EQ(fixed.phase_id(k), reference.phase_id(order[k])) << k;
+    EXPECT_EQ(fixed.collective_group(k), reference.collective_group(order[k]));
+  }
+}
+
+TEST(EventTable, AppendRowsWithEmptyOrderAppendsNothing) {
+  const EventTable src = gather_source();
+  EventTable dst;
+  dst.push_back(make_event("kept", EventCategory::CpuOp, 1, 1, 1));
+  dst.append_rows(src, {});
+  ASSERT_EQ(dst.size(), 1u);
+  EXPECT_EQ(dst.name(0), "kept");
+  EXPECT_EQ(dst.names().size(), 1u);
+  dst.append_rows(src, std::vector<std::uint32_t>{1});
+  EXPECT_EQ(dst[1], src[1]);
+}
+
+TEST(EventTable, SortByTimeEqualsAReferenceStableSort) {
+  const auto reference = [](std::vector<TraceEvent> events) {
+    std::stable_sort(events.begin(), events.end(),
+                     [](const TraceEvent& a, const TraceEvent& b) {
+                       if (a.ts_ns != b.ts_ns) return a.ts_ns < b.ts_ns;
+                       return a.tid < b.tid;
+                     });
+    return events;
+  };
+  std::vector<TraceEvent> sorted;
+  for (std::int64_t ts = 0; ts < 6; ++ts) {
+    sorted.push_back(make_event("op" + std::to_string(ts),
+                                EventCategory::CpuOp, ts * 10, 3, 1));
+  }
+  std::vector<TraceEvent> reversed(sorted.rbegin(), sorted.rend());
+  // Equal ts: tid breaks the tie, and equal (ts, tid) keeps input order.
+  std::vector<TraceEvent> ties = {
+      make_event("t3", EventCategory::CpuOp, 5, 1, 3),
+      make_event("t1a", EventCategory::CpuOp, 5, 1, 1),
+      make_event("early", EventCategory::CpuOp, 2, 1, 9),
+      make_event("t1b", EventCategory::CpuOp, 5, 2, 1),
+      full_event(),
+      make_event("t2", EventCategory::Kernel, 5, 1, 2)};
+  for (const std::vector<TraceEvent>& input : {sorted, reversed, ties}) {
+    EventTable t;
+    for (const TraceEvent& e : input) t.push_back(e);
+    t.sort_by_time();
+    EXPECT_EQ(events_of(t), reference(input));
+  }
 }
 
 TEST(EventTable, IteratorMaterializesEvents) {
